@@ -1,0 +1,573 @@
+"""Minimal fp64 tensor core with an explicit tape and reverse-mode gradients.
+
+Just enough ops for a small conv/GAP/linear classifier and an LSTM decoder:
+no broadcasting zoo, no fusion, no GPU. Every op validates shapes up front
+and raises ShapeError with a readable message.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .rng import Xoshiro256
+
+
+class ShapeError(ValueError):
+    """Raised when operand shapes do not line up."""
+
+
+class Tensor:
+    """Dense float64 array with an optional gradient of the same shape."""
+
+    __slots__ = ("data", "grad", "parameter", "name")
+
+    def __init__(self, data, parameter: bool = False, name: str | None = None):
+        self.data = np.array(data, dtype=np.float64, copy=True)
+        self.grad: np.ndarray | None = None
+        self.parameter = parameter
+        self.name = name
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += g
+
+    def __repr__(self):
+        tag = f" name={self.name!r}" if self.name else ""
+        return f"Tensor(shape={self.data.shape}{tag})"
+
+
+class Tape:
+    """Ordered record of executed ops; creation order is topological order."""
+
+    def __init__(self):
+        self._records: list[tuple[tuple[Tensor, ...], object]] = []
+
+    def __enter__(self) -> "Tape":
+        _STACK.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        _STACK.pop()
+        return False
+
+    def __len__(self):
+        return len(self._records)
+
+    def produced(self, t: Tensor) -> bool:
+        return any(out is t for outs, _ in self._records for out in outs)
+
+
+_STACK: list[Tape] = []
+
+
+def _emit(outputs: tuple[Tensor, ...], backward_fn) -> None:
+    if _STACK:
+        _STACK[-1]._records.append((outputs, backward_fn))
+
+
+def backward(tape: Tape, loss: Tensor) -> None:
+    """Populate .grad on everything reachable from the scalar loss."""
+    if loss.data.size != 1:
+        raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    if not tape.produced(loss):
+        raise ValueError("loss was not produced on this tape")
+    loss.grad = np.ones_like(loss.data)
+    for outputs, fn in reversed(tape._records):
+        if all(out.grad is None for out in outputs):
+            continue
+        grads = tuple(
+            out.grad if out.grad is not None else np.zeros_like(out.data)
+            for out in outputs
+        )
+        fn(grads)
+
+
+# ---------------------------------------------------------------------------
+# elementwise ops
+
+def relu(x: Tensor) -> Tensor:
+    out = Tensor(np.maximum(x.data, 0.0))
+    mask = x.data > 0.0
+
+    def bwd(gs):
+        x.accumulate(gs[0] * mask)
+
+    _emit((out,), bwd)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid_np(x.data)
+    out = Tensor(y)
+
+    def bwd(gs):
+        x.accumulate(gs[0] * y * (1.0 - y))
+
+    _emit((out,), bwd)
+    return out
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    out = Tensor(y)
+
+    def bwd(gs):
+        x.accumulate(gs[0] * (1.0 - y * y))
+
+    _emit((out,), bwd)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    out = Tensor(a.data + b.data)
+
+    def bwd(gs):
+        a.accumulate(gs[0])
+        b.accumulate(gs[0])
+
+    _emit((out,), bwd)
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
+    out = Tensor(a.data * b.data)
+
+    def bwd(gs):
+        a.accumulate(gs[0] * b.data)
+        b.accumulate(gs[0] * a.data)
+
+    _emit((out,), bwd)
+    return out
+
+
+def scale(x: Tensor, s: float) -> Tensor:
+    out = Tensor(x.data * s)
+
+    def bwd(gs):
+        x.accumulate(gs[0] * s)
+
+    _emit((out,), bwd)
+    return out
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out = Tensor(x.data.sum())
+
+    def bwd(gs):
+        x.accumulate(np.full_like(x.data, float(gs[0])))
+
+    _emit((out,), bwd)
+    return out
+
+
+def mean_scalars(terms: list[Tensor]) -> Tensor:
+    """Mean of scalar tensors as a single op (used for per-step losses)."""
+    if not terms:
+        raise ValueError("mean_scalars needs at least one term")
+    n = len(terms)
+    out = Tensor(sum(float(t.data) for t in terms) / n)
+
+    def bwd(gs):
+        g = float(gs[0]) / n
+        for t in terms:
+            t.accumulate(np.full_like(t.data, g))
+
+    _emit((out,), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """weight @ x (+ bias) for a 1-D input."""
+    if x.data.ndim != 1 or weight.data.ndim != 2:
+        raise ShapeError(
+            f"linear: expected vector and matrix, got {x.data.shape}, {weight.data.shape}"
+        )
+    m, d = weight.data.shape
+    if x.data.shape[0] != d:
+        raise ShapeError(f"linear: weight is {m}x{d} but input has dim {x.data.shape[0]}")
+    if bias is not None and bias.data.shape != (m,):
+        raise ShapeError(f"linear: bias shape {bias.data.shape} != ({m},)")
+    y = weight.data @ x.data
+    if bias is not None:
+        y = y + bias.data
+    out = Tensor(y)
+
+    def bwd(gs):
+        g = gs[0]
+        x.accumulate(weight.data.T @ g)
+        weight.accumulate(np.outer(g, x.data))
+        if bias is not None:
+            bias.accumulate(g)
+
+    _emit((out,), bwd)
+    return out
+
+
+def embedding_row(table: Tensor, index: int) -> Tensor:
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding_row: table must be 2-D, got {table.data.shape}")
+    if not 0 <= index < table.data.shape[0]:
+        raise ValueError(f"embedding_row: index {index} out of range")
+    out = Tensor(table.data[index])
+
+    def bwd(gs):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[index] += gs[0]
+
+    _emit((out,), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# conv / pool
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    c = xp.shape[0]
+    cols = np.empty((c * kh * kw, ho * wo), dtype=np.float64)
+    row = 0
+    for ch in range(c):
+        for a in range(kh):
+            for b in range(kw):
+                patch = xp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride]
+                cols[row] = patch.ravel()
+                row += 1
+    return cols
+
+
+def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
+    gxp = np.zeros(shape, dtype=np.float64)
+    row = 0
+    for ch in range(shape[0]):
+        for a in range(kh):
+            for b in range(kw):
+                gxp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride] += (
+                    gcols[row].reshape(ho, wo)
+                )
+                row += 1
+    return gxp
+
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation), CHW layout, single image."""
+    if x.data.ndim != 3 or kernels.data.ndim != 4:
+        raise ShapeError(
+            f"conv2d: expected CHW input and KCkhkw kernels, got {x.data.shape}, {kernels.data.shape}"
+        )
+    c, h, w = x.data.shape
+    k, kc, kh, kw = kernels.data.shape
+    if kc != c:
+        raise ShapeError(f"conv2d: input has {c} channels, kernels expect {kc}")
+    if bias.data.shape != (k,):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({k},)")
+    if stride < 1:
+        raise ValueError("conv2d: stride must be >= 1")
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if kh > hp or kw > wp:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    kmat = kernels.data.reshape(k, c * kh * kw)
+    y = (kmat @ cols + bias.data[:, None]).reshape(k, ho, wo)
+    out = Tensor(y)
+
+    def bwd(gs):
+        gflat = gs[0].reshape(k, ho * wo)
+        bias.accumulate(gflat.sum(axis=1))
+        kernels.accumulate((gflat @ cols.T).reshape(kernels.data.shape))
+        gcols = kmat.T @ gflat
+        gxp = _col2im_add(gcols, (c, hp, wp), kh, kw, stride, ho, wo)
+        if pad:
+            gxp = gxp[:, pad:-pad, pad:-pad]
+        x.accumulate(gxp)
+
+    _emit((out,), bwd)
+    return out
+
+
+def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
+    if x.data.ndim != 3:
+        raise ShapeError(f"maxpool2d: expected CHW input, got {x.data.shape}")
+    if stride is None:
+        stride = window
+    c, h, w = x.data.shape
+    if window > h or window > w:
+        raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {h}x{w}")
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    stack = np.empty((window * window, c, ho, wo), dtype=np.float64)
+    i = 0
+    for a in range(window):
+        for b in range(window):
+            stack[i] = x.data[:, a : a + stride * ho : stride, b : b + stride * wo : stride]
+            i += 1
+    arg = stack.argmax(axis=0)  # first max wins on ties
+    out = Tensor(stack.max(axis=0))
+
+    def bwd(gs):
+        gx = np.zeros_like(x.data)
+        i = 0
+        for a in range(window):
+            for b in range(window):
+                gx[:, a : a + stride * ho : stride, b : b + stride * wo : stride] += (
+                    gs[0] * (arg == i)
+                )
+                i += 1
+        x.accumulate(gx)
+
+    _emit((out,), bwd)
+    return out
+
+
+def global_avg_pool(x: Tensor) -> Tensor:
+    if x.data.ndim != 3:
+        raise ShapeError(f"global_avg_pool: expected CHW input, got {x.data.shape}")
+    _, h, w = x.data.shape
+    out = Tensor(x.data.mean(axis=(1, 2)))
+
+    def bwd(gs):
+        x.accumulate(np.repeat(gs[0][:, None, None], h, axis=1).repeat(w, axis=2) / (h * w))
+
+    _emit((out,), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# loss
+
+def log_softmax_np(logits: np.ndarray) -> np.ndarray:
+    m = logits.max()
+    z = logits - m
+    return z - np.log(np.exp(z).sum())
+
+
+def softmax_np(logits: np.ndarray) -> np.ndarray:
+    z = np.exp(logits - logits.max())
+    return z / z.sum()
+
+
+def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
+    if logits.data.ndim != 1:
+        raise ShapeError(f"softmax_cross_entropy: logits must be 1-D, got {logits.data.shape}")
+    n = logits.data.shape[0]
+    if not 0 <= target_class < n:
+        raise ValueError(f"target class {target_class} out of range for {n} classes")
+    logp = log_softmax_np(logits.data)
+    out = Tensor(-logp[target_class])
+    p = np.exp(logp)
+
+    def bwd(gs):
+        g = p.copy()
+        g[target_class] -= 1.0
+        logits.accumulate(float(gs[0]) * g)
+
+    _emit((out,), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# LSTM cell
+
+@dataclass
+class LstmParams:
+    """Gate parameters: wx (4H x D), wh (4H x H), b (4H) in i,f,o,g order."""
+
+    wx: Tensor
+    wh: Tensor
+    b: Tensor
+
+    @property
+    def hidden_size(self) -> int:
+        return self.b.data.shape[0] // 4
+
+    @classmethod
+    def init(cls, rng: Xoshiro256, input_dim: int, hidden: int, prefix: str = "lstm") -> "LstmParams":
+        wx = Tensor(glorot_uniform(rng, (4 * hidden, input_dim)), parameter=True, name=f"{prefix}.wx")
+        wh = Tensor(glorot_uniform(rng, (4 * hidden, hidden)), parameter=True, name=f"{prefix}.wh")
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0  # forget-gate bias: stabilizes early training
+        return cls(wx=wx, wh=wh, b=Tensor(b, parameter=True, name=f"{prefix}.b"))
+
+
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                 x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """Pure-numpy LSTM step; shared by the taped op and tape-free decoding."""
+    hid = b.shape[0] // 4
+    a = wx @ x + wh @ h + b
+    i = _sigmoid_np(a[:hid])
+    f = _sigmoid_np(a[hid : 2 * hid])
+    o = _sigmoid_np(a[2 * hid : 3 * hid])
+    g = np.tanh(a[3 * hid :])
+    c2 = f * c + i * g
+    t = np.tanh(c2)
+    h2 = o * t
+    return h2, c2, (i, f, o, g, t)
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
+    hid = params.hidden_size
+    d = params.wx.data.shape[1]
+    if x.data.shape != (d,):
+        raise ShapeError(f"lstm_step: input shape {x.data.shape} != ({d},)")
+    if h.data.shape != (hid,) or c.data.shape != (hid,):
+        raise ShapeError(f"lstm_step: state shapes {h.data.shape}/{c.data.shape} != ({hid},)")
+    h2, c2, (i, f, o, g, t) = lstm_cell_np(
+        params.wx.data, params.wh.data, params.b.data, x.data, h.data, c.data
+    )
+    out_h, out_c = Tensor(h2), Tensor(c2)
+
+    def bwd(gs):
+        gh, gc = gs
+        go = gh * t
+        gct = gc + gh * o * (1.0 - t * t)
+        gf = gct * c.data
+        gi = gct * g
+        gg = gct * i
+        ga = np.concatenate([
+            gi * i * (1.0 - i),
+            gf * f * (1.0 - f),
+            go * o * (1.0 - o),
+            gg * (1.0 - g * g),
+        ])
+        params.wx.accumulate(np.outer(ga, x.data))
+        params.wh.accumulate(np.outer(ga, h.data))
+        params.b.accumulate(ga)
+        x.accumulate(params.wx.data.T @ ga)
+        h.accumulate(params.wh.data.T @ ga)
+        c.accumulate(gct * f)
+
+    _emit((out_h, out_c), bwd)
+    return out_h, out_c
+
+
+# ---------------------------------------------------------------------------
+# init / optimizer / gradient check
+
+def glorot_uniform(rng: Xoshiro256, shape) -> np.ndarray:
+    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
+    fan_out = shape[0]
+    a = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-a, a, shape)
+
+
+@dataclass
+class SgdConfig:
+    learning_rate: float = 0.1
+    decay_factor: float = 5.0
+    decay_period_epochs: int = 50
+
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.decay_period_epochs < 1:
+            raise ValueError("decay_period_epochs must be >= 1")
+
+
+def sgd_step(params: list[Tensor], lr: float) -> None:
+    if lr < 0:
+        raise ValueError("learning rate must be non-negative")
+    for p in params:
+        if p.grad is None:
+            raise ValueError(f"sgd_step: parameter {p.name or '<unnamed>'} has no gradient")
+    for p in params:
+        p.data -= lr * p.grad
+
+
+def zero_grads(params: list[Tensor]) -> None:
+    for p in params:
+        p.zero_grad()
+
+
+@dataclass
+class BlockCheck:
+    max_rel_error: float
+    passed: bool
+    detail: str = ""
+
+
+@dataclass
+class FiniteDifferenceReport:
+    blocks: dict[str, BlockCheck] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(b.passed for b in self.blocks.values())
+
+    @property
+    def max_rel_error(self) -> float:
+        return max((b.max_rel_error for b in self.blocks.values()), default=0.0)
+
+
+def finite_difference_check(model_fn, params: dict[str, Tensor],
+                            eps: float = 1e-5, tol: float = 1e-4) -> FiniteDifferenceReport:
+    """Compare analytic gradients of a scalar model_fn against central differences.
+
+    model_fn must be deterministic and read parameter values afresh on each
+    call. Relative error uses max(|analytic|, |fd|, 1e-4) as denominator so
+    near-zero gradients are judged on an absolute scale.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    zero_grads(list(params.values()))
+    with Tape() as tape:
+        loss = model_fn()
+    backward(tape, loss)
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in params.items()
+    }
+    report = FiniteDifferenceReport()
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        aflat = analytic[name].reshape(-1)
+        worst, detail = 0.0, ""
+        failed = False
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            fp = float(model_fn().data)
+            flat[j] = orig - eps
+            fm = float(model_fn().data)
+            flat[j] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                report.blocks[name] = BlockCheck(
+                    max_rel_error=np.inf, passed=False,
+                    detail=f"non-finite probe at {name}[{j}]",
+                )
+                failed = True
+                break
+            fd = (fp - fm) / (2.0 * eps)
+            err = abs(aflat[j] - fd) / max(abs(aflat[j]), abs(fd), 1e-4)
+            if err > worst:
+                worst, detail = err, f"worst at {name}[{j}]: analytic={aflat[j]:.6g} fd={fd:.6g}"
+        if not failed:
+            report.blocks[name] = BlockCheck(max_rel_error=worst, passed=worst < tol, detail=detail)
+    return report

@@ -1,0 +1,114 @@
+"""Named-parameter checkpoint container and its on-disk format.
+
+File layout: magic "RSCK", version u16 LE, header length u32 LE, a UTF-8
+text header with one "name dim0,dim1,... byte_offset" line per parameter,
+then the concatenated little-endian float32 payloads. Values are held as
+float64 in memory; the float32 payload is a documented, lossy narrowing.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+import tempfile
+
+import numpy as np
+
+from .errors import DataError
+
+MAGIC = b"RSCK"
+VERSION = 1
+
+
+class ModelCheckpoint:
+    """Ordered mapping of parameter name -> float64 ndarray."""
+
+    def __init__(self, params: dict[str, np.ndarray] | None = None):
+        self.params: dict[str, np.ndarray] = {}
+        if params:
+            for name, arr in params.items():
+                self.params[name] = np.asarray(arr, dtype=np.float64)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelCheckpoint):
+            return NotImplemented
+        if list(self.params) != list(other.params):
+            return False
+        return all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
+
+    def __contains__(self, name):
+        return name in self.params
+
+    def __getitem__(self, name) -> np.ndarray:
+        return self.params[name]
+
+    def subset(self, prefix: str) -> "ModelCheckpoint":
+        return ModelCheckpoint({k: v for k, v in self.params.items() if k.startswith(prefix)})
+
+    def merged_with(self, other: "ModelCheckpoint") -> "ModelCheckpoint":
+        out = dict(self.params)
+        out.update(other.params)
+        return ModelCheckpoint(out)
+
+    def save(self, path) -> None:
+        """Atomic write: serialize to a temp file, then rename into place."""
+        header_lines = []
+        offset = 0
+        payloads = []
+        for name, arr in self.params.items():
+            if " " in name or "\n" in name:
+                raise ValueError(f"parameter name {name!r} may not contain spaces")
+            payload = arr.astype("<f4").tobytes()
+            dims = ",".join(str(d) for d in arr.shape) or "0"
+            header_lines.append(f"{name} {dims} {offset}")
+            payloads.append(payload)
+            offset += len(payload)
+        header = ("\n".join(header_lines) + "\n" if header_lines else "").encode("utf-8")
+        blob = MAGIC + struct.pack("<HI", VERSION, len(header)) + header + b"".join(payloads)
+        path = os.fspath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+    @classmethod
+    def load(cls, path) -> "ModelCheckpoint":
+        with open(path, "rb") as f:
+            blob = f.read()
+        if blob[:4] != MAGIC:
+            raise DataError(f"{path}: bad magic bytes {blob[:4]!r}")
+        if len(blob) < 10:
+            raise DataError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack("<HI", blob[4:10])
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        header = blob[10 : 10 + header_len].decode("utf-8")
+        payload = blob[10 + header_len :]
+        params: dict[str, np.ndarray] = {}
+        total = 0
+        for line in header.splitlines():
+            if not line:
+                continue
+            try:
+                name, dims, offset = line.split(" ")
+                shape = tuple(int(d) for d in dims.split(",")) if dims != "0" else ()
+                offset = int(offset)
+            except ValueError as e:
+                raise DataError(f"{path}: malformed header line {line!r}") from e
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 4
+            if offset + nbytes > len(payload):
+                raise DataError(f"{path}: payload truncated for parameter {name!r}")
+            arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+            params[name] = arr.astype(np.float64).reshape(shape)
+            total = max(total, offset + nbytes)
+        if total != len(payload):
+            raise DataError(
+                f"{path}: payload length {len(payload)} does not match header total {total}"
+            )
+        return cls(params)

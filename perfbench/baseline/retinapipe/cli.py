@@ -1,0 +1,391 @@
+"""Command-line entry point wiring the whole pipeline.
+
+Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
+All randomness flows from the --seed flag of each subcommand.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import sys
+
+import numpy as np
+
+from .autodiff import SgdConfig
+from .cam import compute_cam, heatmap_to_text, normalize_heatmap, overlay, upsample_bilinear
+from .checkpoint import ModelCheckpoint
+from .data import (
+    CaseRecord, DatasetManifest, generate_synthetic_dataset, parse_manifest,
+    save_manifest, split_dataset, word_length_histogram,
+)
+from .encoder import VisionEncoder, predict_topk
+from .errors import DataError
+from .imageio import load_image, write_png
+from .metrics import MetricReport, precision_at_k, score_captions
+from .report import build_report, render_html, render_text
+from .textgen import Vocabulary, tokenize
+from .training import (
+    CaseResult, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
+    load_train_config, train_captioner, train_classifier,
+)
+from .textgen import DecoderParams, KeywordProjection, decode_beam
+from .training import fused_feature_np
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _parse_triple(text: str, cast=float):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise _UsageError(f"expected three comma-separated values, got {text!r}")
+    return tuple(cast(p) for p in parts)
+
+
+def _train_config(args) -> TrainConfig:
+    if getattr(args, "config", None):
+        return load_train_config(args.config)
+    return TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        seed=args.seed,
+        sgd=SgdConfig(
+            learning_rate=args.lr,
+            decay_factor=args.decay_factor,
+            decay_period_epochs=args.decay_period,
+        ),
+        keyword_mode=not getattr(args, "no_keywords", False),
+    )
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="versioned JSON config; overrides the flags below")
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--decay-factor", type=float, default=5.0)
+    p.add_argument("--decay-period", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _out_layout(out_dir: str) -> dict[str, str]:
+    layout = {name: os.path.join(out_dir, name)
+              for name in ("checkpoints", "curves", "reports", "heatmaps")}
+    for path in layout.values():
+        os.makedirs(path, exist_ok=True)
+    return layout
+
+
+def _write_report_bundle(results: list[CaseResult], manifest: DatasetManifest,
+                         reports_dir: str, group_by: str = "none") -> str:
+    assets = os.path.join(reports_dir, "assets")
+    os.makedirs(assets, exist_ok=True)
+    reports = []
+    for res in results:
+        image = load_image(manifest.image_file(res.record))
+        img_name = f"{res.record.id}.png"
+        write_png(os.path.join(assets, img_name), image.pixels)
+        cam_rel = ""
+        if res.cam_path:
+            cam_name = os.path.basename(res.cam_path)
+            shutil.copyfile(res.cam_path, os.path.join(assets, cam_name))
+            cam_rel = f"assets/{cam_name}"
+        reports.append(build_report(
+            res.record, res.predictions, res.caption_words,
+            cam_path=cam_rel, image_path=f"assets/{img_name}"))
+    html_path = os.path.join(reports_dir, "report.html")
+    with open(html_path, "w", encoding="utf-8") as f:
+        f.write(render_html(reports, group_by=group_by))
+    return html_path
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def _cmd_synth_data(args) -> int:
+    generate_synthetic_dataset(args.out, args.classes, args.records, args.seed,
+                               image_side=args.side)
+    print(f"wrote {args.records} records to {args.out}", file=sys.stderr)
+    return 0
+
+
+def _cmd_split(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    counts = _parse_triple(args.counts, int) if args.counts else None
+    split_dataset(manifest, _parse_triple(args.ratios), args.seed,
+                  preserve=args.preserve, explicit_counts=counts)
+    save_manifest(manifest, args.out or args.manifest)
+    return 0
+
+
+def _cmd_stats(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    hist = word_length_histogram(manifest, args.field)
+    print(json.dumps({str(k): v for k, v in sorted(hist.items())}, indent=2))
+    return 0
+
+
+def _cmd_train_rdi(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    cfg = _train_config(args)
+    init = ModelCheckpoint.load(args.init) if args.init else None
+    ckpt, curve = train_classifier(manifest, cfg, init_checkpoint=init)
+    layout = _out_layout(args.out)
+    ckpt.save(os.path.join(layout["checkpoints"], "encoder.ckpt"))
+    with open(os.path.join(layout["curves"], "rdi.csv"), "w") as f:
+        f.write(curve.to_csv())
+    print(f"best val Prec@1 {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
+    return 0
+
+
+def _cmd_train_cdg(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    cfg = _train_config(args)
+    encoder_ckpt = ModelCheckpoint.load(args.encoder)
+    vocab, kw_vocab = build_caption_vocabularies(manifest, args.min_frequency)
+    ckpt, curve = train_captioner(manifest, cfg, encoder_ckpt, vocab, kw_vocab)
+    layout = _out_layout(args.out)
+    ckpt.save(os.path.join(layout["checkpoints"], "decoder.ckpt"))
+    vocab.save(os.path.join(layout["checkpoints"], "vocab.txt"))
+    kw_vocab.save(os.path.join(layout["checkpoints"], "kw_vocab.txt"))
+    with open(os.path.join(layout["curves"], "cdg.csv"), "w") as f:
+        f.write(curve.to_csv())
+    print(f"best val BLEU-avg {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
+    return 0
+
+
+def _cmd_evaluate(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    layout = _out_layout(args.out)
+    report, results = evaluate_pipeline(
+        manifest,
+        ModelCheckpoint.load(args.encoder),
+        ModelCheckpoint.load(args.decoder),
+        Vocabulary.load(args.vocab),
+        Vocabulary.load(args.kw_vocab),
+        beam_width=args.beam,
+        k_list=tuple(int(k) for k in args.topk.split(",")),
+        max_caption_len=args.max_len,
+        keyword_mode=False if args.no_keywords else None,
+        heatmap_dir=layout["heatmaps"],
+        workers=args.workers,
+    )
+    _write_report_bundle(results, manifest, layout["reports"], group_by=args.group_by)
+    with open(os.path.join(args.out, "metrics.json"), "w") as f:
+        f.write(report.to_json() + "\n")
+    print(report.to_json())
+    return 0
+
+
+def _cmd_explain(args) -> int:
+    image = load_image(args.image)
+    encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
+    out = encoder.encode_image(image)
+    class_id = args.class_id
+    if class_id is None:
+        class_id = predict_topk(out.logits, 1)[0][0]
+    heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, class_id)
+    if args.raw_txt:
+        with open(args.raw_txt, "w") as f:
+            f.write(heatmap_to_text(heat) + "\n")
+    heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
+    write_png(args.out, overlay(image, heat, args.alpha))
+    print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
+    return 0
+
+
+def _cmd_report(args) -> int:
+    image = load_image(args.image)
+    encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
+    decoder_ckpt = ModelCheckpoint.load(args.decoder)
+    decoder = DecoderParams.from_checkpoint(decoder_ckpt)
+    kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
+    vocab = Vocabulary.load(args.vocab)
+    kw_vocab = Vocabulary.load(args.kw_vocab)
+    keywords = [k.strip().casefold() for k in args.keywords.split(",") if k.strip()] \
+        if args.keywords else []
+    if args.manifest:
+        class_names = parse_manifest(args.manifest).class_list
+    else:
+        class_names = [f"class_{i}" for i in range(encoder.config.num_classes)]
+    out = encoder.encode_image(image)
+    ranked = predict_topk(out.logits, min(args.topk, encoder.config.num_classes))
+    keyword_mode = not args.no_keywords
+    fused = fused_feature_np(out.pooled.data, keywords, kw_vocab, kw_proj, keyword_mode)
+    hyp = decode_beam(fused, decoder, args.beam, args.max_len)[0]
+    words = hyp.words(vocab)
+    os.makedirs(os.path.join(args.out, "assets"), exist_ok=True)
+    case_id = os.path.splitext(os.path.basename(args.image))[0]
+    heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, ranked[0][0])
+    heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
+    cam_name = f"{case_id}_cam.png"
+    write_png(os.path.join(args.out, "assets", cam_name), overlay(image, heat, args.alpha))
+    img_name = f"{case_id}.png"
+    write_png(os.path.join(args.out, "assets", img_name), image.pixels)
+    record = CaseRecord(id=case_id, image_path=args.image, modality=image.modality,
+                        disease="", keywords=keywords, description="")
+    med = build_report(record, [(class_names[c], p) for c, p in ranked], words,
+                       cam_path=f"assets/{cam_name}", image_path=f"assets/{img_name}",
+                       include_truth=False)
+    with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
+        f.write(render_html([med]))
+    print(render_text(med))
+    return 0
+
+
+def _cmd_score(args) -> int:
+    with open(args.cand, encoding="utf-8") as f:
+        candidates = [tokenize(line) for line in f.read().splitlines()]
+    with open(args.refs, encoding="utf-8") as f:
+        references = [tokenize(line) for line in f.read().splitlines()]
+    if len(candidates) != len(references):
+        raise DataError(
+            f"{args.cand} has {len(candidates)} lines but {args.refs} has {len(references)}"
+        )
+    if not candidates:
+        raise DataError("caption files are empty")
+    report = score_captions(candidates, references)
+    if args.rankings:
+        rankings, truths = [], []
+        with open(args.rankings, encoding="utf-8") as f:
+            for i, line in enumerate(f.read().splitlines()):
+                fields = line.split()
+                if len(fields) < 2:
+                    raise DataError(f"{args.rankings}: line {i + 1} needs a truth id and a ranking")
+                truths.append(int(fields[0]))
+                rankings.append([int(x) for x in fields[1:]])
+        for k in (int(k) for k in args.topk.split(",")):
+            report.prec_at[k] = precision_at_k(rankings, truths, k)
+    print(report.to_json())
+    return 0
+
+
+# ---------------------------------------------------------------------------
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="retinapipe",
+                     description="Retinal image report generation pipeline")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+
+    p = sub.add_parser("synth-data", help="generate a deterministic synthetic dataset")
+    p.add_argument("--out", required=True)
+    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--records", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--side", type=int, default=32, help="image side length")
+    p.set_defaults(func=_cmd_synth_data)
+
+    p = sub.add_parser("split", help="assign train/val/test splits")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--ratios", default="0.6,0.2,0.2")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--counts", help="explicit train,val,test sizes (overrides ratios)")
+    p.add_argument("--preserve", action="store_true",
+                   help="keep existing split assignments")
+    p.add_argument("--out", help="output manifest (default: in place)")
+    p.set_defaults(func=_cmd_split)
+
+    p = sub.add_parser("stats", help="word-length histogram of labels")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--field", choices=("keywords", "description"), default="description")
+    p.set_defaults(func=_cmd_stats)
+
+    p = sub.add_parser("train-rdi", help="train the disease classifier")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--init", help="initial checkpoint (the 'pre-trained' axis)")
+    _add_train_flags(p)
+    p.set_defaults(func=_cmd_train_rdi)
+
+    p = sub.add_parser("train-cdg", help="train the clinical description generator")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--encoder", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--no-keywords", action="store_true",
+                   help="ablation: bypass keyword fusion")
+    p.add_argument("--min-frequency", type=int, default=1)
+    _add_train_flags(p)
+    p.set_defaults(func=_cmd_train_cdg)
+
+    p = sub.add_parser("evaluate", help="end-to-end evaluation on the test split")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--encoder", required=True)
+    p.add_argument("--decoder", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--kw-vocab", required=True)
+    p.add_argument("--beam", type=int, default=3)
+    p.add_argument("--topk", default="1,5")
+    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--no-keywords", action="store_true")
+    p.add_argument("--group-by", choices=("none", "disease"), default="none")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_evaluate)
+
+    p = sub.add_parser("explain", help="CAM overlay for one image")
+    p.add_argument("--image", required=True)
+    p.add_argument("--encoder", required=True)
+    p.add_argument("--class-id", type=int)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--raw-txt", help="also dump the raw heatmap as text")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_explain)
+
+    p = sub.add_parser("report", help="full per-image path to an HTML report")
+    p.add_argument("--image", required=True)
+    p.add_argument("--keywords", default="")
+    p.add_argument("--encoder", required=True)
+    p.add_argument("--decoder", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--kw-vocab", required=True)
+    p.add_argument("--manifest", help="optional; supplies disease names")
+    p.add_argument("--beam", type=int, default=3)
+    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--no-keywords", action="store_true")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser("score", help="score caption files (and optional rankings)")
+    p.add_argument("--cand", required=True)
+    p.add_argument("--refs", required=True)
+    p.add_argument("--rankings")
+    p.add_argument("--topk", default="1,5")
+    p.set_defaults(func=_cmd_score)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_help(sys.stderr)
+            return 1
+        return args.func(args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (DataError, ValueError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except SystemExit:
+        raise
+    except Exception as e:  # noqa: BLE001 - CLI boundary
+        print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,175 @@
+"""Retinal disease identifier: small conv stack -> GAP -> linear classifier.
+
+Exposes the final feature maps (for CAM), the pooled feature vector (for the
+description generator), and class logits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import ShapeError, Tensor
+from .checkpoint import ModelCheckpoint
+from .errors import DataError
+from .imageio import RetinalImage, resize_bilinear
+from .rng import Xoshiro256
+
+DEFAULT_STAGES = ((8, 3, 1, 2), (16, 3, 1, 2), (32, 3, 1, 2))
+
+
+@dataclass
+class EncoderConfig:
+    """Architecture: stages of (out_channels, kernel, stride, pool)."""
+
+    num_classes: int
+    input_channels: int = 3
+    image_size: int = 32
+    stages: tuple = DEFAULT_STAGES
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError("need at least 2 classes")
+        if self.input_channels not in (1, 3):
+            raise ValueError("input_channels must be 1 or 3")
+        side = self.image_size
+        for out_ch, kernel, stride, pool in self.stages:
+            side = (side + 2 * (kernel // 2) - kernel) // stride + 1
+            side = (side - pool) // pool + 1
+            if side < 1:
+                raise ValueError("spatial size collapses below 1x1; shrink the stage list")
+
+    @property
+    def feature_channels(self) -> int:
+        return self.stages[-1][0]
+
+    def to_array(self) -> np.ndarray:
+        flat = [self.num_classes, self.input_channels, self.image_size, len(self.stages)]
+        for stage in self.stages:
+            flat.extend(stage)
+        return np.array(flat, dtype=np.float64)
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray) -> "EncoderConfig":
+        vals = [int(v) for v in np.asarray(arr).ravel()]
+        n_stages = vals[3]
+        stages = tuple(tuple(vals[4 + 4 * i : 8 + 4 * i]) for i in range(n_stages))
+        return cls(num_classes=vals[0], input_channels=vals[1], image_size=vals[2], stages=stages)
+
+
+@dataclass
+class EncoderOutput:
+    feature_maps: Tensor  # K x h x w, post-relu activations of the last stage
+    pooled: Tensor  # K
+    logits: Tensor  # C
+
+
+class VisionEncoder:
+    def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
+        self.config = config
+        self._params = params
+
+    @classmethod
+    def init(cls, config: EncoderConfig, rng: Xoshiro256) -> "VisionEncoder":
+        params: dict[str, Tensor] = {}
+        in_ch = config.input_channels
+        for i, (out_ch, kernel, _stride, _pool) in enumerate(config.stages):
+            params[f"encoder.stage{i}.kernels"] = Tensor(
+                ad.glorot_uniform(rng, (out_ch, in_ch, kernel, kernel)),
+                parameter=True, name=f"encoder.stage{i}.kernels")
+            params[f"encoder.stage{i}.bias"] = Tensor(
+                np.zeros(out_ch), parameter=True, name=f"encoder.stage{i}.bias")
+            in_ch = out_ch
+        params["encoder.fc.weight"] = Tensor(
+            ad.glorot_uniform(rng, (config.num_classes, config.feature_channels)),
+            parameter=True, name="encoder.fc.weight")
+        params["encoder.fc.bias"] = Tensor(
+            np.zeros(config.num_classes), parameter=True, name="encoder.fc.bias")
+        return cls(config, params)
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "VisionEncoder":
+        if "encoder.config" not in ckpt:
+            raise DataError("checkpoint has no encoder.config entry")
+        config = EncoderConfig.from_array(ckpt["encoder.config"])
+        params: dict[str, Tensor] = {}
+        expected = cls.init(config, Xoshiro256(0))._params
+        for name, proto in expected.items():
+            if name not in ckpt:
+                raise DataError(f"checkpoint is missing parameter {name!r}")
+            arr = ckpt[name]
+            if arr.shape != proto.data.shape:
+                raise DataError(
+                    f"checkpoint parameter {name} has shape {arr.shape}, expected {proto.data.shape}"
+                )
+            params[name] = Tensor(arr, parameter=True, name=name)
+        return cls(config, params)
+
+    def parameters(self) -> list[Tensor]:
+        return list(self._params.values())
+
+    def to_checkpoint(self) -> ModelCheckpoint:
+        out = {name: p.data for name, p in self._params.items()}
+        out["encoder.config"] = self.config.to_array()
+        return ModelCheckpoint(out)
+
+    @property
+    def classifier_weights(self) -> np.ndarray:
+        return self._params["encoder.fc.weight"].data
+
+    @property
+    def classifier_bias(self) -> np.ndarray:
+        return self._params["encoder.fc.bias"].data
+
+    def preprocess(self, image: RetinalImage) -> np.ndarray:
+        """Resize to the configured side, scale to [0,1], adapt channels, CHW."""
+        cfg = self.config
+        px = image.pixels.astype(np.float64) / 255.0
+        px = resize_bilinear(px, cfg.image_size, cfg.image_size)
+        if px.shape[2] == 1 and cfg.input_channels == 3:
+            px = np.repeat(px, 3, axis=2)  # FA grayscale replicated
+        elif px.shape[2] != cfg.input_channels:
+            raise ShapeError(
+                f"image has {px.shape[2]} channels but encoder expects {cfg.input_channels}"
+            )
+        return np.transpose(px, (2, 0, 1))
+
+    def forward(self, chw: np.ndarray) -> EncoderOutput:
+        cfg = self.config
+        if chw.shape != (cfg.input_channels, cfg.image_size, cfg.image_size):
+            raise ShapeError(
+                f"encoder input shape {chw.shape} != "
+                f"{(cfg.input_channels, cfg.image_size, cfg.image_size)}"
+            )
+        x = Tensor(chw)
+        for i, (_out_ch, kernel, stride, pool) in enumerate(cfg.stages):
+            x = ad.conv2d(x, self._params[f"encoder.stage{i}.kernels"],
+                          self._params[f"encoder.stage{i}.bias"],
+                          stride=stride, pad=kernel // 2)
+            x = ad.relu(x)
+            x = ad.maxpool2d(x, pool)
+            if not np.isfinite(x.data).all():
+                raise RuntimeError(f"non-finite activation after encoder stage {i}")
+        feature_maps = x
+        pooled = ad.global_avg_pool(feature_maps)
+        logits = ad.linear(pooled, self._params["encoder.fc.weight"],
+                           self._params["encoder.fc.bias"])
+        if not np.isfinite(logits.data).all():
+            raise RuntimeError("non-finite activation in classifier head")
+        return EncoderOutput(feature_maps=feature_maps, pooled=pooled, logits=logits)
+
+    def encode_image(self, image: RetinalImage) -> EncoderOutput:
+        return self.forward(self.preprocess(image))
+
+
+def predict_topk(logits, k: int) -> list[tuple[int, float]]:
+    """Top-k classes by stabilized softmax probability; ties break by class id."""
+    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    n = arr.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} classes")
+    probs = ad.softmax_np(arr)
+    order = sorted(range(n), key=lambda i: (-probs[i], i))
+    return [(i, float(probs[i])) for i in order[:k]]

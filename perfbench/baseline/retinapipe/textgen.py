@@ -1,0 +1,363 @@
+"""Clinical description generator: vocabulary, keyword bag-of-words embedding,
+feature fusion, teacher-forced LSTM loss, and greedy/beam decoding."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import LstmParams, ShapeError, Tensor
+from .checkpoint import ModelCheckpoint
+from .errors import DataError
+from .rng import Xoshiro256
+
+PAD, START, END, UNK = 0, 1, 2, 3
+RESERVED = ("<pad>", "<start>", "<end>", "<unk>")
+
+_STRIP = '.,;:!?()"'
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase, split on whitespace, strip flanking punctuation, drop empties."""
+    out = []
+    for raw in text.lower().split():
+        tok = raw.strip(_STRIP)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def detokenize(tokens: list[str]) -> str:
+    """Space-join, capitalize the first letter, ensure a terminal period."""
+    if not tokens:
+        return ""
+    text = " ".join(tokens)
+    text = text[0].upper() + text[1:]
+    if not text.endswith("."):
+        text += "."
+    return text
+
+
+class Vocabulary:
+    """Token/index bijection with 4 reserved slots (PAD, START, END, UNK)."""
+
+    FILE_HEADER = "retinapipe-vocab-v1"
+
+    def __init__(self, tokens: list[str], source_ids: frozenset[str] | None = None):
+        self._itos = list(RESERVED) + list(tokens)
+        self._stoi = {t: i for i, t in enumerate(self._itos)}
+        if len(self._stoi) != len(self._itos):
+            raise ValueError("vocabulary contains duplicate tokens")
+        self.source_ids = source_ids
+
+    @property
+    def size(self) -> int:
+        return len(self._itos)
+
+    def index(self, token: str) -> int:
+        return self._stoi.get(token, UNK)
+
+    def token(self, index: int) -> str:
+        return self._itos[index]
+
+    def __contains__(self, token: str) -> bool:
+        return token in self._stoi
+
+    def encode(self, tokens: list[str]) -> list[int]:
+        return [self.index(t) for t in tokens]
+
+    def decode_words(self, indices) -> list[str]:
+        """Indices back to tokens, reserved symbols dropped."""
+        return [self._itos[i] for i in indices if i >= len(RESERVED)]
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(self.FILE_HEADER + "\n")
+            for tok in self._itos:
+                f.write(tok + "\n")
+
+    @classmethod
+    def load(cls, path) -> "Vocabulary":
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        if not lines or lines[0] != cls.FILE_HEADER:
+            raise DataError(f"{path}: not a {cls.FILE_HEADER} file")
+        body = lines[1:]
+        if tuple(body[:4]) != RESERVED:
+            raise DataError(f"{path}: reserved token block is corrupt")
+        return cls(body[4:])
+
+
+def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1,
+                     source_ids=None) -> Vocabulary:
+    """Tokens with count >= min_frequency, ordered by (count desc, token asc)."""
+    if min_frequency < 1:
+        raise ValueError("min_frequency must be >= 1")
+    counts: dict[str, int] = {}
+    for sent in corpus:
+        for tok in sent:
+            counts[tok] = counts.get(tok, 0) + 1
+    kept = sorted(
+        (t for t, c in counts.items() if c >= min_frequency and t not in RESERVED),
+        key=lambda t: (-counts[t], t),
+    )
+    return Vocabulary(kept, source_ids=frozenset(source_ids) if source_ids else None)
+
+
+# ---------------------------------------------------------------------------
+# keyword embedding and fusion
+
+def keyword_multihot(keywords, kw_vocab: Vocabulary) -> np.ndarray:
+    """Order-independent {0,1} vector over the keyword vocabulary."""
+    v = np.zeros(kw_vocab.size, dtype=np.float64)
+    for kw in keywords:
+        v[kw_vocab.index(kw)] = 1.0
+    return v
+
+
+def embed_keywords(keywords, kw_vocab: Vocabulary, weight: Tensor, bias: Tensor) -> Tensor:
+    if weight.data.shape[1] != kw_vocab.size:
+        raise ShapeError(
+            f"keyword projection expects input dim {weight.data.shape[1]}, "
+            f"vocabulary has {kw_vocab.size}"
+        )
+    return ad.linear(Tensor(keyword_multihot(keywords, kw_vocab)), weight, bias)
+
+
+def fuse_features(image_feat: Tensor, keyword_feat: Tensor) -> Tensor:
+    """Elementwise average of the two feature vectors."""
+    if image_feat.data.shape != keyword_feat.data.shape:
+        raise ShapeError(
+            f"fuse_features: dims {image_feat.data.shape} and {keyword_feat.data.shape} differ"
+        )
+    return ad.scale(ad.add(image_feat, keyword_feat), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# decoder parameters
+
+@dataclass
+class DecoderParams:
+    embedding: Tensor  # V x D
+    cell: LstmParams
+    out_w: Tensor  # V x H
+    out_b: Tensor  # V
+
+    @property
+    def vocab_size(self) -> int:
+        return self.embedding.data.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.embedding.data.shape[1]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.cell.hidden_size
+
+    @classmethod
+    def init(cls, rng: Xoshiro256, vocab_size: int, input_dim: int, hidden: int) -> "DecoderParams":
+        emb = Tensor(ad.glorot_uniform(rng, (vocab_size, input_dim)),
+                     parameter=True, name="decoder.embedding")
+        cell = LstmParams.init(rng, input_dim, hidden, prefix="decoder.lstm")
+        out_w = Tensor(ad.glorot_uniform(rng, (vocab_size, hidden)),
+                       parameter=True, name="decoder.out.weight")
+        out_b = Tensor(np.zeros(vocab_size), parameter=True, name="decoder.out.bias")
+        return cls(embedding=emb, cell=cell, out_w=out_w, out_b=out_b)
+
+    def parameters(self) -> list[Tensor]:
+        return [self.embedding, self.cell.wx, self.cell.wh, self.cell.b, self.out_w, self.out_b]
+
+    def to_checkpoint(self) -> ModelCheckpoint:
+        return ModelCheckpoint({p.name: p.data for p in self.parameters()})
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "DecoderParams":
+        def t(name):
+            if name not in ckpt:
+                raise DataError(f"checkpoint is missing parameter {name!r}")
+            return Tensor(ckpt[name], parameter=True, name=name)
+
+        return cls(
+            embedding=t("decoder.embedding"),
+            cell=LstmParams(wx=t("decoder.lstm.wx"), wh=t("decoder.lstm.wh"), b=t("decoder.lstm.b")),
+            out_w=t("decoder.out.weight"),
+            out_b=t("decoder.out.bias"),
+        )
+
+
+@dataclass
+class KeywordProjection:
+    weight: Tensor  # D x KV
+    bias: Tensor  # D
+
+    @classmethod
+    def init(cls, rng: Xoshiro256, kw_vocab_size: int, dim: int) -> "KeywordProjection":
+        w = Tensor(ad.glorot_uniform(rng, (dim, kw_vocab_size)),
+                   parameter=True, name="kw_proj.weight")
+        b = Tensor(np.zeros(dim), parameter=True, name="kw_proj.bias")
+        return cls(weight=w, bias=b)
+
+    def parameters(self) -> list[Tensor]:
+        return [self.weight, self.bias]
+
+    def to_checkpoint(self) -> ModelCheckpoint:
+        return ModelCheckpoint({p.name: p.data for p in self.parameters()})
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":
+        for name in ("kw_proj.weight", "kw_proj.bias"):
+            if name not in ckpt:
+                raise DataError(f"checkpoint is missing parameter {name!r}")
+        return cls(
+            weight=Tensor(ckpt["kw_proj.weight"], parameter=True, name="kw_proj.weight"),
+            bias=Tensor(ckpt["kw_proj.bias"], parameter=True, name="kw_proj.bias"),
+        )
+
+
+# ---------------------------------------------------------------------------
+# training loss
+
+def caption_loss(fused: Tensor, target: list[int], params: DecoderParams) -> Tensor:
+    """Mean teacher-forced cross-entropy; the fused feature is the step-0 input."""
+    if len(target) < 2 or target[0] != START or target[-1] != END:
+        raise ValueError("target must begin with START and end with END")
+    if fused.data.shape != (params.input_dim,):
+        raise ShapeError(
+            f"fused feature dim {fused.data.shape} != decoder input dim ({params.input_dim},)"
+        )
+    hid = params.hidden_size
+    h = Tensor(np.zeros(hid))
+    c = Tensor(np.zeros(hid))
+    h, c = ad.lstm_step(fused, h, c, params.cell)
+    losses = []
+    for inp, tgt in zip(target[:-1], target[1:]):
+        x = ad.embedding_row(params.embedding, inp)
+        h, c = ad.lstm_step(x, h, c, params.cell)
+        if tgt == PAD:
+            continue
+        logits = ad.linear(h, params.out_w, params.out_b)
+        losses.append(ad.softmax_cross_entropy(logits, tgt))
+    return ad.mean_scalars(losses)
+
+
+# ---------------------------------------------------------------------------
+# decoding
+
+@dataclass(frozen=True)
+class Hypothesis:
+    tokens: tuple[int, ...]  # without START; END kept if emitted
+    log_prob: float
+    finished: bool
+
+    def words(self, vocab: Vocabulary) -> list[str]:
+        return vocab.decode_words(self.tokens)
+
+
+class _DecoderState:
+    """Tape-free forward pass over raw numpy parameter views."""
+
+    def __init__(self, params: DecoderParams):
+        self.emb = params.embedding.data
+        self.wx = params.cell.wx.data
+        self.wh = params.cell.wh.data
+        self.b = params.cell.b.data
+        self.ow = params.out_w.data
+        self.ob = params.out_b.data
+        self.hidden = params.hidden_size
+
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+        h2, c2, _ = ad.lstm_cell_np(self.wx, self.wh, self.b, x, h, c)
+        return h2, c2
+
+    def start_state(self, fused: np.ndarray):
+        h = np.zeros(self.hidden)
+        c = np.zeros(self.hidden)
+        h, c = self.step(fused, h, c)
+        return self.step(self.emb[START], h, c)
+
+    def log_probs(self, h: np.ndarray) -> np.ndarray:
+        return ad.log_softmax_np(self.ow @ h + self.ob)
+
+
+def _as_array(fused) -> np.ndarray:
+    return fused.data if isinstance(fused, Tensor) else np.asarray(fused, dtype=np.float64)
+
+
+def decode_greedy(fused, params: DecoderParams, max_len: int) -> Hypothesis:
+    """Argmax decoding; ties resolve to the lowest token index."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    dec = _DecoderState(params)
+    h, c = dec.start_state(_as_array(fused))
+    tokens: list[int] = []
+    log_prob = 0.0
+    while True:
+        lp = dec.log_probs(h)
+        tok = int(np.argmax(lp))
+        tokens.append(tok)
+        log_prob += float(lp[tok])
+        if tok == END or len(tokens) >= max_len:
+            return Hypothesis(tokens=tuple(tokens), log_prob=log_prob, finished=True)
+        h, c = dec.step(dec.emb[tok], h, c)
+
+
+def decode_beam(fused, params: DecoderParams, width: int, max_len: int,
+                length_normalize: bool = False) -> list[Hypothesis]:
+    """Beam search over cumulative log-probability.
+
+    Finished hypotheses are set aside and never expanded; ties among
+    candidates break toward the lexicographically smaller token sequence.
+    Ranking uses the raw log-prob sum unless length_normalize is set.
+    """
+    if width < 1:
+        raise ValueError("beam width must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    dec = _DecoderState(params)
+    h0, c0 = dec.start_state(_as_array(fused))
+    vocab = params.vocab_size
+    live: list[tuple[float, tuple[int, ...], np.ndarray, np.ndarray]] = [(0.0, (), h0, c0)]
+    finished: list[tuple[float, tuple[int, ...]]] = []
+    for _ in range(max_len):
+        candidates: list[tuple[float, tuple[int, ...], int]] = []
+        for idx, (lp, toks, h, c) in enumerate(live):
+            step_lp = dec.log_probs(h)
+            for tok in range(vocab):
+                candidates.append((lp + float(step_lp[tok]), toks + (tok,), idx))
+        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+        next_live = []
+        for lp, toks, idx in candidates[:width]:  # top-B overall
+            if toks[-1] == END:
+                finished.append((lp, toks))
+            else:
+                h, c = live[idx][2], live[idx][3]
+                h2, c2 = dec.step(dec.emb[toks[-1]], h, c)
+                next_live.append((lp, toks, h2, c2))
+        live = next_live
+        if not live:
+            break
+    finished.extend((lp, toks) for lp, toks, _, _ in live)  # max_len reached
+    rank_key = (
+        (lambda f: (-f[0] / len(f[1]), f[1])) if length_normalize
+        else (lambda f: (-f[0], f[1]))
+    )
+    finished.sort(key=rank_key)
+    return [
+        Hypothesis(tokens=toks, log_prob=lp, finished=True)
+        for lp, toks in finished[:width]
+    ]
+
+
+def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
+    """Independent recomputation of a hypothesis' cumulative log-probability."""
+    dec = _DecoderState(params)
+    h, c = dec.start_state(_as_array(fused))
+    total = 0.0
+    for i, tok in enumerate(tokens):
+        total += float(dec.log_probs(h)[tok])
+        if i + 1 < len(tokens):
+            h, c = dec.step(dec.emb[tok], h, c)
+    return total

@@ -1,0 +1,392 @@
+"""Deterministic training loops for the disease classifier and the
+keyword-driven captioner, plus end-to-end evaluation over a test split."""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+import os
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
+from .cam import compute_cam, normalize_heatmap, overlay, upsample_bilinear
+from .checkpoint import ModelCheckpoint
+from .data import CaseRecord, DatasetManifest
+from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
+from .errors import DataError
+from .imageio import load_image, write_png
+from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
+from .rng import Xoshiro256, derive_seed
+from .textgen import (
+    END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
+    caption_loss, decode_beam, decode_greedy, keyword_multihot, tokenize,
+)
+
+
+def lr_schedule(epoch: int, cfg: SgdConfig) -> float:
+    """Step decay: divide the base rate by decay_factor at each period boundary."""
+    if epoch < 0:
+        raise ValueError("epoch must be >= 0")
+    return cfg.learning_rate / cfg.decay_factor ** (epoch // cfg.decay_period_epochs)
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = 50
+    batch_size: int = 16
+    seed: int = 0
+    sgd: SgdConfig = field(default_factory=SgdConfig)
+    keyword_mode: bool = True
+    decoder_hidden: int = 48
+    max_caption_len: int = 30
+    image_size: int = 32
+    encoder_stages: tuple = DEFAULT_STAGES
+    input_channels: int = 3
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
+
+CONFIG_VERSION = 1
+
+
+def save_train_config(cfg: TrainConfig, path) -> None:
+    payload = {
+        "version": CONFIG_VERSION,
+        "epochs": cfg.epochs,
+        "batch_size": cfg.batch_size,
+        "seed": cfg.seed,
+        "learning_rate": cfg.sgd.learning_rate,
+        "decay_factor": cfg.sgd.decay_factor,
+        "decay_period_epochs": cfg.sgd.decay_period_epochs,
+        "keyword_mode": cfg.keyword_mode,
+        "decoder_hidden": cfg.decoder_hidden,
+        "max_caption_len": cfg.max_caption_len,
+        "image_size": cfg.image_size,
+        "encoder_stages": [list(s) for s in cfg.encoder_stages],
+        "input_channels": cfg.input_channels,
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_train_config(path) -> TrainConfig:
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read train config {path}: {e}") from e
+    if obj.get("version") != CONFIG_VERSION:
+        raise DataError(f"{path}: unsupported config version {obj.get('version')}")
+    return TrainConfig(
+        epochs=obj["epochs"],
+        batch_size=obj["batch_size"],
+        seed=obj["seed"],
+        sgd=SgdConfig(
+            learning_rate=obj["learning_rate"],
+            decay_factor=obj["decay_factor"],
+            decay_period_epochs=obj["decay_period_epochs"],
+        ),
+        keyword_mode=obj["keyword_mode"],
+        decoder_hidden=obj["decoder_hidden"],
+        max_caption_len=obj["max_caption_len"],
+        image_size=obj["image_size"],
+        encoder_stages=tuple(tuple(s) for s in obj["encoder_stages"]),
+        input_channels=obj["input_channels"],
+    )
+
+
+@dataclass
+class TrainingCurve:
+    entries: list[tuple[float, float, float]] = field(default_factory=list)
+
+    def append(self, train_loss: float, val_loss: float, val_metric: float) -> None:
+        self.entries.append((train_loss, val_loss, val_metric))
+
+    def to_csv(self) -> str:
+        lines = ["epoch,train_loss,val_loss,val_metric"]
+        for epoch, (tl, vl, vm) in enumerate(self.entries):
+            lines.append(f"{epoch},{tl:.10g},{vl:.10g},{vm:.10g}")
+        return "\n".join(lines) + "\n"
+
+
+def _check_splits(manifest: DatasetManifest, *names: str) -> None:
+    for name in names:
+        if not manifest.by_split(name):
+            raise ValueError(f"manifest has an empty {name!r} split")
+
+
+def _preprocessed(manifest: DatasetManifest, records: list[CaseRecord],
+                  encoder: VisionEncoder) -> dict[str, np.ndarray]:
+    return {
+        r.id: encoder.preprocess(load_image(manifest.image_file(r)))
+        for r in records
+    }
+
+
+# ---------------------------------------------------------------------------
+# classifier
+
+def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
+                     init_checkpoint: ModelCheckpoint | None = None,
+                     ) -> tuple[ModelCheckpoint, TrainingCurve]:
+    """Mini-batch SGD on softmax cross-entropy; returns the best-val checkpoint.
+
+    The "pre-trained vs random init" axis is just whether init_checkpoint is
+    supplied.
+    """
+    _check_splits(manifest, "train", "val")
+    classes = manifest.class_index()
+    if len(classes) < 2:
+        raise ValueError("need at least 2 disease classes")
+    if init_checkpoint is not None:
+        encoder = VisionEncoder.from_checkpoint(init_checkpoint)
+    else:
+        config = EncoderConfig(
+            num_classes=len(classes), input_channels=cfg.input_channels,
+            image_size=cfg.image_size, stages=cfg.encoder_stages)
+        encoder = VisionEncoder.init(config, Xoshiro256(derive_seed(cfg.seed, 1)))
+    train = manifest.by_split("train")
+    val = manifest.by_split("val")
+    inputs = _preprocessed(manifest, train + val, encoder)
+    params = encoder.parameters()
+    curve = TrainingCurve()
+    best_metric = -1.0
+    best_params = None
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg.sgd)
+        order = list(train)
+        Xoshiro256(derive_seed(cfg.seed, 2, epoch)).shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            zero_grads(params)
+            with Tape() as tape:
+                losses = [
+                    ad.softmax_cross_entropy(
+                        encoder.forward(inputs[r.id]).logits, classes[r.disease])
+                    for r in batch
+                ]
+                loss = ad.mean_scalars(losses)
+            backward(tape, loss)
+            sgd_step(params, lr)
+            epoch_loss += float(loss.data) * len(batch)
+        val_loss, hits = 0.0, 0
+        for r in val:
+            logits = encoder.forward(inputs[r.id]).logits
+            val_loss += float(ad.softmax_cross_entropy(logits, classes[r.disease]).data)
+            if predict_topk(logits, 1)[0][0] == classes[r.disease]:
+                hits += 1
+        val_loss /= len(val)
+        val_prec1 = hits / len(val)
+        curve.append(epoch_loss / len(order), val_loss, val_prec1)
+        if val_prec1 >= best_metric:
+            best_metric = val_prec1
+            best_params = {p.name: p.data.copy() for p in params}
+    final = copy.deepcopy(encoder)
+    for p in final.parameters():
+        p.data[...] = best_params[p.name]
+    return final.to_checkpoint(), curve
+
+
+# ---------------------------------------------------------------------------
+# captioner
+
+def build_caption_vocabularies(manifest: DatasetManifest, min_frequency: int = 1,
+                               ) -> tuple[Vocabulary, Vocabulary]:
+    """Caption and keyword vocabularies from the train split only."""
+    train = manifest.by_split("train")
+    if not train:
+        raise ValueError("manifest has an empty 'train' split")
+    ids = [r.id for r in train]
+    vocab = build_vocabulary(
+        [tokenize(r.description) for r in train], min_frequency, source_ids=ids)
+    kw_vocab = build_vocabulary([r.keywords for r in train], 1, source_ids=ids)
+    return vocab, kw_vocab
+
+
+def caption_target(vocab: Vocabulary, description: str) -> list[int]:
+    return [START] + vocab.encode(tokenize(description)) + [END]
+
+
+def fused_feature_np(pooled: np.ndarray, keywords: list[str], kw_vocab: Vocabulary,
+                     kw_proj: KeywordProjection | None, keyword_mode: bool) -> np.ndarray:
+    """Tape-free fused feature for decoding; bypasses fusion when keywords are off."""
+    if not keyword_mode or kw_proj is None:
+        return pooled
+    kw = kw_proj.weight.data @ keyword_multihot(keywords, kw_vocab) + kw_proj.bias.data
+    return 0.5 * (pooled + kw)
+
+
+def _guard_vocab_sources(vocab: Vocabulary, train_ids: set[str], label: str) -> None:
+    if vocab.source_ids is not None and not set(vocab.source_ids) <= train_ids:
+        leaked = sorted(set(vocab.source_ids) - train_ids)[:3]
+        raise ValueError(
+            f"{label} vocabulary was built from non-train records (e.g. {leaked}); "
+            "rebuild it from the train split to avoid leakage"
+        )
+
+
+def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
+                    encoder_ckpt: ModelCheckpoint,
+                    vocab: Vocabulary, kw_vocab: Vocabulary,
+                    ) -> tuple[ModelCheckpoint, TrainingCurve]:
+    """Teacher-forced captioner training over frozen encoder features."""
+    _check_splits(manifest, "train", "val")
+    train = manifest.by_split("train")
+    val = manifest.by_split("val")
+    train_ids = {r.id for r in train}
+    _guard_vocab_sources(vocab, train_ids, "caption")
+    _guard_vocab_sources(kw_vocab, train_ids, "keyword")
+    encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
+    inputs = _preprocessed(manifest, train + val, encoder)
+    pooled = {rid: encoder.forward(x).pooled.data for rid, x in inputs.items()}
+    dim = encoder.config.feature_channels
+    rng = Xoshiro256(derive_seed(cfg.seed, 3))
+    decoder = DecoderParams.init(rng, vocab.size, dim, cfg.decoder_hidden)
+    kw_proj = KeywordProjection.init(rng, kw_vocab.size, dim)
+    params = decoder.parameters() + (kw_proj.parameters() if cfg.keyword_mode else [])
+    targets = {r.id: caption_target(vocab, r.description) for r in train + val}
+    refs = [tokenize(r.description) for r in val]
+
+    def record_loss(r: CaseRecord) -> Tensor:
+        img = Tensor(pooled[r.id])
+        if cfg.keyword_mode:
+            from .textgen import embed_keywords, fuse_features
+            kw = embed_keywords(r.keywords, kw_vocab, kw_proj.weight, kw_proj.bias)
+            fused = fuse_features(img, kw)
+        else:
+            fused = img
+        return caption_loss(fused, targets[r.id], decoder)
+
+    curve = TrainingCurve()
+    best_metric = -1.0
+    best_params = None
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg.sgd)
+        order = list(train)
+        Xoshiro256(derive_seed(cfg.seed, 4, epoch)).shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            zero_grads(params)
+            with Tape() as tape:
+                loss = ad.mean_scalars([record_loss(r) for r in batch])
+            backward(tape, loss)
+            sgd_step(params, lr)
+            epoch_loss += float(loss.data) * len(batch)
+        val_loss = 0.0
+        decoded = []
+        for r in val:
+            val_loss += float(record_loss(r).data)
+            fused = fused_feature_np(pooled[r.id], r.keywords, kw_vocab,
+                                     kw_proj, cfg.keyword_mode)
+            hyp = decode_greedy(fused, decoder, cfg.max_caption_len)
+            decoded.append(hyp.words(vocab))
+        _, val_bleu = bleu_corpus(decoded, refs)
+        curve.append(epoch_loss / len(order), val_loss / len(val), val_bleu)
+        if val_bleu >= best_metric:
+            best_metric = val_bleu
+            best_params = {p.name: p.data.copy() for p in params}
+    for p in params:
+        p.data[...] = best_params[p.name]
+    ckpt = decoder.to_checkpoint().merged_with(kw_proj.to_checkpoint())
+    ckpt.params["decoder.keyword_mode"] = np.array([1.0 if cfg.keyword_mode else 0.0])
+    return ckpt, curve
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+@dataclass
+class CaseResult:
+    record: CaseRecord
+    predictions: list[tuple[str, float]]  # (disease name, probability)
+    caption_words: list[str]
+    cam_path: str | None = None
+
+
+def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
+                      decoder_ckpt: ModelCheckpoint, vocab: Vocabulary,
+                      kw_vocab: Vocabulary, beam_width: int = 3,
+                      k_list: tuple[int, ...] = (1, 5), max_caption_len: int = 30,
+                      keyword_mode: bool | None = None,
+                      heatmap_dir=None, overlay_alpha: float = 0.5,
+                      workers: int = 1,
+                      ) -> tuple[MetricReport, list[CaseResult]]:
+    """Full per-record path over the test split: classify, decode, CAM.
+
+    workers > 1 fans the per-record work out over threads; results are
+    merged in manifest order so the output is identical to workers=1.
+    """
+    test = manifest.by_split("test")
+    if not test:
+        raise ValueError("manifest has an empty 'test' split")
+    encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
+    decoder = DecoderParams.from_checkpoint(decoder_ckpt)
+    kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
+    if keyword_mode is None:
+        keyword_mode = bool(decoder_ckpt["decoder.keyword_mode"][0]) \
+            if "decoder.keyword_mode" in decoder_ckpt else True
+    if decoder.input_dim != encoder.config.feature_channels:
+        raise DataError(
+            f"decoder input dim {decoder.input_dim} != encoder feature "
+            f"channels {encoder.config.feature_channels}"
+        )
+    class_names = manifest.class_list
+    classes = manifest.class_index()
+    n_classes = encoder.config.num_classes
+    if len(class_names) != n_classes:
+        raise DataError(
+            f"manifest has {len(class_names)} classes but encoder expects {n_classes}"
+        )
+    if max(k_list) > n_classes:
+        raise ValueError(f"k={max(k_list)} exceeds number of classes {n_classes}")
+    if heatmap_dir is not None:
+        os.makedirs(heatmap_dir, exist_ok=True)
+
+    def run_case(r: CaseRecord):
+        image = load_image(manifest.image_file(r))
+        out = encoder.encode_image(image)
+        ranked = predict_topk(out.logits, n_classes)
+        fused = fused_feature_np(out.pooled.data, r.keywords, kw_vocab, kw_proj, keyword_mode)
+        hyp = decode_beam(fused, decoder, beam_width, max_caption_len)[0]
+        words = hyp.words(vocab)
+        cam_path = None
+        if heatmap_dir is not None:
+            heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, ranked[0][0])
+            heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
+            cam_path = os.path.join(heatmap_dir, f"{r.id}_cam.png")
+            write_png(cam_path, overlay(image, heat, overlay_alpha))
+        return ranked, words, cam_path
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_case, test))
+    else:
+        outcomes = [run_case(r) for r in test]
+
+    candidates, references, rankings, truths, results = [], [], [], [], []
+    for r, (ranked, words, cam_path) in zip(test, outcomes):
+        candidates.append(words)
+        references.append(tokenize(r.description))
+        rankings.append([cid for cid, _ in ranked])
+        truths.append(classes[r.disease])
+        results.append(CaseResult(
+            record=r,
+            predictions=[(class_names[cid], p) for cid, p in ranked[: max(k_list)]],
+            caption_words=words,
+            cam_path=cam_path,
+        ))
+    report = score_captions(candidates, references)
+    report.prec_at = {k: precision_at_k(rankings, truths, k) for k in k_list}
+    return report, results
