@@ -80,6 +80,12 @@ def overlay(image: RetinalImage, heatmap: Heatmap, alpha: float) -> np.ndarray:
     return np.rint(blended * 255.0).astype(np.uint8)
 
 
+def cam_overlay(image: RetinalImage, raw: Heatmap, alpha: float) -> np.ndarray:
+    """Normalize a raw CAM, upsample it to the image, and blend; uint8 RGB out."""
+    heat = upsample_bilinear(normalize_heatmap(raw), image.height, image.width)
+    return overlay(image, heat, alpha)
+
+
 def heatmap_to_text(heatmap: Heatmap, decimals: int = 6) -> str:
     """Plain-text matrix export, one row per line."""
     return "\n".join(

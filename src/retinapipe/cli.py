@@ -12,27 +12,23 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from .autodiff import SgdConfig
-from .cam import compute_cam, heatmap_to_text, normalize_heatmap, overlay, upsample_bilinear
+from .cam import cam_overlay, compute_cam, heatmap_to_text
 from .checkpoint import ModelCheckpoint
 from .data import (
-    CaseRecord, DatasetManifest, generate_synthetic_dataset, parse_manifest,
+    CaseRecord, _split_keywords, generate_synthetic_dataset, parse_manifest,
     save_manifest, split_dataset, word_length_histogram,
 )
 from .encoder import VisionEncoder, predict_topk
 from .errors import DataError
 from .imageio import load_image, write_png
-from .metrics import MetricReport, precision_at_k, score_captions
+from .metrics import precision_at_k, score_captions
 from .report import build_report, render_html, render_text
 from .textgen import Vocabulary, tokenize
 from .training import (
-    CaseResult, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
+    Pipeline, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
     load_train_config, train_captioner, train_classifier,
 )
-from .textgen import DecoderParams, KeywordProjection, decode_beam
-from .training import fused_feature_np
 
 
 class _UsageError(Exception):
@@ -85,27 +81,10 @@ def _out_layout(out_dir: str) -> dict[str, str]:
     return layout
 
 
-def _write_report_bundle(results: list[CaseResult], manifest: DatasetManifest,
-                         reports_dir: str, group_by: str = "none") -> str:
-    assets = os.path.join(reports_dir, "assets")
-    os.makedirs(assets, exist_ok=True)
-    reports = []
-    for res in results:
-        image = load_image(manifest.image_file(res.record))
-        img_name = f"{res.record.id}.png"
-        write_png(os.path.join(assets, img_name), image.pixels)
-        cam_rel = ""
-        if res.cam_path:
-            cam_name = os.path.basename(res.cam_path)
-            shutil.copyfile(res.cam_path, os.path.join(assets, cam_name))
-            cam_rel = f"assets/{cam_name}"
-        reports.append(build_report(
-            res.record, res.predictions, res.caption_words,
-            cam_path=cam_rel, image_path=f"assets/{img_name}"))
-    html_path = os.path.join(reports_dir, "report.html")
-    with open(html_path, "w", encoding="utf-8") as f:
-        f.write(render_html(reports, group_by=group_by))
-    return html_path
+def _model_files(args) -> tuple:
+    """The encoder and decoder checkpoints and the caption and keyword vocabularies."""
+    return (ModelCheckpoint.load(args.encoder), ModelCheckpoint.load(args.decoder),
+            Vocabulary.load(args.vocab), Vocabulary.load(args.kw_vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +147,22 @@ def _cmd_evaluate(args) -> int:
     layout = _out_layout(args.out)
     report, results = evaluate_pipeline(
         manifest,
-        ModelCheckpoint.load(args.encoder),
-        ModelCheckpoint.load(args.decoder),
-        Vocabulary.load(args.vocab),
-        Vocabulary.load(args.kw_vocab),
+        *_model_files(args),
         beam_width=args.beam,
         k_list=tuple(int(k) for k in args.topk.split(",")),
         max_caption_len=args.max_len,
         keyword_mode=False if args.no_keywords else None,
-        heatmap_dir=layout["heatmaps"],
-        workers=args.workers,
+        heatmap_dir=os.path.join(layout["reports"], "assets"),
     )
-    _write_report_bundle(results, manifest, layout["reports"], group_by=args.group_by)
+    reports = []
+    for res in results:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
+        cam_name = os.path.basename(res.cam_path)
+        shutil.copyfile(res.cam_path, os.path.join(layout["heatmaps"], cam_name))
+        reports.append(build_report(
+            res.record, res.predictions, res.caption_words,
+            cam_path=f"assets/{cam_name}", image_path=f"assets/{res.record.id}.png"))
+    with open(os.path.join(layout["reports"], "report.html"), "w", encoding="utf-8") as f:
+        f.write(render_html(reports, group_by=args.group_by))
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
         f.write(report.to_json() + "\n")
     print(report.to_json())
@@ -197,43 +180,32 @@ def _cmd_explain(args) -> int:
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
-    heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
-    write_png(args.out, overlay(image, heat, args.alpha))
+    write_png(args.out, cam_overlay(image, heat, args.alpha))
     print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_report(args) -> int:
+    pipe = Pipeline(
+        *_model_files(args),
+        keyword_mode=False if args.no_keywords else None,
+        class_names=parse_manifest(args.manifest).class_list if args.manifest else None,
+    )
+    if args.topk < 1:
+        raise ValueError(f"--topk must be >= 1, got {args.topk}")
+    keywords = _split_keywords([args.keywords])
     image = load_image(args.image)
-    encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
-    decoder_ckpt = ModelCheckpoint.load(args.decoder)
-    decoder = DecoderParams.from_checkpoint(decoder_ckpt)
-    kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
-    vocab = Vocabulary.load(args.vocab)
-    kw_vocab = Vocabulary.load(args.kw_vocab)
-    keywords = [k.strip().casefold() for k in args.keywords.split(",") if k.strip()] \
-        if args.keywords else []
-    if args.manifest:
-        class_names = parse_manifest(args.manifest).class_list
-    else:
-        class_names = [f"class_{i}" for i in range(encoder.config.num_classes)]
-    out = encoder.encode_image(image)
-    ranked = predict_topk(out.logits, min(args.topk, encoder.config.num_classes))
-    keyword_mode = not args.no_keywords
-    fused = fused_feature_np(out.pooled.data, keywords, kw_vocab, kw_proj, keyword_mode)
-    hyp = decode_beam(fused, decoder, args.beam, args.max_len)[0]
-    words = hyp.words(vocab)
+    inf = pipe.infer(image, keywords, args.beam, args.max_len, args.alpha)
     os.makedirs(os.path.join(args.out, "assets"), exist_ok=True)
     case_id = os.path.splitext(os.path.basename(args.image))[0]
-    heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, ranked[0][0])
-    heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
     cam_name = f"{case_id}_cam.png"
-    write_png(os.path.join(args.out, "assets", cam_name), overlay(image, heat, args.alpha))
+    write_png(os.path.join(args.out, "assets", cam_name), inf.cam_pixels)
     img_name = f"{case_id}.png"
     write_png(os.path.join(args.out, "assets", img_name), image.pixels)
     record = CaseRecord(id=case_id, image_path=args.image, modality=image.modality,
                         disease="", keywords=keywords, description="")
-    med = build_report(record, [(class_names[c], p) for c, p in ranked], words,
+    predictions = [(pipe.class_names[c], p) for c, p in inf.ranked[: args.topk]]
+    med = build_report(record, predictions, inf.caption_words,
                        cam_path=f"assets/{cam_name}", image_path=f"assets/{img_name}",
                        include_truth=False)
     with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
@@ -325,9 +297,9 @@ def build_parser() -> _Parser:
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--topk", default="1,5")
     p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--no-keywords", action="store_true")
+    p.add_argument("--no-keywords", action="store_true",
+                   help="force the keyword bypass (default: the decoder's trained mode)")
     p.add_argument("--group-by", choices=("none", "disease"), default="none")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -352,7 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--max-len", type=int, default=30)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--no-keywords", action="store_true")
+    p.add_argument("--no-keywords", action="store_true",
+                   help="force the keyword bypass (default: the decoder's trained mode)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 

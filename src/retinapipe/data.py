@@ -73,6 +73,8 @@ def parse_manifest(path) -> DatasetManifest:
     records = []
     seen_ids = set()
     for i, obj in enumerate(raw):
+        if not isinstance(obj, dict):
+            raise DataError(f"record {i}: must be a JSON object, got {type(obj).__name__}")
         for key in ("id", "image_path", "modality", "disease", "description"):
             if key not in obj or obj[key] in (None, ""):
                 raise DataError(f"record {i}: missing required field {key!r}")
@@ -84,12 +86,15 @@ def parse_manifest(path) -> DatasetManifest:
         split = obj.get("split")
         if split is not None and split not in SPLITS:
             raise DataError(f"record {i}: unknown split {split!r}")
+        keywords = obj.get("keywords", [])
+        if not isinstance(keywords, list):
+            raise DataError(f"record {i}: 'keywords' must be a list, got {type(keywords).__name__}")
         records.append(CaseRecord(
             id=str(obj["id"]),
             image_path=str(obj["image_path"]),
             modality=obj["modality"],
             disease=str(obj["disease"]),
-            keywords=_split_keywords(obj.get("keywords", [])),
+            keywords=_split_keywords(keywords),
             description=str(obj["description"]),
             split=split,
         ))

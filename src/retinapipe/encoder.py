@@ -59,6 +59,19 @@ class EncoderConfig:
         return cls(num_classes=vals[0], input_channels=vals[1], image_size=vals[2], stages=stages)
 
 
+def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    in_ch = config.input_channels
+    for i, (out_ch, kernel, _stride, _pool) in enumerate(config.stages):
+        shapes[f"encoder.stage{i}.kernels"] = (out_ch, in_ch, kernel, kernel)
+        shapes[f"encoder.stage{i}.bias"] = (out_ch,)
+        in_ch = out_ch
+    shapes["encoder.fc.weight"] = (config.num_classes, config.feature_channels)
+    shapes["encoder.fc.bias"] = (config.num_classes,)
+    return shapes
+
+
 @dataclass
 class EncoderOutput:
     feature_maps: Tensor  # K x h x w, post-relu activations of the last stage
@@ -73,21 +86,12 @@ class VisionEncoder:
 
     @classmethod
     def init(cls, config: EncoderConfig, rng: Xoshiro256) -> "VisionEncoder":
-        params: dict[str, Tensor] = {}
-        in_ch = config.input_channels
-        for i, (out_ch, kernel, _stride, _pool) in enumerate(config.stages):
-            params[f"encoder.stage{i}.kernels"] = Tensor(
-                ad.glorot_uniform(rng, (out_ch, in_ch, kernel, kernel)),
-                parameter=True, name=f"encoder.stage{i}.kernels")
-            params[f"encoder.stage{i}.bias"] = Tensor(
-                np.zeros(out_ch), parameter=True, name=f"encoder.stage{i}.bias")
-            in_ch = out_ch
-        params["encoder.fc.weight"] = Tensor(
-            ad.glorot_uniform(rng, (config.num_classes, config.feature_channels)),
-            parameter=True, name="encoder.fc.weight")
-        params["encoder.fc.bias"] = Tensor(
-            np.zeros(config.num_classes), parameter=True, name="encoder.fc.bias")
-        return cls(config, params)
+        """Glorot-uniform kernels and weights, zero biases, drawn in stage order."""
+        return cls(config, {
+            name: Tensor(ad.glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape),
+                         parameter=True, name=name)
+            for name, shape in parameter_shapes(config).items()
+        })
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "VisionEncoder":
@@ -95,14 +99,13 @@ class VisionEncoder:
             raise DataError("checkpoint has no encoder.config entry")
         config = EncoderConfig.from_array(ckpt["encoder.config"])
         params: dict[str, Tensor] = {}
-        expected = cls.init(config, Xoshiro256(0))._params
-        for name, proto in expected.items():
+        for name, shape in parameter_shapes(config).items():
             if name not in ckpt:
                 raise DataError(f"checkpoint is missing parameter {name!r}")
             arr = ckpt[name]
-            if arr.shape != proto.data.shape:
+            if arr.shape != shape:
                 raise DataError(
-                    f"checkpoint parameter {name} has shape {arr.shape}, expected {proto.data.shape}"
+                    f"checkpoint parameter {name} has shape {arr.shape}, expected {shape}"
                 )
             params[name] = Tensor(arr, parameter=True, name=name)
         return cls(config, params)

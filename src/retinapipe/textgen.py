@@ -203,6 +203,10 @@ class KeywordProjection:
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
+    def fuse(self, image_feat: Tensor, keywords, kw_vocab: Vocabulary) -> Tensor:
+        """The image feature averaged with the projected keyword bag."""
+        return fuse_features(image_feat, embed_keywords(keywords, kw_vocab, self.weight, self.bias))
+
     def to_checkpoint(self) -> ModelCheckpoint:
         return ModelCheckpoint({p.name: p.data for p in self.parameters()})
 
@@ -304,13 +308,11 @@ def decode_greedy(fused, params: DecoderParams, max_len: int) -> Hypothesis:
         h, c = dec.step(dec.emb[tok], h, c)
 
 
-def decode_beam(fused, params: DecoderParams, width: int, max_len: int,
-                length_normalize: bool = False) -> list[Hypothesis]:
+def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[Hypothesis]:
     """Beam search over cumulative log-probability.
 
     Finished hypotheses are set aside and never expanded; ties among
     candidates break toward the lexicographically smaller token sequence.
-    Ranking uses the raw log-prob sum unless length_normalize is set.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
@@ -340,11 +342,7 @@ def decode_beam(fused, params: DecoderParams, width: int, max_len: int,
         if not live:
             break
     finished.extend((lp, toks) for lp, toks, _, _ in live)  # max_len reached
-    rank_key = (
-        (lambda f: (-f[0] / len(f[1]), f[1])) if length_normalize
-        else (lambda f: (-f[0], f[1]))
-    )
-    finished.sort(key=rank_key)
+    finished.sort(key=lambda f: (-f[0], f[1]))
     return [
         Hypothesis(tokens=toks, log_prob=lp, finished=True)
         for lp, toks in finished[:width]

@@ -1,11 +1,10 @@
-"""Deterministic training loops for the disease classifier and the
-keyword-driven captioner, plus end-to-end evaluation over a test split."""
+"""Deterministic training of the disease classifier and the keyword-driven
+captioner through one SGD loop, plus the loaded-once inference pipeline
+(classify, caption, explain) and end-to-end evaluation over a test split."""
 
 from __future__ import annotations
 
-import copy
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -13,17 +12,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
-from .cam import compute_cam, normalize_heatmap, overlay, upsample_bilinear
+from .cam import cam_overlay, compute_cam
 from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
 from .errors import DataError
-from .imageio import load_image, write_png
+from .imageio import RetinalImage, load_image, write_png
 from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .rng import Xoshiro256, derive_seed
 from .textgen import (
     END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
-    caption_loss, decode_beam, decode_greedy, keyword_multihot, tokenize,
+    caption_loss, decode_beam, decode_greedy, tokenize,
 )
 
 
@@ -124,6 +123,40 @@ def _check_splits(manifest: DatasetManifest, *names: str) -> None:
             raise ValueError(f"manifest has an empty {name!r} split")
 
 
+def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream: int,
+         record_loss, validate) -> TrainingCurve:
+    """Mini-batch SGD with a seeded per-epoch shuffle (seed stream `stream`)
+    and step lr decay; leaves the best-val parameters in place.
+
+    record_loss(record) gives a scalar Tensor, averaged over each batch;
+    validate() gives (val_loss, val_metric), and a later epoch that ties the
+    best metric replaces it.
+    """
+    curve = TrainingCurve()
+    best_metric, best_params = -1.0, None
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(epoch, cfg.sgd)
+        order = list(train)
+        Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            zero_grads(params)
+            with Tape() as tape:
+                loss = ad.mean_scalars([record_loss(r) for r in batch])
+            backward(tape, loss)
+            sgd_step(params, lr)
+            epoch_loss += float(loss.data) * len(batch)
+        val_loss, val_metric = validate()
+        curve.append(epoch_loss / len(order), val_loss, val_metric)
+        if val_metric >= best_metric:
+            best_metric = val_metric
+            best_params = [p.data.copy() for p in params]
+    for p, best in zip(params, best_params):
+        p.data[...] = best
+    return curve
+
+
 def _preprocessed(manifest: DatasetManifest, records: list[CaseRecord],
                   encoder: VisionEncoder) -> dict[str, np.ndarray]:
     return {
@@ -157,44 +190,20 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
     train = manifest.by_split("train")
     val = manifest.by_split("val")
     inputs = _preprocessed(manifest, train + val, encoder)
-    params = encoder.parameters()
-    curve = TrainingCurve()
-    best_metric = -1.0
-    best_params = None
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg.sgd)
-        order = list(train)
-        Xoshiro256(derive_seed(cfg.seed, 2, epoch)).shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            zero_grads(params)
-            with Tape() as tape:
-                losses = [
-                    ad.softmax_cross_entropy(
-                        encoder.forward(inputs[r.id]).logits, classes[r.disease])
-                    for r in batch
-                ]
-                loss = ad.mean_scalars(losses)
-            backward(tape, loss)
-            sgd_step(params, lr)
-            epoch_loss += float(loss.data) * len(batch)
+
+    def record_loss(r: CaseRecord) -> Tensor:
+        return ad.softmax_cross_entropy(encoder.forward(inputs[r.id]).logits, classes[r.disease])
+
+    def validate() -> tuple[float, float]:
         val_loss, hits = 0.0, 0
         for r in val:
             logits = encoder.forward(inputs[r.id]).logits
             val_loss += float(ad.softmax_cross_entropy(logits, classes[r.disease]).data)
-            if predict_topk(logits, 1)[0][0] == classes[r.disease]:
-                hits += 1
-        val_loss /= len(val)
-        val_prec1 = hits / len(val)
-        curve.append(epoch_loss / len(order), val_loss, val_prec1)
-        if val_prec1 >= best_metric:
-            best_metric = val_prec1
-            best_params = {p.name: p.data.copy() for p in params}
-    final = copy.deepcopy(encoder)
-    for p in final.parameters():
-        p.data[...] = best_params[p.name]
-    return final.to_checkpoint(), curve
+            hits += predict_topk(logits, 1)[0][0] == classes[r.disease]
+        return val_loss / len(val), hits / len(val)
+
+    curve = _fit(encoder.parameters(), train, cfg, 2, record_loss, validate)
+    return encoder.to_checkpoint(), curve
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +224,6 @@ def build_caption_vocabularies(manifest: DatasetManifest, min_frequency: int = 1
 
 def caption_target(vocab: Vocabulary, description: str) -> list[int]:
     return [START] + vocab.encode(tokenize(description)) + [END]
-
-
-def fused_feature_np(pooled: np.ndarray, keywords: list[str], kw_vocab: Vocabulary,
-                     kw_proj: KeywordProjection | None, keyword_mode: bool) -> np.ndarray:
-    """Tape-free fused feature for decoding; bypasses fusion when keywords are off."""
-    if not keyword_mode or kw_proj is None:
-        return pooled
-    kw = kw_proj.weight.data @ keyword_multihot(keywords, kw_vocab) + kw_proj.bias.data
-    return 0.5 * (pooled + kw)
 
 
 def _guard_vocab_sources(vocab: Vocabulary, train_ids: set[str], label: str) -> None:
@@ -257,54 +257,82 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
     targets = {r.id: caption_target(vocab, r.description) for r in train + val}
     refs = [tokenize(r.description) for r in val]
 
-    def record_loss(r: CaseRecord) -> Tensor:
+    def fused(r: CaseRecord) -> Tensor:
         img = Tensor(pooled[r.id])
-        if cfg.keyword_mode:
-            from .textgen import embed_keywords, fuse_features
-            kw = embed_keywords(r.keywords, kw_vocab, kw_proj.weight, kw_proj.bias)
-            fused = fuse_features(img, kw)
-        else:
-            fused = img
-        return caption_loss(fused, targets[r.id], decoder)
+        return kw_proj.fuse(img, r.keywords, kw_vocab) if cfg.keyword_mode else img
 
-    curve = TrainingCurve()
-    best_metric = -1.0
-    best_params = None
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg.sgd)
-        order = list(train)
-        Xoshiro256(derive_seed(cfg.seed, 4, epoch)).shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            zero_grads(params)
-            with Tape() as tape:
-                loss = ad.mean_scalars([record_loss(r) for r in batch])
-            backward(tape, loss)
-            sgd_step(params, lr)
-            epoch_loss += float(loss.data) * len(batch)
-        val_loss = 0.0
-        decoded = []
+    def record_loss(r: CaseRecord) -> Tensor:
+        return caption_loss(fused(r), targets[r.id], decoder)
+
+    def validate() -> tuple[float, float]:
+        val_loss, decoded = 0.0, []
         for r in val:
-            val_loss += float(record_loss(r).data)
-            fused = fused_feature_np(pooled[r.id], r.keywords, kw_vocab,
-                                     kw_proj, cfg.keyword_mode)
-            hyp = decode_greedy(fused, decoder, cfg.max_caption_len)
-            decoded.append(hyp.words(vocab))
-        _, val_bleu = bleu_corpus(decoded, refs)
-        curve.append(epoch_loss / len(order), val_loss / len(val), val_bleu)
-        if val_bleu >= best_metric:
-            best_metric = val_bleu
-            best_params = {p.name: p.data.copy() for p in params}
-    for p in params:
-        p.data[...] = best_params[p.name]
+            feat = fused(r)
+            val_loss += float(caption_loss(feat, targets[r.id], decoder).data)
+            decoded.append(decode_greedy(feat, decoder, cfg.max_caption_len).words(vocab))
+        return val_loss / len(val), bleu_corpus(decoded, refs)[1]
+
+    curve = _fit(params, train, cfg, 4, record_loss, validate)
     ckpt = decoder.to_checkpoint().merged_with(kw_proj.to_checkpoint())
     ckpt.params["decoder.keyword_mode"] = np.array([1.0 if cfg.keyword_mode else 0.0])
     return ckpt, curve
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# inference and evaluation
+
+@dataclass
+class Inference:
+    ranked: list[tuple[int, float]]  # every class id with its probability, best first
+    caption_words: list[str]
+    cam_pixels: np.ndarray  # uint8 RGB overlay of the top-1 class's CAM
+
+
+class Pipeline:
+    """Classify, caption and explain one image at a time, with the models and
+    vocabularies loaded and cross-checked once.
+
+    keyword_mode None takes the mode the decoder was trained with; False
+    forces the keyword bypass. class_names, if given, must name every
+    encoder class; by default they are class_0, class_1, ...
+    """
+
+    def __init__(self, encoder_ckpt: ModelCheckpoint, decoder_ckpt: ModelCheckpoint,
+                 vocab: Vocabulary, kw_vocab: Vocabulary,
+                 keyword_mode: bool | None = None, class_names: list[str] | None = None):
+        self.encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
+        self.decoder = DecoderParams.from_checkpoint(decoder_ckpt)
+        self.kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
+        self.vocab, self.kw_vocab = vocab, kw_vocab
+        if keyword_mode is None:
+            keyword_mode = bool(decoder_ckpt["decoder.keyword_mode"][0]) \
+                if "decoder.keyword_mode" in decoder_ckpt else True
+        self.keyword_mode = keyword_mode
+        self.num_classes = self.encoder.config.num_classes
+        self.class_names = class_names if class_names is not None else \
+            [f"class_{i}" for i in range(self.num_classes)]
+        for what, a, b in (
+            ("decoder input dim != encoder feature channels",
+             self.decoder.input_dim, self.encoder.config.feature_channels),
+            ("caption vocabulary size != decoder vocabulary size",
+             vocab.size, self.decoder.vocab_size),
+            ("keyword vocabulary size != keyword projection input dim",
+             kw_vocab.size, self.kw_proj.weight.data.shape[1]),
+            ("manifest classes != encoder classes", len(self.class_names), self.num_classes),
+        ):
+            if a != b:
+                raise DataError(f"{what}: {a} != {b}")
+
+    def infer(self, image: RetinalImage, keywords: list[str], beam_width: int,
+              max_len: int, alpha: float = 0.5) -> Inference:
+        out = self.encoder.encode_image(image)
+        ranked = predict_topk(out.logits, self.num_classes)
+        fused = self.kw_proj.fuse(out.pooled, keywords, self.kw_vocab) \
+            if self.keyword_mode else out.pooled
+        words = decode_beam(fused, self.decoder, beam_width, max_len)[0].words(self.vocab)
+        heat = compute_cam(out.feature_maps.data, self.encoder.classifier_weights, ranked[0][0])
+        return Inference(ranked, words, cam_overlay(image, heat, alpha))
+
 
 @dataclass
 class CaseResult:
@@ -318,73 +346,41 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                       decoder_ckpt: ModelCheckpoint, vocab: Vocabulary,
                       kw_vocab: Vocabulary, beam_width: int = 3,
                       k_list: tuple[int, ...] = (1, 5), max_caption_len: int = 30,
-                      keyword_mode: bool | None = None,
-                      heatmap_dir=None, overlay_alpha: float = 0.5,
-                      workers: int = 1,
+                      keyword_mode: bool | None = None, heatmap_dir=None,
                       ) -> tuple[MetricReport, list[CaseResult]]:
     """Full per-record path over the test split: classify, decode, CAM.
 
-    workers > 1 fans the per-record work out over threads; results are
-    merged in manifest order so the output is identical to workers=1.
+    With heatmap_dir set, each case's CAM overlay (`<id>_cam.png`) and its
+    image as a PNG (`<id>.png`) are written there in the pass that decoded
+    the image; they are the assets of a report bundle.
     """
     test = manifest.by_split("test")
     if not test:
         raise ValueError("manifest has an empty 'test' split")
-    encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
-    decoder = DecoderParams.from_checkpoint(decoder_ckpt)
-    kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
-    if keyword_mode is None:
-        keyword_mode = bool(decoder_ckpt["decoder.keyword_mode"][0]) \
-            if "decoder.keyword_mode" in decoder_ckpt else True
-    if decoder.input_dim != encoder.config.feature_channels:
-        raise DataError(
-            f"decoder input dim {decoder.input_dim} != encoder feature "
-            f"channels {encoder.config.feature_channels}"
-        )
-    class_names = manifest.class_list
-    classes = manifest.class_index()
-    n_classes = encoder.config.num_classes
-    if len(class_names) != n_classes:
-        raise DataError(
-            f"manifest has {len(class_names)} classes but encoder expects {n_classes}"
-        )
-    if max(k_list) > n_classes:
-        raise ValueError(f"k={max(k_list)} exceeds number of classes {n_classes}")
+    pipe = Pipeline(encoder_ckpt, decoder_ckpt, vocab, kw_vocab, keyword_mode,
+                    manifest.class_list)
+    if max(k_list) > pipe.num_classes:
+        raise ValueError(f"k={max(k_list)} exceeds number of classes {pipe.num_classes}")
     if heatmap_dir is not None:
         os.makedirs(heatmap_dir, exist_ok=True)
-
-    def run_case(r: CaseRecord):
+    classes = manifest.class_index()
+    candidates, references, rankings, truths, results = [], [], [], [], []
+    for r in test:
         image = load_image(manifest.image_file(r))
-        out = encoder.encode_image(image)
-        ranked = predict_topk(out.logits, n_classes)
-        fused = fused_feature_np(out.pooled.data, r.keywords, kw_vocab, kw_proj, keyword_mode)
-        hyp = decode_beam(fused, decoder, beam_width, max_caption_len)[0]
-        words = hyp.words(vocab)
+        inf = pipe.infer(image, r.keywords, beam_width, max_caption_len)
         cam_path = None
         if heatmap_dir is not None:
-            heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, ranked[0][0])
-            heat = upsample_bilinear(normalize_heatmap(heat), image.height, image.width)
             cam_path = os.path.join(heatmap_dir, f"{r.id}_cam.png")
-            write_png(cam_path, overlay(image, heat, overlay_alpha))
-        return ranked, words, cam_path
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_case, test))
-    else:
-        outcomes = [run_case(r) for r in test]
-
-    candidates, references, rankings, truths, results = [], [], [], [], []
-    for r, (ranked, words, cam_path) in zip(test, outcomes):
-        candidates.append(words)
+            write_png(cam_path, inf.cam_pixels)
+            write_png(os.path.join(heatmap_dir, f"{r.id}.png"), image.pixels)
+        candidates.append(inf.caption_words)
         references.append(tokenize(r.description))
-        rankings.append([cid for cid, _ in ranked])
+        rankings.append([cid for cid, _ in inf.ranked])
         truths.append(classes[r.disease])
         results.append(CaseResult(
             record=r,
-            predictions=[(class_names[cid], p) for cid, p in ranked[: max(k_list)]],
-            caption_words=words,
+            predictions=[(pipe.class_names[cid], p) for cid, p in inf.ranked[: max(k_list)]],
+            caption_words=inf.caption_words,
             cam_path=cam_path,
         ))
     report = score_captions(candidates, references)

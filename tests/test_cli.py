@@ -3,8 +3,13 @@ import os
 
 import pytest
 
+from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import main
 from retinapipe.data import parse_manifest
+from retinapipe.encoder import EncoderConfig, VisionEncoder
+from retinapipe.rng import Xoshiro256
+from retinapipe.textgen import Vocabulary, detokenize
+from retinapipe.training import evaluate_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +36,28 @@ def trained(dataset, tmp_path_factory):
                  "--decay-factor", "2", "--decay-period", "60",
                  "--seed", "5"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained_off(dataset, trained, tmp_path_factory):
+    """A keyword-free decoder over the same encoder; its checkpoint dir."""
+    out = tmp_path_factory.mktemp("clioff")
+    assert main(["train-cdg", "--manifest", str(dataset / "manifest.json"),
+                 "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                 "--out", str(out), "--no-keywords",
+                 "--epochs", "60", "--batch", "4", "--lr", "1.0",
+                 "--decay-factor", "2", "--decay-period", "60",
+                 "--seed", "5"]) == 0
+    return out / "checkpoints"
+
+
+def model_args(ckpts, **files):
+    """--encoder/--decoder/--vocab/--kw-vocab from ckpts, with overrides."""
+    paths = {"encoder": ckpts / "encoder.ckpt", "decoder": ckpts / "decoder.ckpt",
+             "vocab": ckpts / "vocab.txt", "kw_vocab": ckpts / "kw_vocab.txt"}
+    paths.update(files)
+    return [arg for key, path in paths.items()
+            for arg in (f"--{key.replace('_', '-')}", str(path))]
 
 
 class TestExitCodes:
@@ -186,6 +213,85 @@ class TestReport:
         assert (a / "report.html").read_bytes() == (b / "report.html").read_bytes()
         assert (a / "assets" / "case0001_cam.png").read_bytes() == \
             (b / "assets" / "case0001_cam.png").read_bytes()
+
+
+class TestReportMatchesEvaluate:
+    @pytest.mark.parametrize("mode", ["keywords-on", "keywords-off"])
+    def test_same_top1_and_caption_for_every_test_case(self, dataset, trained, trained_off,
+                                                       mode, tmp_path, capsys):
+        ckpts = trained / "checkpoints"
+        dec_dir = ckpts if mode == "keywords-on" else trained_off
+        manifest = parse_manifest(dataset / "manifest.json")
+        _, results = evaluate_pipeline(
+            manifest, ModelCheckpoint.load(ckpts / "encoder.ckpt"),
+            ModelCheckpoint.load(dec_dir / "decoder.ckpt"),
+            Vocabulary.load(dec_dir / "vocab.txt"), Vocabulary.load(dec_dir / "kw_vocab.txt"),
+            k_list=(1,))
+        assert len(results) == 6
+        mismatches = []
+        for res in results:
+            assert main(["report", "--image", manifest.image_file(res.record),
+                         "--keywords", ", ".join(res.record.keywords),
+                         *model_args(ckpts, decoder=dec_dir / "decoder.ckpt",
+                                     vocab=dec_dir / "vocab.txt",
+                                     kw_vocab=dec_dir / "kw_vocab.txt"),
+                         "--manifest", str(dataset / "manifest.json"),
+                         "--out", str(tmp_path / res.record.id)]) == 0
+            fields = dict(line.split(": ", 1)
+                          for line in capsys.readouterr().out.splitlines())
+            got = (fields["Prediction"].split(" (")[0], fields["Description"])
+            want = (res.predictions[0][0], detokenize(res.caption_words))
+            if got != want:
+                mismatches.append((res.record.id, got, want))
+        assert mismatches == []
+
+
+class TestCrossFileChecks:
+    """Model files that do not fit together fail at load time with exit 2."""
+
+    def run(self, command, dataset, trained, tmp_path, manifest=None, **files):
+        args = [command, *model_args(trained / "checkpoints", **files),
+                "--manifest", str(manifest or dataset / "manifest.json"),
+                "--out", str(tmp_path / "out")]
+        if command == "report":
+            args += ["--image", str(dataset / "images" / "case0001.pgm"),
+                     "--keywords", "dot hemorrhages"]
+        return main(args + ["--topk", "3" if command == "report" else "1,3"])
+
+    @staticmethod
+    def truncated_vocab(src, dst):
+        vocab = Vocabulary.load(src)
+        Vocabulary([vocab.token(i) for i in range(4, 6)]).save(dst)
+        return dst
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_caption_vocab_size(self, command, dataset, trained, tmp_path, capsys):
+        vocab = self.truncated_vocab(trained / "checkpoints" / "vocab.txt", tmp_path / "v.txt")
+        assert self.run(command, dataset, trained, tmp_path, vocab=vocab) == 2
+        assert "caption vocabulary size != decoder vocabulary size: 6 != " in capsys.readouterr().err
+
+    def test_keyword_vocab_size(self, dataset, trained, tmp_path, capsys):
+        kw_vocab = self.truncated_vocab(trained / "checkpoints" / "kw_vocab.txt",
+                                        tmp_path / "kw.txt")
+        assert self.run("report", dataset, trained, tmp_path, kw_vocab=kw_vocab) == 2
+        assert "keyword vocabulary size != keyword projection input dim: 6 != " in capsys.readouterr().err
+
+    def test_decoder_input_dim(self, dataset, trained, tmp_path, capsys):
+        narrow = EncoderConfig(num_classes=3, stages=((4, 3, 1, 2), (8, 3, 1, 2)))
+        encoder = tmp_path / "narrow.ckpt"
+        VisionEncoder.init(narrow, Xoshiro256(0)).to_checkpoint().save(encoder)
+        assert self.run("report", dataset, trained, tmp_path, encoder=encoder) == 2
+        assert "decoder input dim != encoder feature channels: 32 != 8" \
+            in capsys.readouterr().err
+
+    def test_report_manifest_class_count(self, dataset, trained, tmp_path, capsys):
+        records = json.loads((dataset / "manifest.json").read_text())
+        for i, rec in enumerate(records):
+            rec["disease"] = f"disease {i % 2}"
+        manifest = tmp_path / "two_classes.json"
+        manifest.write_text(json.dumps(records))
+        assert self.run("report", dataset, trained, tmp_path, manifest=manifest) == 2
+        assert "manifest classes != encoder classes: 2 != 3" in capsys.readouterr().err
 
 
 class TestScore:

@@ -54,6 +54,16 @@ class TestParseManifest:
         with pytest.raises(DataError, match="modality"):
             parse_manifest(write_manifest(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("bad", [42, ["id", "image_path"]])
+    def test_non_object_record_rejected(self, tmp_path, bad):
+        with pytest.raises(DataError, match="record 1.*JSON object"):
+            parse_manifest(write_manifest(tmp_path, [GOOD_RECORD, bad]))
+
+    def test_string_keywords_rejected(self, tmp_path):
+        bad = dict(GOOD_RECORD, keywords="soft drusen, pigment")
+        with pytest.raises(DataError, match="record 0.*'keywords' must be a list"):
+            parse_manifest(write_manifest(tmp_path, [bad]))
+
     def test_unknown_split_rejected(self, tmp_path):
         bad = dict(GOOD_RECORD, split="holdout")
         with pytest.raises(DataError, match="split"):

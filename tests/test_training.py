@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from retinapipe.autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
@@ -7,8 +6,8 @@ from retinapipe.errors import DataError
 from retinapipe.textgen import Vocabulary, build_vocabulary
 from retinapipe.training import (
     TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
-    fused_feature_np, load_train_config, lr_schedule, save_train_config,
-    train_captioner, train_classifier,
+    load_train_config, lr_schedule, save_train_config, train_captioner,
+    train_classifier,
 )
 
 
@@ -164,13 +163,6 @@ class TestTrainCaptioner:
         assert off["decoder.keyword_mode"][0] == 0.0
 
 
-def test_fused_feature_bypasses_keywords_when_off():
-    pooled = np.array([1.0, 2.0])
-    vocab = build_vocabulary([["a"]])
-    out = fused_feature_np(pooled, ["a"], vocab, None, keyword_mode=False)
-    assert np.array_equal(out, pooled)
-
-
 @pytest.fixture(scope="module")
 def trained(tiny_dataset):
     enc_ckpt, _ = train_classifier(tiny_dataset, small_cfg(epochs=10))
@@ -200,14 +192,6 @@ class TestEvaluatePipeline:
         for res in results:
             assert res.cam_path is not None
             assert (tmp_path / "cams" / f"{res.record.id}_cam.png").exists()
-
-    def test_worker_count_does_not_change_output(self, tiny_dataset, trained):
-        enc, dec, vocab, kw_vocab = trained
-        r1, c1 = evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1, 3))
-        r2, c2 = evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1, 3),
-                                   workers=4)
-        assert r1.to_json() == r2.to_json()
-        assert [c.caption_words for c in c1] == [c.caption_words for c in c2]
 
     def test_k_larger_than_classes_rejected(self, tiny_dataset, trained):
         enc, dec, vocab, kw_vocab = trained
