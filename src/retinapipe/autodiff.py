@@ -401,11 +401,13 @@ class LstmParams:
 
     @classmethod
     def init(cls, rng: Xoshiro256, input_dim: int, hidden: int, prefix: str = "lstm") -> "LstmParams":
-        wx = Tensor(glorot_uniform(rng, (4 * hidden, input_dim)), parameter=True, name=f"{prefix}.wx")
-        wh = Tensor(glorot_uniform(rng, (4 * hidden, hidden)), parameter=True, name=f"{prefix}.wh")
-        b = np.zeros(4 * hidden)
-        b[hidden : 2 * hidden] = 1.0  # forget-gate bias: stabilizes early training
-        return cls(wx=wx, wh=wh, b=Tensor(b, parameter=True, name=f"{prefix}.b"))
+        shapes = {f"{prefix}.wx": (4 * hidden, input_dim), f"{prefix}.wh": (4 * hidden, hidden),
+                  f"{prefix}.b": (4 * hidden,)}
+        return cls(*parameters_from(init_arrays(rng, shapes)).values()).open_forget_gates()
+
+    def open_forget_gates(self) -> "LstmParams":
+        self.b.data[self.hidden_size : 2 * self.hidden_size] = 1.0  # stabilizes early training
+        return self
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -476,6 +478,18 @@ def glorot_uniform(rng: Xoshiro256, shape) -> np.ndarray:
     fan_out = shape[0]
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, shape)
+
+
+def parameters_from(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Named parameter tensors holding copies of the arrays."""
+    return {name: Tensor(arr, parameter=True, name=name) for name, arr in arrays.items()}
+
+
+def init_arrays(rng: Xoshiro256, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Every model's init rule: Glorot-uniform matrices and kernels, zero vectors,
+    drawn from rng in declaration order."""
+    return {name: glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
+            for name, shape in shapes.items()}
 
 
 @dataclass

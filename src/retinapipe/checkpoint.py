@@ -8,6 +8,7 @@ float64 in memory; the float32 payload is a documented, lossy narrowing.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -24,10 +25,8 @@ class ModelCheckpoint:
     """Ordered mapping of parameter name -> float64 ndarray."""
 
     def __init__(self, params: dict[str, np.ndarray] | None = None):
-        self.params: dict[str, np.ndarray] = {}
-        if params:
-            for name, arr in params.items():
-                self.params[name] = np.asarray(arr, dtype=np.float64)
+        self.params = {name: np.asarray(arr, dtype=np.float64)
+                       for name, arr in (params or {}).items()}
 
     def __eq__(self, other):
         if not isinstance(other, ModelCheckpoint):
@@ -42,13 +41,16 @@ class ModelCheckpoint:
     def __getitem__(self, name) -> np.ndarray:
         return self.params[name]
 
-    def subset(self, prefix: str) -> "ModelCheckpoint":
-        return ModelCheckpoint({k: v for k, v in self.params.items() if k.startswith(prefix)})
-
-    def merged_with(self, other: "ModelCheckpoint") -> "ModelCheckpoint":
-        out = dict(self.params)
-        out.update(other.params)
-        return ModelCheckpoint(out)
+    def take(self, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+        """The named arrays; DataError names an entry that is missing or whose
+        shape differs from its declared one (a None dimension matches any size)."""
+        for name, shape in shapes.items():
+            if name not in self.params:
+                raise DataError(f"checkpoint is missing parameter {name!r}")
+            got = self.params[name].shape
+            if len(got) != len(shape) or any(want not in (None, n) for n, want in zip(got, shape)):
+                raise DataError(f"checkpoint parameter {name} has shape {got}, expected {shape}")
+        return {name: self.params[name] for name in shapes}
 
     def save(self, path) -> None:
         """Atomic write: serialize to a temp file, then rename into place."""
@@ -58,6 +60,8 @@ class ModelCheckpoint:
         for name, arr in self.params.items():
             if " " in name or "\n" in name:
                 raise ValueError(f"parameter name {name!r} may not contain spaces")
+            if arr.shape == (0,):  # v1 writes shape (0,) and shape () both as "0"
+                raise ValueError(f"parameter {name!r} is an empty 1-D array, which v1 cannot store")
             payload = arr.astype("<f4").tobytes()
             dims = ",".join(str(d) for d in arr.shape) or "0"
             header_lines.append(f"{name} {dims} {offset}")
@@ -90,7 +94,7 @@ class ModelCheckpoint:
         header = blob[10 : 10 + header_len].decode("utf-8")
         payload = blob[10 + header_len :]
         params: dict[str, np.ndarray] = {}
-        total = 0
+        end = 0  # the writer lays the entries out back to back, in header order
         for line in header.splitlines():
             if not line:
                 continue
@@ -98,17 +102,20 @@ class ModelCheckpoint:
                 name, dims, offset = line.split(" ")
                 shape = tuple(int(d) for d in dims.split(",")) if dims != "0" else ()
                 offset = int(offset)
+                if min(shape, default=0) < 0:
+                    raise ValueError("negative dimension")
             except ValueError as e:
                 raise DataError(f"{path}: malformed header line {line!r}") from e
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 4
-            if offset + nbytes > len(payload):
+            if offset != end:
+                raise DataError(f"{path}: entry {name!r} starts at byte {offset}, not {end}")
+            count = math.prod(shape)
+            end = offset + count * 4
+            if end > len(payload):
                 raise DataError(f"{path}: payload truncated for parameter {name!r}")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             params[name] = arr.astype(np.float64).reshape(shape)
-            total = max(total, offset + nbytes)
-        if total != len(payload):
+        if end != len(payload):
             raise DataError(
-                f"{path}: payload length {len(payload)} does not match header total {total}"
+                f"{path}: payload length {len(payload)} does not match header total {end}"
             )
         return cls(params)

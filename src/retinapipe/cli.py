@@ -27,7 +27,7 @@ from .report import build_report, render_html, render_text
 from .textgen import Vocabulary, tokenize
 from .training import (
     Pipeline, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
-    load_train_config, train_captioner, train_classifier,
+    load_train_config, train_captioner, train_classifier, write_case_assets,
 )
 
 
@@ -45,6 +45,22 @@ def _parse_triple(text: str, cast=float):
     if len(parts) != 3:
         raise _UsageError(f"expected three comma-separated values, got {text!r}")
     return tuple(cast(p) for p in parts)
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(map(_positive_int, text.split(",")))
+
+
+def _warn_unknown_keywords(keywords, kw_vocab: Vocabulary) -> None:
+    if unknown := sorted({kw for kw in keywords if kw not in kw_vocab}):
+        print("ignored keywords not in the keyword vocabulary: " + ", ".join(unknown),
+              file=sys.stderr)
 
 
 def _train_config(args) -> TrainConfig:
@@ -79,6 +95,16 @@ def _out_layout(out_dir: str) -> dict[str, str]:
     for path in layout.values():
         os.makedirs(path, exist_ok=True)
     return layout
+
+
+def _add_inference_flags(p: argparse.ArgumentParser) -> None:
+    """The model files and decoding flags that evaluate and report share."""
+    for name in ("--encoder", "--decoder", "--vocab", "--kw-vocab"):
+        p.add_argument(name, required=True)
+    p.add_argument("--beam", type=int, default=3)
+    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--no-keywords", action="store_true",
+                   help="force the keyword bypass (default: the decoder's trained mode)")
 
 
 def _model_files(args) -> tuple:
@@ -145,22 +171,25 @@ def _cmd_train_cdg(args) -> int:
 def _cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
     layout = _out_layout(args.out)
+    model_files = _model_files(args)
     report, results = evaluate_pipeline(
         manifest,
-        *_model_files(args),
+        *model_files,
         beam_width=args.beam,
-        k_list=tuple(int(k) for k in args.topk.split(",")),
+        k_list=args.topk,
         max_caption_len=args.max_len,
         keyword_mode=False if args.no_keywords else None,
         heatmap_dir=os.path.join(layout["reports"], "assets"),
     )
+    _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
+                           model_files[3])
     reports = []
     for res in results:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
-        cam_name = os.path.basename(res.cam_path)
-        shutil.copyfile(res.cam_path, os.path.join(layout["heatmaps"], cam_name))
+        shutil.copyfile(os.path.join(layout["reports"], res.cam_path),
+                        os.path.join(layout["heatmaps"], os.path.basename(res.cam_path)))
         reports.append(build_report(
             res.record, res.predictions, res.caption_words,
-            cam_path=f"assets/{cam_name}", image_path=f"assets/{res.record.id}.png"))
+            cam_path=res.cam_path, image_path=res.image_path))
     with open(os.path.join(layout["reports"], "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html(reports, group_by=args.group_by))
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
@@ -191,23 +220,18 @@ def _cmd_report(args) -> int:
         keyword_mode=False if args.no_keywords else None,
         class_names=parse_manifest(args.manifest).class_list if args.manifest else None,
     )
-    if args.topk < 1:
-        raise ValueError(f"--topk must be >= 1, got {args.topk}")
     keywords = _split_keywords([args.keywords])
+    _warn_unknown_keywords(keywords, pipe.kw_vocab)
     image = load_image(args.image)
     inf = pipe.infer(image, keywords, args.beam, args.max_len, args.alpha)
-    os.makedirs(os.path.join(args.out, "assets"), exist_ok=True)
     case_id = os.path.splitext(os.path.basename(args.image))[0]
-    cam_name = f"{case_id}_cam.png"
-    write_png(os.path.join(args.out, "assets", cam_name), inf.cam_pixels)
-    img_name = f"{case_id}.png"
-    write_png(os.path.join(args.out, "assets", img_name), image.pixels)
+    image_path, cam_path = write_case_assets(
+        os.path.join(args.out, "assets"), case_id, image, inf.cam_pixels)
     record = CaseRecord(id=case_id, image_path=args.image, modality=image.modality,
                         disease="", keywords=keywords, description="")
     predictions = [(pipe.class_names[c], p) for c, p in inf.ranked[: args.topk]]
     med = build_report(record, predictions, inf.caption_words,
-                       cam_path=f"assets/{cam_name}", image_path=f"assets/{img_name}",
-                       include_truth=False)
+                       cam_path=cam_path, image_path=image_path, include_truth=False)
     with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html([med]))
     print(render_text(med))
@@ -235,7 +259,7 @@ def _cmd_score(args) -> int:
                     raise DataError(f"{args.rankings}: line {i + 1} needs a truth id and a ranking")
                 truths.append(int(fields[0]))
                 rankings.append([int(x) for x in fields[1:]])
-        for k in (int(k) for k in args.topk.split(",")):
+        for k in args.topk:
             report.prec_at[k] = precision_at_k(rankings, truths, k)
     print(report.to_json())
     return 0
@@ -290,15 +314,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="end-to-end evaluation on the test split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--encoder", required=True)
-    p.add_argument("--decoder", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--kw-vocab", required=True)
-    p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--topk", default="1,5")
-    p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--no-keywords", action="store_true",
-                   help="force the keyword bypass (default: the decoder's trained mode)")
+    _add_inference_flags(p)
+    p.add_argument("--topk", type=_positive_ints, default="1,5")
     p.add_argument("--group-by", choices=("none", "disease"), default="none")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
@@ -315,17 +332,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="full per-image path to an HTML report")
     p.add_argument("--image", required=True)
     p.add_argument("--keywords", default="")
-    p.add_argument("--encoder", required=True)
-    p.add_argument("--decoder", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--kw-vocab", required=True)
+    _add_inference_flags(p)
     p.add_argument("--manifest", help="optional; supplies disease names")
-    p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--no-keywords", action="store_true",
-                   help="force the keyword bypass (default: the decoder's trained mode)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
@@ -333,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cand", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--rankings")
-    p.add_argument("--topk", default="1,5")
+    p.add_argument("--topk", type=_positive_ints, default="1,5")
     p.set_defaults(func=_cmd_score)
 
     return parser

@@ -6,18 +6,24 @@ description generator), and class logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
 from .errors import DataError
 from .imageio import RetinalImage, resize_bilinear
 from .rng import Xoshiro256
 
 DEFAULT_STAGES = ((8, 3, 1, 2), (16, 3, 1, 2), (32, 3, 1, 2))
+
+# Inputs are resized to image_size^2 and no checkpoint entry is sized by it, so this
+# bound stops a checkpoint's config from asking for unbounded memory (at 1024 px the
+# default stack's first conv already builds a 27 x 1024^2 float64 im2col matrix, 216 MiB).
+MAX_IMAGE_SIZE = 1024
+_CONFIG = "encoder.config"  # the checkpoint entry holding EncoderConfig.to_array()
 
 
 @dataclass
@@ -34,6 +40,10 @@ class EncoderConfig:
             raise ValueError("need at least 2 classes")
         if self.input_channels not in (1, 3):
             raise ValueError("input_channels must be 1 or 3")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ValueError(f"image_size {self.image_size} exceeds the bound {MAX_IMAGE_SIZE}")
+        if not self.stages or min(min(stage) for stage in self.stages) < 1:
+            raise ValueError("need at least one stage, with every stage value >= 1")
         side = self.image_size
         for out_ch, kernel, stride, pool in self.stages:
             side = (side + 2 * (kernel // 2) - kernel) // stride + 1
@@ -53,10 +63,16 @@ class EncoderConfig:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "EncoderConfig":
-        vals = [int(v) for v in np.asarray(arr).ravel()]
-        n_stages = vals[3]
-        stages = tuple(tuple(vals[4 + 4 * i : 8 + 4 * i]) for i in range(n_stages))
-        return cls(num_classes=vals[0], input_channels=vals[1], image_size=vals[2], stages=stages)
+        arr = np.asarray(arr).ravel()
+        if len(arr) < 4 or not np.isfinite(arr).all() or len(arr) != 4 + 4 * int(arr[3]):
+            raise DataError(f"{_CONFIG} holds {len(arr)} values, not 4 + 4 x stages finite values")
+        vals = [int(v) for v in arr]
+        stages = tuple(tuple(vals[i : i + 4]) for i in range(4, len(vals), 4))
+        try:
+            return cls(num_classes=vals[0], input_channels=vals[1], image_size=vals[2],
+                       stages=stages)
+        except ValueError as e:
+            raise DataError(f"{_CONFIG}: {e}") from e
 
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -86,36 +102,19 @@ class VisionEncoder:
 
     @classmethod
     def init(cls, config: EncoderConfig, rng: Xoshiro256) -> "VisionEncoder":
-        """Glorot-uniform kernels and weights, zero biases, drawn in stage order."""
-        return cls(config, {
-            name: Tensor(ad.glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape),
-                         parameter=True, name=name)
-            for name, shape in parameter_shapes(config).items()
-        })
+        return cls(config, parameters_from(init_arrays(rng, parameter_shapes(config))))
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "VisionEncoder":
-        if "encoder.config" not in ckpt:
-            raise DataError("checkpoint has no encoder.config entry")
-        config = EncoderConfig.from_array(ckpt["encoder.config"])
-        params: dict[str, Tensor] = {}
-        for name, shape in parameter_shapes(config).items():
-            if name not in ckpt:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-            arr = ckpt[name]
-            if arr.shape != shape:
-                raise DataError(
-                    f"checkpoint parameter {name} has shape {arr.shape}, expected {shape}"
-                )
-            params[name] = Tensor(arr, parameter=True, name=name)
-        return cls(config, params)
+        config = EncoderConfig.from_array(ckpt.take({_CONFIG: (None,)})[_CONFIG])
+        return cls(config, parameters_from(ckpt.take(parameter_shapes(config))))
 
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())
 
     def to_checkpoint(self) -> ModelCheckpoint:
         out = {name: p.data for name, p in self._params.items()}
-        out["encoder.config"] = self.config.to_array()
+        out[_CONFIG] = self.config.to_array()
         return ModelCheckpoint(out)
 
     @property

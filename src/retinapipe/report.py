@@ -7,7 +7,7 @@ paths, so re-rendering the same reports is byte-identical.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import CaseRecord
 from .textgen import detokenize

@@ -3,12 +3,12 @@ feature fusion, teacher-forced LSTM loss, and greedy/beam decoding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LstmParams, ShapeError, Tensor
+from .autodiff import LstmParams, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
 from .errors import DataError
 from .rng import Xoshiro256
@@ -110,33 +110,47 @@ def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1,
 # keyword embedding and fusion
 
 def keyword_multihot(keywords, kw_vocab: Vocabulary) -> np.ndarray:
-    """Order-independent {0,1} vector over the keyword vocabulary."""
+    """Order-independent {0,1} vector over the keyword vocabulary. A keyword outside
+    it adds nothing, as in training, which never trains the `<unk>` column."""
     v = np.zeros(kw_vocab.size, dtype=np.float64)
     for kw in keywords:
-        v[kw_vocab.index(kw)] = 1.0
+        if kw in kw_vocab:
+            v[kw_vocab.index(kw)] = 1.0
     return v
 
 
 def embed_keywords(keywords, kw_vocab: Vocabulary, weight: Tensor, bias: Tensor) -> Tensor:
-    if weight.data.shape[1] != kw_vocab.size:
-        raise ShapeError(
-            f"keyword projection expects input dim {weight.data.shape[1]}, "
-            f"vocabulary has {kw_vocab.size}"
-        )
     return ad.linear(Tensor(keyword_multihot(keywords, kw_vocab)), weight, bias)
 
 
 def fuse_features(image_feat: Tensor, keyword_feat: Tensor) -> Tensor:
-    """Elementwise average of the two feature vectors."""
-    if image_feat.data.shape != keyword_feat.data.shape:
-        raise ShapeError(
-            f"fuse_features: dims {image_feat.data.shape} and {keyword_feat.data.shape} differ"
-        )
+    """Elementwise average of the two feature vectors (ShapeError if their dims differ)."""
     return ad.scale(ad.add(image_feat, keyword_feat), 0.5)
 
 
 # ---------------------------------------------------------------------------
 # decoder parameters
+
+# the entries a decoder file's sizes are read from
+_EMBEDDING, _LSTM_WH, _KW_WEIGHT = "decoder.embedding", "decoder.lstm.wh", "kw_proj.weight"
+
+
+def decoder_shapes(vocab_size: int, input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every decoder parameter, in initialization order."""
+    return {
+        _EMBEDDING: (vocab_size, input_dim),
+        "decoder.lstm.wx": (4 * hidden, input_dim),
+        _LSTM_WH: (4 * hidden, hidden),
+        "decoder.lstm.b": (4 * hidden,),
+        "decoder.out.weight": (vocab_size, hidden),
+        "decoder.out.bias": (vocab_size,),
+    }
+
+
+def keyword_projection_shapes(kw_vocab_size: int, dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the keyword projection's parameters, in initialization order."""
+    return {_KW_WEIGHT: (dim, kw_vocab_size), "kw_proj.bias": (dim,)}
+
 
 @dataclass
 class DecoderParams:
@@ -159,33 +173,21 @@ class DecoderParams:
 
     @classmethod
     def init(cls, rng: Xoshiro256, vocab_size: int, input_dim: int, hidden: int) -> "DecoderParams":
-        emb = Tensor(ad.glorot_uniform(rng, (vocab_size, input_dim)),
-                     parameter=True, name="decoder.embedding")
-        cell = LstmParams.init(rng, input_dim, hidden, prefix="decoder.lstm")
-        out_w = Tensor(ad.glorot_uniform(rng, (vocab_size, hidden)),
-                       parameter=True, name="decoder.out.weight")
-        out_b = Tensor(np.zeros(vocab_size), parameter=True, name="decoder.out.bias")
-        return cls(embedding=emb, cell=cell, out_w=out_w, out_b=out_b)
+        arrays = init_arrays(rng, decoder_shapes(vocab_size, input_dim, hidden))
+        dec = cls.from_checkpoint(ModelCheckpoint(arrays))
+        dec.cell.open_forget_gates()
+        return dec
 
     def parameters(self) -> list[Tensor]:
         return [self.embedding, self.cell.wx, self.cell.wh, self.cell.b, self.out_w, self.out_b]
 
-    def to_checkpoint(self) -> ModelCheckpoint:
-        return ModelCheckpoint({p.name: p.data for p in self.parameters()})
-
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "DecoderParams":
-        def t(name):
-            if name not in ckpt:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-            return Tensor(ckpt[name], parameter=True, name=name)
-
-        return cls(
-            embedding=t("decoder.embedding"),
-            cell=LstmParams(wx=t("decoder.lstm.wx"), wh=t("decoder.lstm.wh"), b=t("decoder.lstm.b")),
-            out_w=t("decoder.out.weight"),
-            out_b=t("decoder.out.bias"),
-        )
+        """V and D come from the embedding, H from the recurrent weights; the rest must fit."""
+        sizes = ckpt.take({_EMBEDDING: (None, None), _LSTM_WH: (None, None)})
+        shapes = decoder_shapes(*sizes[_EMBEDDING].shape, hidden=sizes[_LSTM_WH].shape[1])
+        emb, wx, wh, b, out_w, out_b = parameters_from(ckpt.take(shapes)).values()
+        return cls(embedding=emb, cell=LstmParams(wx=wx, wh=wh, b=b), out_w=out_w, out_b=out_b)
 
 
 @dataclass
@@ -195,10 +197,8 @@ class KeywordProjection:
 
     @classmethod
     def init(cls, rng: Xoshiro256, kw_vocab_size: int, dim: int) -> "KeywordProjection":
-        w = Tensor(ad.glorot_uniform(rng, (dim, kw_vocab_size)),
-                   parameter=True, name="kw_proj.weight")
-        b = Tensor(np.zeros(dim), parameter=True, name="kw_proj.bias")
-        return cls(weight=w, bias=b)
+        return cls.from_checkpoint(ModelCheckpoint(
+            init_arrays(rng, keyword_projection_shapes(kw_vocab_size, dim))))
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -207,18 +207,11 @@ class KeywordProjection:
         """The image feature averaged with the projected keyword bag."""
         return fuse_features(image_feat, embed_keywords(keywords, kw_vocab, self.weight, self.bias))
 
-    def to_checkpoint(self) -> ModelCheckpoint:
-        return ModelCheckpoint({p.name: p.data for p in self.parameters()})
-
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":
-        for name in ("kw_proj.weight", "kw_proj.bias"):
-            if name not in ckpt:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-        return cls(
-            weight=Tensor(ckpt["kw_proj.weight"], parameter=True, name="kw_proj.weight"),
-            bias=Tensor(ckpt["kw_proj.bias"], parameter=True, name="kw_proj.bias"),
-        )
+        dim, kw_vocab_size = ckpt.take({_KW_WEIGHT: (None, None)})[_KW_WEIGHT].shape
+        shapes = keyword_projection_shapes(kw_vocab_size, dim)
+        return cls(*parameters_from(ckpt.take(shapes)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +221,6 @@ def caption_loss(fused: Tensor, target: list[int], params: DecoderParams) -> Ten
     """Mean teacher-forced cross-entropy; the fused feature is the step-0 input."""
     if len(target) < 2 or target[0] != START or target[-1] != END:
         raise ValueError("target must begin with START and end with END")
-    if fused.data.shape != (params.input_dim,):
-        raise ShapeError(
-            f"fused feature dim {fused.data.shape} != decoder input dim ({params.input_dim},)"
-        )
     hid = params.hidden_size
     h = Tensor(np.zeros(hid))
     c = Tensor(np.zeros(hid))
@@ -264,12 +253,7 @@ class _DecoderState:
     """Tape-free forward pass over raw numpy parameter views."""
 
     def __init__(self, params: DecoderParams):
-        self.emb = params.embedding.data
-        self.wx = params.cell.wx.data
-        self.wh = params.cell.wh.data
-        self.b = params.cell.b.data
-        self.ow = params.out_w.data
-        self.ob = params.out_b.data
+        self.emb, self.wx, self.wh, self.b, self.ow, self.ob = (p.data for p in params.parameters())
         self.hidden = params.hidden_size
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):

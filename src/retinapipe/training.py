@@ -5,8 +5,10 @@ captioner through one SGD loop, plus the loaded-once inference pipeline
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,23 +57,14 @@ class TrainConfig:
 
 CONFIG_VERSION = 1
 
+# the JSON form a saved config value takes, by field type
+_JSON_FORMS = {int: "an integer", float: "a finite number", bool: "true or false",
+               tuple: "a list of [out_channels, kernel, stride, pool] integer lists"}
+
 
 def save_train_config(cfg: TrainConfig, path) -> None:
-    payload = {
-        "version": CONFIG_VERSION,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "learning_rate": cfg.sgd.learning_rate,
-        "decay_factor": cfg.sgd.decay_factor,
-        "decay_period_epochs": cfg.sgd.decay_period_epochs,
-        "keyword_mode": cfg.keyword_mode,
-        "decoder_hidden": cfg.decoder_hidden,
-        "max_caption_len": cfg.max_caption_len,
-        "image_size": cfg.image_size,
-        "encoder_stages": [list(s) for s in cfg.encoder_stages],
-        "input_channels": cfg.input_channels,
-    }
+    payload = {"version": CONFIG_VERSION, **asdict(cfg)}
+    payload.update(payload.pop("sgd"))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -83,24 +76,29 @@ def load_train_config(path) -> TrainConfig:
             obj = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read train config {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: a train config must be a JSON object")
     if obj.get("version") != CONFIG_VERSION:
         raise DataError(f"{path}: unsupported config version {obj.get('version')}")
-    return TrainConfig(
-        epochs=obj["epochs"],
-        batch_size=obj["batch_size"],
-        seed=obj["seed"],
-        sgd=SgdConfig(
-            learning_rate=obj["learning_rate"],
-            decay_factor=obj["decay_factor"],
-            decay_period_epochs=obj["decay_period_epochs"],
-        ),
-        keyword_mode=obj["keyword_mode"],
-        decoder_hidden=obj["decoder_hidden"],
-        max_caption_len=obj["max_caption_len"],
-        image_size=obj["image_size"],
-        encoder_stages=tuple(tuple(s) for s in obj["encoder_stages"]),
-        input_channels=obj["input_channels"],
-    )
+    types = {**get_type_hints(TrainConfig), **get_type_hints(SgdConfig)}  # sgd is inlined
+    del types["sgd"]
+    for key in sorted(set(types) | set(obj) - {"version"}):
+        if key not in obj or key not in types:
+            raise DataError(f"{path}: {'missing' if key in types else 'unknown'} key {key!r}")
+        kind, value = types[key], obj[key]
+        if kind is tuple:
+            ok = isinstance(value, list) and all(isinstance(s, list) and len(s) == 4 and
+                                                 all(type(v) is int for v in s) for s in value)
+        elif kind is float:  # NaN and infinity are JSON extensions that json reads
+            ok = type(value) is int or type(value) is float and math.isfinite(value)
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise DataError(f"{path}: key {key!r} must be {_JSON_FORMS[kind]}, got {value!r}")
+    values = {key: tuple(map(tuple, obj[key])) if kind is tuple else obj[key]
+              for key, kind in types.items()}
+    sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)})
+    return TrainConfig(sgd=sgd, **values)
 
 
 @dataclass
@@ -235,6 +233,9 @@ def _guard_vocab_sources(vocab: Vocabulary, train_ids: set[str], label: str) -> 
         )
 
 
+_KEYWORD_MODE = "decoder.keyword_mode"  # 1 or 0; a decoder file without it means 1
+
+
 def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
                     encoder_ckpt: ModelCheckpoint,
                     vocab: Vocabulary, kw_vocab: Vocabulary,
@@ -273,9 +274,10 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
         return val_loss / len(val), bleu_corpus(decoded, refs)[1]
 
     curve = _fit(params, train, cfg, 4, record_loss, validate)
-    ckpt = decoder.to_checkpoint().merged_with(kw_proj.to_checkpoint())
-    ckpt.params["decoder.keyword_mode"] = np.array([1.0 if cfg.keyword_mode else 0.0])
-    return ckpt, curve
+    return ModelCheckpoint({
+        **{p.name: p.data for p in decoder.parameters() + kw_proj.parameters()},
+        _KEYWORD_MODE: np.array([1.0 if cfg.keyword_mode else 0.0]),
+    }), curve
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +306,19 @@ class Pipeline:
         self.decoder = DecoderParams.from_checkpoint(decoder_ckpt)
         self.kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
         self.vocab, self.kw_vocab = vocab, kw_vocab
-        if keyword_mode is None:
-            keyword_mode = bool(decoder_ckpt["decoder.keyword_mode"][0]) \
-                if "decoder.keyword_mode" in decoder_ckpt else True
-        self.keyword_mode = keyword_mode
+        trained_mode = decoder_ckpt.take({_KEYWORD_MODE: (1,)})[_KEYWORD_MODE][0] \
+            if _KEYWORD_MODE in decoder_ckpt else 1.0
+        if trained_mode not in (0.0, 1.0):
+            raise DataError(f"checkpoint entry {_KEYWORD_MODE} is {trained_mode}, not 0 or 1")
+        self.keyword_mode = bool(trained_mode) if keyword_mode is None else keyword_mode
         self.num_classes = self.encoder.config.num_classes
         self.class_names = class_names if class_names is not None else \
             [f"class_{i}" for i in range(self.num_classes)]
         for what, a, b in (
             ("decoder input dim != encoder feature channels",
              self.decoder.input_dim, self.encoder.config.feature_channels),
+            ("keyword projection output dim != decoder input dim",
+             self.kw_proj.weight.data.shape[0], self.decoder.input_dim),
             ("caption vocabulary size != decoder vocabulary size",
              vocab.size, self.decoder.vocab_size),
             ("keyword vocabulary size != keyword projection input dim",
@@ -339,7 +344,20 @@ class CaseResult:
     record: CaseRecord
     predictions: list[tuple[str, float]]  # (disease name, probability)
     caption_words: list[str]
+    image_path: str | None = None  # the asset paths, relative to the report bundle
     cam_path: str | None = None
+
+
+def write_case_assets(assets_dir, case_id: str, image: RetinalImage,
+                      cam_pixels: np.ndarray) -> tuple[str, str]:
+    """Write a case's image as `<id>.png` and its CAM overlay as `<id>_cam.png` into
+    assets_dir, a folder of a report bundle; return their bundle-relative paths."""
+    os.makedirs(assets_dir, exist_ok=True)
+    folder = os.path.basename(os.path.normpath(assets_dir))
+    paths = (f"{folder}/{case_id}.png", f"{folder}/{case_id}_cam.png")
+    for path, pixels in zip(paths, (image.pixels, cam_pixels)):
+        write_png(os.path.join(assets_dir, os.path.basename(path)), pixels)
+    return paths
 
 
 def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
@@ -350,9 +368,9 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                       ) -> tuple[MetricReport, list[CaseResult]]:
     """Full per-record path over the test split: classify, decode, CAM.
 
-    With heatmap_dir set, each case's CAM overlay (`<id>_cam.png`) and its
-    image as a PNG (`<id>.png`) are written there in the pass that decoded
-    the image; they are the assets of a report bundle.
+    With heatmap_dir set, each case's image and CAM overlay are written there
+    by write_case_assets in the pass that decoded the image; heatmap_dir is
+    the assets directory of a report bundle.
     """
     test = manifest.by_split("test")
     if not test:
@@ -361,18 +379,14 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                     manifest.class_list)
     if max(k_list) > pipe.num_classes:
         raise ValueError(f"k={max(k_list)} exceeds number of classes {pipe.num_classes}")
-    if heatmap_dir is not None:
-        os.makedirs(heatmap_dir, exist_ok=True)
     classes = manifest.class_index()
     candidates, references, rankings, truths, results = [], [], [], [], []
     for r in test:
         image = load_image(manifest.image_file(r))
         inf = pipe.infer(image, r.keywords, beam_width, max_caption_len)
-        cam_path = None
+        image_path = cam_path = None
         if heatmap_dir is not None:
-            cam_path = os.path.join(heatmap_dir, f"{r.id}_cam.png")
-            write_png(cam_path, inf.cam_pixels)
-            write_png(os.path.join(heatmap_dir, f"{r.id}.png"), image.pixels)
+            image_path, cam_path = write_case_assets(heatmap_dir, r.id, image, inf.cam_pixels)
         candidates.append(inf.caption_words)
         references.append(tokenize(r.description))
         rankings.append([cid for cid, _ in inf.ranked])
@@ -381,6 +395,7 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
             record=r,
             predictions=[(pipe.class_names[cid], p) for cid, p in inf.ranked[: max(k_list)]],
             caption_words=inf.caption_words,
+            image_path=image_path,
             cam_path=cam_path,
         ))
     report = score_captions(candidates, references)

@@ -1,4 +1,4 @@
-import os
+import struct
 
 import numpy as np
 import pytest
@@ -74,11 +74,32 @@ def test_atomic_save_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_subset_and_merge(ckpt):
-    enc = ckpt.subset("encoder.stage0.")
-    assert list(enc.params) == ["encoder.stage0.kernels"]
-    merged = enc.merged_with(ckpt.subset("encoder.fc."))
-    assert set(merged.params) == set(ckpt.params)
+def test_empty_vector_is_refused_on_save(tmp_path):
+    # v1 writes shape (0,) and shape () both as "0": "a" would load as a
+    # scalar holding b's first value
+    ck = ModelCheckpoint({"a": np.zeros(0), "b": np.ones(3)})
+    with pytest.raises(ValueError, match="'a'"):
+        ck.save(tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entries_must_lie_back_to_back(tmp_path):
+    header = b"a 2 0\nb 2 12\n"  # b should start at byte 8, where a ends
+    blob = MAGIC + struct.pack("<HI", 1, len(header)) + header + b"\x00" * 20
+    path = tmp_path / "gap.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match="'b' starts at byte 12, not 8"):
+        ModelCheckpoint.load(path)
+
+
+def test_take_checks_names_and_shapes(ckpt):
+    got = ckpt.take({"encoder.fc.bias": (2,), "encoder.stage0.kernels": (None, 3, None, 2)})
+    assert list(got) == ["encoder.fc.bias", "encoder.stage0.kernels"]
+    assert got["encoder.fc.bias"] is ckpt.params["encoder.fc.bias"]
+    with pytest.raises(DataError, match="missing parameter 'encoder.fc.weight'"):
+        ckpt.take({"encoder.fc.weight": (2, 2)})
+    with pytest.raises(DataError, match=r"fc.bias has shape \(2,\), expected \(None, None\)"):
+        ckpt.take({"encoder.fc.bias": (None, None)})
 
 
 def test_save_is_deterministic(tmp_path, ckpt):

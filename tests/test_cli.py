@@ -1,6 +1,6 @@
 import json
-import os
 
+import numpy as np
 import pytest
 
 from retinapipe.checkpoint import ModelCheckpoint
@@ -138,22 +138,52 @@ class TestTrainingArtifacts:
         first = (trained / "curves" / "rdi.csv").read_text().splitlines()[0]
         assert first == "epoch,train_loss,val_loss,val_metric"
 
+    CONFIG = {
+        "version": 1, "epochs": 2, "batch_size": 4, "seed": 5,
+        "learning_rate": 0.1, "decay_factor": 2.0, "decay_period_epochs": 20,
+        "keyword_mode": True, "decoder_hidden": 48, "max_caption_len": 30,
+        "image_size": 32, "encoder_stages": [[8, 3, 1, 2], [16, 3, 1, 2], [32, 3, 1, 2]],
+        "input_channels": 3,
+    }
+
     def test_config_file_overrides_flags(self, dataset, trained, tmp_path):
-        cfg = {
-            "version": 1, "epochs": 2, "batch_size": 4, "seed": 5,
-            "learning_rate": 0.1, "decay_factor": 2.0, "decay_period_epochs": 20,
-            "keyword_mode": True, "decoder_hidden": 48, "max_caption_len": 30,
-            "image_size": 32, "encoder_stages": [[8, 3, 1, 2], [16, 3, 1, 2], [32, 3, 1, 2]],
-            "input_channels": 3,
-        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(self.CONFIG))
         out = tmp_path / "out"
         assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
                      "--out", str(out), "--config", str(path),
                      "--epochs", "9999"]) == 0
         lines = (out / "curves" / "rdi.csv").read_text().splitlines()
         assert len(lines) == 3  # header + the config's 2 epochs, not 9999
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.pop("batch_size"), "missing key 'batch_size'"),
+        (lambda c: c.update(epochs="2"), "key 'epochs' must be an integer"),
+        (lambda c: c.update(epochs=1.5), "key 'epochs' must be an integer"),
+        (lambda c: c.update(seed="x"), "key 'seed' must be an integer"),
+        (lambda c: c.update(epoch=c.pop("epochs")), "unknown key 'epoch'"),
+        (lambda c: c.update(keyword_mode=1), "key 'keyword_mode' must be true or false"),
+        (lambda c: c.update(learning_rate=True), "key 'learning_rate' must be a finite number"),
+        (lambda c: c.update(decay_factor=float("nan")), "key 'decay_factor' must be a finite"),
+        (lambda c: c.update(encoder_stages=[[8, 3, 1]]), "key 'encoder_stages' must be a list"),
+    ])
+    def test_bad_config_is_data_error(self, edit, message, dataset, tmp_path, capsys):
+        cfg = json.loads(json.dumps(self.CONFIG))
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
+    def test_config_must_be_an_object(self, dataset, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([self.CONFIG]))
+        assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -292,6 +322,89 @@ class TestCrossFileChecks:
         manifest.write_text(json.dumps(records))
         assert self.run("report", dataset, trained, tmp_path, manifest=manifest) == 2
         assert "manifest classes != encoder classes: 2 != 3" in capsys.readouterr().err
+
+
+class TestMalformedModelFiles:
+    """A checkpoint entry of the wrong shape fails at load time with exit 2."""
+
+    @pytest.mark.parametrize("file, entry, edit", [
+        ("decoder", "decoder.embedding", lambda a: a[0]),
+        ("decoder", "kw_proj.weight", lambda a: a[0]),
+        ("decoder", "decoder.out.weight", lambda a: a[:-1]),
+        ("decoder", "decoder.lstm.b", lambda a: a[:-1]),
+        ("decoder", "decoder.keyword_mode", lambda a: np.zeros((1, 0))),
+        ("decoder", "decoder.keyword_mode", lambda a: np.array([0.5])),
+        ("encoder", "encoder.config", lambda a: a[:3]),
+    ])
+    def test_bad_entry_is_data_error(self, file, entry, edit, dataset, trained, tmp_path,
+                                     capsys):
+        ckpt = ModelCheckpoint.load(trained / "checkpoints" / f"{file}.ckpt")
+        ckpt.params[entry] = edit(ckpt.params[entry])
+        ckpt.save(tmp_path / "bad.ckpt")
+        assert main(["report", *model_args(trained / "checkpoints",
+                                           **{file: tmp_path / "bad.ckpt"}),
+                     "--image", str(dataset / "images" / "case0001.pgm"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and entry in err
+
+    def test_keyword_projection_dim(self, dataset, trained, tmp_path, capsys):
+        ckpt = ModelCheckpoint.load(trained / "checkpoints" / "decoder.ckpt")
+        for entry in ("kw_proj.weight", "kw_proj.bias"):
+            ckpt.params[entry] = ckpt.params[entry][:-1]
+        ckpt.save(tmp_path / "bad.ckpt")
+        assert main(["report", *model_args(trained / "checkpoints", decoder=tmp_path / "bad.ckpt"),
+                     "--image", str(dataset / "images" / "case0001.pgm"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "keyword projection output dim != decoder input dim: 31 != 32" \
+            in capsys.readouterr().err
+
+
+class TestTopk:
+    """--topk is parsed before any file is read: a bad list is a usage error."""
+
+    @pytest.mark.parametrize("command, topk", [
+        ("evaluate", "1,x"), ("evaluate", "0"), ("report", "0"), ("score", "1,0"),
+    ])
+    def test_bad_topk_is_usage_error(self, command, topk, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        files = {"evaluate": ["--manifest", missing, "--encoder", missing, "--decoder", missing,
+                              "--vocab", missing, "--kw-vocab", missing, "--out", missing],
+                 "report": ["--image", missing, "--encoder", missing, "--decoder", missing,
+                            "--vocab", missing, "--kw-vocab", missing, "--out", missing],
+                 "score": ["--cand", missing, "--refs", missing]}[command]
+        assert main([command, *files, "--topk", topk]) == 1
+        assert "--topk: expected a positive integer" in capsys.readouterr().err
+
+
+class TestUnknownKeywords:
+    """Keywords outside the keyword vocabulary add nothing, with one stderr line."""
+
+    def test_report_ignores_and_names_them(self, dataset, trained, tmp_path, capsys):
+        outs = []
+        for keywords in ("dot hemorrhages", "dot hemorrhages, zzz, aaa"):
+            assert main(["report", *model_args(trained / "checkpoints"),
+                         "--image", str(dataset / "images" / "case0001.pgm"),
+                         "--keywords", keywords, "--out", str(tmp_path / "out")]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == ""
+        assert outs[1].err == "ignored keywords not in the keyword vocabulary: aaa, zzz\n"
+        assert outs[1].out == outs[0].out.replace(
+            "Keywords: dot hemorrhages", "Keywords: dot hemorrhages, zzz, aaa")
+
+    def test_evaluate_names_them(self, dataset, trained, tmp_path, capsys):
+        records = json.loads((dataset / "manifest.json").read_text())
+        for rec in records:
+            rec["image_path"] = str(dataset / rec["image_path"])
+            if rec.get("split") == "test":
+                rec["keywords"] = rec["keywords"] + ["zzz"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records))
+        assert main(["evaluate", "--manifest", str(manifest),
+                     *model_args(trained / "checkpoints"), "--topk", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err == "ignored keywords not in the keyword vocabulary: zzz\n"
 
 
 class TestScore:

@@ -25,6 +25,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(num_classes=1)
 
+    @pytest.mark.parametrize("values", [
+        [2, 3, 32],  # fewer than the 4 header values
+        [2, 3, 32, 1, 8, 3, 1],  # one stage declared, 3 of its 4 values present
+        [2, 3, 32, 2, 8, 3, 1, 2],  # two stages declared, one present
+        [2, 3, 32, 1, 8, 3, 0, 2],  # stride 0
+        [2, 3, 32, 1, 8, 3, 1, np.nan],
+    ])
+    def test_from_array_rejects_malformed_values(self, values):
+        with pytest.raises(DataError, match="encoder.config"):
+            EncoderConfig.from_array(np.array(values, dtype=np.float64))
+
+    def test_image_size_is_bounded(self):
+        # from_array and from_checkpoint only read the config, so this
+        # allocates nothing at any image size
+        cfg = EncoderConfig(num_classes=2, stages=((4, 3, 1, 2),))
+        ckpt = VisionEncoder.init(cfg, Xoshiro256(0)).to_checkpoint()
+        ckpt.params["encoder.config"][2] = 10**9
+        with pytest.raises(DataError, match="image_size"):
+            EncoderConfig.from_array(ckpt.params["encoder.config"])
+        with pytest.raises(DataError, match="image_size"):
+            VisionEncoder.from_checkpoint(ckpt)
+
     def test_array_round_trip(self):
         cfg = EncoderConfig(num_classes=7, input_channels=1, image_size=24,
                             stages=((4, 3, 1, 2), (8, 5, 2, 2)))

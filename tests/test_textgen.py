@@ -99,11 +99,15 @@ class TestKeywordEmbedding:
         got = embed_keywords(["a", "b", "c"], kw_vocab, proj.weight, proj.bias)
         assert np.allclose(got.data, want, atol=1e-12)
 
-    def test_unknown_keyword_maps_to_unk_slot(self):
-        kw_vocab = build_vocabulary([["a"]])
-        m = keyword_multihot(["mystery"], kw_vocab)
-        assert m[UNK] == 1.0
-        assert m.sum() == 1.0
+    def test_unknown_keyword_adds_nothing(self):
+        # the <unk> column of a trained projection is never trained, so an
+        # unknown keyword must not reach it
+        kw_vocab = build_vocabulary([["soft drusen"], ["hard exudates"]])
+        assert keyword_multihot(["mystery"], kw_vocab).sum() == 0.0
+        proj = KeywordProjection.init(Xoshiro256(4), kw_vocab.size, 4)
+        with_unknown = embed_keywords(["soft drusen", "zzz"], kw_vocab, proj.weight, proj.bias)
+        known_only = embed_keywords(["soft drusen"], kw_vocab, proj.weight, proj.bias)
+        assert np.array_equal(with_unknown.data, known_only.data)
 
 
 class TestFusion:

@@ -1,9 +1,9 @@
 import pytest
 
-from retinapipe.autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
+from retinapipe.autodiff import SgdConfig
 from retinapipe.data import generate_synthetic_dataset, split_dataset
 from retinapipe.errors import DataError
-from retinapipe.textgen import Vocabulary, build_vocabulary
+from retinapipe.textgen import build_vocabulary
 from retinapipe.training import (
     TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
     load_train_config, lr_schedule, save_train_config, train_captioner,
