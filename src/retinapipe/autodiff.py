@@ -355,9 +355,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # loss
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    z = logits - m
-    return z - np.log(np.exp(z).sum())
+    """Log-softmax over the last axis (each row of a B x V matrix on its own)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax_np(logits: np.ndarray) -> np.ndarray:
@@ -411,23 +411,32 @@ class LstmParams:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Stable logistic without masks: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def matvec_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row b of the result is w @ x[b], bit for bit.
+
+    A plain x @ w.T GEMM sums in another order and can differ in the last bits;
+    the stacked form runs the same matrix-vector product once per row.
+    """
+    return (w[None] @ x[:, :, None])[:, :, 0]
 
 
 def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
                  x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """Pure-numpy LSTM step; shared by the taped op and tape-free decoding."""
+    """Pure-numpy LSTM step over a batch: x is B x D, h and c are B x H.
+
+    The one LSTM cell: the taped op, greedy decoding, beam search and
+    sequence_log_prob all run it, each row exactly as a lone vector would.
+    """
     hid = b.shape[0] // 4
-    a = wx @ x + wh @ h + b
-    i = _sigmoid_np(a[:hid])
-    f = _sigmoid_np(a[hid : 2 * hid])
-    o = _sigmoid_np(a[2 * hid : 3 * hid])
-    g = np.tanh(a[3 * hid :])
+    a = matvec_rows(wx, x) + matvec_rows(wh, h) + b
+    ifo = _sigmoid_np(a[:, : 3 * hid])  # the three sigmoid gates in one pass
+    i, f, o = ifo[:, :hid], ifo[:, hid : 2 * hid], ifo[:, 2 * hid :]
+    g = np.tanh(a[:, 3 * hid :])
     c2 = f * c + i * g
     t = np.tanh(c2)
     h2 = o * t
@@ -441,10 +450,11 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tens
         raise ShapeError(f"lstm_step: input shape {x.data.shape} != ({d},)")
     if h.data.shape != (hid,) or c.data.shape != (hid,):
         raise ShapeError(f"lstm_step: state shapes {h.data.shape}/{c.data.shape} != ({hid},)")
-    h2, c2, (i, f, o, g, t) = lstm_cell_np(
-        params.wx.data, params.wh.data, params.b.data, x.data, h.data, c.data
+    h2, c2, gates = lstm_cell_np(
+        params.wx.data, params.wh.data, params.b.data, x.data[None], h.data[None], c.data[None]
     )
-    out_h, out_c = Tensor(h2), Tensor(c2)
+    i, f, o, g, t = (v[0] for v in gates)
+    out_h, out_c = Tensor(h2[0]), Tensor(c2[0])
 
     def bwd(gs):
         gh, gc = gs

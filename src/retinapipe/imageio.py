@@ -16,6 +16,10 @@ from .errors import DataError
 MODALITY_FA = "FA"
 MODALITY_CFP = "CFP"
 
+# Largest PNG accepted, in pixels (a 4096 x 4096 fundus photograph); the header
+# is checked against it before any IDAT byte is inflated.
+MAX_PNG_PIXELS = 4096 * 4096
+
 
 @dataclass
 class RetinalImage:
@@ -68,9 +72,16 @@ def _read_pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pnm(path) -> RetinalImage:
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
-        data = f.read()
+        return f.read()
+
+
+def read_pnm(path) -> RetinalImage:
+    return _decode_pnm(_read_bytes(path), path)
+
+
+def _decode_pnm(data: bytes, path) -> RetinalImage:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
@@ -120,13 +131,15 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 
 def read_png(path) -> RetinalImage:
-    with open(path, "rb") as f:
-        data = f.read()
+    return _decode_png(_read_bytes(path), path)
+
+
+def _decode_png(data: bytes, path) -> RetinalImage:
     if data[:8] != _PNG_SIG:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
     ihdr = None
-    idat = b""
+    idat = []
     while pos < len(data):
         if pos + 8 > len(data):
             raise DataError(f"{path}: truncated chunk header at offset {pos}")
@@ -141,7 +154,7 @@ def read_png(path) -> RetinalImage:
         if ctype == b"IHDR":
             ihdr = body
         elif ctype == b"IDAT":
-            idat += body
+            idat.append(body)
         elif ctype == b"IEND":
             break
         pos += 12 + length
@@ -158,14 +171,24 @@ def read_png(path) -> RetinalImage:
         raise DataError(f"{path}: interlaced PNG not supported")
     if comp != 0 or filt != 0:
         raise DataError(f"{path}: unsupported compression/filter method")
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: empty image {width}x{height}")
+    if width * height > MAX_PNG_PIXELS:
+        raise DataError(f"{path}: {width}x{height} image exceeds {MAX_PNG_PIXELS} pixels")
     channels = 1 if color == 0 else 3
+    stride = width * channels
+    expected = (stride + 1) * height
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(idat)
+        raw = inflater.decompress(b"".join(idat), expected + 1)  # never more than one byte over
     except zlib.error as e:
         raise DataError(f"{path}: corrupt IDAT stream: {e}") from e
-    stride = width * channels
-    if len(raw) != (stride + 1) * height:
-        raise DataError(f"{path}: decompressed size {len(raw)} != expected {(stride + 1) * height}")
+    if len(raw) > expected:
+        raise DataError(f"{path}: IDAT stream inflates past the expected {expected} bytes")
+    if len(raw) != expected:
+        raise DataError(f"{path}: decompressed size {len(raw)} != expected {expected}")
+    if not inflater.eof:
+        raise DataError(f"{path}: corrupt IDAT stream: incomplete or truncated stream")
     out = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.int32)
     bpp = channels
@@ -236,14 +259,13 @@ def write_png(path, pixels: np.ndarray) -> None:
 
 
 def load_image(path) -> RetinalImage:
-    """Dispatch on magic bytes: PGM/PPM or PNG."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-    if magic[:2] in (b"P5", b"P6"):
-        return read_pnm(path)
-    if magic == _PNG_SIG:
-        return read_png(path)
-    raise DataError(f"{path}: unsupported image format (magic {magic[:4]!r})")
+    """Read the file once and dispatch on its magic bytes: PGM/PPM or PNG."""
+    data = _read_bytes(path)
+    if data[:2] in (b"P5", b"P6"):
+        return _decode_pnm(data, path)
+    if data[:8] == _PNG_SIG:
+        return _decode_png(data, path)
+    raise DataError(f"{path}: unsupported image format (magic {data[:4]!r})")
 
 
 # ---------------------------------------------------------------------------

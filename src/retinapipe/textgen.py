@@ -3,6 +3,7 @@ feature fusion, teacher-forced LSTM loss, and greedy/beam decoding."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,24 +251,30 @@ class Hypothesis:
 
 
 class _DecoderState:
-    """Tape-free forward pass over raw numpy parameter views."""
+    """Tape-free forward pass over raw numpy parameter views; states are B x H."""
 
     def __init__(self, params: DecoderParams):
         self.emb, self.wx, self.wh, self.b, self.ow, self.ob = (p.data for p in params.parameters())
         self.hidden = params.hidden_size
 
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    def step(self, tokens, h: np.ndarray, c: np.ndarray):
+        """Feed tokens[b] to row b of the state."""
+        return self._cell(self.emb[tokens], h, c)
+
+    def _cell(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         h2, c2, _ = ad.lstm_cell_np(self.wx, self.wh, self.b, x, h, c)
         return h2, c2
 
     def start_state(self, fused: np.ndarray):
-        h = np.zeros(self.hidden)
-        c = np.zeros(self.hidden)
-        h, c = self.step(fused, h, c)
-        return self.step(self.emb[START], h, c)
+        """The 1 x H state after the fused feature and START."""
+        h = np.zeros((1, self.hidden))
+        c = np.zeros((1, self.hidden))
+        h, c = self._cell(fused[None], h, c)
+        return self.step([START], h, c)
 
     def log_probs(self, h: np.ndarray) -> np.ndarray:
-        return ad.log_softmax_np(self.ow @ h + self.ob)
+        """B x V next-token log-probabilities."""
+        return ad.log_softmax_np(ad.matvec_rows(self.ow, h) + self.ob)
 
 
 def _as_array(fused) -> np.ndarray:
@@ -283,49 +290,58 @@ def decode_greedy(fused, params: DecoderParams, max_len: int) -> Hypothesis:
     tokens: list[int] = []
     log_prob = 0.0
     while True:
-        lp = dec.log_probs(h)
+        lp = dec.log_probs(h)[0]
         tok = int(np.argmax(lp))
         tokens.append(tok)
         log_prob += float(lp[tok])
         if tok == END or len(tokens) >= max_len:
             return Hypothesis(tokens=tuple(tokens), log_prob=log_prob, finished=True)
-        h, c = dec.step(dec.emb[tok], h, c)
+        h, c = dec.step([tok], h, c)
 
 
 def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[Hypothesis]:
     """Beam search over cumulative log-probability.
 
-    Finished hypotheses are set aside and never expanded; ties among
-    candidates break toward the lexicographically smaller token sequence.
+    Each step scores every live hypothesis at once (a B x V matrix) and keeps
+    the best `width` candidates; ties break toward the lexicographically
+    smaller token sequence. Finished hypotheses are set aside and never
+    expanded. The search stops once `width` finished hypotheses all score
+    strictly above the best live one: a token's log-probability is never
+    positive, so no live hypothesis can reach the top `width` any more.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     dec = _DecoderState(params)
-    h0, c0 = dec.start_state(_as_array(fused))
+    h, c = dec.start_state(_as_array(fused))
     vocab = params.vocab_size
-    live: list[tuple[float, tuple[int, ...], np.ndarray, np.ndarray]] = [(0.0, (), h0, c0)]
+    live_lp, live_toks = [0.0], [()]  # cumulative log-prob and tokens of each row of h and c
     finished: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(max_len):
-        candidates: list[tuple[float, tuple[int, ...], int]] = []
-        for idx, (lp, toks, h, c) in enumerate(live):
-            step_lp = dec.log_probs(h)
-            for tok in range(vocab):
-                candidates.append((lp + float(step_lp[tok]), toks + (tok,), idx))
-        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-        next_live = []
-        for lp, toks, idx in candidates[:width]:  # top-B overall
+    for step in range(max_len):
+        scores = (np.array(live_lp)[:, None] + dec.log_probs(h)).ravel()
+        if width < scores.size:
+            # every candidate that can make the top `width`, ties included
+            kth = np.partition(scores, scores.size - width)[scores.size - width]
+            picks = np.flatnonzero(scores >= kth)
+        else:
+            picks = np.arange(scores.size)
+        candidates = sorted(
+            (-float(scores[j]), live_toks[j // vocab] + (j % vocab,), j // vocab) for j in picks)
+        rows, live_toks, live_lp = [], [], []
+        for neg_lp, toks, row in candidates[:width]:
             if toks[-1] == END:
-                finished.append((lp, toks))
+                finished.append((-neg_lp, toks))
             else:
-                h, c = live[idx][2], live[idx][3]
-                h2, c2 = dec.step(dec.emb[toks[-1]], h, c)
-                next_live.append((lp, toks, h2, c2))
-        live = next_live
-        if not live:
+                rows.append(row)
+                live_toks.append(toks)
+                live_lp.append(-neg_lp)
+        if not rows or step + 1 == max_len:
             break
-    finished.extend((lp, toks) for lp, toks, _, _ in live)  # max_len reached
+        if len(finished) >= width and heapq.nlargest(width, (f[0] for f in finished))[-1] > live_lp[0]:
+            break  # decided
+        h, c = dec.step([toks[-1] for toks in live_toks], h[rows], c[rows])
+    finished.extend(zip(live_lp, live_toks))  # max_len reached, or ranked out when decided
     finished.sort(key=lambda f: (-f[0], f[1]))
     return [
         Hypothesis(tokens=toks, log_prob=lp, finished=True)
@@ -339,7 +355,7 @@ def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> 
     h, c = dec.start_state(_as_array(fused))
     total = 0.0
     for i, tok in enumerate(tokens):
-        total += float(dec.log_probs(h)[tok])
+        total += float(dec.log_probs(h)[0, tok])
         if i + 1 < len(tokens):
-            h, c = dec.step(dec.emb[tok], h, c)
+            h, c = dec.step([tok], h, c)
     return total

@@ -180,6 +180,9 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
         raise ValueError("need at least 2 disease classes")
     if init_checkpoint is not None:
         encoder = VisionEncoder.from_checkpoint(init_checkpoint)
+        if encoder.config.num_classes != len(classes):
+            raise DataError("manifest classes != warm-start encoder classes: "
+                            f"{len(classes)} != {encoder.config.num_classes}")
     else:
         config = EncoderConfig(
             num_classes=len(classes), input_channels=cfg.input_channels,

@@ -9,12 +9,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import (
-    LstmParams, SgdConfig, Tape, Tensor, backward, finite_difference_check,
-    glorot_uniform, sgd_step, zero_grads,
+    SgdConfig, Tape, Tensor, backward, finite_difference_check, glorot_uniform,
+    sgd_step, zero_grads,
 )
 from retinapipe.cam import compute_cam
 from retinapipe.checkpoint import ModelCheckpoint
@@ -23,10 +22,10 @@ from retinapipe.data import (
     generate_synthetic_dataset, parse_manifest, save_manifest, split_dataset,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
-from retinapipe.metrics import bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l
+from retinapipe.metrics import bleu_corpus, cider, precision_at_k, rouge_l
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
+    END, START, DecoderParams, KeywordProjection, build_vocabulary,
     caption_loss, decode_beam, decode_greedy, embed_keywords, fuse_features,
     sequence_log_prob,
 )

@@ -6,7 +6,7 @@ import pytest
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import (
     LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward,
-    finite_difference_check, sgd_step, zero_grads,
+    finite_difference_check, sgd_step,
 )
 from retinapipe.rng import Xoshiro256
 

@@ -323,6 +323,27 @@ class TestCrossFileChecks:
         assert self.run("report", dataset, trained, tmp_path, manifest=manifest) == 2
         assert "manifest classes != encoder classes: 2 != 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest_classes, encoder_classes", [(3, 4), (4, 3)])
+    def test_warm_start_class_count(self, manifest_classes, encoder_classes, dataset,
+                                    tmp_path, capsys, monkeypatch):
+        records = json.loads((dataset / "manifest.json").read_text())
+        for i, rec in enumerate(records):
+            rec["disease"] = f"disease {i % manifest_classes}"
+        manifest = tmp_path / "relabelled.json"
+        manifest.write_text(json.dumps(records))
+        encoder = tmp_path / "init.ckpt"
+        VisionEncoder.init(EncoderConfig(num_classes=encoder_classes), Xoshiro256(0)) \
+            .to_checkpoint().save(encoder)
+
+        def no_images(path):  # the check must come before any image is read
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("retinapipe.training.load_image", no_images)
+        assert main(["train-rdi", "--manifest", str(manifest), "--init", str(encoder),
+                     "--out", str(tmp_path / "out"), "--epochs", "1"]) == 2
+        assert (f"manifest classes != warm-start encoder classes: "
+                f"{manifest_classes} != {encoder_classes}") in capsys.readouterr().err
+
 
 class TestMalformedModelFiles:
     """A checkpoint entry of the wrong shape fails at load time with exit 2."""

@@ -1,11 +1,24 @@
+import builtins
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    RetinalImage, load_image, read_png, read_pnm, resize_bilinear, write_png,
-    write_pnm,
+    MAX_PNG_PIXELS, RetinalImage, load_image, read_png, read_pnm, resize_bilinear,
+    write_png, write_pnm,
 )
+
+
+def png_bytes(width: int, height: int, idat: bytes) -> bytes:
+    """An 8-bit gray PNG with the given header size and IDAT payload."""
+    def chunk(ctype, body):
+        return len(body).to_bytes(4, "big") + ctype + body + zlib.crc32(ctype + body).to_bytes(4, "big")
+    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
+            + chunk(b"IEND", b""))
 
 
 class TestPnm:
@@ -111,6 +124,60 @@ class TestPng:
         path.write_bytes(b"\x00" * 32)
         with pytest.raises(DataError, match="unsupported image format"):
             load_image(path)
+
+    def test_decompression_bomb_rejected_in_bounded_memory(self, tmp_path):
+        # a 16x16 header over an IDAT stream that inflates to 64 MiB
+        deflate = zlib.compressobj(9)
+        block = bytes(1 << 20)
+        idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+        path = tmp_path / "bomb.png"
+        path.write_bytes(png_bytes(16, 16, idat))
+        assert path.stat().st_size < 100_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="inflates past the expected 272 bytes"):
+                load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(idat)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0)])
+    def test_empty_image_rejected(self, width, height, tmp_path):
+        path = tmp_path / "empty.png"
+        path.write_bytes(png_bytes(width, height, zlib.compress(b"")))
+        with pytest.raises(DataError, match="empty image"):
+            read_png(path)
+
+    def test_pixel_cap_checked_before_inflating(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.png"
+        path.write_bytes(png_bytes(MAX_PNG_PIXELS + 1, 1, zlib.compress(b"\x00")))
+        monkeypatch.setattr(zlib, "decompressobj", None)  # any inflate attempt fails the test
+        with pytest.raises(DataError, match=f"exceeds {MAX_PNG_PIXELS} pixels"):
+            read_png(path)
+
+    def test_truncated_stream_rejected(self, tmp_path):
+        stream = zlib.compress(bytes(4 * 5))
+        path = tmp_path / "cut.png"
+        path.write_bytes(png_bytes(4, 4, stream[:-4]))  # all pixels, no checksum
+        with pytest.raises(DataError, match="truncated stream"):
+            read_png(path)
+
+    @pytest.mark.parametrize("name, pixels", [
+        ("a.png", np.arange(12, dtype=np.uint8).reshape(3, 4)),
+        ("a.pgm", np.arange(12, dtype=np.uint8).reshape(3, 4)),
+    ])
+    def test_load_image_opens_file_once(self, name, pixels, tmp_path, monkeypatch):
+        path = tmp_path / name
+        if name.endswith(".png"):
+            write_png(path, pixels)
+        else:
+            write_pnm(path, RetinalImage(pixels=pixels))
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+        assert np.array_equal(load_image(path).pixels[:, :, 0], pixels)
+        assert opened == [path]
 
     def test_write_is_deterministic(self, tmp_path):
         px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)

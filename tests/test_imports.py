@@ -1,13 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 The project depends on no linter, so this test is the check that keeps dead
-imports out of `src/retinapipe/`.
+imports out of `src/retinapipe/` and `tests/`.
 """
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "retinapipe"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCANNED = sorted([*(ROOT / "src" / "retinapipe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +32,6 @@ def unused_imports(source: str) -> list[str]:
 def test_no_unused_imports():
     assert unused_imports("import os\nfrom x import a, b as c\nc()\n") == ["a", "os"]
     assert unused_imports("from m import T\ndef f() -> 'T': pass\n") == []
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
+             for path in SCANNED}
     assert {name: names for name, names in found.items() if names} == {}

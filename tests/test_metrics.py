@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retinapipe.metrics import (
-    MetricReport, bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l,
-    rouge_l_corpus, score_captions,
+    bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l, score_captions,
 )
 from retinapipe.rng import Xoshiro256
 

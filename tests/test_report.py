@@ -4,8 +4,7 @@ import pytest
 
 from retinapipe.data import CaseRecord
 from retinapipe.report import (
-    EMPTY_CELL, MedicalReport, build_report, format_probability, render_html,
-    render_text,
+    EMPTY_CELL, build_report, format_probability, render_html, render_text,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

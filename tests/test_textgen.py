@@ -9,7 +9,7 @@ from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
 from retinapipe.errors import DataError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, PAD, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
+    END, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
     build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize,
     embed_keywords, fuse_features, keyword_multihot, sequence_log_prob,
     tokenize,
@@ -212,6 +212,134 @@ def enumerate_best(fused, dec, max_len):
     for tok in range(vocab):
         extend((tok,))
     return best[1], -best[0]
+
+
+def reference_beam(fused, dec, width, max_len):
+    """Beam search one hypothesis at a time: a lone LSTM cell and log-softmax per
+    live hypothesis, a full sort of every candidate, no early stop."""
+    emb, wx, wh, b, ow, ob = (p.data for p in dec.parameters())
+
+    def step(x, h, c):
+        h2, c2, _ = ad.lstm_cell_np(wx, wh, b, x[None], h, c)
+        return h2, c2
+
+    zeros = np.zeros((1, dec.hidden_size))
+    h, c = step(np.asarray(fused), zeros, zeros)
+    live = [(0.0, (), *step(emb[START], h, c))]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for idx, (lp, toks, h, _) in enumerate(live):
+            step_lp = ad.log_softmax_np(ow @ h[0] + ob)
+            candidates += [(lp + float(step_lp[tok]), toks + (tok,), idx)
+                           for tok in range(dec.vocab_size)]
+        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+        next_live = []
+        for lp, toks, idx in candidates[:width]:
+            if toks[-1] == END:
+                finished.append((lp, toks))
+            else:
+                next_live.append((lp, toks, *step(emb[toks[-1]], *live[idx][2:])))
+        live = next_live
+        if not live:
+            break
+    finished += [(lp, toks) for lp, toks, _, _ in live]
+    finished.sort(key=lambda f: (-f[0], f[1]))
+    return [(toks, lp.hex()) for lp, toks in finished[:width]]
+
+
+def beam_bits(hyps):
+    return [(h.tokens, h.log_prob.hex()) for h in hyps]
+
+
+def random_decoder(seed, all_tie=False):
+    rng = Xoshiro256(200 + seed)
+    vocab, dim = 4 + seed % 3, 3
+    dec = DecoderParams.init(rng, vocab, dim, 2 + seed % 4)
+    if all_tie:  # every token equally likely at every step
+        dec.out_w.data[:] = 0.0
+        dec.out_b.data[:] = 0.0
+    return dec, np.asarray(rng.uniform(-1, 1, (dim,)))
+
+
+class CellCounter:
+    """Wraps ad.lstm_cell_np, counting calls and hypothesis rows stepped."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.rows = 0
+        cell = ad.lstm_cell_np
+
+        def counted(wx, wh, b, x, h, c):
+            self.calls += 1
+            self.rows += x.shape[0]
+            return cell(wx, wh, b, x, h, c)
+
+        monkeypatch.setattr(ad, "lstm_cell_np", counted)
+
+
+class TestBatchedBeam:
+    @pytest.mark.parametrize("all_tie", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_bit_for_bit(self, seed, all_tie):
+        dec, fused = random_decoder(seed, all_tie)
+        max_len = 3
+        for width in (1, 3, dec.vocab_size ** max_len):
+            got = beam_bits(decode_beam(fused, dec, width, max_len))
+            assert got == reference_beam(fused, dec, width, max_len), width
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_on_longer_captions(self, seed):
+        # finished and live hypotheses mix, so the early stop is put to the test
+        dec, fused = random_decoder(seed)
+        dec.out_w.data *= 1 + 2 * (seed % 3)  # sharper distributions for some seeds
+        for width in (1, 2, 3, 4):
+            got = beam_bits(decode_beam(fused, dec, width, 8))
+            assert got == reference_beam(fused, dec, width, 8), width
+
+    def test_early_stop_saves_cells_with_same_output(self, monkeypatch):
+        dec, fused = random_decoder(1)
+        dec.out_b.data[END] += 3.0  # hypotheses finish early, but some stay live
+        width, max_len = 3, 12
+        want = reference_beam(fused, dec, width, max_len)
+        ref = CellCounter(monkeypatch)
+        reference_beam(fused, dec, width, max_len)
+        beam = CellCounter(monkeypatch)
+        assert beam_bits(decode_beam(fused, dec, width, max_len)) == want
+        assert ref.rows >= 2 + max_len  # some hypothesis stays live up to max_len
+        # without the stop: 2 start cells, then one per step up to max_len
+        assert beam.calls < 2 + (max_len - 1)
+        assert beam.rows < ref.rows
+
+    def test_batched_cell_matches_lone_rows(self):
+        rng = Xoshiro256(7)
+        cell = ad.LstmParams.init(rng, 5, 6)
+        x, h, c = (np.asarray(rng.uniform(-2, 2, (4, n))) for n in (5, 6, 6))
+        params = (cell.wx.data, cell.wh.data, cell.b.data)
+        batched = ad.lstm_cell_np(*params, x, h, c)
+        for row in range(4):
+            lone = ad.lstm_cell_np(*params, x[row:row + 1], h[row:row + 1], c[row:row + 1])
+            assert np.array_equal(batched[0][row], lone[0][0])
+            assert np.array_equal(batched[1][row], lone[1][0])
+            assert np.array_equal(ad.matvec_rows(cell.wx.data, x)[row], cell.wx.data @ x[row])
+
+
+def masked_sigmoid(x):
+    """The boolean-mask sigmoid that ad._sigmoid_np replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_branch_free_sigmoid_matches_masked_form():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(0.0, 20.0, 20000), rng.normal(0.0, 1e-3, 1000),
+                        [0.0, -0.0, 5e-324, -5e-324, 709.0, -745.0, 1e308, -1e308,
+                         np.inf, -np.inf]])
+    for arr in (x, x.reshape(-1, 1)[::3]):
+        assert np.array_equal(ad._sigmoid_np(arr).view(np.uint64), masked_sigmoid(arr).view(np.uint64))
 
 
 class TestDecoding:
