@@ -74,9 +74,8 @@ def overlay(image: RetinalImage, heatmap: Heatmap, alpha: float) -> np.ndarray:
             f"heatmap {heatmap.values.shape} does not match image "
             f"{(image.height, image.width)}"
         )
-    gray = image.pixels.astype(np.float64).mean(axis=2) / 255.0
-    base = np.repeat(gray[:, :, None], 3, axis=2)
-    blended = (1.0 - alpha) * base + alpha * colormap(heatmap.values)
+    gray = image.pixels.mean(axis=2, dtype=np.float64) / 255.0
+    blended = (1.0 - alpha) * gray[:, :, None] + alpha * colormap(heatmap.values)
     return np.rint(blended * 255.0).astype(np.uint8)
 
 

@@ -95,8 +95,10 @@ def _decode_pnm(data: bytes, path) -> RetinalImage:
         except ValueError as e:
             raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}") from e
     width, height, maxval = fields
-    if maxval > 255 or maxval < 1:
-        raise DataError(f"{path}: unsupported maxval {maxval} (only 8-bit supported)")
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: empty image {width}x{height}")
+    if maxval != 255:
+        raise DataError(f"{path}: unsupported maxval {maxval} (only 8-bit, maxval 255, supported)")
     pos += 1  # single whitespace byte after maxval
     nbytes = width * height * channels
     raster = data[pos : pos + nbytes]
@@ -130,6 +132,19 @@ def _paeth(a: int, b: int, c: int) -> int:
     return c
 
 
+def _unfilter_row(ftype: int, line: list, prev: list, bpp: int) -> list:
+    """Undo the Avg (3) or Paeth (4) filter of one row, on Python ints."""
+    cur = [0] * bpp + line  # bpp zero bytes stand for the pixel left of the row
+    up = [0] * bpp + prev
+    if ftype == 3:
+        for x in range(bpp, len(cur)):
+            cur[x] = (cur[x] + ((cur[x - bpp] + up[x]) >> 1)) & 0xFF
+    else:
+        for x in range(bpp, len(cur)):
+            cur[x] = (cur[x] + _paeth(cur[x - bpp], up[x], up[x - bpp])) & 0xFF
+    return cur[bpp:]
+
+
 def read_png(path) -> RetinalImage:
     return _decode_png(_read_bytes(path), path)
 
@@ -160,6 +175,8 @@ def _decode_png(data: bytes, path) -> RetinalImage:
         pos += 12 + length
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR chunk")
+    if len(ihdr) != 13:
+        raise DataError(f"{path}: IHDR chunk is {len(ihdr)} bytes, expected 13")
     width = int.from_bytes(ihdr[0:4], "big")
     height = int.from_bytes(ihdr[4:8], "big")
     depth, color, comp, filt, interlace = ihdr[8:13]
@@ -189,35 +206,25 @@ def _decode_png(data: bytes, path) -> RetinalImage:
         raise DataError(f"{path}: decompressed size {len(raw)} != expected {expected}")
     if not inflater.eof:
         raise DataError(f"{path}: corrupt IDAT stream: incomplete or truncated stream")
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int32)
-    bpp = channels
-    for y in range(height):
-        ftype = raw[y * (stride + 1)]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=y * (stride + 1) + 1).astype(np.int32)
-        if ftype == 0:
-            cur = line
-        elif ftype == 1:
-            cur = line.copy()
-            for x in range(bpp, stride):
-                cur[x] = (cur[x] + cur[x - bpp]) & 0xFF
-        elif ftype == 2:
-            cur = (line + prev) & 0xFF
-        elif ftype == 3:
-            cur = line.copy()
-            for x in range(stride):
-                left = cur[x - bpp] if x >= bpp else 0
-                cur[x] = (cur[x] + (left + prev[x]) // 2) & 0xFF
-        elif ftype == 4:
-            cur = line.copy()
-            for x in range(stride):
-                left = cur[x - bpp] if x >= bpp else 0
-                up_left = prev[x - bpp] if x >= bpp else 0
-                cur[x] = (cur[x] + _paeth(int(left), int(prev[x]), int(up_left))) & 0xFF
-        else:
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    filters = rows[:, 0].tolist()
+    for y, ftype in enumerate(filters):
+        if ftype > 4:
             raise DataError(f"{path}: unknown filter type {ftype} on row {y}")
-        out[y] = cur.astype(np.uint8)
-        prev = cur
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for y, ftype in enumerate(filters):
+        line = rows[y, 1:]
+        if ftype == 0:
+            out[y] = line
+        elif ftype == 1:  # addition mod 256 is associative, so a wrapping cumsum is exact
+            np.cumsum(line.reshape(width, channels), axis=0, dtype=np.uint8,
+                      out=out[y].reshape(width, channels))
+        elif ftype == 2:
+            np.add(line, prev, out=out[y])
+        else:  # Avg and Paeth read the byte just decoded to their left, so they stay sequential
+            out[y] = _unfilter_row(ftype, line.tolist(), prev.tolist(), channels)
+        prev = out[y]
     px = out.reshape(height, width, channels)
     return RetinalImage(pixels=px)
 

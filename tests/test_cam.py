@@ -141,14 +141,17 @@ class TestOverlay:
         assert np.array_equal(out, want)
 
     def test_blend_matches_convex_combination_oracle(self):
-        img = self.rgb_image(4, 4, seed=3)
-        vals = np.random.default_rng(4).random((4, 4))
-        alpha = 0.4
-        out = overlay(img, Heatmap(vals, normalized=True), alpha)
-        gray = img.pixels.astype(np.float64).mean(axis=2) / 255.0
-        base = np.repeat(gray[:, :, None], 3, axis=2)
-        want = np.rint(((1 - alpha) * base + alpha * colormap(vals)) * 255.0)
-        assert np.array_equal(out, want.astype(np.uint8))
+        # the oracle is the reference formula; the overlay must equal it bit for bit
+        rng = np.random.default_rng(3)
+        for h, w, channels in [(4, 4, 3), (256, 256, 3), (9, 7, 1)]:
+            img = RetinalImage(pixels=rng.integers(0, 256, (h, w, channels), dtype=np.uint8))
+            vals = rng.random((h, w))
+            gray = img.pixels.astype(np.float64).mean(axis=2) / 255.0
+            base = np.repeat(gray[:, :, None], 3, axis=2)
+            for alpha in (0.0, 0.3, 0.4, 0.5, 1.0):
+                out = overlay(img, Heatmap(vals, normalized=True), alpha)
+                want = np.rint(((1 - alpha) * base + alpha * colormap(vals)) * 255.0)
+                assert np.array_equal(out, want.astype(np.uint8))
 
     def test_unnormalized_rejected(self):
         img = self.rgb_image(2, 2)

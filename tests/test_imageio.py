@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
@@ -12,13 +13,57 @@ from retinapipe.imageio import (
 )
 
 
+PNG_SIG = b"\x89PNG\r\n\x1a\n"
+
+
+def png_chunk(ctype: bytes, body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + ctype + body + zlib.crc32(ctype + body).to_bytes(4, "big")
+
+
+def ihdr_body(width: int, height: int, channels: int = 1) -> bytes:
+    color = 0 if channels == 1 else 2
+    return width.to_bytes(4, "big") + height.to_bytes(4, "big") + bytes([8, color, 0, 0, 0])
+
+
+def png_file(ihdr: bytes, idat: bytes) -> bytes:
+    return PNG_SIG + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat) + png_chunk(b"IEND", b"")
+
+
 def png_bytes(width: int, height: int, idat: bytes) -> bytes:
     """An 8-bit gray PNG with the given header size and IDAT payload."""
-    def chunk(ctype, body):
-        return len(body).to_bytes(4, "big") + ctype + body + zlib.crc32(ctype + body).to_bytes(4, "big")
-    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
-            + chunk(b"IEND", b""))
+    return png_file(ihdr_body(width, height), idat)
+
+
+def spec_paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def filtered_scanlines(pixels: np.ndarray, row_filters) -> bytes:
+    """Filter byte plus filtered row for each row, as RFC 2083 §6 defines them:
+    every predictor reads the original pixels, left (a), up (b) and up-left (c)."""
+    height, width, channels = pixels.shape
+    rows = pixels.reshape(height, width * channels).tolist()
+    out = bytearray()
+    for y, ftype in enumerate(row_filters):
+        up = rows[y - 1] if y else [0] * len(rows[y])
+        out.append(ftype)
+        for x, value in enumerate(rows[y]):
+            a = rows[y][x - channels] if x >= channels else 0
+            b = up[x]
+            c = up[x - channels] if x >= channels else 0
+            predictor = (0, a, b, (a + b) // 2, spec_paeth(a, b, c))[ftype]
+            out.append((value - predictor) % 256)
+    return bytes(out)
+
+
+def filtered_png(pixels: np.ndarray, row_filters) -> bytes:
+    height, width, channels = pixels.shape
+    idat = zlib.compress(filtered_scanlines(pixels, row_filters))
+    return png_file(ihdr_body(width, height, channels), idat)
 
 
 class TestPnm:
@@ -52,6 +97,19 @@ class TestPnm:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(DataError, match="maxval"):
             read_pnm(path)
+
+    @pytest.mark.parametrize("header, raster, match", [
+        (b"P5 0 4 255\n", b"", "empty image 0x4"),
+        (b"P6 4 0 255\n", b"", "empty image 4x0"),
+        (b"P6 -2 3 255\n", bytes(18), "empty image -2x3"),
+        (b"P5 2 1 15\n", b"\x0f\xff", "unsupported maxval 15"),
+        (b"P5 1 1 0\n", b"\x00", "unsupported maxval 0"),
+    ], ids=["width-0", "height-0", "width-negative", "maxval-15", "maxval-0"])
+    def test_header_out_of_range_rejected(self, header, raster, match, tmp_path):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(header + raster)
+        with pytest.raises(DataError, match=match):
+            load_image(path)
 
     def test_ppm_round_trip(self, tmp_path):
         px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
@@ -101,6 +159,49 @@ class TestPng:
         path2 = str(tmp_path / "cvg.png")
         cv2.imwrite(path2, gray)
         assert np.array_equal(read_png(path2).pixels[:, :, 0], gray)
+
+    # width 1 makes the row stride equal to the bytes per pixel; height 1 has no row above
+    FILTER_SHAPES = [(5, 7, 1), (4, 6, 3), (6, 1, 1), (5, 1, 3), (1, 8, 1), (1, 8, 3)]
+
+    @pytest.mark.parametrize("shape", FILTER_SHAPES)
+    @pytest.mark.parametrize("ftype", range(5))
+    def test_each_row_filter_decodes_exactly(self, ftype, shape, tmp_path):
+        rng = np.random.default_rng(ftype)
+        checker = np.indices(shape).sum(axis=0) % 2 * 255  # neighbours 0 and 255: every sum wraps
+        images = [rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8),
+                  np.full(shape, 255, np.uint8), checker.astype(np.uint8),
+                  rng.integers(0, 4, shape, dtype=np.uint8)]  # few levels: Paeth's ties
+        path = tmp_path / "f.png"
+        for px in images:
+            path.write_bytes(filtered_png(px, [ftype] * shape[0]))
+            assert np.array_equal(read_png(path).pixels, px)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_row_filters_decode_exactly(self, seed, tmp_path):
+        rng = np.random.default_rng(100 + seed)
+        shape = (int(rng.integers(1, 16)), int(rng.integers(1, 16)), int(rng.choice([1, 3])))
+        px = rng.integers(0, 256, shape, dtype=np.uint8)
+        path = tmp_path / "mix.png"
+        path.write_bytes(filtered_png(px, rng.integers(0, 5, shape[0]).tolist()))
+        assert np.array_equal(read_png(path).pixels, px)
+
+    @pytest.mark.parametrize("bad", [5, 255])
+    def test_unknown_filter_type_names_its_row(self, bad, tmp_path):
+        px = np.random.default_rng(7).integers(0, 256, (4, 3, 3), dtype=np.uint8)
+        lines = bytearray(filtered_scanlines(px, [1, 4, 0, 3]))
+        lines[2 * (3 * 3 + 1)] = bad  # the filter byte of row 2
+        path = tmp_path / "bad.png"
+        path.write_bytes(png_file(ihdr_body(3, 4, 3), zlib.compress(bytes(lines))))
+        with pytest.raises(DataError, match=f"unknown filter type {bad} on row 2"):
+            read_png(path)
+
+    @pytest.mark.parametrize("length", [0, 5, 12, 14])
+    def test_ihdr_of_wrong_length_rejected(self, length, tmp_path):
+        ihdr = (ihdr_body(2, 2) + b"\x00")[:length]
+        path = tmp_path / "ihdr.png"
+        path.write_bytes(png_file(ihdr, zlib.compress(bytes(2 * 3))))
+        with pytest.raises(DataError, match=f"IHDR chunk is {length} bytes, expected 13"):
+            read_png(path)
 
     def test_truncated_chunk_rejected(self, tmp_path):
         path = tmp_path / "t.png"
@@ -184,6 +285,69 @@ class TestPng:
         write_png(tmp_path / "a.png", px)
         write_png(tmp_path / "b.png", px)
         assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """The bytes unchanged, with one byte replaced, cut short, or with bytes appended."""
+    how = draw(st.sampled_from(["keep", "replace", "cut", "append"]))
+    if how == "replace" and blob:
+        at = draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1:]
+    if how == "cut":
+        return blob[:draw(st.integers(0, len(blob)))]
+    if how == "append":
+        return blob + draw(st.binary(min_size=1, max_size=8))
+    return blob
+
+
+@st.composite
+def pnm_files(draw) -> bytes:
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    width, height = draw(st.integers(-3, 5)), draw(st.integers(-3, 5))
+    maxval = draw(st.sampled_from([-1, 0, 1, 15, 255, 256, 65535]))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\n# comment\n"]))
+    header = magic + sep + b"%d %d %d\n" % (width, height, maxval)
+    return draw(mutated(header + draw(st.binary(max_size=80))))
+
+
+@st.composite
+def png_files(draw) -> bytes:
+    """A small PNG with random filter bytes (0-7) and pixels, then mutated chunk by
+    chunk with every CRC recomputed, so the decoder gets past the chunk check."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    channels = draw(st.sampled_from([1, 3]))
+    scanlines = b"".join(
+        bytes([draw(st.integers(0, 7))])
+        + draw(st.binary(min_size=width * channels, max_size=width * channels))
+        for _ in range(height))
+    ihdr = draw(st.one_of(mutated(ihdr_body(width, height, channels)), st.binary(max_size=20)))
+    idat = draw(st.one_of(mutated(zlib.compress(scanlines)),
+                          st.builds(zlib.compress, mutated(scanlines))))
+    chunks = [(b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")]
+    chunks = draw(st.one_of(st.just(chunks), st.permutations(chunks), st.just(chunks[1:])))
+    return draw(mutated(PNG_SIG + b"".join(png_chunk(t, body) for t, body in chunks)))
+
+
+class TestLoadImageProperty:
+    """Any bytes either load as a non-empty 8-bit image or raise DataError."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.builds(bytes.__add__, st.sampled_from([b"P5", b"P6", PNG_SIG]), st.binary(max_size=64)),
+        pnm_files(),
+        png_files(),
+    ))
+    def test_loads_or_raises_data_error(self, blob, tmp_path):
+        path = tmp_path / "img"
+        path.write_bytes(blob)
+        try:
+            img = load_image(path)
+        except DataError:
+            return
+        assert img.height >= 1 and img.width >= 1 and img.pixels.dtype == np.uint8
 
 
 class TestResizeBilinear:
