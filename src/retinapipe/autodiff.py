@@ -194,27 +194,30 @@ def mean_scalars(terms: list[Tensor]) -> Tensor:
 # linear algebra
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """weight @ x (+ bias) for a 1-D input."""
-    if x.data.ndim != 1 or weight.data.ndim != 2:
+    """weight @ x (+ bias) for a D vector, or row by row for a B x D batch; each
+    row of a batch equals the vector result bit for bit."""
+    if x.data.ndim not in (1, 2) or weight.data.ndim != 2:
         raise ShapeError(
-            f"linear: expected vector and matrix, got {x.data.shape}, {weight.data.shape}"
+            f"linear: expected vector or B x D input and matrix, "
+            f"got {x.data.shape}, {weight.data.shape}"
         )
     m, d = weight.data.shape
-    if x.data.shape[0] != d:
-        raise ShapeError(f"linear: weight is {m}x{d} but input has dim {x.data.shape[0]}")
+    if x.data.shape[-1] != d:
+        raise ShapeError(f"linear: weight is {m}x{d} but input has dim {x.data.shape[-1]}")
     if bias is not None and bias.data.shape != (m,):
         raise ShapeError(f"linear: bias shape {bias.data.shape} != ({m},)")
-    y = weight.data @ x.data
+    batched = x.data.ndim == 2
+    y = matvec_rows(weight.data, x.data) if batched else weight.data @ x.data
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
 
     def bwd(gs):
         g = gs[0]
-        x.accumulate(weight.data.T @ g)
-        weight.accumulate(np.outer(g, x.data))
+        x.accumulate(g @ weight.data if batched else weight.data.T @ g)
+        weight.accumulate(g.T @ x.data if batched else np.outer(g, x.data))
         if bias is not None:
-            bias.accumulate(g)
+            bias.accumulate(g.sum(axis=0) if batched else g)
 
     _emit((out,), bwd)
     return out
@@ -240,38 +243,39 @@ def embedding_row(table: Tensor, index: int) -> Tensor:
 # conv / pool
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    c = xp.shape[0]
-    cols = np.empty((c * kh * kw, ho * wo), dtype=np.float64)
-    row = 0
-    for ch in range(c):
-        for a in range(kh):
-            for b in range(kw):
-                patch = xp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride]
-                cols[row] = patch.ravel()
-                row += 1
-    return cols
+    """B x C x Hp x Wp -> B x (C*kh*kw) x (ho*wo): row (ch, a, b) and column (i, j)
+    of image n hold xp[n, ch, a + stride*i, b + stride*j]."""
+    n, c = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, : stride * ho : stride, : stride * wo : stride]  # B, C, ho, wo, kh, kw
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
+    """The adjoint of _im2col, into a zero array of `shape` (B x C x Hp x Wp). Each
+    element receives its additions in the same (a, b) order as a per-channel loop."""
     gxp = np.zeros(shape, dtype=np.float64)
-    row = 0
-    for ch in range(shape[0]):
-        for a in range(kh):
-            for b in range(kw):
-                gxp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride] += (
-                    gcols[row].reshape(ho, wo)
-                )
-                row += 1
+    g = gcols.reshape(shape[0], shape[1], kh, kw, ho, wo)
+    for a in range(kh):
+        for b in range(kw):
+            gxp[:, :, a : a + stride * ho : stride, b : b + stride * wo : stride] += g[:, :, a, b]
     return gxp
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), CHW layout, single image."""
-    if x.data.ndim != 3 or kernels.data.ndim != 4:
+    """2-D convolution (cross-correlation) of a CHW image or an NCHW batch.
+
+    Each image of a batch is computed exactly as it would be alone; a CHW
+    input runs as a batch of one.
+    """
+    if x.data.ndim not in (3, 4) or kernels.data.ndim != 4:
         raise ShapeError(
-            f"conv2d: expected CHW input and KCkhkw kernels, got {x.data.shape}, {kernels.data.shape}"
+            f"conv2d: expected CHW or NCHW input and KCkhkw kernels, "
+            f"got {x.data.shape}, {kernels.data.shape}"
         )
-    c, h, w = x.data.shape
+    batched = x.data.ndim == 4
+    xb = x.data if batched else x.data[None]
+    n, c, h, w = xb.shape
     k, kc, kh, kw = kernels.data.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {kc}")
@@ -284,54 +288,54 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
+    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xb
+    cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
     kmat = kernels.data.reshape(k, c * kh * kw)
-    y = (kmat @ cols + bias.data[:, None]).reshape(k, ho, wo)
-    out = Tensor(y)
+    y = (kmat @ cols + bias.data[:, None]).reshape(n, k, ho, wo)  # one GEMM per image
+    out = Tensor(y if batched else y[0])
 
     def bwd(gs):
-        gflat = gs[0].reshape(k, ho * wo)
-        bias.accumulate(gflat.sum(axis=1))
-        kernels.accumulate((gflat @ cols.T).reshape(kernels.data.shape))
-        gcols = kmat.T @ gflat
-        gxp = _col2im_add(gcols, (c, hp, wp), kh, kw, stride, ho, wo)
+        gflat = gs[0].reshape(n, k, ho * wo)
+        bias.accumulate(gflat.sum(axis=2).sum(axis=0))
+        gkmat = (gflat @ cols.transpose(0, 2, 1)).sum(axis=0)
+        kernels.accumulate(gkmat.reshape(kernels.data.shape))
+        gxp = _col2im_add(kmat.T @ gflat, (n, c, hp, wp), kh, kw, stride, ho, wo)
         if pad:
-            gxp = gxp[:, pad:-pad, pad:-pad]
-        x.accumulate(gxp)
+            gxp = gxp[:, :, pad:-pad, pad:-pad]
+        x.accumulate(gxp if batched else gxp[0])
 
     _emit((out,), bwd)
     return out
 
 
 def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    if x.data.ndim != 3:
-        raise ShapeError(f"maxpool2d: expected CHW input, got {x.data.shape}")
+    """Max over window x window patches of the last two axes (CHW or NCHW)."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"maxpool2d: expected CHW or NCHW input, got {x.data.shape}")
     if stride is None:
         stride = window
-    c, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     if window > h or window > w:
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {h}x{w}")
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    stack = np.empty((window * window, c, ho, wo), dtype=np.float64)
-    i = 0
-    for a in range(window):
-        for b in range(window):
-            stack[i] = x.data[:, a : a + stride * ho : stride, b : b + stride * wo : stride]
-            i += 1
-    arg = stack.argmax(axis=0)  # first max wins on ties
-    out = Tensor(stack.max(axis=0))
+    offsets = [(a, b) for a in range(window) for b in range(window)]
+
+    def at(arr, a, b):  # the element at offset (a, b) of every window
+        return arr[..., a : a + stride * ho : stride, b : b + stride * wo : stride]
+
+    top = at(x.data, 0, 0).copy()
+    for a, b in offsets[1:]:
+        np.maximum(top, at(x.data, a, b), out=top)
+    out = Tensor(top)
 
     def bwd(gs):
         gx = np.zeros_like(x.data)
-        i = 0
-        for a in range(window):
-            for b in range(window):
-                gx[:, a : a + stride * ho : stride, b : b + stride * wo : stride] += (
-                    gs[0] * (arg == i)
-                )
-                i += 1
+        unclaimed = np.ones(top.shape, dtype=bool)  # a tie goes to the first offset, as argmax's
+        for a, b in offsets:
+            hit = unclaimed & (at(x.data, a, b) == top)
+            unclaimed &= ~hit
+            at(gx, a, b)[...] += gs[0] * hit
         x.accumulate(gx)
 
     _emit((out,), bwd)
@@ -339,13 +343,14 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    if x.data.ndim != 3:
-        raise ShapeError(f"global_avg_pool: expected CHW input, got {x.data.shape}")
-    _, h, w = x.data.shape
-    out = Tensor(x.data.mean(axis=(1, 2)))
+    """Mean over the last two axes: CHW -> C, NCHW -> N x C."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"global_avg_pool: expected CHW or NCHW input, got {x.data.shape}")
+    h, w = x.data.shape[-2:]
+    out = Tensor(x.data.mean(axis=(-2, -1)))
 
     def bwd(gs):
-        x.accumulate(np.repeat(gs[0][:, None, None], h, axis=1).repeat(w, axis=2) / (h * w))
+        x.accumulate(np.broadcast_to((gs[0] / (h * w))[..., None, None], x.data.shape))
 
     _emit((out,), bwd)
     return out
@@ -365,20 +370,29 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 1-D, got {logits.data.shape}")
-    n = logits.data.shape[0]
-    if not 0 <= target_class < n:
-        raise ValueError(f"target class {target_class} out of range for {n} classes")
-    logp = log_softmax_np(logits.data)
-    out = Tensor(-logp[target_class])
+def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
+    """Cross-entropy of C logits against one class id, or the mean over a batch
+    of B x C logits against B class ids."""
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax_cross_entropy: logits must be C or B x C, got {logits.data.shape}")
+    batched = logits.data.ndim == 2
+    z = logits.data if batched else logits.data[None]
+    ids = np.asarray(target if batched else [target])
+    b, n = z.shape
+    if ids.shape != (b,) or ids.dtype.kind not in "iu":
+        raise ValueError(f"softmax_cross_entropy: need {b} integer class ids, got {target!r}")
+    if ((ids < 0) | (ids >= n)).any():
+        raise ValueError(f"target class {target} out of range for {n} classes")
+    rows = np.arange(b)
+    logp = log_softmax_np(z)
+    out = Tensor(-logp[rows, ids].mean())
     p = np.exp(logp)
 
     def bwd(gs):
         g = p.copy()
-        g[target_class] -= 1.0
-        logits.accumulate(float(gs[0]) * g)
+        g[rows, ids] -= 1.0
+        g *= float(gs[0]) / b
+        logits.accumulate(g if batched else g[0])
 
     _emit((out,), bwd)
     return out
@@ -429,11 +443,15 @@ def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
                  x: np.ndarray, h: np.ndarray, c: np.ndarray):
     """Pure-numpy LSTM step over a batch: x is B x D, h and c are B x H.
 
-    The one LSTM cell: the taped op, greedy decoding, beam search and
-    sequence_log_prob all run it, each row exactly as a lone vector would.
+    The decoding cell: greedy decoding, beam search and sequence_log_prob all
+    run it, each row exactly as a lone vector would.
     """
-    hid = b.shape[0] // 4
-    a = matvec_rows(wx, x) + matvec_rows(wh, h) + b
+    return _lstm_gates(matvec_rows(wx, x) + matvec_rows(wh, h) + b, c)
+
+
+def _lstm_gates(a: np.ndarray, c: np.ndarray):
+    """The state after one step from the B x 4H gate pre-activations a."""
+    hid = c.shape[1]
     ifo = _sigmoid_np(a[:, : 3 * hid])  # the three sigmoid gates in one pass
     i, f, o = ifo[:, :hid], ifo[:, hid : 2 * hid], ifo[:, 2 * hid :]
     g = np.tanh(a[:, 3 * hid :])
@@ -441,6 +459,77 @@ def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
     t = np.tanh(c2)
     h2 = o * t
     return h2, c2, (i, f, o, g, t)
+
+
+def lstm_sequence_xent(x0: Tensor, inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                       embedding: Tensor, cell: LstmParams, out_w: Tensor, out_b: Tensor) -> Tensor:
+    """Teacher-forced LSTM cross-entropy over a batch of sequences, as one op.
+
+    From a zero state, step 0 feeds x0 (B x D, or a D vector as a batch of
+    one); step s >= 1 feeds embedding row inputs[:, s-1] and scores the
+    softmax of out_w @ h + out_b against targets[:, s-1] with weight
+    weights[:, s-1] (inputs, targets and weights are B x T). The loss is the
+    weighted sum of the scores' negative log-probabilities.
+
+    The forward pass projects the inputs of every step in one GEMM
+    (Appleyard et al., arXiv 1604.01946); the backward pass is hand-written
+    backpropagation through time, with each weight gradient one GEMM over
+    all B x T steps.
+    """
+    xb = x0.data if x0.data.ndim == 2 else x0.data[None]
+    n, t_len = inputs.shape
+    d = embedding.data.shape[1]
+    hid = cell.hidden_size
+    if xb.shape != (n, d) or targets.shape != (n, t_len) or weights.shape != (n, t_len):
+        raise ShapeError(f"lstm_sequence_xent: x0 {x0.data.shape}, inputs {inputs.shape}, "
+                         f"targets {targets.shape} and weights {weights.shape} disagree")
+    wx, wh = cell.wx.data, cell.wh.data
+    xs = np.concatenate([xb[None], embedding.data[inputs.T]]).reshape(-1, d)  # step-major
+    ax = (xs @ wx.T + cell.b.data).reshape(t_len + 1, n, 4 * hid)
+    hs = np.zeros((t_len + 2, n, hid))  # hs[s] is the state step s reads, hs[s + 1] the one it writes
+    cs = np.zeros((t_len + 2, n, hid))
+    gates = []
+    for s in range(t_len + 1):
+        hs[s + 1], cs[s + 1], gate = _lstm_gates(ax[s] + hs[s] @ wh.T, cs[s])
+        gates.append(gate)
+    h_out = hs[2:].reshape(-1, hid)  # the states after steps 1..T, step-major
+    logp = log_softmax_np(h_out @ out_w.data.T + out_b.data)
+    rows = np.arange(logp.shape[0])
+    ids, wts = targets.T.reshape(-1), weights.T.reshape(-1)
+    out = Tensor(-(wts * logp[rows, ids]).sum())
+
+    def bwd(gs):
+        dlogits = np.exp(logp)
+        dlogits[rows, ids] -= 1.0
+        dlogits *= (float(gs[0]) * wts)[:, None]
+        out_w.accumulate(dlogits.T @ h_out)
+        out_b.accumulate(dlogits.sum(axis=0))
+        dh_out = (dlogits @ out_w.data).reshape(t_len, n, hid)
+        da = np.empty((t_len + 1, n, 4 * hid))
+        dh, dc = np.zeros((n, hid)), np.zeros((n, hid))
+        for s in range(t_len, -1, -1):
+            if s:
+                dh = dh + dh_out[s - 1]
+            i, f, o, g, t = gates[s]
+            dc = dc + dh * o * (1.0 - t * t)
+            da[s, :, :hid] = dc * g * i * (1.0 - i)
+            da[s, :, hid : 2 * hid] = dc * cs[s] * f * (1.0 - f)
+            da[s, :, 2 * hid : 3 * hid] = dh * t * o * (1.0 - o)
+            da[s, :, 3 * hid :] = dc * i * (1.0 - g * g)
+            dh = da[s] @ wh
+            dc = dc * f
+        da = da.reshape(-1, 4 * hid)
+        cell.wx.accumulate(da.T @ xs)
+        cell.wh.accumulate(da.T @ hs[:-1].reshape(-1, hid))
+        cell.b.accumulate(da.sum(axis=0))
+        dxs = da @ wx
+        x0.accumulate(dxs[:n] if x0.data.ndim == 2 else dxs[0])
+        demb = np.zeros_like(embedding.data)
+        np.add.at(demb, inputs.T.reshape(-1), dxs[n:])
+        embedding.accumulate(demb)
+
+    _emit((out,), bwd)
+    return out
 
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:

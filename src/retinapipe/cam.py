@@ -1,5 +1,5 @@
 """Class activation mapping over the encoder's final feature maps, plus
-normalization, align-corners bilinear upsampling, and overlay rendering."""
+normalization, align-corners bilinear resampling, and overlay rendering."""
 
 from __future__ import annotations
 
@@ -43,9 +43,7 @@ def normalize_heatmap(raw: Heatmap) -> Heatmap:
 
 
 def upsample_bilinear(heatmap: Heatmap, out_h: int, out_w: int) -> Heatmap:
-    h, w = heatmap.values.shape
-    if out_h < h or out_w < w:
-        raise ValueError(f"upsample target {out_h}x{out_w} smaller than source {h}x{w}")
+    """Resample to out_h x out_w, up or down along either axis (align corners)."""
     return Heatmap(values=resize_bilinear(heatmap.values, out_h, out_w),
                    normalized=heatmap.normalized)
 
@@ -80,7 +78,7 @@ def overlay(image: RetinalImage, heatmap: Heatmap, alpha: float) -> np.ndarray:
 
 
 def cam_overlay(image: RetinalImage, raw: Heatmap, alpha: float) -> np.ndarray:
-    """Normalize a raw CAM, upsample it to the image, and blend; uint8 RGB out."""
+    """Normalize a raw CAM, resample it to the image size, and blend; uint8 RGB out."""
     heat = upsample_bilinear(normalize_heatmap(raw), image.height, image.width)
     return overlay(image, heat, alpha)
 

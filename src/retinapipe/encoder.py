@@ -90,9 +90,9 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class EncoderOutput:
-    feature_maps: Tensor  # K x h x w, post-relu activations of the last stage
-    pooled: Tensor  # K
-    logits: Tensor  # C
+    feature_maps: Tensor  # K x h x w (B x K x h x w), post-relu activations of the last stage
+    pooled: Tensor  # K (B x K)
+    logits: Tensor  # C (B x C)
 
 
 class VisionEncoder:
@@ -139,11 +139,13 @@ class VisionEncoder:
         return np.transpose(px, (2, 0, 1))
 
     def forward(self, chw: np.ndarray) -> EncoderOutput:
+        """One CHW image, or a B x C x H x W batch whose rows come out as they would alone."""
         cfg = self.config
-        if chw.shape != (cfg.input_channels, cfg.image_size, cfg.image_size):
+        if chw.ndim not in (3, 4) or \
+                chw.shape[-3:] != (cfg.input_channels, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"encoder input shape {chw.shape} != "
-                f"{(cfg.input_channels, cfg.image_size, cfg.image_size)}"
+                f"{(cfg.input_channels, cfg.image_size, cfg.image_size)} or a batch of them"
             )
         x = Tensor(chw)
         for i, (_out_ch, kernel, stride, pool) in enumerate(cfg.stages):

@@ -155,7 +155,9 @@ def _decode_png(data: bytes, path) -> RetinalImage:
     pos = 8
     ihdr = None
     idat = []
-    while pos < len(data):
+    while True:  # bytes after IEND are ignored, as libpng does
+        if pos == len(data):
+            raise DataError(f"{path}: missing IEND chunk (file ends at offset {pos})")
         if pos + 8 > len(data):
             raise DataError(f"{path}: truncated chunk header at offset {pos}")
         length = int.from_bytes(data[pos : pos + 4], "big")
@@ -285,6 +287,8 @@ def resize_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if squeeze:
         arr = arr[:, :, None]
     h, w, _ = arr.shape
+    if (h, w) == (out_h, out_w):  # the align-corners grid is the source grid itself
+        return (arr[:, :, 0] if squeeze else arr).copy()
     ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)

@@ -43,21 +43,24 @@ class Xoshiro256:
         self._s = state
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (self._rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = self._rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        return self._next_u64s(1)[0]
 
-    @staticmethod
-    def _rotl(x: int, k: int) -> int:
-        return ((x << k) | (x >> (64 - k))) & _MASK
+    def _next_u64s(self, n: int) -> list[int]:
+        """The next n outputs, with the xoshiro256** step written out inline."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        for _ in range(n):
+            x = (s1 * 5) & _MASK
+            out.append(((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK)
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        self._s = [s0, s1, s2, s3]
+        return out
 
     def random(self) -> float:
         # 53 bits of mantissa, uniform in [0, 1)
@@ -66,11 +69,9 @@ class Xoshiro256:
     def uniform(self, low: float, high: float, shape=None):
         if shape is None:
             return low + (high - low) * self.random()
-        n = int(np.prod(shape))
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = low + (high - low) * self.random()
-        return vals.reshape(shape)
+        u = np.array(self._next_u64s(int(np.prod(shape))), dtype=np.uint64)
+        r = (u >> np.uint64(11)).astype(np.float64) * 2.0 ** -53  # both steps exact
+        return (low + (high - low) * r).reshape(shape)
 
     def randrange(self, n: int) -> int:
         if n <= 0:

@@ -204,9 +204,10 @@ class KeywordProjection:
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def fuse(self, image_feat: Tensor, keywords, kw_vocab: Vocabulary) -> Tensor:
-        """The image feature averaged with the projected keyword bag."""
-        return fuse_features(image_feat, embed_keywords(keywords, kw_vocab, self.weight, self.bias))
+    def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
+        """The image feature averaged with the projected keyword bag (keyword_multihot);
+        a D feature takes one bag, a B x D batch a B x KV matrix of them."""
+        return fuse_features(image_feat, ad.linear(Tensor(bags), self.weight, self.bias))
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":
@@ -218,23 +219,25 @@ class KeywordProjection:
 # ---------------------------------------------------------------------------
 # training loss
 
-def caption_loss(fused: Tensor, target: list[int], params: DecoderParams) -> Tensor:
-    """Mean teacher-forced cross-entropy; the fused feature is the step-0 input."""
-    if len(target) < 2 or target[0] != START or target[-1] != END:
-        raise ValueError("target must begin with START and end with END")
-    hid = params.hidden_size
-    h = Tensor(np.zeros(hid))
-    c = Tensor(np.zeros(hid))
-    h, c = ad.lstm_step(fused, h, c, params.cell)
-    losses = []
-    for inp, tgt in zip(target[:-1], target[1:]):
-        x = ad.embedding_row(params.embedding, inp)
-        h, c = ad.lstm_step(x, h, c, params.cell)
-        if tgt == PAD:
-            continue
-        logits = ad.linear(h, params.out_w, params.out_b)
-        losses.append(ad.softmax_cross_entropy(logits, tgt))
-    return ad.mean_scalars(losses)
+def caption_loss(fused: Tensor, targets, params: DecoderParams) -> Tensor:
+    """Mean over records of each record's mean teacher-forced cross-entropy, as one op.
+
+    fused is B x D with B token-id targets, or a D vector with one target;
+    the fused feature is the step-0 input. Targets are padded to one length
+    with PAD, and a PAD target scores nothing.
+    """
+    if fused.data.ndim == 1:
+        targets = [targets]
+    for target in targets:
+        if len(target) < 2 or target[0] != START or target[-1] != END:
+            raise ValueError("target must begin with START and end with END")
+    seq = np.full((len(targets), max(map(len, targets))), PAD)
+    for row, target in zip(seq, targets):
+        row[: len(target)] = target
+    scored = seq[:, 1:] != PAD
+    weights = scored / (len(targets) * scored.sum(axis=1, keepdims=True))
+    return ad.lstm_sequence_xent(fused, seq[:, :-1], seq[:, 1:], weights,
+                                 params.embedding, params.cell, params.out_w, params.out_b)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +269,11 @@ class _DecoderState:
         return h2, c2
 
     def start_state(self, fused: np.ndarray):
-        """The 1 x H state after the fused feature and START."""
-        h = np.zeros((1, self.hidden))
-        c = np.zeros((1, self.hidden))
-        h, c = self._cell(fused[None], h, c)
-        return self.step([START], h, c)
+        """The B x H state after each row of the B x D fused features and START."""
+        h = np.zeros((len(fused), self.hidden))
+        c = np.zeros((len(fused), self.hidden))
+        h, c = self._cell(fused, h, c)
+        return self.step([START] * len(fused), h, c)
 
     def log_probs(self, h: np.ndarray) -> np.ndarray:
         """B x V next-token log-probabilities."""
@@ -281,22 +284,36 @@ def _as_array(fused) -> np.ndarray:
     return fused.data if isinstance(fused, Tensor) else np.asarray(fused, dtype=np.float64)
 
 
-def decode_greedy(fused, params: DecoderParams, max_len: int) -> Hypothesis:
-    """Argmax decoding; ties resolve to the lowest token index."""
+def decode_greedy(fused, params: DecoderParams, max_len: int):
+    """Argmax decoding; ties resolve to the lowest token index.
+
+    fused is one D feature (gives a Hypothesis) or B x D features (gives a
+    list of B), decoded together; each row comes out as it would alone.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    feats = _as_array(fused)
+    single = feats.ndim == 1
     dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused))
-    tokens: list[int] = []
-    log_prob = 0.0
-    while True:
-        lp = dec.log_probs(h)[0]
-        tok = int(np.argmax(lp))
-        tokens.append(tok)
-        log_prob += float(lp[tok])
-        if tok == END or len(tokens) >= max_len:
-            return Hypothesis(tokens=tuple(tokens), log_prob=log_prob, finished=True)
-        h, c = dec.step([tok], h, c)
+    h, c = dec.start_state(feats[None] if single else feats)
+    tokens: list[list[int]] = [[] for _ in range(len(h))]
+    log_probs = [0.0] * len(h)
+    live = list(range(len(h)))  # the record of each row of h and c
+    while live:
+        lp = dec.log_probs(h)
+        picks = lp.argmax(axis=1).tolist()
+        rows = []
+        for row, (rec, tok) in enumerate(zip(live, picks)):
+            tokens[rec].append(tok)
+            log_probs[rec] += float(lp[row, tok])
+            if tok != END and len(tokens[rec]) < max_len:
+                rows.append(row)
+        live = [live[row] for row in rows]
+        if live:
+            h, c = dec.step([picks[row] for row in rows], h[rows], c[rows])
+    hyps = [Hypothesis(tokens=tuple(t), log_prob=lp, finished=True)
+            for t, lp in zip(tokens, log_probs)]
+    return hyps[0] if single else hyps
 
 
 def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[Hypothesis]:
@@ -314,7 +331,7 @@ def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused))
+    h, c = dec.start_state(_as_array(fused)[None])
     vocab = params.vocab_size
     live_lp, live_toks = [0.0], [()]  # cumulative log-prob and tokens of each row of h and c
     finished: list[tuple[float, tuple[int, ...]]] = []
@@ -352,7 +369,7 @@ def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[
 def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
     """Independent recomputation of a hypothesis' cumulative log-probability."""
     dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused))
+    h, c = dec.start_state(_as_array(fused)[None])
     total = 0.0
     for i, tok in enumerate(tokens):
         total += float(dec.log_probs(h)[0, tok])

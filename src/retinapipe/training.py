@@ -24,7 +24,7 @@ from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .rng import Xoshiro256, derive_seed
 from .textgen import (
     END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
-    caption_loss, decode_beam, decode_greedy, tokenize,
+    caption_loss, decode_beam, decode_greedy, keyword_multihot, tokenize,
 )
 
 
@@ -121,12 +121,21 @@ def _check_splits(manifest: DatasetManifest, *names: str) -> None:
             raise ValueError(f"manifest has an empty {name!r} split")
 
 
+def _batches(records: list[CaseRecord], size: int):
+    for start in range(0, len(records), size):
+        yield records[start : start + size]
+
+
+def _stacked(by_id: dict[str, np.ndarray], batch: list[CaseRecord]) -> np.ndarray:
+    return np.stack([by_id[r.id] for r in batch])
+
+
 def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream: int,
-         record_loss, validate) -> TrainingCurve:
+         batch_loss, validate) -> TrainingCurve:
     """Mini-batch SGD with a seeded per-epoch shuffle (seed stream `stream`)
     and step lr decay; leaves the best-val parameters in place.
 
-    record_loss(record) gives a scalar Tensor, averaged over each batch;
+    batch_loss(records) gives the batch's mean loss as a scalar Tensor;
     validate() gives (val_loss, val_metric), and a later epoch that ties the
     best metric replaces it.
     """
@@ -137,11 +146,10 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
         order = list(train)
         Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
         epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for batch in _batches(order, cfg.batch_size):
             zero_grads(params)
             with Tape() as tape:
-                loss = ad.mean_scalars([record_loss(r) for r in batch])
+                loss = batch_loss(batch)
             backward(tape, loss)
             sgd_step(params, lr)
             epoch_loss += float(loss.data) * len(batch)
@@ -192,18 +200,22 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
     val = manifest.by_split("val")
     inputs = _preprocessed(manifest, train + val, encoder)
 
-    def record_loss(r: CaseRecord) -> Tensor:
-        return ad.softmax_cross_entropy(encoder.forward(inputs[r.id]).logits, classes[r.disease])
+    def classify(batch: list[CaseRecord]) -> tuple[Tensor, list[int]]:
+        """The batch's logits and true class ids."""
+        return encoder.forward(_stacked(inputs, batch)).logits, [classes[r.disease] for r in batch]
+
+    def batch_loss(batch: list[CaseRecord]) -> Tensor:
+        return ad.softmax_cross_entropy(*classify(batch))
 
     def validate() -> tuple[float, float]:
         val_loss, hits = 0.0, 0
-        for r in val:
-            logits = encoder.forward(inputs[r.id]).logits
-            val_loss += float(ad.softmax_cross_entropy(logits, classes[r.disease]).data)
-            hits += predict_topk(logits, 1)[0][0] == classes[r.disease]
+        for batch in _batches(val, cfg.batch_size):
+            logits, truth = classify(batch)
+            val_loss += float(ad.softmax_cross_entropy(logits, truth).data) * len(batch)
+            hits += sum(predict_topk(row, 1)[0][0] == t for row, t in zip(logits.data, truth))
         return val_loss / len(val), hits / len(val)
 
-    curve = _fit(encoder.parameters(), train, cfg, 2, record_loss, validate)
+    curve = _fit(encoder.parameters(), train, cfg, 2, batch_loss, validate)
     return encoder.to_checkpoint(), curve
 
 
@@ -252,31 +264,36 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
     _guard_vocab_sources(kw_vocab, train_ids, "keyword")
     encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
     inputs = _preprocessed(manifest, train + val, encoder)
-    pooled = {rid: encoder.forward(x).pooled.data for rid, x in inputs.items()}
+    pooled = {}
+    for batch in _batches(train + val, cfg.batch_size):
+        feats = encoder.forward(_stacked(inputs, batch)).pooled.data
+        pooled.update(zip((r.id for r in batch), feats))
     dim = encoder.config.feature_channels
     rng = Xoshiro256(derive_seed(cfg.seed, 3))
     decoder = DecoderParams.init(rng, vocab.size, dim, cfg.decoder_hidden)
     kw_proj = KeywordProjection.init(rng, kw_vocab.size, dim)
     params = decoder.parameters() + (kw_proj.parameters() if cfg.keyword_mode else [])
     targets = {r.id: caption_target(vocab, r.description) for r in train + val}
+    bags = {r.id: keyword_multihot(r.keywords, kw_vocab) for r in train + val}
     refs = [tokenize(r.description) for r in val]
 
-    def fused(r: CaseRecord) -> Tensor:
-        img = Tensor(pooled[r.id])
-        return kw_proj.fuse(img, r.keywords, kw_vocab) if cfg.keyword_mode else img
+    def fused(batch: list[CaseRecord]) -> Tensor:
+        img = Tensor(_stacked(pooled, batch))
+        return kw_proj.fuse(img, _stacked(bags, batch)) if cfg.keyword_mode else img
 
-    def record_loss(r: CaseRecord) -> Tensor:
-        return caption_loss(fused(r), targets[r.id], decoder)
+    def batch_loss(batch: list[CaseRecord]) -> Tensor:
+        return caption_loss(fused(batch), [targets[r.id] for r in batch], decoder)
 
     def validate() -> tuple[float, float]:
         val_loss, decoded = 0.0, []
-        for r in val:
-            feat = fused(r)
-            val_loss += float(caption_loss(feat, targets[r.id], decoder).data)
-            decoded.append(decode_greedy(feat, decoder, cfg.max_caption_len).words(vocab))
+        for batch in _batches(val, cfg.batch_size):
+            feats = fused(batch)
+            val_loss += float(caption_loss(feats, [targets[r.id] for r in batch], decoder).data) \
+                * len(batch)
+            decoded += [h.words(vocab) for h in decode_greedy(feats, decoder, cfg.max_caption_len)]
         return val_loss / len(val), bleu_corpus(decoded, refs)[1]
 
-    curve = _fit(params, train, cfg, 4, record_loss, validate)
+    curve = _fit(params, train, cfg, 4, batch_loss, validate)
     return ModelCheckpoint({
         **{p.name: p.data for p in decoder.parameters() + kw_proj.parameters()},
         _KEYWORD_MODE: np.array([1.0 if cfg.keyword_mode else 0.0]),
@@ -335,7 +352,7 @@ class Pipeline:
               max_len: int, alpha: float = 0.5) -> Inference:
         out = self.encoder.encode_image(image)
         ranked = predict_topk(out.logits, self.num_classes)
-        fused = self.kw_proj.fuse(out.pooled, keywords, self.kw_vocab) \
+        fused = self.kw_proj.fuse(out.pooled, keyword_multihot(keywords, self.kw_vocab)) \
             if self.keyword_mode else out.pooled
         words = decode_beam(fused, self.decoder, beam_width, max_len)[0].words(self.vocab)
         heat = compute_cam(out.feature_maps.data, self.encoder.classifier_weights, ranked[0][0])

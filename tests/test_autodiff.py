@@ -86,6 +86,16 @@ class TestMaxpool:
                     want[c, i, j] = x[c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
         assert np.array_equal(got, want)
 
+    def test_tie_sends_gradient_to_first_element(self):
+        x = Tensor(np.full((2, 1, 4, 4), 3.0))
+        with Tape() as tape:
+            loss = ad.softmax_cross_entropy(
+                ad.linear(ad.global_avg_pool(ad.maxpool2d(x, 2)), Tensor([[1.0], [0.0]])), [0, 0])
+        backward(tape, loss)
+        first = np.zeros((4, 4), dtype=bool)
+        first[::2, ::2] = True
+        assert np.all(x.grad[:, :, first] != 0.0) and np.all(x.grad[:, :, ~first] == 0.0)
+
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
             ad.maxpool2d(Tensor(np.zeros((1, 2, 2))), 3)
@@ -367,3 +377,171 @@ def test_sgd_config_validation():
         SgdConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         SgdConfig(decay_period_epochs=0)
+
+
+# ---------------------------------------------------------------------------
+# batched (NCHW / B x D) ops
+
+def loop_im2col(xp, kh, kw, stride, ho, wo):
+    """The per-channel loop _im2col replaced, for one C x Hp x Wp image."""
+    c = xp.shape[0]
+    cols = np.empty((c * kh * kw, ho * wo), dtype=np.float64)
+    row = 0
+    for ch in range(c):
+        for a in range(kh):
+            for b in range(kw):
+                cols[row] = xp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride].ravel()
+                row += 1
+    return cols
+
+
+def loop_col2im_add(gcols, shape, kh, kw, stride, ho, wo):
+    """The per-channel loop _col2im_add replaced, for one C x Hp x Wp image."""
+    gxp = np.zeros(shape, dtype=np.float64)
+    row = 0
+    for ch in range(shape[0]):
+        for a in range(kh):
+            for b in range(kw):
+                gxp[ch, a : a + stride * ho : stride, b : b + stride * wo : stride] += (
+                    gcols[row].reshape(ho, wo))
+                row += 1
+    return gxp
+
+
+# (channels, padded side, kernel, stride): the default stages' padded inputs and odd cases
+IM2COL_CASES = [(3, 34, 3, 1), (8, 18, 3, 1), (16, 10, 3, 1), (3, 9, 3, 2), (2, 8, 2, 2),
+                (4, 7, 3, 3), (1, 5, 5, 1)]
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("c, side, k, stride", IM2COL_CASES)
+    def test_gather_and_scatter_equal_the_loops(self, c, side, k, stride):
+        rng = np.random.default_rng(c * side + k)
+        o = (side - k) // stride + 1
+        xp = rng.standard_normal((2, c, side, side))
+        cols = ad._im2col(xp, k, k, stride, o, o)
+        gcols = rng.standard_normal(cols.shape)
+        gxp = ad._col2im_add(gcols, xp.shape, k, k, stride, o, o)
+        for n in range(2):
+            assert np.array_equal(cols[n], loop_im2col(xp[n], k, k, stride, o, o))
+            assert np.array_equal(gxp[n], loop_col2im_add(gcols[n], xp.shape[1:], k, k, stride, o, o))
+
+
+def single_image_oracle(x, k, kb, w, b, target, stride, pad):
+    """Forward values and gradients of conv -> relu -> maxpool(2) -> GAP -> linear ->
+    cross-entropy for one CHW image, as the single-image ops computed them."""
+    c, h, wd = x.shape
+    nk, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    cols = loop_im2col(xp, kh, kw, stride, ho, wo)
+    kmat = k.reshape(nk, -1)
+    conv = (kmat @ cols + kb[:, None]).reshape(nk, ho, wo)
+    act = np.maximum(conv, 0.0)
+    po, qo = (ho - 2) // 2 + 1, (wo - 2) // 2 + 1
+    stack = np.stack([act[:, a : a + 2 * po : 2, bb : bb + 2 * qo : 2]
+                      for a in range(2) for bb in range(2)])
+    arg, pool = stack.argmax(axis=0), stack.max(axis=0)
+    gap = pool.mean(axis=(1, 2))
+    logits = w @ gap + b
+    logp = ad.log_softmax_np(logits)
+    loss = -logp[target]
+    glog = np.exp(logp)
+    glog[target] -= 1.0
+    ggap = w.T @ glog
+    gpool = np.repeat(ggap[:, None, None], po, axis=1).repeat(qo, axis=2) / (po * qo)
+    gact = np.zeros_like(act)
+    i = 0
+    for a in range(2):
+        for bb in range(2):
+            gact[:, a : a + 2 * po : 2, bb : bb + 2 * qo : 2] += gpool * (arg == i)
+            i += 1
+    gflat = (gact * (conv > 0.0)).reshape(nk, ho * wo)
+    gxp = loop_col2im_add(kmat.T @ gflat, xp.shape, kh, kw, stride, ho, wo)
+    grads = {"x": gxp[:, pad : pad + h, pad : pad + wd], "k": (gflat @ cols.T).reshape(k.shape),
+             "kb": gflat.sum(axis=1), "w": np.outer(glog, gap), "b": glog}
+    return [conv, pool, gap, logits, np.array(loss)], grads
+
+
+def encoder_chain(x, params, target, stride):
+    t = ad.conv2d(x, params["k"], params["kb"], stride, 1)
+    convolved = t
+    t = ad.maxpool2d(ad.relu(t), 2)
+    pooled = t
+    gap = ad.global_avg_pool(t)
+    logits = ad.linear(gap, params["w"], params["b"])
+    return [convolved, pooled, gap, logits, ad.softmax_cross_entropy(logits, target)]
+
+
+def chain_params(rng, c=2, k=3):
+    return {
+        "k": Tensor(rng.standard_normal((k, c, 3, 3)), parameter=True, name="k"),
+        "kb": Tensor(rng.standard_normal(k) * 0.1, parameter=True, name="kb"),
+        "w": Tensor(rng.standard_normal((4, k)), parameter=True, name="w"),
+        "b": Tensor(rng.standard_normal(4) * 0.1, parameter=True, name="b"),
+    }
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_image_ops_are_unchanged(self, seed, stride):
+        """A CHW image (a batch of one) gives the single-image values and gradients bit for bit."""
+        rng = np.random.default_rng(seed)
+        params = chain_params(rng)
+        x = Tensor(rng.standard_normal((2, 9, 9)), parameter=True, name="x")
+        with Tape() as tape:
+            outs = encoder_chain(x, params, seed % 4, stride)
+        backward(tape, outs[-1])
+        want, grads = single_image_oracle(x.data, *(params[n].data for n in ("k", "kb", "w", "b")),
+                                          seed % 4, stride, 1)
+        for got, ref in zip(outs, want):
+            assert got.data.shape == ref.shape and np.array_equal(got.data, ref)
+        for name, ref in grads.items():
+            got = x.grad if name == "x" else params[name].grad
+            assert np.array_equal(got, ref), name
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_batch_rows_equal_single_images(self, stride):
+        rng = np.random.default_rng(stride)
+        params = chain_params(rng)
+        x = rng.standard_normal((3, 2, 8, 8))
+        batch = encoder_chain(Tensor(x), params, [0, 3, 1], stride)
+        for n in range(3):
+            alone = encoder_chain(Tensor(x[n]), params, 0, stride)
+            for got, ref in zip(batch[:-1], alone[:-1]):
+                assert np.array_equal(got.data[n], ref.data)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_gradients_match_finite_differences(self, seed, stride):
+        """NCHW conv2d (B = 3), maxpool2d, GAP, B x D linear and B x C cross-entropy."""
+        rng = np.random.default_rng(10 + seed)
+        params = chain_params(rng)
+        params["x"] = Tensor(rng.standard_normal((3, 2, 7, 7)), parameter=True, name="x")
+        targets = [seed % 4, (seed + 1) % 4, 3]
+
+        rep = finite_difference_check(
+            lambda: encoder_chain(params["x"], params, targets, stride)[-1], params)
+        assert rep.passed, rep.blocks
+        assert rep.max_rel_error < 1e-4
+
+    def test_batch_cross_entropy_is_the_mean(self):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((5, 3))
+        ids = [0, 2, 1, 1, 0]
+        got = float(ad.softmax_cross_entropy(Tensor(logits), ids).data)
+        want = np.mean([float(ad.softmax_cross_entropy(Tensor(row), t).data)
+                        for row, t in zip(logits, ids)])
+        assert abs(got - want) < 1e-15
+
+    def test_batch_shape_errors(self):
+        with pytest.raises(ValueError):
+            ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+        with pytest.raises(ValueError):
+            ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            ad.conv2d(Tensor(np.zeros((2, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
+                      Tensor(np.zeros(1)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retinapipe.cam import (
-    Heatmap, colormap, compute_cam, heatmap_to_text, normalize_heatmap,
+    Heatmap, cam_overlay, colormap, compute_cam, heatmap_to_text, normalize_heatmap,
     overlay, upsample_bilinear,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
@@ -96,9 +96,16 @@ class TestUpsample:
         assert up.values[0, 0] == 0.0
         assert up.values[0, -1] == 1.0
 
-    def test_rejects_downscale(self):
-        with pytest.raises(ValueError):
-            upsample_bilinear(Heatmap(np.zeros((4, 4))), 2, 8)
+    def test_downscale_gives_target_shape(self):
+        h = normalize_heatmap(Heatmap(np.arange(16.0).reshape(4, 4)))
+        down = upsample_bilinear(h, 2, 8)
+        assert down.values.shape == (2, 8) and down.normalized
+        assert down.values[0, 0] == 0.0 and down.values[-1, -1] == 1.0
+
+    def test_overlay_on_image_smaller_than_cam(self):
+        image = RetinalImage(np.array([[10], [200]], dtype=np.uint8))  # 2 x 1, below the 4 x 4 CAM
+        out = cam_overlay(image, Heatmap(np.arange(16.0).reshape(4, 4)), 0.5)
+        assert out.shape == (2, 1, 3) and out.dtype == np.uint8
 
     def test_constant_stays_constant(self):
         up = upsample_bilinear(Heatmap(np.full((2, 2), 0.3), normalized=True), 9, 5)

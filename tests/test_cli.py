@@ -235,6 +235,14 @@ class TestReport:
         assert (out / "assets" / "case0001.png").exists()
         assert (out / "assets" / "case0001_cam.png").exists()
 
+    def test_image_smaller_than_cam_grid(self, trained, tmp_path, capsys):
+        image = tmp_path / "tiny.pgm"
+        image.write_bytes(b"P5\n2 1\n255\n" + bytes([40, 220]))  # 2 x 1, below the 4 x 4 CAM
+        out = tmp_path / "rep"
+        assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
+                     "--out", str(out)]) == 0
+        assert (out / "assets" / "tiny_cam.png").exists()
+
     def test_rerun_is_byte_identical(self, dataset, trained, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run_report(dataset, trained, a) == 0

@@ -81,6 +81,20 @@ class TestForward:
         with pytest.raises(ShapeError):
             enc.forward(np.zeros((3, 8, 8)))
 
+    def test_batch_rows_equal_single_images(self):
+        enc = small_encoder(seed=5)
+        batch = np.random.default_rng(3).random((4, 3, 16, 16))
+        out = enc.forward(batch)
+        for n in range(4):
+            alone = enc.forward(batch[n])
+            for got, want in ((out.feature_maps, alone.feature_maps), (out.pooled, alone.pooled),
+                              (out.logits, alone.logits)):
+                assert np.array_equal(got.data[n], want.data)
+
+    def test_wrong_batch_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            small_encoder().forward(np.zeros((2, 1, 16, 16)))
+
     def test_deterministic(self):
         chw = np.random.default_rng(2).random((3, 16, 16))
         a = small_encoder(seed=4).forward(chw)

@@ -122,6 +122,19 @@ class TestPnm:
 
 
 class TestPng:
+    def test_missing_iend_rejected(self, tmp_path):
+        blob = png_bytes(2, 1, zlib.compress(b"\x00\x07\x09"))
+        path = tmp_path / "t.png"
+        path.write_bytes(blob[: -len(png_chunk(b"IEND", b""))])
+        with pytest.raises(DataError, match="missing IEND"):
+            load_image(path)
+
+    def test_bytes_after_iend_ignored(self, tmp_path):
+        blob = png_bytes(2, 1, zlib.compress(b"\x00\x07\x09"))
+        path = tmp_path / "t.png"
+        path.write_bytes(blob + b"trailing garbage, not a chunk")
+        assert load_image(path).pixels[:, :, 0].tolist() == [[7, 9]]
+
     def test_gray_round_trip(self, tmp_path):
         px = np.arange(64, dtype=np.uint8).reshape(8, 8)
         path = tmp_path / "t.png"
@@ -354,6 +367,19 @@ class TestResizeBilinear:
     def test_identity(self):
         x = np.arange(12.0).reshape(3, 4)
         assert np.allclose(resize_bilinear(x, 3, 4), x)
+
+    @pytest.mark.parametrize("shape", [(32, 32, 3), (7, 5), (256, 256, 1), (1, 1), (1, 9)])
+    def test_same_size_is_a_copy_equal_to_the_interpolation(self, shape):
+        x = np.random.default_rng(8).random(shape)
+        got = resize_bilinear(x, *shape[:2])
+        assert got is not x and not np.shares_memory(got, x)
+        assert np.array_equal(got, x)  # every interpolation weight is exactly 1 or 0
+
+    def test_downsample_keeps_corners(self):
+        x = np.random.default_rng(9).random((4, 4))
+        out = resize_bilinear(x, 1, 2)
+        assert out.shape == (1, 2)
+        assert out[0, 0] == x[0, 0] and out[0, 1] == x[0, -1]
 
     def test_center_of_2x2(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])

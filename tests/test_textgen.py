@@ -9,7 +9,7 @@ from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
 from retinapipe.errors import DataError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
+    END, PAD, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
     build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize,
     embed_keywords, fuse_features, keyword_multihot, sequence_log_prob,
     tokenize,
@@ -416,3 +416,105 @@ def test_detokenize():
     assert detokenize(["optic", "neuritis"]) == "Optic neuritis."
     assert detokenize([]) == ""
     assert detokenize(["stable", "disc."]) == "Stable disc."
+
+
+def per_record_caption_loss(fused, target, params):
+    """The per-record loss caption_loss replaced: one taped op per step."""
+    h = Tensor(np.zeros(params.hidden_size))
+    c = Tensor(np.zeros(params.hidden_size))
+    h, c = ad.lstm_step(fused, h, c, params.cell)
+    losses = []
+    for inp, tgt in zip(target[:-1], target[1:]):
+        x = ad.embedding_row(params.embedding, inp)
+        h, c = ad.lstm_step(x, h, c, params.cell)
+        if tgt == PAD:
+            continue
+        logits = ad.linear(h, params.out_w, params.out_b)
+        losses.append(ad.softmax_cross_entropy(logits, tgt))
+    return ad.mean_scalars(losses)
+
+
+def ragged_targets(rng, n, vocab_size, longest=7):
+    """START, 0 to `longest` word ids (one of them PAD, which scores nothing), END."""
+    targets = [[START] + [int(v) for v in rng.integers(4, vocab_size, size=rng.integers(0, longest + 1))]
+               + [END] for _ in range(n)]
+    targets[0][1:1] = [PAD]
+    return targets
+
+
+class TestBatchedCaptionLoss:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_mean_of_per_record_losses(self, seed):
+        rng = np.random.default_rng(seed)
+        dec = DecoderParams.init(Xoshiro256(seed), 9, 5, 6)
+        feats = rng.uniform(-1, 1, (6, 5))
+        targets = ragged_targets(rng, 6, 9)
+        params = dec.parameters()
+
+        def run(loss_fn):
+            zero_grads(params)
+            with Tape() as tape:
+                loss, fused = loss_fn()
+            backward(tape, loss)
+            return float(loss.data), [p.grad.copy() for p in params] + [fused]
+
+        def batched():
+            fused = Tensor(feats)
+            return caption_loss(fused, targets, dec), fused
+
+        def per_record():
+            fused = [Tensor(f) for f in feats]
+            return ad.mean_scalars([per_record_caption_loss(f, t, dec)
+                                    for f, t in zip(fused, targets)]), fused
+
+        got_loss, got = run(batched)
+        want_loss, want = run(per_record)
+        got[-1] = got[-1].grad
+        want[-1] = np.stack([f.grad for f in want[-1]])
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(3)
+        dec = DecoderParams.init(Xoshiro256(3), 7, 3, 4)
+        proj = KeywordProjection.init(Xoshiro256(4), 5, 3)
+        img = rng.uniform(-1, 1, (4, 3))
+        bags = rng.integers(0, 2, size=(4, 5)).astype(float)
+        targets = ragged_targets(rng, 4, 7, longest=4)
+
+        def model():
+            return caption_loss(proj.fuse(Tensor(img), bags), targets, dec)
+
+        params = {p.name: p for p in dec.parameters() + proj.parameters()}
+        rep = ad.finite_difference_check(model, params)
+        assert rep.passed, rep.blocks
+        assert rep.max_rel_error < 1e-4
+
+    def test_one_taped_op_per_batch(self):
+        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+        with Tape() as tape:
+            caption_loss(Tensor(np.zeros((3, 3))), [[START, 4, END], [START, END], [START, 5, 4, END]],
+                         dec)
+        assert len(tape) == 1
+
+    def test_malformed_target_in_batch_rejected(self):
+        dec = zero_decoder()
+        with pytest.raises(ValueError):
+            caption_loss(Tensor(np.zeros((2, 3))), [[START, END], [START, UNK]], dec)
+
+
+class TestBatchedGreedy:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_equal_per_record_decoding(self, seed):
+        rng = np.random.default_rng(seed)
+        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6)
+        for p in dec.parameters():
+            p.data *= 4.0  # sharper outputs: most seeds finish rows at different steps
+        feats = rng.uniform(-2, 2, (7, 4))
+        batch = decode_greedy(feats, dec, 9)
+        assert len(batch) == 7
+        for f, hyp in zip(feats, batch):
+            alone = decode_greedy(f, dec, 9)
+            assert hyp.tokens == alone.tokens
+            assert hyp.log_prob == alone.log_prob

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from retinapipe.autodiff import SgdConfig
+from retinapipe.autodiff import SgdConfig, backward
 from retinapipe.data import generate_synthetic_dataset, split_dataset
 from retinapipe.errors import DataError
 from retinapipe.textgen import build_vocabulary
@@ -94,6 +96,20 @@ class TestTrainClassifier:
         ckpt2, curve = train_classifier(tiny_dataset, small_cfg(epochs=2),
                                         init_checkpoint=ckpt)
         assert len(curve.entries) == 2
+
+    def test_one_taped_op_per_layer_per_batch(self, tiny_dataset, monkeypatch):
+        import retinapipe.training as training
+        tape_sizes = []
+
+        def counting_backward(tape, loss):
+            tape_sizes.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(training, "backward", counting_backward)
+        train_classifier(tiny_dataset, small_cfg(epochs=1, batch_size=4))
+        n_train = len(tiny_dataset.by_split("train"))
+        # conv, relu and maxpool per stage, then GAP, linear and cross-entropy
+        assert tape_sizes == [3 * len(SMALL_STAGES) + 3] * math.ceil(n_train / 4)
 
     def test_empty_split_rejected(self, tmp_path):
         m = generate_synthetic_dataset(tmp_path, n_classes=2, n_records=4, seed=0,
