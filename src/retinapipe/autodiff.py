@@ -7,7 +7,8 @@ and raises ShapeError with a readable message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +54,11 @@ class Tape:
         self._records: list[tuple[tuple[Tensor, ...], object]] = []
 
     def __enter__(self) -> "Tape":
-        _STACK.append(self)
+        _STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _STACK.pop()
+        _STACK.tapes.pop()
         return False
 
     def __len__(self):
@@ -67,12 +68,21 @@ class Tape:
         return any(out is t for outs, _ in self._records for out in outs)
 
 
-_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    """The open tapes of the current thread, innermost last: an op records on its
+    own thread's innermost tape only."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_STACK = _TapeStack()
 
 
 def _emit(outputs: tuple[Tensor, ...], backward_fn) -> None:
-    if _STACK:
-        _STACK[-1]._records.append((outputs, backward_fn))
+    tapes = _STACK.tapes
+    if tapes:
+        tapes[-1]._records.append((outputs, backward_fn))
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -106,28 +116,6 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_np(x.data)
-    out = Tensor(y)
-
-    def bwd(gs):
-        x.accumulate(gs[0] * y * (1.0 - y))
-
-    _emit((out,), bwd)
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def bwd(gs):
-        x.accumulate(gs[0] * (1.0 - y * y))
-
-    _emit((out,), bwd)
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
@@ -141,50 +129,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data * b.data)
-
-    def bwd(gs):
-        a.accumulate(gs[0] * b.data)
-        b.accumulate(gs[0] * a.data)
-
-    _emit((out,), bwd)
-    return out
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     out = Tensor(x.data * s)
 
     def bwd(gs):
         x.accumulate(gs[0] * s)
-
-    _emit((out,), bwd)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-
-    def bwd(gs):
-        x.accumulate(np.full_like(x.data, float(gs[0])))
-
-    _emit((out,), bwd)
-    return out
-
-
-def mean_scalars(terms: list[Tensor]) -> Tensor:
-    """Mean of scalar tensors as a single op (used for per-step losses)."""
-    if not terms:
-        raise ValueError("mean_scalars needs at least one term")
-    n = len(terms)
-    out = Tensor(sum(float(t.data) for t in terms) / n)
-
-    def bwd(gs):
-        g = float(gs[0]) / n
-        for t in terms:
-            t.accumulate(np.full_like(t.data, g))
 
     _emit((out,), bwd)
     return out
@@ -218,22 +167,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         weight.accumulate(g.T @ x.data if batched else np.outer(g, x.data))
         if bias is not None:
             bias.accumulate(g.sum(axis=0) if batched else g)
-
-    _emit((out,), bwd)
-    return out
-
-
-def embedding_row(table: Tensor, index: int) -> Tensor:
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_row: table must be 2-D, got {table.data.shape}")
-    if not 0 <= index < table.data.shape[0]:
-        raise ValueError(f"embedding_row: index {index} out of range")
-    out = Tensor(table.data[index])
-
-    def bwd(gs):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        table.grad[index] += gs[0]
 
     _emit((out,), bwd)
     return out
@@ -413,12 +346,6 @@ class LstmParams:
     def hidden_size(self) -> int:
         return self.b.data.shape[0] // 4
 
-    @classmethod
-    def init(cls, rng: Xoshiro256, input_dim: int, hidden: int, prefix: str = "lstm") -> "LstmParams":
-        shapes = {f"{prefix}.wx": (4 * hidden, input_dim), f"{prefix}.wh": (4 * hidden, hidden),
-                  f"{prefix}.b": (4 * hidden,)}
-        return cls(*parameters_from(init_arrays(rng, shapes)).values()).open_forget_gates()
-
     def open_forget_gates(self) -> "LstmParams":
         self.b.data[self.hidden_size : 2 * self.hidden_size] = 1.0  # stabilizes early training
         return self
@@ -443,8 +370,8 @@ def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
                  x: np.ndarray, h: np.ndarray, c: np.ndarray):
     """Pure-numpy LSTM step over a batch: x is B x D, h and c are B x H.
 
-    The decoding cell: greedy decoding, beam search and sequence_log_prob all
-    run it, each row exactly as a lone vector would.
+    The decoding cell: greedy decoding and beam search run it, each row
+    exactly as a lone vector would.
     """
     return _lstm_gates(matvec_rows(wx, x) + matvec_rows(wh, h) + b, c)
 
@@ -533,6 +460,8 @@ def lstm_sequence_xent(x0: Tensor, inputs: np.ndarray, targets: np.ndarray, weig
 
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
+    """One taped LSTM step on D and H vectors. No package code calls it; it stays
+    because perfbench/layertrace.py wraps it by name."""
     hid = params.hidden_size
     d = params.wx.data.shape[1]
     if x.data.shape != (d,):
@@ -570,7 +499,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tens
 
 
 # ---------------------------------------------------------------------------
-# init / optimizer / gradient check
+# init / optimizer
 
 def glorot_uniform(rng: Xoshiro256, shape) -> np.ndarray:
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
@@ -617,70 +546,3 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
 def zero_grads(params: list[Tensor]) -> None:
     for p in params:
         p.zero_grad()
-
-
-@dataclass
-class BlockCheck:
-    max_rel_error: float
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class FiniteDifferenceReport:
-    blocks: dict[str, BlockCheck] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(b.passed for b in self.blocks.values())
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((b.max_rel_error for b in self.blocks.values()), default=0.0)
-
-
-def finite_difference_check(model_fn, params: dict[str, Tensor],
-                            eps: float = 1e-5, tol: float = 1e-4) -> FiniteDifferenceReport:
-    """Compare analytic gradients of a scalar model_fn against central differences.
-
-    model_fn must be deterministic and read parameter values afresh on each
-    call. Relative error uses max(|analytic|, |fd|, 1e-4) as denominator so
-    near-zero gradients are judged on an absolute scale.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    zero_grads(list(params.values()))
-    with Tape() as tape:
-        loss = model_fn()
-    backward(tape, loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    report = FiniteDifferenceReport()
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        aflat = analytic[name].reshape(-1)
-        worst, detail = 0.0, ""
-        failed = False
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            fp = float(model_fn().data)
-            flat[j] = orig - eps
-            fm = float(model_fn().data)
-            flat[j] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                report.blocks[name] = BlockCheck(
-                    max_rel_error=np.inf, passed=False,
-                    detail=f"non-finite probe at {name}[{j}]",
-                )
-                failed = True
-                break
-            fd = (fp - fm) / (2.0 * eps)
-            err = abs(aflat[j] - fd) / max(abs(aflat[j]), abs(fd), 1e-4)
-            if err > worst:
-                worst, detail = err, f"worst at {name}[{j}]: analytic={aflat[j]:.6g} fd={fd:.6g}"
-        if not failed:
-            report.blocks[name] = BlockCheck(max_rel_error=worst, passed=worst < tol, detail=detail)
-    return report

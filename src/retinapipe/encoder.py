@@ -121,10 +121,6 @@ class VisionEncoder:
     def classifier_weights(self) -> np.ndarray:
         return self._params["encoder.fc.weight"].data
 
-    @property
-    def classifier_bias(self) -> np.ndarray:
-        return self._params["encoder.fc.bias"].data
-
     def preprocess(self, image: RetinalImage) -> np.ndarray:
         """Resize to the configured side, scale to [0,1], adapt channels, CHW."""
         cfg = self.config

@@ -72,15 +72,6 @@ def _read_pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
-def read_pnm(path) -> RetinalImage:
-    return _decode_pnm(_read_bytes(path), path)
-
-
 def _decode_pnm(data: bytes, path) -> RetinalImage:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
@@ -143,10 +134,6 @@ def _unfilter_row(ftype: int, line: list, prev: list, bpp: int) -> list:
         for x in range(bpp, len(cur)):
             cur[x] = (cur[x] + _paeth(cur[x - bpp], up[x], up[x - bpp])) & 0xFF
     return cur[bpp:]
-
-
-def read_png(path) -> RetinalImage:
-    return _decode_png(_read_bytes(path), path)
 
 
 def _decode_png(data: bytes, path) -> RetinalImage:
@@ -269,7 +256,8 @@ def write_png(path, pixels: np.ndarray) -> None:
 
 def load_image(path) -> RetinalImage:
     """Read the file once and dispatch on its magic bytes: PGM/PPM or PNG."""
-    data = _read_bytes(path)
+    with open(path, "rb") as f:
+        data = f.read()
     if data[:2] in (b"P5", b"P6"):
         return _decode_pnm(data, path)
     if data[:8] == _PNG_SIG:

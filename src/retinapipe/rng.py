@@ -88,6 +88,3 @@ class Xoshiro256:
         for i in range(len(seq) - 1, 0, -1):
             j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

@@ -120,10 +120,6 @@ def keyword_multihot(keywords, kw_vocab: Vocabulary) -> np.ndarray:
     return v
 
 
-def embed_keywords(keywords, kw_vocab: Vocabulary, weight: Tensor, bias: Tensor) -> Tensor:
-    return ad.linear(Tensor(keyword_multihot(keywords, kw_vocab)), weight, bias)
-
-
 def fuse_features(image_feat: Tensor, keyword_feat: Tensor) -> Tensor:
     """Elementwise average of the two feature vectors (ShapeError if their dims differ)."""
     return ad.scale(ad.add(image_feat, keyword_feat), 0.5)
@@ -247,7 +243,11 @@ def caption_loss(fused: Tensor, targets, params: DecoderParams) -> Tensor:
 class Hypothesis:
     tokens: tuple[int, ...]  # without START; END kept if emitted
     log_prob: float
-    finished: bool
+
+    @property
+    def finished(self) -> bool:
+        """Whether the caption ended with END rather than being cut off at max_len."""
+        return self.tokens[-1:] == (END,)
 
     def words(self, vocab: Vocabulary) -> list[str]:
         return vocab.decode_words(self.tokens)
@@ -311,8 +311,7 @@ def decode_greedy(fused, params: DecoderParams, max_len: int):
         live = [live[row] for row in rows]
         if live:
             h, c = dec.step([picks[row] for row in rows], h[rows], c[rows])
-    hyps = [Hypothesis(tokens=tuple(t), log_prob=lp, finished=True)
-            for t, lp in zip(tokens, log_probs)]
+    hyps = [Hypothesis(tokens=tuple(t), log_prob=lp) for t, lp in zip(tokens, log_probs)]
     return hyps[0] if single else hyps
 
 
@@ -344,7 +343,8 @@ def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[
         else:
             picks = np.arange(scores.size)
         candidates = sorted(
-            (-float(scores[j]), live_toks[j // vocab] + (j % vocab,), j // vocab) for j in picks)
+            (-float(scores[j]), live_toks[j // vocab] + (j % vocab,), j // vocab)
+            for j in picks.tolist())
         rows, live_toks, live_lp = [], [], []
         for neg_lp, toks, row in candidates[:width]:
             if toks[-1] == END:
@@ -360,19 +360,4 @@ def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[
         h, c = dec.step([toks[-1] for toks in live_toks], h[rows], c[rows])
     finished.extend(zip(live_lp, live_toks))  # max_len reached, or ranked out when decided
     finished.sort(key=lambda f: (-f[0], f[1]))
-    return [
-        Hypothesis(tokens=toks, log_prob=lp, finished=True)
-        for lp, toks in finished[:width]
-    ]
-
-
-def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
-    """Independent recomputation of a hypothesis' cumulative log-probability."""
-    dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused)[None])
-    total = 0.0
-    for i, tok in enumerate(tokens):
-        total += float(dec.log_probs(h)[0, tok])
-        if i + 1 < len(tokens):
-            h, c = dec.step([tok], h, c)
-    return total
+    return [Hypothesis(tokens=toks, log_prob=lp) for lp, toks in finished[:width]]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -60,14 +60,6 @@ CONFIG_VERSION = 1
 # the JSON form a saved config value takes, by field type
 _JSON_FORMS = {int: "an integer", float: "a finite number", bool: "true or false",
                tuple: "a list of [out_channels, kernel, stride, pool] integer lists"}
-
-
-def save_train_config(cfg: TrainConfig, path) -> None:
-    payload = {"version": CONFIG_VERSION, **asdict(cfg)}
-    payload.update(payload.pop("sgd"))
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def load_train_config(path) -> TrainConfig:

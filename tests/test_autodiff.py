@@ -1,14 +1,14 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from oracles import finite_difference_check, sum_all
 
 from retinapipe import autodiff as ad
-from retinapipe.autodiff import (
-    LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward,
-    finite_difference_check, sgd_step,
-)
+from retinapipe.autodiff import LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward, sgd_step
 from retinapipe.rng import Xoshiro256
+from retinapipe.textgen import DecoderParams
 
 
 def brute_conv(x, k, b, stride, pad):
@@ -213,7 +213,7 @@ class TestLstmStep:
     def test_matches_gate_formula_oracle(self):
         rng = Xoshiro256(21)
         d, hid = 3, 4
-        cell = LstmParams.init(rng, d, hid)
+        cell = DecoderParams.init(rng, 5, d, hid).cell
         x = np.asarray(rng.uniform(-1, 1, (d,)))
         h0 = np.asarray(rng.uniform(-1, 1, (hid,)))
         c0 = np.asarray(rng.uniform(-1, 1, (hid,)))
@@ -237,16 +237,16 @@ class TestBackward:
     def test_sum_gradient_ones(self):
         w = Tensor(np.array([1.0, 2.0, 3.0]), parameter=True, name="w")
         with Tape() as tape:
-            loss = ad.sum_all(w)
+            loss = sum_all(w)
         backward(tape, loss)
         assert np.array_equal(w.grad, np.ones(3))
 
-    def test_square_gradient(self):
+    def test_shared_input_gradient_accumulates(self):
         w = Tensor(np.array([3.0]), parameter=True, name="w")
         with Tape() as tape:
-            loss = ad.sum_all(ad.mul(w, w))
+            loss = sum_all(ad.add(w, w))
         backward(tape, loss)
-        assert np.allclose(w.grad, [6.0])
+        assert np.array_equal(w.grad, [2.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.zeros(3), parameter=True)
@@ -259,9 +259,34 @@ class TestBackward:
         w = Tensor(np.zeros(3), parameter=True)
         with Tape() as tape:
             ad.relu(w)
-        stray = ad.sum_all(Tensor(np.zeros(2)))  # recorded on no tape
+        stray = sum_all(Tensor(np.zeros(2)))  # recorded on no tape
         with pytest.raises(ValueError):
             backward(tape, stray)
+
+    def test_each_thread_records_on_its_own_tape(self):
+        w = Tensor(np.ones(3), parameter=True)
+        b_open, a_done = threading.Event(), threading.Event()
+        lengths = {}
+
+        def thread_b():
+            ad.relu(w)  # this thread has no tape open: recorded nowhere
+            with Tape() as tape_b:
+                b_open.set()
+                a_done.wait(10)
+                ad.relu(w)
+            lengths["b"] = len(tape_b)
+
+        worker = threading.Thread(target=thread_b)
+        with Tape() as tape_a:
+            y = ad.relu(w)
+            worker.start()
+            b_open.wait(10)
+            z = ad.relu(w)  # while thread B's tape is open
+            a_done.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert len(tape_a) == 2 and tape_a.produced(y) and tape_a.produced(z)
+        assert lengths == {"b": 1}
 
 
 class TestSgd:
@@ -300,7 +325,7 @@ class TestFiniteDifferenceCheck:
         w = Tensor(np.array([1.0, -2.0, 0.5]), parameter=True, name="w")
 
         def model():
-            return ad.sum_all(ad.scale(w, 3.0))
+            return sum_all(ad.scale(w, 3.0))
 
         rep = finite_difference_check(model, {"w": w})
         assert rep.passed
@@ -310,7 +335,7 @@ class TestFiniteDifferenceCheck:
         w = Tensor(np.array([1.0, -1.0, 0.5]), parameter=True, name="w")
 
         def model():
-            return ad.sum_all(ad.relu(w))
+            return sum_all(ad.relu(w))
 
         rep = finite_difference_check(model, {"w": w})
         assert rep.passed
@@ -319,28 +344,16 @@ class TestFiniteDifferenceCheck:
     def test_corrupted_gradient_is_caught(self):
         w = Tensor(np.array([2.0, 3.0]), parameter=True, name="w")
 
-        def model():
-            out = ad.mul(w, w)
-            return ad.sum_all(out)
-
-        # corrupt the analytic gradient by scaling the op output contribution
-        orig_mul = ad.mul
-
-        def bad_mul(a, b):
-            out = Tensor(a.data * b.data)
+        def bad_square(a):  # a * a, its analytic gradient 10% too large
+            out = Tensor(a.data * a.data)
 
             def bwd(gs):
-                a.accumulate(1.1 * gs[0] * b.data)  # injected +10% fault
-                b.accumulate(1.1 * gs[0] * a.data)
+                a.accumulate(1.1 * 2.0 * gs[0] * a.data)  # injected +10% fault
 
             ad._emit((out,), bwd)
             return out
 
-        ad.mul = bad_mul
-        try:
-            rep = finite_difference_check(model, {"w": w})
-        finally:
-            ad.mul = orig_mul
+        rep = finite_difference_check(lambda: sum_all(bad_square(w)), {"w": w})
         assert not rep.passed
 
     def test_per_layer_gradients_many_seeds(self):

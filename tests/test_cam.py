@@ -57,7 +57,7 @@ class TestComputeCam:
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         out = enc.encode_image(RetinalImage(pixels=px))
         w = enc.classifier_weights
-        b = enc.classifier_bias
+        b = enc.to_checkpoint()["encoder.fc.bias"]
         for c in range(5):
             cam = compute_cam(out.feature_maps.data, w, c)
             assert abs(cam.values.mean() + b[c] - float(out.logits.data[c])) < 1e-10

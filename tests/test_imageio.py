@@ -8,8 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    MAX_PNG_PIXELS, RetinalImage, load_image, read_png, read_pnm, resize_bilinear,
-    write_png, write_pnm,
+    MAX_PNG_PIXELS, RetinalImage, load_image, resize_bilinear, write_png, write_pnm,
 )
 
 
@@ -70,7 +69,7 @@ class TestPnm:
     def test_pgm_direct_decode(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255]))
-        img = read_pnm(path)
+        img = load_image(path)
         assert img.channels == 1
         assert img.modality == "FA"
         assert img.pixels[:, :, 0].tolist() == [[0, 64], [128, 255]]
@@ -78,25 +77,25 @@ class TestPnm:
     def test_pgm_with_comment(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([10, 20]))
-        assert read_pnm(path).pixels[:, :, 0].tolist() == [[10, 20]]
+        assert load_image(path).pixels[:, :, 0].tolist() == [[10, 20]]
 
     def test_truncated_header_names_offset(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2")
         with pytest.raises(DataError, match="offset"):
-            read_pnm(path)
+            load_image(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
         with pytest.raises(DataError, match="truncated"):
-            read_pnm(path)
+            load_image(path)
 
     def test_16bit_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(DataError, match="maxval"):
-            read_pnm(path)
+            load_image(path)
 
     @pytest.mark.parametrize("header, raster, match", [
         (b"P5 0 4 255\n", b"", "empty image 0x4"),
@@ -116,7 +115,7 @@ class TestPnm:
         img = RetinalImage(pixels=px)
         path = tmp_path / "t.ppm"
         write_pnm(path, img)
-        back = read_pnm(path)
+        back = load_image(path)
         assert back.modality == "CFP"
         assert np.array_equal(back.pixels, px)
 
@@ -139,7 +138,7 @@ class TestPng:
         px = np.arange(64, dtype=np.uint8).reshape(8, 8)
         path = tmp_path / "t.png"
         write_png(path, px)
-        img = read_png(path)
+        img = load_image(path)
         assert img.channels == 1
         assert np.array_equal(img.pixels[:, :, 0], px)
 
@@ -148,7 +147,7 @@ class TestPng:
         px = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
         path = tmp_path / "t.png"
         write_png(path, px)
-        assert np.array_equal(read_png(path).pixels, px)
+        assert np.array_equal(load_image(path).pixels, px)
 
     def test_matches_ppm_of_same_pixels(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -167,11 +166,11 @@ class TestPng:
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         path = str(tmp_path / "cv.png")
         cv2.imwrite(path, px[:, :, ::-1])  # cv2 is BGR
-        assert np.array_equal(read_png(path).pixels, px)
+        assert np.array_equal(load_image(path).pixels, px)
         gray = rng.integers(0, 256, (12, 9), dtype=np.uint8)
         path2 = str(tmp_path / "cvg.png")
         cv2.imwrite(path2, gray)
-        assert np.array_equal(read_png(path2).pixels[:, :, 0], gray)
+        assert np.array_equal(load_image(path2).pixels[:, :, 0], gray)
 
     # width 1 makes the row stride equal to the bytes per pixel; height 1 has no row above
     FILTER_SHAPES = [(5, 7, 1), (4, 6, 3), (6, 1, 1), (5, 1, 3), (1, 8, 1), (1, 8, 3)]
@@ -187,7 +186,7 @@ class TestPng:
         path = tmp_path / "f.png"
         for px in images:
             path.write_bytes(filtered_png(px, [ftype] * shape[0]))
-            assert np.array_equal(read_png(path).pixels, px)
+            assert np.array_equal(load_image(path).pixels, px)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_row_filters_decode_exactly(self, seed, tmp_path):
@@ -196,7 +195,7 @@ class TestPng:
         px = rng.integers(0, 256, shape, dtype=np.uint8)
         path = tmp_path / "mix.png"
         path.write_bytes(filtered_png(px, rng.integers(0, 5, shape[0]).tolist()))
-        assert np.array_equal(read_png(path).pixels, px)
+        assert np.array_equal(load_image(path).pixels, px)
 
     @pytest.mark.parametrize("bad", [5, 255])
     def test_unknown_filter_type_names_its_row(self, bad, tmp_path):
@@ -206,7 +205,7 @@ class TestPng:
         path = tmp_path / "bad.png"
         path.write_bytes(png_file(ihdr_body(3, 4, 3), zlib.compress(bytes(lines))))
         with pytest.raises(DataError, match=f"unknown filter type {bad} on row 2"):
-            read_png(path)
+            load_image(path)
 
     @pytest.mark.parametrize("length", [0, 5, 12, 14])
     def test_ihdr_of_wrong_length_rejected(self, length, tmp_path):
@@ -214,7 +213,7 @@ class TestPng:
         path = tmp_path / "ihdr.png"
         path.write_bytes(png_file(ihdr, zlib.compress(bytes(2 * 3))))
         with pytest.raises(DataError, match=f"IHDR chunk is {length} bytes, expected 13"):
-            read_png(path)
+            load_image(path)
 
     def test_truncated_chunk_rejected(self, tmp_path):
         path = tmp_path / "t.png"
@@ -222,7 +221,7 @@ class TestPng:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataError):
-            read_png(path)
+            load_image(path)
 
     def test_crc_corruption_rejected(self, tmp_path):
         path = tmp_path / "t.png"
@@ -231,7 +230,7 @@ class TestPng:
         blob[40] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError):
-            read_png(path)
+            load_image(path)
 
     def test_not_png_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -261,21 +260,21 @@ class TestPng:
         path = tmp_path / "empty.png"
         path.write_bytes(png_bytes(width, height, zlib.compress(b"")))
         with pytest.raises(DataError, match="empty image"):
-            read_png(path)
+            load_image(path)
 
     def test_pixel_cap_checked_before_inflating(self, tmp_path, monkeypatch):
         path = tmp_path / "huge.png"
         path.write_bytes(png_bytes(MAX_PNG_PIXELS + 1, 1, zlib.compress(b"\x00")))
         monkeypatch.setattr(zlib, "decompressobj", None)  # any inflate attempt fails the test
         with pytest.raises(DataError, match=f"exceeds {MAX_PNG_PIXELS} pixels"):
-            read_png(path)
+            load_image(path)
 
     def test_truncated_stream_rejected(self, tmp_path):
         stream = zlib.compress(bytes(4 * 5))
         path = tmp_path / "cut.png"
         path.write_bytes(png_bytes(4, 4, stream[:-4]))  # all pixels, no checksum
         with pytest.raises(DataError, match="truncated stream"):
-            read_png(path)
+            load_image(path)
 
     @pytest.mark.parametrize("name, pixels", [
         ("a.png", np.arange(12, dtype=np.uint8).reshape(3, 4)),

@@ -1,14 +1,18 @@
-"""Every name a package or test module imports is used in that module.
+"""The project's own lint, since it depends on no linter:
 
-The project depends on no linter, so this test is the check that keeps dead
-imports out of `src/retinapipe/` and `tests/`.
+- every name a package or test module imports is used in that module;
+- every function, class and method defined in `src/retinapipe/` is referenced
+  somewhere in `src/retinapipe/`, so code no caller needs cannot pile up;
+- every function the benchmark's layer trace wraps exists in the package.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCANNED = sorted([*(ROOT / "src" / "retinapipe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "retinapipe").glob("*.py"))
+SCANNED = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +39,67 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
              for path in SCANNED}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def uncalled_definitions(modules: dict[str, str], exempt=frozenset()) -> list[str]:
+    """The qualified names ("module.Class.method") of the definitions in the
+    module sources whose name no module mentions as a name or an attribute.
+
+    The match is by name only: a definition shadowed by any same-named name or
+    attribute (a local variable, np.tanh) counts as referenced. Dunder methods
+    are called by Python itself and are skipped.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qualname = f"{prefix}.{node.name}"
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in referenced and qualname not in exempt:
+                    uncalled.append(qualname)
+                visit(node.body, qualname)
+
+    for name, tree in trees.items():
+        visit(tree.body, name)
+    return sorted(uncalled)
+
+
+def trace_targets() -> list[str]:
+    """Each entry of perfbench/layertrace.py's TARGETS as "module.attribute",
+    read with ast so nothing under perfbench/ is imported."""
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [f"{module}.{attr}" for module, attr in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/layertrace.py defines no TARGETS")
+
+
+def test_uncalled_definitions():
+    assert uncalled_definitions({
+        "a": "def f(): g()\ndef g(): pass\ndef h(): pass\n"
+             "class C:\n    def __init__(self): pass\n    def m(self): pass\n",
+        "b": "from a import C, f\nf(C().x)\ndef main(): pass\n",
+    }, exempt={"b.main"}) == ["a.C.m", "a.h"]
+    # cli.main is the console entry point; the layer trace wraps its targets by name
+    exempt = {"cli.main", *trace_targets()}
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert uncalled_definitions(package, exempt) == []
+
+
+def test_trace_targets_exist():
+    """perfbench/run.py --trace 1 looks every target up on the package, so a missing
+    one would fail every traced run."""
+    missing = []
+    for target in trace_targets():
+        module, *path = target.split(".")
+        owner = importlib.import_module(f"retinapipe.{module}")
+        for attr in path:
+            owner = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        if owner is None:
+            missing.append(target)
+    assert missing == []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import embedding_row, finite_difference_check, mean_scalars, sequence_log_prob
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
@@ -11,8 +12,7 @@ from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, PAD, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
     build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize,
-    embed_keywords, fuse_features, keyword_multihot, sequence_log_prob,
-    tokenize,
+    fuse_features, keyword_multihot, tokenize,
 )
 
 
@@ -47,7 +47,7 @@ class TestVocabulary:
     def test_order_matches_count_then_sort_oracle(self):
         rng = Xoshiro256(3)
         words = [f"w{i:02d}" for i in range(30)]
-        corpus = [[rng.choice(words) for _ in range(8)] for _ in range(100)]
+        corpus = [[words[rng.randrange(len(words))] for _ in range(8)] for _ in range(100)]
         v = build_vocabulary(corpus, min_frequency=2)
         counts = {}
         for sent in corpus:
@@ -76,28 +76,30 @@ class TestVocabulary:
             Vocabulary.load(path)
 
 
+def embed(keywords, kw_vocab, proj):
+    """The projected keyword bag, doubled back out of its average with a zero image feature."""
+    zero = Tensor(np.zeros(proj.bias.data.shape))
+    return 2.0 * proj.fuse(zero, keyword_multihot(keywords, kw_vocab)).data
+
+
 class TestKeywordEmbedding:
     def test_empty_keywords_zero_bias_gives_zero(self):
         kw_vocab = build_vocabulary([["drusen"], ["edema"]])
         proj = KeywordProjection.init(Xoshiro256(1), kw_vocab.size, 5)
         proj.bias.data[:] = 0.0
-        out = embed_keywords([], kw_vocab, proj.weight, proj.bias)
-        assert np.all(out.data == 0.0)
+        assert np.all(embed([], kw_vocab, proj) == 0.0)
 
     def test_order_invariant(self):
         kw_vocab = build_vocabulary([["a"], ["b"]])
         proj = KeywordProjection.init(Xoshiro256(2), kw_vocab.size, 4)
-        u = embed_keywords(["a", "b"], kw_vocab, proj.weight, proj.bias)
-        w = embed_keywords(["b", "a"], kw_vocab, proj.weight, proj.bias)
-        assert np.array_equal(u.data, w.data)
+        assert np.array_equal(embed(["a", "b"], kw_vocab, proj), embed(["b", "a"], kw_vocab, proj))
 
     def test_matches_matvec_oracle(self):
         kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
         proj = KeywordProjection.init(Xoshiro256(3), kw_vocab.size, 4)
         m = keyword_multihot(["a", "b", "c"], kw_vocab)
         want = proj.weight.data @ m + proj.bias.data
-        got = embed_keywords(["a", "b", "c"], kw_vocab, proj.weight, proj.bias)
-        assert np.allclose(got.data, want, atol=1e-12)
+        assert np.allclose(embed(["a", "b", "c"], kw_vocab, proj), want, atol=1e-12)
 
     def test_unknown_keyword_adds_nothing(self):
         # the <unk> column of a trained projection is never trained, so an
@@ -105,9 +107,8 @@ class TestKeywordEmbedding:
         kw_vocab = build_vocabulary([["soft drusen"], ["hard exudates"]])
         assert keyword_multihot(["mystery"], kw_vocab).sum() == 0.0
         proj = KeywordProjection.init(Xoshiro256(4), kw_vocab.size, 4)
-        with_unknown = embed_keywords(["soft drusen", "zzz"], kw_vocab, proj.weight, proj.bias)
-        known_only = embed_keywords(["soft drusen"], kw_vocab, proj.weight, proj.bias)
-        assert np.array_equal(with_unknown.data, known_only.data)
+        with_unknown = embed(["soft drusen", "zzz"], kw_vocab, proj)
+        assert np.array_equal(with_unknown, embed(["soft drusen"], kw_vocab, proj))
 
 
 class TestFusion:
@@ -183,12 +184,11 @@ class TestCaptionLoss:
         target = [START, 4, 5, END]
 
         def model():
-            kw = embed_keywords(["a"], kw_vocab, proj.weight, proj.bias)
-            fused = fuse_features(Tensor(img), kw)
+            fused = proj.fuse(Tensor(img), keyword_multihot(["a"], kw_vocab))
             return caption_loss(fused, target, dec)
 
         params = {p.name: p for p in dec.parameters() + proj.parameters()}
-        rep = ad.finite_difference_check(model, params)
+        rep = finite_difference_check(model, params)
         assert rep.passed, rep.blocks
         assert rep.max_rel_error < 1e-4
 
@@ -312,7 +312,7 @@ class TestBatchedBeam:
 
     def test_batched_cell_matches_lone_rows(self):
         rng = Xoshiro256(7)
-        cell = ad.LstmParams.init(rng, 5, 6)
+        cell = DecoderParams.init(rng, 4, 5, 6).cell
         x, h, c = (np.asarray(rng.uniform(-2, 2, (4, n))) for n in (5, 6, 6))
         params = (cell.wx.data, cell.wh.data, cell.b.data)
         batched = ad.lstm_cell_np(*params, x, h, c)
@@ -386,9 +386,28 @@ class TestDecoding:
         dec = DecoderParams.init(rng, 6, 3, 4)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         hyps = decode_beam(fused, dec, width=4, max_len=6)
-        assert all(h.finished for h in hyps)
+        assert all(h.finished == (h.tokens[-1] == END) for h in hyps)
+        assert any(h.finished for h in hyps) and not all(h.finished for h in hyps)
         lps = [h.log_prob for h in hyps]
         assert lps == sorted(lps, reverse=True)
+
+    def test_suppressed_end_is_not_finished(self):
+        rng = Xoshiro256(12)
+        dec = DecoderParams.init(rng, 6, 3, 4)
+        dec.out_b.data[END] = -100.0  # END is never the best next token
+        fused = np.asarray(rng.uniform(-1, 1, (3,)))
+        greedy = decode_greedy(fused, dec, 5)
+        beam = decode_beam(fused, dec, width=3, max_len=5)
+        for hyp in [greedy, *beam]:
+            assert len(hyp.tokens) == 5 and END not in hyp.tokens
+            assert not hyp.finished
+
+    def test_tokens_are_plain_ints(self):
+        rng = Xoshiro256(13)
+        dec = DecoderParams.init(rng, 6, 3, 4)
+        fused = np.asarray(rng.uniform(-1, 1, (3,)))
+        hyps = [decode_greedy(fused, dec, 6), *decode_beam(fused, dec, width=3, max_len=6)]
+        assert all(type(t) is int for h in hyps for t in h.tokens)
 
     def test_log_prob_matches_independent_recompute(self):
         rng = Xoshiro256(10)
@@ -406,8 +425,7 @@ class TestDecoding:
         img = Tensor(np.asarray(rng.uniform(-1, 1, (4,))))
         captions = set()
         for perm in itertools.permutations(["a", "b", "c"]):
-            kw = embed_keywords(list(perm), kw_vocab, proj.weight, proj.bias)
-            fused = fuse_features(img, kw)
+            fused = proj.fuse(img, keyword_multihot(list(perm), kw_vocab))
             captions.add(decode_greedy(fused, dec, 10).tokens)
         assert len(captions) == 1
 
@@ -425,13 +443,13 @@ def per_record_caption_loss(fused, target, params):
     h, c = ad.lstm_step(fused, h, c, params.cell)
     losses = []
     for inp, tgt in zip(target[:-1], target[1:]):
-        x = ad.embedding_row(params.embedding, inp)
+        x = embedding_row(params.embedding, inp)
         h, c = ad.lstm_step(x, h, c, params.cell)
         if tgt == PAD:
             continue
         logits = ad.linear(h, params.out_w, params.out_b)
         losses.append(ad.softmax_cross_entropy(logits, tgt))
-    return ad.mean_scalars(losses)
+    return mean_scalars(losses)
 
 
 def ragged_targets(rng, n, vocab_size, longest=7):
@@ -464,7 +482,7 @@ class TestBatchedCaptionLoss:
 
         def per_record():
             fused = [Tensor(f) for f in feats]
-            return ad.mean_scalars([per_record_caption_loss(f, t, dec)
+            return mean_scalars([per_record_caption_loss(f, t, dec)
                                     for f, t in zip(fused, targets)]), fused
 
         got_loss, got = run(batched)
@@ -487,7 +505,7 @@ class TestBatchedCaptionLoss:
             return caption_loss(proj.fuse(Tensor(img), bags), targets, dec)
 
         params = {p.name: p for p in dec.parameters() + proj.parameters()}
-        rep = ad.finite_difference_check(model, params)
+        rep = finite_difference_check(model, params)
         assert rep.passed, rep.blocks
         assert rep.max_rel_error < 1e-4
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from retinapipe.errors import DataError
 from retinapipe.textgen import build_vocabulary
 from retinapipe.training import (
     TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
-    load_train_config, lr_schedule, save_train_config, train_captioner,
+    load_train_config, lr_schedule, train_captioner,
     train_classifier,
 )
 
@@ -46,7 +47,12 @@ class TestTrainConfig:
                           keyword_mode=False, decoder_hidden=12,
                           encoder_stages=((4, 3, 1, 2),), image_size=16)
         path = tmp_path / "cfg.json"
-        save_train_config(cfg, path)
+        path.write_text(json.dumps({  # the sgd fields sit at the top level
+            "version": 1, "epochs": 7, "batch_size": 4, "seed": 3,
+            "learning_rate": 0.05, "decay_factor": 2.0, "decay_period_epochs": 10,
+            "keyword_mode": False, "decoder_hidden": 12, "max_caption_len": 30,
+            "image_size": 16, "encoder_stages": [[4, 3, 1, 2]], "input_channels": 3,
+        }))
         assert load_train_config(path) == cfg
 
     def test_bad_version_rejected(self, tmp_path):
