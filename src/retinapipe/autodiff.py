@@ -30,10 +30,6 @@ class Tensor:
         self.parameter = parameter
         self.name = name
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -142,31 +138,24 @@ def scale(x: Tensor, s: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """weight @ x (+ bias) for a D vector, or row by row for a B x D batch; each
-    row of a batch equals the vector result bit for bit."""
-    if x.data.ndim not in (1, 2) or weight.data.ndim != 2:
-        raise ShapeError(
-            f"linear: expected vector or B x D input and matrix, "
-            f"got {x.data.shape}, {weight.data.shape}"
-        )
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """weight @ x[b] + bias for each row b of a B x D batch, each row bit for bit
+    as a lone matrix-vector product."""
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise ShapeError(f"linear: expected B x D input and matrix, "
+                         f"got {x.data.shape}, {weight.data.shape}")
     m, d = weight.data.shape
-    if x.data.shape[-1] != d:
-        raise ShapeError(f"linear: weight is {m}x{d} but input has dim {x.data.shape[-1]}")
-    if bias is not None and bias.data.shape != (m,):
+    if x.data.shape[1] != d:
+        raise ShapeError(f"linear: weight is {m}x{d} but input has dim {x.data.shape[1]}")
+    if bias.data.shape != (m,):
         raise ShapeError(f"linear: bias shape {bias.data.shape} != ({m},)")
-    batched = x.data.ndim == 2
-    y = matvec_rows(weight.data, x.data) if batched else weight.data @ x.data
-    if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
+    out = Tensor(matvec_rows(weight.data, x.data) + bias.data)
 
     def bwd(gs):
         g = gs[0]
-        x.accumulate(g @ weight.data if batched else weight.data.T @ g)
-        weight.accumulate(g.T @ x.data if batched else np.outer(g, x.data))
-        if bias is not None:
-            bias.accumulate(g.sum(axis=0) if batched else g)
+        x.accumulate(g @ weight.data)
+        weight.accumulate(g.T @ x.data)
+        bias.accumulate(g.sum(axis=0))
 
     _emit((out,), bwd)
     return out
@@ -196,19 +185,12 @@ def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) of a CHW image or an NCHW batch.
-
-    Each image of a batch is computed exactly as it would be alone; a CHW
-    input runs as a batch of one.
-    """
-    if x.data.ndim not in (3, 4) or kernels.data.ndim != 4:
-        raise ShapeError(
-            f"conv2d: expected CHW or NCHW input and KCkhkw kernels, "
-            f"got {x.data.shape}, {kernels.data.shape}"
-        )
-    batched = x.data.ndim == 4
-    xb = x.data if batched else x.data[None]
-    n, c, h, w = xb.shape
+    """2-D convolution (cross-correlation) of an NCHW batch, each image computed
+    exactly as it would be alone."""
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
+        raise ShapeError(f"conv2d: expected NCHW input and KCkhkw kernels, "
+                         f"got {x.data.shape}, {kernels.data.shape}")
+    n, c, h, w = x.data.shape
     k, kc, kh, kw = kernels.data.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {kc}")
@@ -221,11 +203,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xb
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
     kmat = kernels.data.reshape(k, c * kh * kw)
     y = (kmat @ cols + bias.data[:, None]).reshape(n, k, ho, wo)  # one GEMM per image
-    out = Tensor(y if batched else y[0])
+    out = Tensor(y)
 
     def bwd(gs):
         gflat = gs[0].reshape(n, k, ho * wo)
@@ -235,27 +217,25 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         gxp = _col2im_add(kmat.T @ gflat, (n, c, hp, wp), kh, kw, stride, ho, wo)
         if pad:
             gxp = gxp[:, :, pad:-pad, pad:-pad]
-        x.accumulate(gxp if batched else gxp[0])
+        x.accumulate(gxp)
 
     _emit((out,), bwd)
     return out
 
 
-def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """Max over window x window patches of the last two axes (CHW or NCHW)."""
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"maxpool2d: expected CHW or NCHW input, got {x.data.shape}")
-    if stride is None:
-        stride = window
-    h, w = x.data.shape[-2:]
+def maxpool2d(x: Tensor, window: int) -> Tensor:
+    """Max over the non-overlapping window x window patches of each map of an NCHW batch."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"maxpool2d: expected NCHW input, got {x.data.shape}")
+    h, w = x.data.shape[2:]
     if window > h or window > w:
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial extent {h}x{w}")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    ho = h // window
+    wo = w // window
     offsets = [(a, b) for a in range(window) for b in range(window)]
 
     def at(arr, a, b):  # the element at offset (a, b) of every window
-        return arr[..., a : a + stride * ho : stride, b : b + stride * wo : stride]
+        return arr[:, :, a : a + window * ho : window, b : b + window * wo : window]
 
     top = at(x.data, 0, 0).copy()
     for a, b in offsets[1:]:
@@ -276,14 +256,14 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the last two axes: CHW -> C, NCHW -> N x C."""
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"global_avg_pool: expected CHW or NCHW input, got {x.data.shape}")
-    h, w = x.data.shape[-2:]
-    out = Tensor(x.data.mean(axis=(-2, -1)))
+    """Mean of each map of an NCHW batch: N x C out."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"global_avg_pool: expected NCHW input, got {x.data.shape}")
+    h, w = x.data.shape[2:]
+    out = Tensor(x.data.mean(axis=(2, 3)))
 
     def bwd(gs):
-        x.accumulate(np.broadcast_to((gs[0] / (h * w))[..., None, None], x.data.shape))
+        x.accumulate(np.broadcast_to((gs[0] / (h * w))[:, :, None, None], x.data.shape))
 
     _emit((out,), bwd)
     return out
@@ -304,20 +284,17 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
-    """Cross-entropy of C logits against one class id, or the mean over a batch
-    of B x C logits against B class ids."""
-    if logits.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax_cross_entropy: logits must be C or B x C, got {logits.data.shape}")
-    batched = logits.data.ndim == 2
-    z = logits.data if batched else logits.data[None]
-    ids = np.asarray(target if batched else [target])
-    b, n = z.shape
+    """Mean cross-entropy of B x C logits against B class ids."""
+    if logits.data.ndim != 2:
+        raise ShapeError(f"softmax_cross_entropy: logits must be B x C, got {logits.data.shape}")
+    ids = np.asarray(target)
+    b, n = logits.data.shape
     if ids.shape != (b,) or ids.dtype.kind not in "iu":
         raise ValueError(f"softmax_cross_entropy: need {b} integer class ids, got {target!r}")
     if ((ids < 0) | (ids >= n)).any():
         raise ValueError(f"target class {target} out of range for {n} classes")
     rows = np.arange(b)
-    logp = log_softmax_np(z)
+    logp = log_softmax_np(logits.data)
     out = Tensor(-logp[rows, ids].mean())
     p = np.exp(logp)
 
@@ -325,7 +302,7 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
         g = p.copy()
         g[rows, ids] -= 1.0
         g *= float(gs[0]) / b
-        logits.accumulate(g if batched else g[0])
+        logits.accumulate(g)
 
     _emit((out,), bwd)
     return out
@@ -370,8 +347,8 @@ def lstm_cell_np(wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
                  x: np.ndarray, h: np.ndarray, c: np.ndarray):
     """Pure-numpy LSTM step over a batch: x is B x D, h and c are B x H.
 
-    The decoding cell: greedy decoding and beam search run it, each row
-    exactly as a lone vector would.
+    The decoding cell: beam search runs it, each row exactly as a lone
+    vector would.
     """
     return _lstm_gates(matvec_rows(wx, x) + matvec_rows(wh, h) + b, c)
 
@@ -392,8 +369,7 @@ def lstm_sequence_xent(x0: Tensor, inputs: np.ndarray, targets: np.ndarray, weig
                        embedding: Tensor, cell: LstmParams, out_w: Tensor, out_b: Tensor) -> Tensor:
     """Teacher-forced LSTM cross-entropy over a batch of sequences, as one op.
 
-    From a zero state, step 0 feeds x0 (B x D, or a D vector as a batch of
-    one); step s >= 1 feeds embedding row inputs[:, s-1] and scores the
+    From a zero state, step 0 feeds x0 (B x D); step s >= 1 feeds embedding row inputs[:, s-1] and scores the
     softmax of out_w @ h + out_b against targets[:, s-1] with weight
     weights[:, s-1] (inputs, targets and weights are B x T). The loss is the
     weighted sum of the scores' negative log-probabilities.
@@ -403,15 +379,14 @@ def lstm_sequence_xent(x0: Tensor, inputs: np.ndarray, targets: np.ndarray, weig
     backpropagation through time, with each weight gradient one GEMM over
     all B x T steps.
     """
-    xb = x0.data if x0.data.ndim == 2 else x0.data[None]
     n, t_len = inputs.shape
     d = embedding.data.shape[1]
     hid = cell.hidden_size
-    if xb.shape != (n, d) or targets.shape != (n, t_len) or weights.shape != (n, t_len):
+    if x0.data.shape != (n, d) or targets.shape != (n, t_len) or weights.shape != (n, t_len):
         raise ShapeError(f"lstm_sequence_xent: x0 {x0.data.shape}, inputs {inputs.shape}, "
                          f"targets {targets.shape} and weights {weights.shape} disagree")
     wx, wh = cell.wx.data, cell.wh.data
-    xs = np.concatenate([xb[None], embedding.data[inputs.T]]).reshape(-1, d)  # step-major
+    xs = np.concatenate([x0.data[None], embedding.data[inputs.T]]).reshape(-1, d)  # step-major
     ax = (xs @ wx.T + cell.b.data).reshape(t_len + 1, n, 4 * hid)
     hs = np.zeros((t_len + 2, n, hid))  # hs[s] is the state step s reads, hs[s + 1] the one it writes
     cs = np.zeros((t_len + 2, n, hid))
@@ -450,7 +425,7 @@ def lstm_sequence_xent(x0: Tensor, inputs: np.ndarray, targets: np.ndarray, weig
         cell.wh.accumulate(da.T @ hs[:-1].reshape(-1, hid))
         cell.b.accumulate(da.sum(axis=0))
         dxs = da @ wx
-        x0.accumulate(dxs[:n] if x0.data.ndim == 2 else dxs[0])
+        x0.accumulate(dxs[:n])
         demb = np.zeros_like(embedding.data)
         np.add.at(demb, inputs.T.reshape(-1), dxs[n:])
         embedding.accumulate(demb)
@@ -527,8 +502,9 @@ class SgdConfig:
     decay_period_epochs: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "decay_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.decay_period_epochs < 1:
             raise ValueError("decay_period_epochs must be >= 1")
 

@@ -91,11 +91,14 @@ class ModelCheckpoint:
         version, header_len = struct.unpack("<HI", blob[4:10])
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        header = blob[10 : 10 + header_len].decode("utf-8")
+        try:
+            header = blob[10 : 10 + header_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: checkpoint header is not UTF-8: {e}") from e
         payload = blob[10 + header_len :]
         params: dict[str, np.ndarray] = {}
         end = 0  # the writer lays the entries out back to back, in header order
-        for line in header.splitlines():
+        for line in header.split("\n"):  # the writer's only line break
             if not line:
                 continue
             try:
@@ -106,6 +109,8 @@ class ModelCheckpoint:
                     raise ValueError("negative dimension")
             except ValueError as e:
                 raise DataError(f"{path}: malformed header line {line!r}") from e
+            if name in params:
+                raise DataError(f"{path}: entry {name!r} appears twice")
             if offset != end:
                 raise DataError(f"{path}: entry {name!r} starts at byte {offset}, not {end}")
             count = math.prod(shape)

@@ -1,6 +1,6 @@
 """Command-line entry point wiring the whole pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
+Exit codes: 0 success, 1 usage error, 2 bad or missing input data, 3 runtime error.
 All randomness flows from the --seed flag of each subcommand.
 """
 
@@ -204,8 +204,8 @@ def _cmd_explain(args) -> int:
     out = encoder.encode_image(image)
     class_id = args.class_id
     if class_id is None:
-        class_id = predict_topk(out.logits, 1)[0][0]
-    heat = compute_cam(out.feature_maps.data, encoder.classifier_weights, class_id)
+        class_id = predict_topk(out.logits.data[0], 1)[0][0]
+    heat = compute_cam(out.feature_maps.data[0], encoder.classifier_weights, class_id)
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
@@ -257,8 +257,12 @@ def _cmd_score(args) -> int:
                 fields = line.split()
                 if len(fields) < 2:
                     raise DataError(f"{args.rankings}: line {i + 1} needs a truth id and a ranking")
-                truths.append(int(fields[0]))
-                rankings.append([int(x) for x in fields[1:]])
+                try:
+                    truths.append(int(fields[0]))
+                    rankings.append([int(x) for x in fields[1:]])
+                except ValueError as e:
+                    raise DataError(f"{args.rankings}: line {i + 1}: class ids must be "
+                                    f"integers: {e}") from e
         for k in args.topk:
             report.prec_at[k] = precision_at_k(rankings, truths, k)
     print(report.to_json())
@@ -362,6 +366,9 @@ def main(argv=None) -> int:
         return 1
     except (DataError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, IsADirectoryError) as e:  # a missing input, for every loader
+        print(f"data error: cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except SystemExit:
         raise

@@ -49,11 +49,11 @@ class DatasetManifest:
         return os.path.join(self.root, record.image_path)
 
 
-def _split_keywords(values) -> list[str]:
+def _split_keywords(values: list[str]) -> list[str]:
     """Keyword entries may themselves contain commas; split, trim, casefold."""
     out = []
     for value in values:
-        for part in str(value).split(","):
+        for part in value.split(","):
             part = part.strip().casefold()
             if part:
                 out.append(part)
@@ -66,7 +66,7 @@ def parse_manifest(path) -> DatasetManifest:
             raw = json.load(f)
     except OSError as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise DataError(f"manifest {path} is not valid JSON: {e}") from e
     if not isinstance(raw, list):
         raise DataError(f"manifest {path} must be a JSON array of records")
@@ -78,6 +78,9 @@ def parse_manifest(path) -> DatasetManifest:
         for key in ("id", "image_path", "modality", "disease", "description"):
             if key not in obj or obj[key] in (None, ""):
                 raise DataError(f"record {i}: missing required field {key!r}")
+            if not isinstance(obj[key], str):
+                raise DataError(f"record {i}: field {key!r} must be a string, "
+                                f"got {type(obj[key]).__name__}")
         if obj["id"] in seen_ids:
             raise DataError(f"record {i}: duplicate id {obj['id']!r}")
         seen_ids.add(obj["id"])
@@ -89,13 +92,17 @@ def parse_manifest(path) -> DatasetManifest:
         keywords = obj.get("keywords", [])
         if not isinstance(keywords, list):
             raise DataError(f"record {i}: 'keywords' must be a list, got {type(keywords).__name__}")
+        for j, kw in enumerate(keywords):
+            if not isinstance(kw, str):
+                raise DataError(f"record {i}: keyword entry {j} must be a string, "
+                                f"got {type(kw).__name__}")
         records.append(CaseRecord(
-            id=str(obj["id"]),
-            image_path=str(obj["image_path"]),
+            id=obj["id"],
+            image_path=obj["image_path"],
             modality=obj["modality"],
-            disease=str(obj["disease"]),
+            disease=obj["disease"],
             keywords=_split_keywords(keywords),
-            description=str(obj["description"]),
+            description=obj["description"],
             split=split,
         ))
     return DatasetManifest(records=records, root=os.path.dirname(os.fspath(path)) or ".")

@@ -90,9 +90,9 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class EncoderOutput:
-    feature_maps: Tensor  # K x h x w (B x K x h x w), post-relu activations of the last stage
-    pooled: Tensor  # K (B x K)
-    logits: Tensor  # C (B x C)
+    feature_maps: Tensor  # B x K x h x w, post-relu activations of the last stage
+    pooled: Tensor  # B x K
+    logits: Tensor  # B x C
 
 
 class VisionEncoder:
@@ -134,16 +134,13 @@ class VisionEncoder:
             )
         return np.transpose(px, (2, 0, 1))
 
-    def forward(self, chw: np.ndarray) -> EncoderOutput:
-        """One CHW image, or a B x C x H x W batch whose rows come out as they would alone."""
+    def forward(self, nchw: np.ndarray) -> EncoderOutput:
+        """A B x C x H x W batch, each image coming out as it would alone."""
         cfg = self.config
-        if chw.ndim not in (3, 4) or \
-                chw.shape[-3:] != (cfg.input_channels, cfg.image_size, cfg.image_size):
-            raise ShapeError(
-                f"encoder input shape {chw.shape} != "
-                f"{(cfg.input_channels, cfg.image_size, cfg.image_size)} or a batch of them"
-            )
-        x = Tensor(chw)
+        if nchw.ndim != 4 or nchw.shape[1:] != (cfg.input_channels, cfg.image_size, cfg.image_size):
+            raise ShapeError(f"encoder input shape {nchw.shape} is not a batch of "
+                             f"{(cfg.input_channels, cfg.image_size, cfg.image_size)} images")
+        x = Tensor(nchw)
         for i, (_out_ch, kernel, stride, pool) in enumerate(cfg.stages):
             x = ad.conv2d(x, self._params[f"encoder.stage{i}.kernels"],
                           self._params[f"encoder.stage{i}.bias"],
@@ -161,15 +158,18 @@ class VisionEncoder:
         return EncoderOutput(feature_maps=feature_maps, pooled=pooled, logits=logits)
 
     def encode_image(self, image: RetinalImage) -> EncoderOutput:
-        return self.forward(self.preprocess(image))
+        """The image as a batch of one."""
+        return self.forward(self.preprocess(image)[None])
 
 
-def predict_topk(logits, k: int) -> list[tuple[int, float]]:
-    """Top-k classes by stabilized softmax probability; ties break by class id."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    n = arr.shape[0]
+def predict_topk(logits: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """Top-k classes of one image's C logits by stabilized softmax probability;
+    ties break by class id."""
+    if logits.ndim != 1:
+        raise ShapeError(f"predict_topk: expected one image's C logits, got shape {logits.shape}")
+    n = logits.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} classes")
-    probs = ad.softmax_np(arr)
+    probs = ad.softmax_np(logits)
     order = sorted(range(n), key=lambda i: (-probs[i], i))
     return [(i, float(probs[i])) for i in order[:k]]

@@ -1,5 +1,6 @@
 """Clinical description generator: vocabulary, keyword bag-of-words embedding,
-feature fusion, teacher-forced LSTM loss, and greedy/beam decoding."""
+feature fusion, teacher-forced LSTM loss, and beam-search decoding (greedy
+decoding is the width-1 beam)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LstmParams, Tensor, init_arrays, parameters_from
+from .autodiff import LstmParams, ShapeError, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
 from .errors import DataError
 from .rng import Xoshiro256
@@ -51,6 +52,8 @@ class Vocabulary:
         self._stoi = {t: i for i, t in enumerate(self._itos)}
         if len(self._stoi) != len(self._itos):
             raise ValueError("vocabulary contains duplicate tokens")
+        if any("\n" in tok for tok in tokens):
+            raise ValueError("a vocabulary token contains a line break, which the file cannot hold")
         self.source_ids = source_ids
 
     @property
@@ -74,21 +77,28 @@ class Vocabulary:
         return [self._itos[i] for i in indices if i >= len(RESERVED)]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.FILE_HEADER + "\n")
             for tok in self._itos:
                 f.write(tok + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        with open(path, "rb") as f:
+            blob = f.read()
+        try:
+            lines = blob.decode("utf-8").removesuffix("\n").split("\n")  # the writer's line break
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: vocabulary is not UTF-8: {e}") from e
         if not lines or lines[0] != cls.FILE_HEADER:
             raise DataError(f"{path}: not a {cls.FILE_HEADER} file")
         body = lines[1:]
         if tuple(body[:4]) != RESERVED:
             raise DataError(f"{path}: reserved token block is corrupt")
-        return cls(body[4:])
+        try:
+            return cls(body[4:])
+        except ValueError as e:
+            raise DataError(f"{path}: {e}") from e
 
 
 def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1,
@@ -201,8 +211,8 @@ class KeywordProjection:
         return [self.weight, self.bias]
 
     def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
-        """The image feature averaged with the projected keyword bag (keyword_multihot);
-        a D feature takes one bag, a B x D batch a B x KV matrix of them."""
+        """The B x D image features averaged with their projected keyword bags, the
+        B x KV rows of keyword_multihot."""
         return fuse_features(image_feat, ad.linear(Tensor(bags), self.weight, self.bias))
 
     @classmethod
@@ -218,12 +228,13 @@ class KeywordProjection:
 def caption_loss(fused: Tensor, targets, params: DecoderParams) -> Tensor:
     """Mean over records of each record's mean teacher-forced cross-entropy, as one op.
 
-    fused is B x D with B token-id targets, or a D vector with one target;
-    the fused feature is the step-0 input. Targets are padded to one length
-    with PAD, and a PAD target scores nothing.
+    fused is B x D, with one token-id target per row; the fused feature is the
+    step-0 input. Targets are padded to one length with PAD, and a PAD target
+    scores nothing.
     """
-    if fused.data.ndim == 1:
-        targets = [targets]
+    if fused.data.ndim != 2 or len(fused.data) != len(targets):
+        raise ShapeError(f"caption_loss: need B x D features and B targets, "
+                         f"got {fused.data.shape} and {len(targets)}")
     for target in targets:
         if len(target) < 2 or target[0] != START or target[-1] != END:
             raise ValueError("target must begin with START and end with END")
@@ -262,17 +273,12 @@ class _DecoderState:
 
     def step(self, tokens, h: np.ndarray, c: np.ndarray):
         """Feed tokens[b] to row b of the state."""
-        return self._cell(self.emb[tokens], h, c)
-
-    def _cell(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        h2, c2, _ = ad.lstm_cell_np(self.wx, self.wh, self.b, x, h, c)
-        return h2, c2
+        return ad.lstm_cell_np(self.wx, self.wh, self.b, self.emb[tokens], h, c)[:2]
 
     def start_state(self, fused: np.ndarray):
         """The B x H state after each row of the B x D fused features and START."""
-        h = np.zeros((len(fused), self.hidden))
-        c = np.zeros((len(fused), self.hidden))
-        h, c = self._cell(fused, h, c)
+        zeros = np.zeros((len(fused), self.hidden))
+        h, c, _ = ad.lstm_cell_np(self.wx, self.wh, self.b, fused, zeros, zeros)
         return self.step([START] * len(fused), h, c)
 
     def log_probs(self, h: np.ndarray) -> np.ndarray:
@@ -280,84 +286,76 @@ class _DecoderState:
         return ad.log_softmax_np(ad.matvec_rows(self.ow, h) + self.ob)
 
 
-def _as_array(fused) -> np.ndarray:
-    return fused.data if isinstance(fused, Tensor) else np.asarray(fused, dtype=np.float64)
+def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
+                 max_len: int) -> list[list[Hypothesis]]:
+    """Beam search over cumulative log-probability for each row of the B x D
+    features; gives each record's beam, best first.
 
-
-def decode_greedy(fused, params: DecoderParams, max_len: int):
-    """Argmax decoding; ties resolve to the lowest token index.
-
-    fused is one D feature (gives a Hypothesis) or B x D features (gives a
-    list of B), decoded together; each row comes out as it would alone.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    feats = _as_array(fused)
-    single = feats.ndim == 1
-    dec = _DecoderState(params)
-    h, c = dec.start_state(feats[None] if single else feats)
-    tokens: list[list[int]] = [[] for _ in range(len(h))]
-    log_probs = [0.0] * len(h)
-    live = list(range(len(h)))  # the record of each row of h and c
-    while live:
-        lp = dec.log_probs(h)
-        picks = lp.argmax(axis=1).tolist()
-        rows = []
-        for row, (rec, tok) in enumerate(zip(live, picks)):
-            tokens[rec].append(tok)
-            log_probs[rec] += float(lp[row, tok])
-            if tok != END and len(tokens[rec]) < max_len:
-                rows.append(row)
-        live = [live[row] for row in rows]
-        if live:
-            h, c = dec.step([picks[row] for row in rows], h[rows], c[rows])
-    hyps = [Hypothesis(tokens=tuple(t), log_prob=lp) for t, lp in zip(tokens, log_probs)]
-    return hyps[0] if single else hyps
-
-
-def decode_beam(fused, params: DecoderParams, width: int, max_len: int) -> list[Hypothesis]:
-    """Beam search over cumulative log-probability.
-
-    Each step scores every live hypothesis at once (a B x V matrix) and keeps
-    the best `width` candidates; ties break toward the lexicographically
-    smaller token sequence. Finished hypotheses are set aside and never
-    expanded. The search stops once `width` finished hypotheses all score
-    strictly above the best live one: a token's log-probability is never
-    positive, so no live hypothesis can reach the top `width` any more.
+    Each step scores the live hypotheses of every record at once and keeps each
+    record's best `width` candidates; ties break toward the lexicographically
+    smaller token sequence. Finished hypotheses are set aside. A record stops
+    once `width` of its finished hypotheses all score strictly above its best
+    live one: a token's log-probability is never positive, so no live one can
+    reach its top `width` any more. Each row is stepped as a lone vector would
+    be, so a record's beam does not depend on the rest of the batch.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if feats.ndim != 2 or feats.shape[1] != params.input_dim:
+        raise ShapeError(f"decoding needs B x {params.input_dim} features, got shape {feats.shape}")
     dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused)[None])
+    h, c = dec.start_state(feats)
     vocab = params.vocab_size
-    live_lp, live_toks = [0.0], [()]  # cumulative log-prob and tokens of each row of h and c
-    finished: list[tuple[float, tuple[int, ...]]] = []
+    k = min(width, vocab)
+    finished: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in feats]
+    # the record, cumulative log-prob and tokens of each row of h and c, grouped by record
+    recs, lps, seqs = list(range(len(feats))), [0.0] * len(feats), [()] * len(feats)
     for step in range(max_len):
-        scores = (np.array(live_lp)[:, None] + dec.log_probs(h)).ravel()
-        if width < scores.size:
-            # every candidate that can make the top `width`, ties included
-            kth = np.partition(scores, scores.size - width)[scores.size - width]
-            picks = np.flatnonzero(scores >= kth)
-        else:
-            picks = np.arange(scores.size)
-        candidates = sorted(
-            (-float(scores[j]), live_toks[j // vocab] + (j % vocab,), j // vocab)
-            for j in picks.tolist())
-        rows, live_toks, live_lp = [], [], []
-        for neg_lp, toks, row in candidates[:width]:
-            if toks[-1] == END:
-                finished.append((-neg_lp, toks))
-            else:
-                rows.append(row)
-                live_toks.append(toks)
-                live_lp.append(-neg_lp)
+        scores = np.array(lps)[:, None] + dec.log_probs(h)
+        # a candidate below its row's k-th best cannot make its record's top `width`
+        picks = np.flatnonzero(scores >= np.partition(scores, -k, axis=1)[:, -k, None])
+        candidates: dict[int, list] = {}  # each record's, in record order
+        for j, lp in zip(picks.tolist(), scores.ravel()[picks].tolist()):
+            row, tok = divmod(j, vocab)
+            # every prefix has `step` tokens, so (prefix, tok) sorts as prefix + (tok,)
+            candidates.setdefault(recs[row], []).append((-lp, seqs[row], tok, row))
+        rows, recs, lps, seqs = [], [], [], []
+        for rec, cands in candidates.items():
+            done, first = finished[rec], len(rows)
+            for neg_lp, prefix, tok, row in sorted(cands)[:width]:
+                if tok == END:
+                    done.append((-neg_lp, prefix + (tok,)))
+                else:
+                    rows.append(row)
+                    recs.append(rec)
+                    lps.append(-neg_lp)
+                    seqs.append(prefix + (tok,))
+            if len(done) >= width and len(rows) > first and \
+                    heapq.nlargest(width, (lp for lp, _ in done))[-1] > lps[first]:
+                done += zip(lps[first:], seqs[first:])  # decided: the live ones are ranked out
+                del rows[first:], recs[first:], lps[first:], seqs[first:]
         if not rows or step + 1 == max_len:
             break
-        if len(finished) >= width and heapq.nlargest(width, (f[0] for f in finished))[-1] > live_lp[0]:
-            break  # decided
-        h, c = dec.step([toks[-1] for toks in live_toks], h[rows], c[rows])
-    finished.extend(zip(live_lp, live_toks))  # max_len reached, or ranked out when decided
-    finished.sort(key=lambda f: (-f[0], f[1]))
-    return [Hypothesis(tokens=toks, log_prob=lp) for lp, toks in finished[:width]]
+        h, c = dec.step([toks[-1] for toks in seqs], h[rows], c[rows])
+    for rec, lp, toks in zip(recs, lps, seqs):  # max_len reached
+        finished[rec].append((lp, toks))
+    beams = []
+    for done in finished:
+        done.sort(key=lambda f: (-f[0], f[1]))
+        beams.append([Hypothesis(tokens=toks, log_prob=lp) for lp, toks in done[:width]])
+    return beams
+
+
+def decode_greedy(feats: np.ndarray, params: DecoderParams, max_len: int) -> list[Hypothesis]:
+    """Argmax decoding of each row of the B x D features: the width-1 beam search,
+    so a tie resolves to the lowest token index."""
+    return [beam[0] for beam in _beam_search(feats, params, 1, max_len)]
+
+
+def decode_beam(feature: np.ndarray, params: DecoderParams, width: int,
+                max_len: int) -> list[Hypothesis]:
+    """The beam of one D feature, best first (see _beam_search). perfbench/layertrace.py
+    wraps it and decode_greedy by name and counts this beam's tokens."""
+    return _beam_search(feature[None], params, width, max_len)[0]

@@ -49,10 +49,9 @@ class TrainConfig:
     input_channels: int = 3
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "decoder_hidden", "max_caption_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 CONFIG_VERSION = 1
@@ -66,7 +65,7 @@ def load_train_config(path) -> TrainConfig:
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or UTF-8
         raise DataError(f"cannot read train config {path}: {e}") from e
     if not isinstance(obj, dict):
         raise DataError(f"{path}: a train config must be a JSON object")
@@ -89,8 +88,11 @@ def load_train_config(path) -> TrainConfig:
             raise DataError(f"{path}: key {key!r} must be {_JSON_FORMS[kind]}, got {value!r}")
     values = {key: tuple(map(tuple, obj[key])) if kind is tuple else obj[key]
               for key, kind in types.items()}
-    sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)})
-    return TrainConfig(sgd=sgd, **values)
+    try:
+        sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)})
+        return TrainConfig(sgd=sgd, **values)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -217,9 +219,8 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
 def build_caption_vocabularies(manifest: DatasetManifest, min_frequency: int = 1,
                                ) -> tuple[Vocabulary, Vocabulary]:
     """Caption and keyword vocabularies from the train split only."""
+    _check_splits(manifest, "train")
     train = manifest.by_split("train")
-    if not train:
-        raise ValueError("manifest has an empty 'train' split")
     ids = [r.id for r in train]
     vocab = build_vocabulary(
         [tokenize(r.description) for r in train], min_frequency, source_ids=ids)
@@ -282,7 +283,8 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
             feats = fused(batch)
             val_loss += float(caption_loss(feats, [targets[r.id] for r in batch], decoder).data) \
                 * len(batch)
-            decoded += [h.words(vocab) for h in decode_greedy(feats, decoder, cfg.max_caption_len)]
+            decoded += [h.words(vocab)
+                        for h in decode_greedy(feats.data, decoder, cfg.max_caption_len)]
         return val_loss / len(val), bleu_corpus(decoded, refs)[1]
 
     curve = _fit(params, train, cfg, 4, batch_loss, validate)
@@ -343,11 +345,11 @@ class Pipeline:
     def infer(self, image: RetinalImage, keywords: list[str], beam_width: int,
               max_len: int, alpha: float = 0.5) -> Inference:
         out = self.encoder.encode_image(image)
-        ranked = predict_topk(out.logits, self.num_classes)
-        fused = self.kw_proj.fuse(out.pooled, keyword_multihot(keywords, self.kw_vocab)) \
+        ranked = predict_topk(out.logits.data[0], self.num_classes)
+        fused = self.kw_proj.fuse(out.pooled, keyword_multihot(keywords, self.kw_vocab)[None]) \
             if self.keyword_mode else out.pooled
-        words = decode_beam(fused, self.decoder, beam_width, max_len)[0].words(self.vocab)
-        heat = compute_cam(out.feature_maps.data, self.encoder.classifier_weights, ranked[0][0])
+        words = decode_beam(fused.data[0], self.decoder, beam_width, max_len)[0].words(self.vocab)
+        heat = compute_cam(out.feature_maps.data[0], self.encoder.classifier_weights, ranked[0][0])
         return Inference(ranked, words, cam_overlay(image, heat, alpha))
 
 

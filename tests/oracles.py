@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from retinapipe.autodiff import ShapeError, Tape, Tensor, _emit, backward, zero_grads
-from retinapipe.textgen import DecoderParams, _as_array, _DecoderState
+from retinapipe.textgen import DecoderParams, _DecoderState
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -38,6 +38,17 @@ def mean_scalars(terms: list[Tensor]) -> Tensor:
     return out
 
 
+def as_row(x: Tensor) -> Tensor:
+    """A D vector as a 1 x D batch, for the batched ops."""
+    out = Tensor(x.data[None])
+
+    def bwd(gs):
+        x.accumulate(gs[0][0])
+
+    _emit((out,), bwd)
+    return out
+
+
 def embedding_row(table: Tensor, index: int) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_row: table must be 2-D, got {table.data.shape}")
@@ -57,7 +68,7 @@ def embedding_row(table: Tensor, index: int) -> Tensor:
 def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
     """Independent recomputation of a hypothesis' cumulative log-probability."""
     dec = _DecoderState(params)
-    h, c = dec.start_state(_as_array(fused)[None])
+    h, c = dec.start_state(np.asarray(fused, dtype=np.float64)[None])
     total = 0.0
     for i, tok in enumerate(tokens):
         total += float(dec.log_probs(h)[0, tok])

@@ -54,7 +54,7 @@ def test_criterion_1_gradient_correctness():
         kbias = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), parameter=True, name="kb")
         w = Tensor(glorot_uniform(rng, (4, 3)), parameter=True, name="w")
         b = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (4,))), parameter=True, name="b")
-        img = np.asarray(rng.uniform(-1, 1, (2, 6, 6)))
+        img = np.asarray(rng.uniform(-1, 1, (2, 6, 6)))[None]
 
         def encoder_model():
             x = ad.conv2d(Tensor(img), kern, kbias, stride=1, pad=1)
@@ -62,7 +62,7 @@ def test_criterion_1_gradient_correctness():
             x = ad.maxpool2d(x, 2)
             pooled = ad.global_avg_pool(x)
             logits = ad.linear(pooled, w, b)
-            return ad.softmax_cross_entropy(logits, 1)
+            return ad.softmax_cross_entropy(logits, [1])
 
         rep = finite_difference_check(
             encoder_model, {p.name: p for p in (kern, kbias, w, b)})
@@ -77,8 +77,8 @@ def test_criterion_1_gradient_correctness():
         feat = np.asarray(rng.uniform(-1, 1, (3,)))
 
         def decoder_model():
-            fused = proj.fuse(Tensor(feat), keyword_multihot(["a", "b"], kw_vocab))
-            return caption_loss(fused, [START, 4, 5, END], dec)
+            fused = proj.fuse(Tensor(feat[None]), keyword_multihot(["a", "b"], kw_vocab)[None])
+            return caption_loss(fused, [[START, 4, 5, END]], dec)
 
         rep = finite_difference_check(
             decoder_model, {p.name: p for p in dec.parameters() + proj.parameters()})
@@ -136,7 +136,7 @@ def test_criterion_2_beam_search_optimality():
         assert top.tokens == want_tokens
         assert abs(top.log_prob - want_lp) < 1e-10
 
-        greedy = decode_greedy(fused, dec, 8)
+        greedy = decode_greedy(fused[None], dec, 8)[0]
         one = decode_beam(fused, dec, width=1, max_len=8)[0]
         assert one.tokens == greedy.tokens
         assert abs(one.log_prob - greedy.log_prob) < 1e-12
@@ -152,11 +152,11 @@ def test_criterion_3_cam_logit_identity():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(50):
-        out = enc.forward(rng.uniform(-1, 1, (3, 16, 16)))
+        out = enc.forward(rng.uniform(-1, 1, (3, 16, 16))[None])
         for c in range(5):
-            cam = compute_cam(out.feature_maps.data, enc.classifier_weights, c)
+            cam = compute_cam(out.feature_maps.data[0], enc.classifier_weights, c)
             err = abs(cam.values.mean() + bias[c]
-                      - float(out.logits.data[c]))
+                      - float(out.logits.data[0, c]))
             worst = max(worst, err)
     _verdict(3, f"CAM-logit identity (max err {worst:.2e})", worst < 1e-10)
 
@@ -339,7 +339,7 @@ def test_criterion_9_overfitting_sanity():
         zero_grads(params)
         with Tape() as tape:
             loss = mean_scalars([
-                caption_loss(Tensor(f), t, dec) for f, t in zip(feats, targets)
+                caption_loss(Tensor(f[None]), [t], dec) for f, t in zip(feats, targets)
             ])
         backward(tape, loss)
         sgd_step(params, 1.0 / 2.0 ** (epoch // 300))
@@ -349,7 +349,7 @@ def test_criterion_9_overfitting_sanity():
 
     exact = 0
     for f, caption in zip(feats, captions):
-        hyp = decode_greedy(f, dec, max_len=10)
+        hyp = decode_greedy(f[None], dec, max_len=10)[0]
         if hyp.words(vocab) == tokenize(caption):
             exact += 1
     _verdict(9, f"overfitting sanity (loss {best_loss:.4f}, {exact}/8 exact)",

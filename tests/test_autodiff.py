@@ -32,17 +32,17 @@ def brute_conv(x, k, b, stride, pad):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = Tensor(np.arange(9.0).reshape(1, 3, 3))
+        x = Tensor(np.arange(9.0).reshape(1, 1, 3, 3))
         k = Tensor(np.ones((1, 1, 1, 1)))
         out = ad.conv2d(x, k, Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x.data)
 
     def test_all_ones_kernel_sums(self):
-        x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor(np.ones((1, 1, 2, 2)))
         out = ad.conv2d(x, k, Tensor(np.zeros(1)))
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 10.0
+        assert out.data.shape == (1, 1, 1, 1)
+        assert out.data[0, 0, 0, 0] == 10.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, seed):
@@ -51,34 +51,34 @@ class TestConv2d:
         k = np.asarray(rng.uniform(-1, 1, (4, 3, 3, 3)))
         b = np.asarray(rng.uniform(-1, 1, (4,)))
         for stride, pad in [(1, 0), (2, 1), (1, 1)]:
-            got = ad.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, pad)
+            got = ad.conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride, pad)
             want = brute_conv(x, k, b, stride, pad)
-            assert np.allclose(got.data, want, atol=1e-10)
+            assert np.allclose(got.data[0], want, atol=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
+            ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
                       Tensor(np.zeros(1)))
 
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
+            ad.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
                       Tensor(np.zeros(1)))
 
 
 class TestMaxpool:
     def test_constant_input(self):
-        out = ad.maxpool2d(Tensor(np.full((2, 4, 4), 3.5)), 2)
+        out = ad.maxpool2d(Tensor(np.full((1, 2, 4, 4), 3.5)), 2)
         assert np.all(out.data == 3.5)
 
     def test_small_example(self):
-        out = ad.maxpool2d(Tensor([[[1.0, 2.0], [3.0, 4.0]]]), 2)
+        out = ad.maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2)
         assert out.data.reshape(-1).tolist() == [4.0]
 
     def test_matches_brute_force(self):
         rng = Xoshiro256(11)
         x = np.asarray(rng.uniform(-1, 1, (2, 6, 6)))
-        got = ad.maxpool2d(Tensor(x), 2, 2).data
+        got = ad.maxpool2d(Tensor(x[None]), 2).data[0]
         want = np.zeros((2, 3, 3))
         for c in range(2):
             for i in range(3):
@@ -90,7 +90,8 @@ class TestMaxpool:
         x = Tensor(np.full((2, 1, 4, 4), 3.0))
         with Tape() as tape:
             loss = ad.softmax_cross_entropy(
-                ad.linear(ad.global_avg_pool(ad.maxpool2d(x, 2)), Tensor([[1.0], [0.0]])), [0, 0])
+                ad.linear(ad.global_avg_pool(ad.maxpool2d(x, 2)), Tensor([[1.0], [0.0]]),
+                          Tensor(np.zeros(2))), [0, 0])
         backward(tape, loss)
         first = np.zeros((4, 4), dtype=bool)
         first[::2, ::2] = True
@@ -98,7 +99,7 @@ class TestMaxpool:
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
-            ad.maxpool2d(Tensor(np.zeros((1, 2, 2))), 3)
+            ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
 
 
 class TestRelu:
@@ -115,14 +116,14 @@ class TestRelu:
 
 class TestLinear:
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         out = ad.linear(Tensor(x), Tensor(np.eye(3)), Tensor(np.zeros(3)))
         assert np.array_equal(out.data, x)
 
     def test_zero_input_gives_bias(self):
         b = np.array([1.0, 2.0])
-        out = ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(b))
-        assert np.array_equal(out.data, b)
+        out = ad.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))), Tensor(b))
+        assert np.array_equal(out.data[0], b)
 
     def test_matches_matvec(self):
         rng = Xoshiro256(5)
@@ -130,38 +131,38 @@ class TestLinear:
         w = np.asarray(rng.uniform(-1, 1, (3, 4)))
         b = np.asarray(rng.uniform(-1, 1, (3,)))
         want = np.array([sum(w[i, j] * x[j] for j in range(4)) + b[i] for i in range(3)])
-        got = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        got = ad.linear(Tensor(x[None]), Tensor(w), Tensor(b)).data[0]
         assert np.allclose(got, want, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
+            ad.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
 class TestGlobalAvgPool:
     def test_constant(self):
-        out = ad.global_avg_pool(Tensor(np.full((3, 2, 2), 7.0)))
+        out = ad.global_avg_pool(Tensor(np.full((1, 3, 2, 2), 7.0)))
         assert np.all(out.data == 7.0)
 
     def test_mean_example(self):
-        out = ad.global_avg_pool(Tensor([[[1.0, 3.0], [5.0, 7.0]]]))
-        assert out.data[0] == 4.0
+        out = ad.global_avg_pool(Tensor([[[[1.0, 3.0], [5.0, 7.0]]]]))
+        assert out.data[0, 0] == 4.0
 
     def test_matches_naive_mean(self):
         rng = Xoshiro256(9)
         x = np.asarray(rng.uniform(-1, 1, (8, 5, 5)))
-        got = ad.global_avg_pool(Tensor(x)).data
+        got = ad.global_avg_pool(Tensor(x[None])).data[0]
         want = np.array([x[k].sum() / 25.0 for k in range(8)])
         assert np.allclose(got, want, atol=1e-12)
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss = ad.softmax_cross_entropy(Tensor(np.zeros(4)), 1)
+        loss = ad.softmax_cross_entropy(Tensor(np.zeros((1, 4))), [1])
         assert abs(float(loss.data) - math.log(4)) < 1e-12
 
     def test_stabilization(self):
-        loss = ad.softmax_cross_entropy(Tensor([1000.0, 0.0]), 0)
+        loss = ad.softmax_cross_entropy(Tensor([[1000.0, 0.0]]), [0])
         assert float(loss.data) < 1e-6
         assert np.isfinite(loss.data)
 
@@ -173,12 +174,12 @@ class TestSoftmaxCrossEntropy:
         target = 3
         exps = [Decimal(float(v)).exp() for v in logits]
         want = -(exps[target] / sum(exps)).ln()
-        got = float(ad.softmax_cross_entropy(Tensor(logits), target).data)
+        got = float(ad.softmax_cross_entropy(Tensor(logits[None]), [target]).data)
         assert abs(got - float(want)) < 1e-10
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            ad.softmax_cross_entropy(Tensor(np.zeros(3)), 3)
+            ad.softmax_cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
     def test_softmax_sums_to_one_and_shift_invariant(self):
         rng = Xoshiro256(17)
@@ -359,7 +360,7 @@ class TestFiniteDifferenceCheck:
     def test_per_layer_gradients_many_seeds(self):
         for seed in range(10):
             rng = Xoshiro256(seed)
-            x = np.asarray(rng.uniform(-1, 1, (2, 5, 5)))
+            x = np.asarray(rng.uniform(-1, 1, (2, 5, 5)))[None]
             params = {
                 "k": Tensor(ad.glorot_uniform(rng, (3, 2, 3, 3)), parameter=True, name="k"),
                 "kb": Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), parameter=True, name="kb"),
@@ -372,7 +373,7 @@ class TestFiniteDifferenceCheck:
                 t = ad.relu(t)
                 t = ad.maxpool2d(t, 2)
                 p = ad.global_avg_pool(t)
-                return ad.softmax_cross_entropy(ad.linear(p, params["w"], params["b"]), seed % 4)
+                return ad.softmax_cross_entropy(ad.linear(p, params["w"], params["b"]), [seed % 4])
 
             rep = finite_difference_check(model, params)
             assert rep.passed, f"seed {seed}: {rep.blocks}"
@@ -499,19 +500,20 @@ class TestBatchedOps:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
     def test_single_image_ops_are_unchanged(self, seed, stride):
-        """A CHW image (a batch of one) gives the single-image values and gradients bit for bit."""
+        """A batch of one gives the single-image values and gradients bit for bit."""
         rng = np.random.default_rng(seed)
         params = chain_params(rng)
-        x = Tensor(rng.standard_normal((2, 9, 9)), parameter=True, name="x")
+        x = Tensor(rng.standard_normal((1, 2, 9, 9)), parameter=True, name="x")
         with Tape() as tape:
-            outs = encoder_chain(x, params, seed % 4, stride)
+            outs = encoder_chain(x, params, [seed % 4], stride)
         backward(tape, outs[-1])
-        want, grads = single_image_oracle(x.data, *(params[n].data for n in ("k", "kb", "w", "b")),
+        want, grads = single_image_oracle(x.data[0], *(params[n].data for n in ("k", "kb", "w", "b")),
                                           seed % 4, stride, 1)
-        for got, ref in zip(outs, want):
-            assert got.data.shape == ref.shape and np.array_equal(got.data, ref)
+        for got, ref in zip(outs[:-1], want[:-1]):
+            assert got.data.shape == (1,) + ref.shape and np.array_equal(got.data[0], ref)
+        assert np.array_equal(outs[-1].data, want[-1])
         for name, ref in grads.items():
-            got = x.grad if name == "x" else params[name].grad
+            got = x.grad[0] if name == "x" else params[name].grad
             assert np.array_equal(got, ref), name
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -521,9 +523,9 @@ class TestBatchedOps:
         x = rng.standard_normal((3, 2, 8, 8))
         batch = encoder_chain(Tensor(x), params, [0, 3, 1], stride)
         for n in range(3):
-            alone = encoder_chain(Tensor(x[n]), params, 0, stride)
+            alone = encoder_chain(Tensor(x[n : n + 1]), params, [0], stride)
             for got, ref in zip(batch[:-1], alone[:-1]):
-                assert np.array_equal(got.data[n], ref.data)
+                assert np.array_equal(got.data[n], ref.data[0])
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
@@ -544,7 +546,7 @@ class TestBatchedOps:
         logits = rng.standard_normal((5, 3))
         ids = [0, 2, 1, 1, 0]
         got = float(ad.softmax_cross_entropy(Tensor(logits), ids).data)
-        want = np.mean([float(ad.softmax_cross_entropy(Tensor(row), t).data)
+        want = np.mean([float(ad.softmax_cross_entropy(Tensor(row[None]), [t]).data)
                         for row, t in zip(logits, ids)])
         assert abs(got - want) < 1e-15
 
@@ -554,7 +556,26 @@ class TestBatchedOps:
         with pytest.raises(ValueError):
             ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
             ad.conv2d(Tensor(np.zeros((2, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
                       Tensor(np.zeros(1)))
+
+    def test_single_item_inputs_rejected(self):
+        """The ops take batches only: a CHW image, a D vector or a lone class id is refused."""
+        kernels, bias = Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(1))
+        for op in (lambda x: ad.conv2d(x, kernels, bias), lambda x: ad.maxpool2d(x, 2),
+                   ad.global_avg_pool):
+            with pytest.raises(ShapeError):
+                op(Tensor(np.zeros((2, 4, 4))))
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            ad.softmax_cross_entropy(Tensor(np.zeros(3)), [0])
+        with pytest.raises(ValueError):
+            ad.softmax_cross_entropy(Tensor(np.zeros((1, 3))), 0)
+        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+        steps = np.full((1, 2), 4)
+        with pytest.raises(ShapeError):
+            ad.lstm_sequence_xent(Tensor(np.zeros(3)), steps, steps, np.ones((1, 2)),
+                                  dec.embedding, dec.cell, dec.out_w, dec.out_b)

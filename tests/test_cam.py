@@ -59,8 +59,8 @@ class TestComputeCam:
         w = enc.classifier_weights
         b = enc.to_checkpoint()["encoder.fc.bias"]
         for c in range(5):
-            cam = compute_cam(out.feature_maps.data, w, c)
-            assert abs(cam.values.mean() + b[c] - float(out.logits.data[c])) < 1e-10
+            cam = compute_cam(out.feature_maps.data[0], w, c)
+            assert abs(cam.values.mean() + b[c] - float(out.logits.data[0, c])) < 1e-10
 
 
 class TestNormalize:

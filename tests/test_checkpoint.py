@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retinapipe.checkpoint import MAGIC, ModelCheckpoint
 from retinapipe.errors import DataError
@@ -107,3 +109,62 @@ def test_save_is_deterministic(tmp_path, ckpt):
     ckpt.save(a)
     ckpt.save(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def v1_file(header: bytes, payload: bytes = b"") -> bytes:
+    return MAGIC + struct.pack("<HI", 1, len(header)) + header + payload
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"a\xff 2 0\n", "not UTF-8"),
+    (b"a 1 0\na 1 4\n", "'a' appears twice"),
+])
+def test_bad_header_names_the_file(tmp_path, header, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(v1_file(header, b"\x00" * 8))
+    with pytest.raises(DataError, match=message) as err:
+        ModelCheckpoint.load(path)
+    assert str(path) in str(err.value)
+
+
+# names the writer accepts (no space, no newline) and shapes other than (0,)
+NAMES = st.text(alphabet=st.characters(blacklist_characters=" \n", blacklist_categories=("Cs",)),
+                max_size=6)
+SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple).filter(lambda s: s != (0,))
+FLOAT32 = st.floats(width=32, allow_nan=False)
+
+
+class TestLoadProperty:
+    """Any bytes either load as float64 arrays or raise DataError, and every
+    checkpoint the writer accepts loads back equal."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: MAGIC + b),
+        st.tuples(st.binary(max_size=32) | st.text(max_size=32).map(str.encode),
+                  st.binary(max_size=32)).map(lambda t: v1_file(*t)),
+        st.tuples(st.lists(st.tuples(NAMES, st.lists(st.integers(-1, 3), max_size=3),
+                                     st.integers(-4, 40)), max_size=3),
+                  st.binary(max_size=40)).map(lambda t: v1_file(
+                      "".join(f"{n} {','.join(map(str, d)) or '0'} {o}\n"
+                              for n, d, o in t[0]).encode(), t[1])),
+    ))
+    def test_loads_or_raises_data_error(self, blob, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob)
+        try:
+            ck = ModelCheckpoint.load(path)
+        except DataError:
+            return
+        assert all(arr.dtype == np.float64 for arr in ck.params.values())
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=st.dictionaries(NAMES, SHAPES.flatmap(
+        lambda shape: arrays(np.float32, shape, elements=FLOAT32)), max_size=4))
+    def test_round_trip(self, entries, tmp_path):
+        ck = ModelCheckpoint(entries)
+        ck.save(tmp_path / "m.ckpt")
+        assert ModelCheckpoint.load(tmp_path / "m.ckpt") == ck

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from retinapipe import training
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import main
 from retinapipe.data import parse_manifest
@@ -87,6 +88,28 @@ class TestExitCodes:
         assert exc.value.code == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("explain", "--image"), ("explain", "--encoder"), ("report", "--vocab"),
+        ("score", "--cand"),
+    ])
+    def test_missing_input_file_is_data_error(self, command, flag, dataset, trained, tmp_path,
+                                              capsys):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b\n")
+        image = str(dataset / "images" / "case0000.ppm")
+        argv = {
+            "explain": ["explain", "--image", image,
+                        "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                        "--out", str(tmp_path / "o.png")],
+            "report": ["report", "--image", image, *model_args(trained / "checkpoints"),
+                       "--out", str(tmp_path / "rep")],
+            "score": ["score", "--cand", str(refs), "--refs", str(refs)],
+        }[command]
+        missing = str(tmp_path / "missing" / "file")
+        argv[argv.index(flag) + 1] = missing
+        assert main(argv) == 2
+        assert f"cannot open {missing}" in capsys.readouterr().err
+
 
 class TestSplit:
     def test_in_place_and_deterministic(self, tmp_path):
@@ -167,8 +190,14 @@ class TestTrainingArtifacts:
         (lambda c: c.update(learning_rate=True), "key 'learning_rate' must be a finite number"),
         (lambda c: c.update(decay_factor=float("nan")), "key 'decay_factor' must be a finite"),
         (lambda c: c.update(encoder_stages=[[8, 3, 1]]), "key 'encoder_stages' must be a list"),
+        (lambda c: c.update(decoder_hidden=0), "decoder_hidden must be >= 1"),
+        (lambda c: c.update(decoder_hidden=-3), "decoder_hidden must be >= 1"),
+        (lambda c: c.update(max_caption_len=0), "max_caption_len must be >= 1"),
+        (lambda c: c.update(decay_factor=0), "decay_factor must be positive"),
     ])
-    def test_bad_config_is_data_error(self, edit, message, dataset, tmp_path, capsys):
+    def test_bad_config_is_data_error(self, edit, message, dataset, tmp_path, capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(training, "load_image", reads.append)
         cfg = json.loads(json.dumps(self.CONFIG))
         edit(cfg)
         path = tmp_path / "cfg.json"
@@ -177,6 +206,12 @@ class TestTrainingArtifacts:
                      "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+        assert reads == []  # refused before any image is read
+
+    def test_bad_flag_value_is_data_error(self, dataset, tmp_path, capsys):
+        assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
+                     "--out", str(tmp_path / "out"), "--decay-factor", "0"]) == 2
+        assert "decay_factor must be positive" in capsys.readouterr().err
 
     def test_config_must_be_an_object(self, dataset, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -460,6 +495,15 @@ class TestScore:
         report = json.loads(capsys.readouterr().out)
         assert report["prec_at"]["1"] == 0.5
         assert report["prec_at"]["2"] == 1.0
+
+    def test_non_integer_ranking_names_file_and_line(self, tmp_path, capsys):
+        cand = tmp_path / "cand.txt"
+        cand.write_text("a b\nc d\n")
+        rank = tmp_path / "rank.txt"
+        rank.write_text("0 0 1 2\n2 1 x 0\n")
+        assert main(["score", "--cand", str(cand), "--refs", str(cand),
+                     "--rankings", str(rank)]) == 2
+        assert f"{rank}: line 2: class ids must be integers" in capsys.readouterr().err
 
     def test_mismatched_line_counts_is_data_error(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"

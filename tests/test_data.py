@@ -3,9 +3,10 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from retinapipe.data import (
-    CaseRecord, DatasetManifest, generate_synthetic_dataset, parse_manifest,
+    MODALITIES, SPLITS, CaseRecord, DatasetManifest, generate_synthetic_dataset, parse_manifest,
     save_manifest, split_dataset, word_length_histogram,
 )
 from retinapipe.errors import DataError
@@ -87,6 +88,86 @@ class TestParseManifest:
         save_manifest(m, out)
         back = parse_manifest(out)
         assert back.records == m.records
+
+    @pytest.mark.parametrize("key", ["id", "image_path", "disease", "description"])
+    @pytest.mark.parametrize("value", [5, 1.5, True, ["x"], {"x": 1}])
+    def test_non_string_field_rejected(self, tmp_path, key, value):
+        bad = {**GOOD_RECORD, "id": "case0002", key: value}
+        with pytest.raises(DataError, match=f"record 1: field '{key}' must be a string"):
+            parse_manifest(write_manifest(tmp_path, [GOOD_RECORD, bad]))
+
+    def test_non_string_keyword_entry_rejected(self, tmp_path):
+        bad = dict(GOOD_RECORD, keywords=["soft drusen", {"x": 1}, 5])
+        with pytest.raises(DataError, match="record 0: keyword entry 1 must be a string"):
+            parse_manifest(write_manifest(tmp_path, [bad]))
+
+    def test_non_utf8_and_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        for blob in (b'[{"id": "\xff"}]', b"[" * 100000):
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match=str(path)):
+                parse_manifest(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+VALID_FIELDS = {
+    "id": st.text(min_size=1, max_size=6), "image_path": st.text(min_size=1, max_size=6),
+    "modality": st.sampled_from(MODALITIES), "disease": st.text(min_size=1, max_size=6),
+    "keywords": st.lists(st.text(max_size=6), max_size=3),
+    "description": st.text(min_size=1, max_size=12), "split": st.sampled_from(SPLITS),
+}
+
+
+def manifest_records():
+    """Lists of valid records, each with at most one field set to any JSON value."""
+    def corrupt(args):
+        record, field, value = args
+        return record if field is None else {**record, field: value}
+
+    return st.lists(st.tuples(st.fixed_dictionaries(VALID_FIELDS),
+                              st.sampled_from((None, *VALID_FIELDS)), JSON_VALUES).map(corrupt),
+                    max_size=4)
+
+
+class TestParseManifestProperty:
+    """Any bytes either load as a manifest of string fields or raise DataError, and
+    a loaded manifest survives save and load unchanged."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+        manifest_records().map(lambda recs: json.dumps(recs).encode()),
+    ))
+    def test_loads_or_raises_data_error(self, blob, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(blob)
+        try:
+            m = parse_manifest(path)
+        except DataError:
+            return
+        for r in m.records:
+            assert all(isinstance(v, str) and v for v in (r.id, r.image_path, r.disease,
+                                                         r.description))
+            assert r.modality in MODALITIES and r.split in SPLITS + (None,)
+            assert all(isinstance(kw, str) and kw for kw in r.keywords)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.fixed_dictionaries(
+        {k: v for k, v in VALID_FIELDS.items() if k not in ("id", "split")},
+        optional={"split": VALID_FIELDS["split"]}), max_size=4))
+    def test_round_trip(self, records, tmp_path):
+        for i, r in enumerate(records):
+            r["id"] = f"c{i}"
+        first = parse_manifest(write_manifest(tmp_path, records))
+        save_manifest(first, tmp_path / "saved.json")
+        assert parse_manifest(tmp_path / "saved.json").records == first.records
 
 
 def fake_manifest(n):

@@ -60,45 +60,49 @@ class TestForward:
         # everything at zero, so the head must output exactly its bias
         enc = small_encoder(seed=1)
         enc._params["encoder.fc.bias"].data[:] = [0.5, -1.0, 2.0, 0.0]
-        out = enc.forward(np.zeros((3, 16, 16)))
-        assert np.array_equal(out.logits.data, [0.5, -1.0, 2.0, 0.0])
+        out = enc.forward(np.zeros((1, 3, 16, 16)))
+        assert np.array_equal(out.logits.data, [[0.5, -1.0, 2.0, 0.0]])
 
     def test_pooled_equals_naive_spatial_mean(self):
         enc = small_encoder(seed=2)
         rng = np.random.default_rng(0)
-        out = enc.forward(rng.random((3, 16, 16)))
-        fmaps = out.feature_maps.data
+        out = enc.forward(rng.random((3, 16, 16))[None])
+        fmaps = out.feature_maps.data[0]
         want = np.array([fmaps[k].mean() for k in range(fmaps.shape[0])])
-        assert np.allclose(out.pooled.data, want, atol=1e-12)
+        assert np.allclose(out.pooled.data[0], want, atol=1e-12)
 
     def test_feature_maps_are_nonnegative(self):
         enc = small_encoder(seed=3)
-        out = enc.forward(np.random.default_rng(1).random((3, 16, 16)))
+        out = enc.forward(np.random.default_rng(1).random((3, 16, 16))[None])
         assert out.feature_maps.data.min() >= 0.0
 
     def test_wrong_input_shape_rejected(self):
         enc = small_encoder()
         with pytest.raises(ShapeError):
-            enc.forward(np.zeros((3, 8, 8)))
+            enc.forward(np.zeros((1, 3, 8, 8)))
+
+    def test_single_image_rejected(self):
+        with pytest.raises(ShapeError):
+            small_encoder().forward(np.zeros((3, 16, 16)))
 
     def test_batch_rows_equal_single_images(self):
         enc = small_encoder(seed=5)
         batch = np.random.default_rng(3).random((4, 3, 16, 16))
         out = enc.forward(batch)
         for n in range(4):
-            alone = enc.forward(batch[n])
+            alone = enc.forward(batch[n : n + 1])
             for got, want in ((out.feature_maps, alone.feature_maps), (out.pooled, alone.pooled),
                               (out.logits, alone.logits)):
-                assert np.array_equal(got.data[n], want.data)
+                assert np.array_equal(got.data[n], want.data[0])
 
     def test_wrong_batch_shape_rejected(self):
         with pytest.raises(ShapeError):
             small_encoder().forward(np.zeros((2, 1, 16, 16)))
 
     def test_deterministic(self):
-        chw = np.random.default_rng(2).random((3, 16, 16))
-        a = small_encoder(seed=4).forward(chw)
-        b = small_encoder(seed=4).forward(chw)
+        nchw = np.random.default_rng(2).random((3, 16, 16))[None]
+        a = small_encoder(seed=4).forward(nchw)
+        b = small_encoder(seed=4).forward(nchw)
         assert np.array_equal(a.logits.data, b.logits.data)
 
 
@@ -133,9 +137,9 @@ class TestCheckpointing:
         enc.to_checkpoint().save(path)
         r1 = VisionEncoder.from_checkpoint(ModelCheckpoint.load(path))
         r2 = VisionEncoder.from_checkpoint(ModelCheckpoint.load(path))
-        chw = np.random.default_rng(3).random((3, 16, 16))
-        a = r1.forward(chw).logits.data
-        b = r2.forward(chw).logits.data
+        nchw = np.random.default_rng(3).random((3, 16, 16))[None]
+        a = r1.forward(nchw).logits.data
+        b = r2.forward(nchw).logits.data
         assert np.array_equal(a, b)
         assert r1.config == enc.config
 
@@ -187,3 +191,7 @@ class TestPredictTopk:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             predict_topk(np.array([1.0, 2.0]), 3)
+
+    def test_batch_of_logits_rejected(self):
+        with pytest.raises(ShapeError):
+            predict_topk(np.array([[1.0, 2.0]]), 1)

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embedding_row, finite_difference_check, mean_scalars, sequence_log_prob
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import as_row, embedding_row, finite_difference_check, mean_scalars, sequence_log_prob
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
 from retinapipe.errors import DataError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, PAD, START, UNK, DecoderParams, KeywordProjection, Vocabulary,
+    END, PAD, RESERVED, START, UNK, DecoderParams, KeywordProjection, Vocabulary, _beam_search,
     build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize,
     fuse_features, keyword_multihot, tokenize,
 )
@@ -75,11 +76,62 @@ class TestVocabulary:
         with pytest.raises(DataError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("body, message", [
+        (b"soft\xffdrusen\n", "not UTF-8"),
+        (b"drusen\nedema\ndrusen\n", "duplicate tokens"),
+    ])
+    def test_load_error_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\n".join((Vocabulary.FILE_HEADER, *RESERVED, "")).encode() + body)
+        with pytest.raises(DataError, match=message) as err:
+            Vocabulary.load(path)
+        assert str(path) in str(err.value)
+
+    def test_token_with_a_line_break_is_refused(self):
+        with pytest.raises(ValueError, match="line break"):
+            Vocabulary(["soft\ndrusen"])
+
+
+VOCAB_HEAD = "\n".join((Vocabulary.FILE_HEADER, *RESERVED, "")).encode()
+TOKENS = st.text(alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+                 min_size=1, max_size=6).filter(lambda t: t not in RESERVED)
+
+
+class TestVocabularyLoadProperty:
+    """Any bytes either load or raise DataError, and every vocabulary the writer
+    accepts loads back with the same tokens."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: VOCAB_HEAD[:24] + b),
+        st.binary(max_size=64).map(lambda b: VOCAB_HEAD + b),
+        st.lists(st.sampled_from(["drusen", "edema", "\r", ""]) | TOKENS, max_size=6).map(
+            lambda toks: VOCAB_HEAD + "\n".join(toks).encode()),
+    ))
+    def test_loads_or_raises_data_error(self, blob, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(blob)
+        try:
+            v = Vocabulary.load(path)
+        except DataError:
+            return
+        assert [v.token(i) for i in range(4)] == list(RESERVED)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=st.lists(TOKENS, unique=True, max_size=6))
+    def test_round_trip(self, tokens, tmp_path):
+        Vocabulary(tokens).save(tmp_path / "vocab.txt")
+        v = Vocabulary.load(tmp_path / "vocab.txt")
+        assert [v.token(i) for i in range(v.size)] == [*RESERVED, *tokens]
+
 
 def embed(keywords, kw_vocab, proj):
     """The projected keyword bag, doubled back out of its average with a zero image feature."""
-    zero = Tensor(np.zeros(proj.bias.data.shape))
-    return 2.0 * proj.fuse(zero, keyword_multihot(keywords, kw_vocab)).data
+    zero = Tensor(np.zeros((1,) + proj.bias.data.shape))
+    return 2.0 * proj.fuse(zero, keyword_multihot(keywords, kw_vocab)[None]).data[0]
 
 
 class TestKeywordEmbedding:
@@ -143,17 +195,17 @@ def zero_decoder(vocab_size=4, dim=3, hidden=2) -> DecoderParams:
 class TestCaptionLoss:
     def test_uniform_logits_gives_log_vocab(self):
         dec = zero_decoder(vocab_size=4)
-        fused = Tensor(np.zeros(3))
+        fused = Tensor(np.zeros((1, 3)))
         for target in ([START, END], [START, UNK, UNK, END]):
-            loss = caption_loss(fused, target, dec)
+            loss = caption_loss(fused, [target], dec)
             assert abs(float(loss.data) - math.log(4)) < 1e-12
 
     def test_malformed_target_rejected(self):
         dec = zero_decoder()
         with pytest.raises(ValueError):
-            caption_loss(Tensor(np.zeros(3)), [UNK, END], dec)
+            caption_loss(Tensor(np.zeros((1, 3))), [[UNK, END]], dec)
         with pytest.raises(ValueError):
-            caption_loss(Tensor(np.zeros(3)), [START, UNK], dec)
+            caption_loss(Tensor(np.zeros((1, 3))), [[START, UNK]], dec)
 
     def test_loss_decreases_with_sgd(self):
         wins = 0
@@ -167,7 +219,7 @@ class TestCaptionLoss:
             for _ in range(50):
                 zero_grads(params)
                 with Tape() as tape:
-                    loss = caption_loss(Tensor(fused), target, dec)
+                    loss = caption_loss(Tensor(fused[None]), [target], dec)
                 backward(tape, loss)
                 sgd_step(params, 0.5)
                 losses.append(float(loss.data))
@@ -184,8 +236,8 @@ class TestCaptionLoss:
         target = [START, 4, 5, END]
 
         def model():
-            fused = proj.fuse(Tensor(img), keyword_multihot(["a"], kw_vocab))
-            return caption_loss(fused, target, dec)
+            fused = proj.fuse(Tensor(img[None]), keyword_multihot(["a"], kw_vocab)[None])
+            return caption_loss(fused, [target], dec)
 
         params = {p.name: p for p in dec.parameters() + proj.parameters()}
         rep = finite_difference_check(model, params)
@@ -346,7 +398,7 @@ class TestDecoding:
     def test_rigged_end_gives_empty_caption(self):
         dec = zero_decoder(vocab_size=4)
         dec.out_b.data[END] = 100.0  # END dominates every step
-        hyp = decode_greedy(np.zeros(3), dec, max_len=10)
+        hyp = decode_greedy(np.zeros((1, 3)), dec, max_len=10)[0]
         assert hyp.tokens == (END,)
         assert hyp.finished
         vocab = build_vocabulary([])
@@ -355,7 +407,7 @@ class TestDecoding:
     def test_greedy_deterministic(self):
         rng = Xoshiro256(5)
         dec = DecoderParams.init(rng, 8, 4, 6)
-        fused = np.asarray(rng.uniform(-1, 1, (4,)))
+        fused = np.asarray(rng.uniform(-1, 1, (1, 4)))
         a = decode_greedy(fused, dec, 12)
         b = decode_greedy(fused, dec, 12)
         assert a == b
@@ -365,7 +417,7 @@ class TestDecoding:
         rng = Xoshiro256(seed)
         dec = DecoderParams.init(rng, 7, 3, 5)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
-        greedy = decode_greedy(fused, dec, 8)
+        greedy = decode_greedy(fused[None], dec, 8)[0]
         beam = decode_beam(fused, dec, width=1, max_len=8)
         assert beam[0].tokens == greedy.tokens
         assert abs(beam[0].log_prob - greedy.log_prob) < 1e-12
@@ -396,7 +448,7 @@ class TestDecoding:
         dec = DecoderParams.init(rng, 6, 3, 4)
         dec.out_b.data[END] = -100.0  # END is never the best next token
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
-        greedy = decode_greedy(fused, dec, 5)
+        greedy = decode_greedy(fused[None], dec, 5)[0]
         beam = decode_beam(fused, dec, width=3, max_len=5)
         for hyp in [greedy, *beam]:
             assert len(hyp.tokens) == 5 and END not in hyp.tokens
@@ -406,7 +458,7 @@ class TestDecoding:
         rng = Xoshiro256(13)
         dec = DecoderParams.init(rng, 6, 3, 4)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
-        hyps = [decode_greedy(fused, dec, 6), *decode_beam(fused, dec, width=3, max_len=6)]
+        hyps = [decode_greedy(fused[None], dec, 6)[0], *decode_beam(fused, dec, width=3, max_len=6)]
         assert all(type(t) is int for h in hyps for t in h.tokens)
 
     def test_log_prob_matches_independent_recompute(self):
@@ -422,11 +474,11 @@ class TestDecoding:
         kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
         proj = KeywordProjection.init(rng, kw_vocab.size, 4)
         dec = DecoderParams.init(rng, 8, 4, 6)
-        img = Tensor(np.asarray(rng.uniform(-1, 1, (4,))))
+        img = Tensor(np.asarray(rng.uniform(-1, 1, (1, 4))))
         captions = set()
         for perm in itertools.permutations(["a", "b", "c"]):
-            fused = proj.fuse(img, keyword_multihot(list(perm), kw_vocab))
-            captions.add(decode_greedy(fused, dec, 10).tokens)
+            fused = proj.fuse(img, keyword_multihot(list(perm), kw_vocab)[None])
+            captions.add(decode_greedy(fused.data, dec, 10)[0].tokens)
         assert len(captions) == 1
 
 
@@ -447,8 +499,8 @@ def per_record_caption_loss(fused, target, params):
         h, c = ad.lstm_step(x, h, c, params.cell)
         if tgt == PAD:
             continue
-        logits = ad.linear(h, params.out_w, params.out_b)
-        losses.append(ad.softmax_cross_entropy(logits, tgt))
+        logits = ad.linear(as_row(h), params.out_w, params.out_b)
+        losses.append(ad.softmax_cross_entropy(logits, [tgt]))
     return mean_scalars(losses)
 
 
@@ -533,6 +585,49 @@ class TestBatchedGreedy:
         batch = decode_greedy(feats, dec, 9)
         assert len(batch) == 7
         for f, hyp in zip(feats, batch):
-            alone = decode_greedy(f, dec, 9)
+            alone = decode_greedy(f[None], dec, 9)[0]
             assert hyp.tokens == alone.tokens
             assert hyp.log_prob == alone.log_prob
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_equals_width_one_beam_over_mixed_batch(self, seed):
+        """Greedy is the width-1 beam, bit for bit, for every record of a batch that mixes
+        finished, cut-off and tied records."""
+        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6)
+        for p in dec.parameters():
+            p.data *= 3.0
+        dec.out_w.data[5] = dec.out_w.data[4]  # tokens 4 and 5 tie at every step
+        dec.out_b.data[5] = dec.out_b.data[4]
+        feats = np.random.default_rng(seed).uniform(-2, 2, (10, 4))
+        batch = decode_greedy(feats, dec, 6)
+        assert any(h.finished for h in batch) and not all(h.finished for h in batch)
+        assert any(4 in h.tokens for h in batch) and not any(5 in h.tokens for h in batch)
+        for f, hyp in zip(feats, batch):
+            assert beam_bits([hyp]) == beam_bits(decode_beam(f, dec, 1, 6))
+            assert beam_bits([hyp]) == reference_beam(f, dec, 1, 6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_beams_equal_lone_beams(seed):
+    """One search over a batch gives each record the beam it gets alone."""
+    dec, _ = random_decoder(seed)
+    dec.out_w.data *= 3.0
+    feats = np.random.default_rng(seed).uniform(-2, 2, (6, dec.input_dim))
+    for width in (2, 3):
+        beams = _beam_search(feats, dec, width, 7)
+        for f, beam in zip(feats, beams):
+            assert beam_bits(beam) == reference_beam(f, dec, width, 7)
+
+
+def test_single_item_inputs_rejected():
+    """Loss, fusion and greedy decoding take batches only."""
+    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+    proj = KeywordProjection.init(Xoshiro256(2), 5, 3)
+    with pytest.raises(ad.ShapeError):
+        caption_loss(Tensor(np.zeros(3)), [START, 4, END], dec)
+    with pytest.raises(ad.ShapeError):
+        proj.fuse(Tensor(np.zeros((1, 3))), np.zeros(5))
+    with pytest.raises(ad.ShapeError):
+        decode_greedy(np.zeros(3), dec, 5)
+    with pytest.raises(ad.ShapeError):
+        decode_beam(np.zeros((1, 3)), dec, 2, 5)
