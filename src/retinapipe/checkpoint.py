@@ -42,14 +42,17 @@ class ModelCheckpoint:
         return self.params[name]
 
     def take(self, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-        """The named arrays; DataError names an entry that is missing or whose
-        shape differs from its declared one (a None dimension matches any size)."""
+        """The named arrays; DataError names an entry that is missing, whose
+        shape differs from its declared one (a None dimension matches any size),
+        or that holds a NaN or an infinity."""
         for name, shape in shapes.items():
             if name not in self.params:
                 raise DataError(f"checkpoint is missing parameter {name!r}")
             got = self.params[name].shape
             if len(got) != len(shape) or any(want not in (None, n) for n, want in zip(got, shape)):
                 raise DataError(f"checkpoint parameter {name} has shape {got}, expected {shape}")
+            if not np.isfinite(self.params[name]).all():
+                raise DataError(f"checkpoint parameter {name} holds a non-finite value")
         return {name: self.params[name] for name in shapes}
 
     def save(self, path) -> None:

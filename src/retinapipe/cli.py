@@ -27,7 +27,7 @@ from .report import build_report, render_html, render_text
 from .textgen import Vocabulary, tokenize
 from .training import (
     Pipeline, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
-    load_train_config, train_captioner, train_classifier, write_case_assets,
+    load_train_config, train_captioner, train_classifier,
 )
 
 
@@ -223,15 +223,14 @@ def _cmd_report(args) -> int:
     keywords = _split_keywords([args.keywords])
     _warn_unknown_keywords(keywords, pipe.kw_vocab)
     image = load_image(args.image)
-    inf = pipe.infer(image, keywords, args.beam, args.max_len, args.alpha)
     case_id = os.path.splitext(os.path.basename(args.image))[0]
-    image_path, cam_path = write_case_assets(
-        os.path.join(args.out, "assets"), case_id, image, inf.cam_pixels)
+    [inf] = pipe.infer([(case_id, image, keywords)], args.beam, args.max_len, args.alpha,
+                       assets_dir=os.path.join(args.out, "assets"))
     record = CaseRecord(id=case_id, image_path=args.image, modality=image.modality,
                         disease="", keywords=keywords, description="")
     predictions = [(pipe.class_names[c], p) for c, p in inf.ranked[: args.topk]]
     med = build_report(record, predictions, inf.caption_words,
-                       cam_path=cam_path, image_path=image_path, include_truth=False)
+                       cam_path=inf.cam_path, image_path=inf.image_path, include_truth=False)
     with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html([med]))
     print(render_text(med))

@@ -24,7 +24,7 @@ from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .rng import Xoshiro256, derive_seed
 from .textgen import (
     END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
-    caption_loss, decode_beam, decode_greedy, keyword_multihot, tokenize,
+    _beam_search, caption_loss, decode_greedy, keyword_multihot, tokenize,
 )
 
 
@@ -301,11 +301,12 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
 class Inference:
     ranked: list[tuple[int, float]]  # every class id with its probability, best first
     caption_words: list[str]
-    cam_pixels: np.ndarray  # uint8 RGB overlay of the top-1 class's CAM
+    image_path: str | None = None  # the asset paths, relative to the report bundle
+    cam_path: str | None = None
 
 
 class Pipeline:
-    """Classify, caption and explain one image at a time, with the models and
+    """Classify, caption and explain a stream of images, with the models and
     vocabularies loaded and cross-checked once.
 
     keyword_mode None takes the mode the decoder was trained with; False
@@ -342,15 +343,35 @@ class Pipeline:
             if a != b:
                 raise DataError(f"{what}: {a} != {b}")
 
-    def infer(self, image: RetinalImage, keywords: list[str], beam_width: int,
-              max_len: int, alpha: float = 0.5) -> Inference:
-        out = self.encoder.encode_image(image)
-        ranked = predict_topk(out.logits.data[0], self.num_classes)
-        fused = self.kw_proj.fuse(out.pooled, keyword_multihot(keywords, self.kw_vocab)[None]) \
-            if self.keyword_mode else out.pooled
-        words = decode_beam(fused.data[0], self.decoder, beam_width, max_len)[0].words(self.vocab)
-        heat = compute_cam(out.feature_maps.data[0], self.encoder.classifier_weights, ranked[0][0])
-        return Inference(ranked, words, cam_overlay(image, heat, alpha))
+    def infer(self, cases, beam_width: int, max_len: int, alpha: float = 0.5,
+              assets_dir=None) -> list[Inference]:
+        """One Inference per (case id, image, keywords) from cases, in order.
+
+        Each case is encoded as a batch of one and ranked, and with assets_dir set
+        its image and CAM overlay are written there; only the ranking and the fused
+        feature are kept, so a lazy cases holds one image at a time (encoding them
+        as one batch would hold them all). Then one beam search captions every
+        case, each exactly as it would be alone.
+        """
+        looked, fused = [], []
+        for case_id, image, keywords in cases:
+            out = self.encoder.encode_image(image)
+            ranked = predict_topk(out.logits.data[0], self.num_classes)
+            feature = out.pooled
+            if self.keyword_mode:
+                feature = self.kw_proj.fuse(feature, keyword_multihot(keywords, self.kw_vocab)[None])
+            fused.append(feature.data[0])
+            paths = (None, None)
+            if assets_dir is not None:
+                heat = compute_cam(out.feature_maps.data[0], self.encoder.classifier_weights,
+                                   ranked[0][0])
+                paths = write_case_assets(assets_dir, case_id, image,
+                                          cam_overlay(image, heat, alpha))
+            looked.append((ranked, paths))
+            del image, out  # before cases loads the next image
+        beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
+        return [Inference(ranked, beam[0].words(self.vocab), *paths)
+                for (ranked, paths), beam in zip(looked, beams)]
 
 
 @dataclass
@@ -380,10 +401,12 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                       k_list: tuple[int, ...] = (1, 5), max_caption_len: int = 30,
                       keyword_mode: bool | None = None, heatmap_dir=None,
                       ) -> tuple[MetricReport, list[CaseResult]]:
-    """Full per-record path over the test split: classify, decode, CAM.
+    """Classify, caption and explain the test split through Pipeline.infer: the
+    images are loaded and encoded one at a time, then one beam search captions
+    every case.
 
     With heatmap_dir set, each case's image and CAM overlay are written there
-    by write_case_assets in the pass that decoded the image; heatmap_dir is
+    by write_case_assets in the pass that encoded the image; heatmap_dir is
     the assets directory of a report bundle.
     """
     test = manifest.by_split("test")
@@ -393,25 +416,16 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                     manifest.class_list)
     if max(k_list) > pipe.num_classes:
         raise ValueError(f"k={max(k_list)} exceeds number of classes {pipe.num_classes}")
+    cases = ((r.id, load_image(manifest.image_file(r)), r.keywords) for r in test)
+    inferences = pipe.infer(cases, beam_width, max_caption_len, assets_dir=heatmap_dir)
     classes = manifest.class_index()
-    candidates, references, rankings, truths, results = [], [], [], [], []
-    for r in test:
-        image = load_image(manifest.image_file(r))
-        inf = pipe.infer(image, r.keywords, beam_width, max_caption_len)
-        image_path = cam_path = None
-        if heatmap_dir is not None:
-            image_path, cam_path = write_case_assets(heatmap_dir, r.id, image, inf.cam_pixels)
-        candidates.append(inf.caption_words)
-        references.append(tokenize(r.description))
-        rankings.append([cid for cid, _ in inf.ranked])
-        truths.append(classes[r.disease])
-        results.append(CaseResult(
-            record=r,
-            predictions=[(pipe.class_names[cid], p) for cid, p in inf.ranked[: max(k_list)]],
-            caption_words=inf.caption_words,
-            image_path=image_path,
-            cam_path=cam_path,
-        ))
-    report = score_captions(candidates, references)
+    report = score_captions([inf.caption_words for inf in inferences],
+                            [tokenize(r.description) for r in test])
+    rankings = [[cid for cid, _ in inf.ranked] for inf in inferences]
+    truths = [classes[r.disease] for r in test]
     report.prec_at = {k: precision_at_k(rankings, truths, k) for k in k_list}
-    return report, results
+    return report, [
+        CaseResult(record=r, caption_words=inf.caption_words, image_path=inf.image_path,
+                   cam_path=inf.cam_path,
+                   predictions=[(pipe.class_names[c], p) for c, p in inf.ranked[: max(k_list)]])
+        for r, inf in zip(test, inferences)]

@@ -104,6 +104,14 @@ def test_take_checks_names_and_shapes(ckpt):
         ckpt.take({"encoder.fc.bias": (None, None)})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_take_names_the_first_non_finite_entry(ckpt, value):
+    ckpt.params["encoder.fc.bias"][1] = value
+    ckpt.params["encoder.stage0.kernels"][0, 0, 0, 0] = value
+    with pytest.raises(DataError, match="parameter encoder.fc.bias holds a non-finite value"):
+        ckpt.take({"encoder.fc.bias": (2,), "encoder.stage0.kernels": (2, 3, 2, 2)})
+
+
 def test_save_is_deterministic(tmp_path, ckpt):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     ckpt.save(a)

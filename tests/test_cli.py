@@ -412,6 +412,23 @@ class TestMalformedModelFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and entry in err
 
+    @pytest.mark.parametrize("command", ["report", "evaluate"])
+    @pytest.mark.parametrize("file, entry, index, value", [
+        ("decoder", "decoder.out.weight", (0, 0), np.nan),
+        ("encoder", "encoder.stage0.kernels", (0, 0, 0, 0), np.inf),
+    ])
+    def test_non_finite_entry_is_data_error(self, command, file, entry, index, value, dataset,
+                                            trained, tmp_path, capsys):
+        ckpt = ModelCheckpoint.load(trained / "checkpoints" / f"{file}.ckpt")
+        ckpt.params[entry][index] = value
+        ckpt.save(tmp_path / "bad.ckpt")
+        inputs = ["--image", str(dataset / "images" / "case0001.pgm")] if command == "report" \
+            else ["--manifest", str(dataset / "manifest.json")]
+        assert main([command, *model_args(trained / "checkpoints",
+                                          **{file: tmp_path / "bad.ckpt"}),
+                     *inputs, "--out", str(tmp_path / "out")]) == 2
+        assert f"checkpoint parameter {entry} holds a non-finite value" in capsys.readouterr().err
+
     def test_keyword_projection_dim(self, dataset, trained, tmp_path, capsys):
         ckpt = ModelCheckpoint.load(trained / "checkpoints" / "decoder.ckpt")
         for entry in ("kw_proj.weight", "kw_proj.bias"):

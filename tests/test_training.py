@@ -1,14 +1,19 @@
+import gc
 import json
 import math
+import pathlib
+import weakref
 
 import pytest
 
-from retinapipe.autodiff import SgdConfig, backward
+from retinapipe import autodiff, training
+from retinapipe.autodiff import SgdConfig, backward, lstm_cell_np
 from retinapipe.data import generate_synthetic_dataset, split_dataset
 from retinapipe.errors import DataError
-from retinapipe.textgen import build_vocabulary
+from retinapipe.imageio import load_image
+from retinapipe.textgen import _beam_search, build_vocabulary
 from retinapipe.training import (
-    TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
+    Pipeline, TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
     load_train_config, lr_schedule, train_captioner,
     train_classifier,
 )
@@ -104,7 +109,6 @@ class TestTrainClassifier:
         assert len(curve.entries) == 2
 
     def test_one_taped_op_per_layer_per_batch(self, tiny_dataset, monkeypatch):
-        import retinapipe.training as training
         tape_sizes = []
 
         def counting_backward(tape, loss):
@@ -219,6 +223,75 @@ class TestEvaluatePipeline:
         enc, dec, vocab, kw_vocab = trained
         with pytest.raises(ValueError):
             evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(99,))
+
+    @pytest.mark.parametrize("keyword_mode", [None, False])
+    @pytest.mark.parametrize("beam_width, max_len", [(1, 30), (3, 30), (3, 4)])
+    def test_split_equals_one_case_at_a_time(self, tiny_dataset, trained, tmp_path,
+                                             keyword_mode, beam_width, max_len):
+        """The joint search over the split gives every case what a batch of one
+        gives it: the caption, the ranking and the CAM PNG's bytes."""
+        enc, dec, vocab, kw_vocab = trained
+        _, results = evaluate_pipeline(
+            tiny_dataset, enc, dec, vocab, kw_vocab, beam_width=beam_width, k_list=(1, 3),
+            max_caption_len=max_len, keyword_mode=keyword_mode, heatmap_dir=tmp_path / "all")
+        pipe = Pipeline(enc, dec, vocab, kw_vocab, keyword_mode, tiny_dataset.class_list)
+        test = tiny_dataset.by_split("test")
+        assert [res.record for res in results] == test and len(test) > 1
+        for res in results:
+            r = res.record
+            [one] = pipe.infer([(r.id, load_image(tiny_dataset.image_file(r)), r.keywords)],
+                               beam_width, max_len, assets_dir=tmp_path / r.id)
+            assert res.caption_words == one.caption_words
+            assert res.predictions == [(pipe.class_names[c], p) for c, p in one.ranked]
+            for got, want in ((res.cam_path, one.cam_path), (res.image_path, one.image_path)):
+                assert (tmp_path / "all" / pathlib.Path(got).name).read_bytes() == \
+                    (tmp_path / r.id / pathlib.Path(want).name).read_bytes()
+
+    def test_one_search_for_the_split(self, tiny_dataset, trained, monkeypatch):
+        enc, dec, vocab, kw_vocab = trained
+        searches, cells = [], []
+
+        def counting_search(feats, *args):
+            searches.append(len(feats))
+            return _beam_search(feats, *args)
+
+        def counting_cell(*args):
+            cells.append(args)
+            return lstm_cell_np(*args)
+
+        monkeypatch.setattr(training, "_beam_search", counting_search)
+        monkeypatch.setattr(autodiff, "lstm_cell_np", counting_cell)
+        evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1,),
+                          max_caption_len=12)
+        assert searches == [len(tiny_dataset.by_split("test"))]
+        assert 0 < len(cells) <= 12 + 2
+
+    def test_holds_one_image_at_a_time(self, tiny_dataset, trained, tmp_path, monkeypatch):
+        """Each image is released before the next is loaded, so at every load and
+        when the joint search starts at most one image is alive."""
+        enc, dec, vocab, kw_vocab = trained
+        loaded, alive = [], []
+
+        def count_alive():
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+
+        def tracked_load(path):
+            count_alive()
+            image = load_image(path)
+            loaded.append(weakref.ref(image))
+            return image
+
+        def checked_search(*args):
+            count_alive()
+            return _beam_search(*args)
+
+        monkeypatch.setattr(training, "load_image", tracked_load)
+        monkeypatch.setattr(training, "_beam_search", checked_search)
+        evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1,),
+                          heatmap_dir=tmp_path / "assets")
+        assert len(loaded) == len(tiny_dataset.by_split("test")) > 1
+        assert len(alive) == len(loaded) + 1 and max(alive) <= 1
 
 
 def test_keyword_ablation_separates_on_keyword_dependent_captions(tmp_path):
