@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .rng import Xoshiro256
 
 
@@ -20,20 +21,28 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient of the same shape."""
+    """Dense float64 array with an optional gradient of the same shape.
 
-    __slots__ = ("data", "grad", "parameter", "name")
+    A tensor made with needs_grad=False (an input batch, say) never holds a
+    gradient, and ops may skip computing one for it.
+    """
 
-    def __init__(self, data, parameter: bool = False, name: str | None = None):
+    __slots__ = ("data", "grad", "parameter", "name", "needs_grad")
+
+    def __init__(self, data, parameter: bool = False, name: str | None = None,
+                 needs_grad: bool = True):
         self.data = np.array(data, dtype=np.float64, copy=True)
         self.grad: np.ndarray | None = None
         self.parameter = parameter
         self.name = name
+        self.needs_grad = needs_grad
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
+        if not self.needs_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -164,13 +173,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # conv / pool
 
+def _zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """x (B x C x H x W) with `pad` zeros around each map, as np.pad gives it."""
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:-pad, pad:-pad] = x
+    return xp
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """B x C x Hp x Wp -> B x (C*kh*kw) x (ho*wo): row (ch, a, b) and column (i, j)
     of image n hold xp[n, ch, a + stride*i, b + stride*j]."""
     n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, : stride * ho : stride, : stride * wo : stride]  # B, C, ho, wo, kh, kw
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    sn, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(  # B, C, kh, kw, ho, wo
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    return win.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
@@ -203,17 +223,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = _zero_pad(x.data, pad)
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
     kmat = kernels.data.reshape(k, c * kh * kw)
-    y = (kmat @ cols + bias.data[:, None]).reshape(n, k, ho, wo)  # one GEMM per image
-    out = Tensor(y)
+    y = kmat @ cols  # one GEMM per image
+    y += bias.data[:, None]
+    out = Tensor(y.reshape(n, k, ho, wo))
 
     def bwd(gs):
         gflat = gs[0].reshape(n, k, ho * wo)
         bias.accumulate(gflat.sum(axis=2).sum(axis=0))
         gkmat = (gflat @ cols.transpose(0, 2, 1)).sum(axis=0)
         kernels.accumulate(gkmat.reshape(kernels.data.shape))
+        if not x.needs_grad:
+            return
         gxp = _col2im_add(kmat.T @ gflat, (n, c, hp, wp), kh, kw, stride, ho, wo)
         if pad:
             gxp = gxp[:, :, pad:-pad, pad:-pad]
@@ -515,6 +538,8 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
     for p in params:
         if p.grad is None:
             raise ValueError(f"sgd_step: parameter {p.name or '<unnamed>'} has no gradient")
+        if not np.isfinite(p.grad).all():
+            raise NonFiniteError(f"the gradient of {p.name or '<unnamed>'} is not finite")
     for p in params:
         p.data -= lr * p.grad
 

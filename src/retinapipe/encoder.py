@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .imageio import RetinalImage, resize_bilinear
 from .rng import Xoshiro256
 
@@ -140,7 +140,7 @@ class VisionEncoder:
         if nchw.ndim != 4 or nchw.shape[1:] != (cfg.input_channels, cfg.image_size, cfg.image_size):
             raise ShapeError(f"encoder input shape {nchw.shape} is not a batch of "
                              f"{(cfg.input_channels, cfg.image_size, cfg.image_size)} images")
-        x = Tensor(nchw)
+        x = Tensor(nchw, needs_grad=False)
         for i, (_out_ch, kernel, stride, pool) in enumerate(cfg.stages):
             x = ad.conv2d(x, self._params[f"encoder.stage{i}.kernels"],
                           self._params[f"encoder.stage{i}.bias"],
@@ -148,13 +148,13 @@ class VisionEncoder:
             x = ad.relu(x)
             x = ad.maxpool2d(x, pool)
             if not np.isfinite(x.data).all():
-                raise RuntimeError(f"non-finite activation after encoder stage {i}")
+                raise NonFiniteError(f"non-finite activation after encoder stage {i}")
         feature_maps = x
         pooled = ad.global_avg_pool(feature_maps)
         logits = ad.linear(pooled, self._params["encoder.fc.weight"],
                            self._params["encoder.fc.bias"])
         if not np.isfinite(logits.data).all():
-            raise RuntimeError("non-finite activation in classifier head")
+            raise NonFiniteError("non-finite activation in classifier head")
         return EncoderOutput(feature_maps=feature_maps, pooled=pooled, logits=logits)
 
     def encode_image(self, image: RetinalImage) -> EncoderOutput:

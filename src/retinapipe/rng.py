@@ -43,15 +43,23 @@ class Xoshiro256:
         self._s = state
 
     def next_u64(self) -> int:
-        return self._next_u64s(1)[0]
+        # scrambled in Python ints: a one-element array costs several times more
+        x = (self._step(1)[0] * 5) & _MASK
+        return ((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK
 
-    def _next_u64s(self, n: int) -> list[int]:
-        """The next n outputs, with the xoshiro256** step written out inline."""
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as uint64: the ** scrambler runs once over the array,
+        whose wrapping uint64 arithmetic is exact mod 2^64."""
+        x = np.array(self._step(n), dtype=np.uint64) * np.uint64(5)
+        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+
+    def _step(self, n: int) -> list[int]:
+        """Advance the state n times; the s1 word before each step, which the
+        scrambler turns into that step's output."""
         s0, s1, s2, s3 = self._s
-        out = []
+        s1s = []
         for _ in range(n):
-            x = (s1 * 5) & _MASK
-            out.append(((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK)
+            s1s.append(s1)
             t = (s1 << 17) & _MASK
             s2 ^= s0
             s3 ^= s1
@@ -60,7 +68,7 @@ class Xoshiro256:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
         self._s = [s0, s1, s2, s3]
-        return out
+        return s1s
 
     def random(self) -> float:
         # 53 bits of mantissa, uniform in [0, 1)
@@ -69,7 +77,7 @@ class Xoshiro256:
     def uniform(self, low: float, high: float, shape=None):
         if shape is None:
             return low + (high - low) * self.random()
-        u = np.array(self._next_u64s(int(np.prod(shape))), dtype=np.uint64)
+        u = self._next_u64s(int(np.prod(shape)))
         r = (u >> np.uint64(11)).astype(np.float64) * 2.0 ** -53  # both steps exact
         return (low + (high - low) * r).reshape(shape)
 

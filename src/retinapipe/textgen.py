@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LstmParams, ShapeError, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .rng import Xoshiro256
 
 PAD, START, END, UNK = 0, 1, 2, 3
@@ -297,7 +297,8 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
     once `width` of its finished hypotheses all score strictly above its best
     live one: a token's log-probability is never positive, so no live one can
     reach its top `width` any more. Each row is stepped as a lone vector would
-    be, so a record's beam does not depend on the rest of the batch.
+    be, so a record's beam does not depend on the rest of the batch. A record
+    whose every score is NaN (a diverged decoder) raises NonFiniteError.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
@@ -342,7 +343,9 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
     for rec, lp, toks in zip(recs, lps, seqs):  # max_len reached
         finished[rec].append((lp, toks))
     beams = []
-    for done in finished:
+    for rec, done in enumerate(finished):
+        if not done:  # NaN scores pass no candidate filter
+            raise NonFiniteError(f"the decoder scores of record {rec} are not finite")
         done.sort(key=lambda f: (-f[0], f[1]))
         beams.append([Hypothesis(tokens=toks, log_prob=lp) for lp, toks in done[:width]])
     return beams

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -18,7 +19,7 @@ from .cam import cam_overlay, compute_cam
 from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .imageio import RetinalImage, load_image, write_png
 from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .rng import Xoshiro256, derive_seed
@@ -131,7 +132,9 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
 
     batch_loss(records) gives the batch's mean loss as a scalar Tensor;
     validate() gives (val_loss, val_metric), and a later epoch that ties the
-    best metric replaces it.
+    best metric replaces it. A run that diverges stops with NonFiniteError
+    naming the epoch and the batch (or the validation), and the loss or
+    parameter gradient that went non-finite.
     """
     curve = TrainingCurve()
     best_metric, best_params = -1.0, None
@@ -140,14 +143,19 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
         order = list(train)
         Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
         epoch_loss = 0.0
-        for batch in _batches(order, cfg.batch_size):
+        for index, batch in enumerate(_batches(order, cfg.batch_size)):
             zero_grads(params)
-            with Tape() as tape:
-                loss = batch_loss(batch)
-            backward(tape, loss)
-            sgd_step(params, lr)
-            epoch_loss += float(loss.data) * len(batch)
-        val_loss, val_metric = validate()
+            with _diverged_at(f"epoch {epoch}, batch {index}"):
+                with Tape() as tape:
+                    loss = batch_loss(batch)
+                value = float(loss.data)
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"the batch loss is {value}")
+                backward(tape, loss)
+                sgd_step(params, lr)
+            epoch_loss += value * len(batch)
+        with _diverged_at(f"epoch {epoch}, validation"):
+            val_loss, val_metric = validate()
         curve.append(epoch_loss / len(order), val_loss, val_metric)
         if val_metric >= best_metric:
             best_metric = val_metric
@@ -155,6 +163,15 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
     for p, best in zip(params, best_params):
         p.data[...] = best
     return curve
+
+
+@contextmanager
+def _diverged_at(where: str):
+    """Prefix a NonFiniteError raised inside with the place in training it came from."""
+    try:
+        yield
+    except NonFiniteError as e:
+        raise NonFiniteError(f"training diverged at {where}: {e}") from e
 
 
 def _preprocessed(manifest: DatasetManifest, records: list[CaseRecord],

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: the central finite-difference gradient
-check, the taped ops the per-record oracles are built from, and an independent
-recomputation of a caption's log-probability. The tests compare the package
-against these, so their numerics must not change.
+check, the taped ops the per-record oracles are built from, an independent
+recomputation of a caption's log-probability, and the xoshiro256** block draw
+as one inline Python loop. The tests compare the package against these, so
+their numerics must not change.
 """
 
 from dataclasses import dataclass, field
@@ -9,7 +10,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from retinapipe.autodiff import ShapeError, Tape, Tensor, _emit, backward, zero_grads
+from retinapipe.rng import _MASK, Xoshiro256
 from retinapipe.textgen import DecoderParams, _DecoderState
+
+
+class InlineLoopXoshiro(Xoshiro256):
+    """Block draws with the whole xoshiro256** step, scrambler included, inline
+    in one Python loop: the reference for the package's array scrambler."""
+
+    def _next_u64s(self, n: int) -> list[int]:
+        s0, s1, s2, s3 = self._s
+        out = []
+        for _ in range(n):
+            x = (s1 * 5) & _MASK
+            out.append(((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK)
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        self._s = [s0, s1, s2, s3]
+        return out
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -7,6 +7,7 @@ from oracles import finite_difference_check, sum_all
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward, sgd_step
+from retinapipe.errors import NonFiniteError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import DecoderParams
 
@@ -320,6 +321,14 @@ class TestSgd:
         with pytest.raises(ValueError, match="no gradient"):
             sgd_step([p], 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_rejected_before_any_step(self, bad):
+        p, q = Tensor(np.ones(2), name="p"), Tensor(np.ones(2), name="q")
+        p.grad, q.grad = np.ones(2), np.array([1.0, bad])
+        with pytest.raises(NonFiniteError, match="^the gradient of q is not finite$"):
+            sgd_step([p, q], 0.1)
+        assert np.array_equal(p.data, [1.0, 1.0])
+
 
 class TestFiniteDifferenceCheck:
     def test_linear_model_exact(self):
@@ -425,20 +434,118 @@ def loop_col2im_add(gcols, shape, kh, kw, stride, ho, wo):
 # (channels, padded side, kernel, stride): the default stages' padded inputs and odd cases
 IM2COL_CASES = [(3, 34, 3, 1), (8, 18, 3, 1), (16, 10, 3, 1), (3, 9, 3, 2), (2, 8, 2, 2),
                 (4, 7, 3, 3), (1, 5, 5, 1)]
+# (channels, padded height, padded width, kernel, stride)
+NON_SQUARE_CASES = [(3, 9, 14, 3, 2), (2, 13, 6, 3, 1), (3, 11, 8, 3, 2), (2, 5, 12, 2, 3)]
+
+
+def check_gather_and_scatter(c, hp, wp, k, stride):
+    rng = np.random.default_rng(c * hp * wp + k)
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xp = rng.standard_normal((2, c, hp, wp))
+    cols = ad._im2col(xp, k, k, stride, ho, wo)
+    gcols = rng.standard_normal(cols.shape)
+    gxp = ad._col2im_add(gcols, xp.shape, k, k, stride, ho, wo)
+    for n in range(2):
+        assert np.array_equal(cols[n], loop_im2col(xp[n], k, k, stride, ho, wo))
+        assert np.array_equal(gxp[n], loop_col2im_add(gcols[n], xp.shape[1:], k, k, stride, ho, wo))
 
 
 class TestIm2col:
     @pytest.mark.parametrize("c, side, k, stride", IM2COL_CASES)
     def test_gather_and_scatter_equal_the_loops(self, c, side, k, stride):
-        rng = np.random.default_rng(c * side + k)
-        o = (side - k) // stride + 1
-        xp = rng.standard_normal((2, c, side, side))
-        cols = ad._im2col(xp, k, k, stride, o, o)
-        gcols = rng.standard_normal(cols.shape)
-        gxp = ad._col2im_add(gcols, xp.shape, k, k, stride, o, o)
+        check_gather_and_scatter(c, side, side, k, stride)
+
+    @pytest.mark.parametrize("c, hp, wp, k, stride", NON_SQUARE_CASES)
+    def test_non_square_gather_and_scatter_equal_the_loops(self, c, hp, wp, k, stride):
+        check_gather_and_scatter(c, hp, wp, k, stride)
+
+    def test_gather_reads_a_non_contiguous_input(self):
+        xp = np.random.default_rng(0).standard_normal((2, 3, 9, 16))[:, :, :, ::2]
+        cols = ad._im2col(xp, 3, 3, 2, 4, 3)
         for n in range(2):
-            assert np.array_equal(cols[n], loop_im2col(xp[n], k, k, stride, o, o))
-            assert np.array_equal(gxp[n], loop_col2im_add(gcols[n], xp.shape[1:], k, k, stride, o, o))
+            assert np.array_equal(cols[n], loop_im2col(xp[n], 3, 3, 2, 4, 3))
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_zero_pad_equals_np_pad(self, pad):
+        x = np.random.default_rng(pad).standard_normal((2, 3, 5, 8))
+        x[0, 0, 0, 0] = -0.0
+        got = ad._zero_pad(x, pad)
+        want = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def conv_oracle(x, k, b, g, stride, pad):
+    """Per-image loops: conv2d's output and its x, kernel and bias gradients for the
+    upstream gradient g, each image on its own and the weight gradients summed
+    over the images in order."""
+    nk, c, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+    kmat = k.reshape(nk, -1)
+    ys, gxs, gk, gb = [], [], 0.0, 0.0
+    for n in range(len(x)):
+        cols = loop_im2col(xp[n], kh, kw, stride, ho, wo)
+        gflat = g[n].reshape(nk, -1)
+        ys.append((kmat @ cols + b[:, None]).reshape(nk, ho, wo))
+        gk = gk + gflat @ cols.T
+        gb = gb + gflat.sum(axis=1)
+        gxp = loop_col2im_add(kmat.T @ gflat, xp.shape[1:], kh, kw, stride, ho, wo)
+        gxs.append(gxp[:, pad : pad + x.shape[2], pad : pad + x.shape[3]])
+    return np.stack(ys), np.stack(gxs), gk.reshape(k.shape), gb
+
+
+def run_conv(x, k, b, g, stride, pad):
+    """conv2d's output, with g fed to its backward as the upstream gradient."""
+    with Tape() as tape:
+        y = ad.conv2d(x, k, b, stride=stride, pad=pad)
+    [(_, bwd)] = tape._records
+    bwd((g,))
+    return y
+
+
+class TestConvPaddingAndNoGrad:
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_non_square_batch_equals_the_loops(self, pad, stride):
+        rng = np.random.default_rng(10 * pad + stride)
+        x = Tensor(rng.standard_normal((2, 3, 7, 10)))
+        k = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        b = Tensor(rng.standard_normal(4))
+        ho, wo = (7 + 2 * pad - 3) // stride + 1, (10 + 2 * pad - 3) // stride + 1
+        g = rng.standard_normal((2, 4, ho, wo))
+        y = run_conv(x, k, b, g, stride, pad)
+        want = conv_oracle(x.data, k.data, b.data, g, stride, pad)
+        for got, ref in zip((y.data, x.grad, k.grad, b.grad), want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_no_grad_input_keeps_weight_gradients_and_skips_the_scatter(self, pad, monkeypatch):
+        scatters = []
+        col2im = ad._col2im_add
+        monkeypatch.setattr(ad, "_col2im_add", lambda *a: scatters.append(1) or col2im(*a))
+        rng = np.random.default_rng(pad)
+        data = rng.standard_normal((3, 2, 8, 9))
+        kd, bd = rng.standard_normal((5, 2, 3, 3)), rng.standard_normal(5)
+        g = rng.standard_normal((3, 5, 8 + 2 * pad - 2, 9 + 2 * pad - 2))
+        grads = {}
+        for needs_grad in (True, False):
+            x, k, b = Tensor(data, needs_grad=needs_grad), Tensor(kd), Tensor(bd)
+            y = run_conv(x, k, b, g, 1, pad)
+            grads[needs_grad] = (y.data, k.grad, b.grad)
+            assert (x.grad is None) == (not needs_grad)
+        assert scatters == [1]  # only for the input that needs a gradient
+        for got, ref in zip(grads[False], grads[True]):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_no_grad_tensor_never_holds_a_gradient(self):
+        x = Tensor(np.array([[-1.0, 2.0]]), needs_grad=False)
+        with Tape() as tape:
+            loss = sum_all(ad.relu(x))
+        backward(tape, loss)
+        assert x.grad is None
+        x.accumulate(np.ones((1, 2)))
+        assert x.grad is None
 
 
 def single_image_oracle(x, k, kb, w, b, target, stride, pad):

@@ -221,6 +221,29 @@ class TestTrainingArtifacts:
         assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+class TestDivergingTraining:
+    """A learning rate that blows the weights up stops training with exit 3 and a
+    message naming where, and writes no checkpoint."""
+
+    def test_train_rdi(self, dataset, tmp_path, capsys):
+        assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
+                     "--out", str(tmp_path), "--epochs", "2", "--batch", "4",
+                     "--lr", "1e200", "--seed", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "NonFiniteError: training diverged at epoch 0, batch 1: non-finite activation" in err
+        assert not (tmp_path / "checkpoints" / "encoder.ckpt").exists()
+
+    def test_train_cdg(self, dataset, trained, tmp_path, capsys):
+        assert main(["train-cdg", "--manifest", str(dataset / "manifest.json"),
+                     "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                     "--out", str(tmp_path), "--epochs", "2", "--batch", "4",
+                     "--lr", "1e200", "--seed", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "NonFiniteError: training diverged at epoch 0, " in err
+        assert not (tmp_path / "checkpoints" / "decoder.ckpt").exists()
+
+
 class TestEvaluate:
     def test_writes_metrics_and_bundle(self, dataset, trained, tmp_path):
         out = tmp_path / "eval"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from retinapipe.autodiff import ShapeError
+from retinapipe import autodiff as ad
+from retinapipe.autodiff import ShapeError, Tape, backward, softmax_cross_entropy
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.encoder import EncoderConfig, VisionEncoder, predict_topk
-from retinapipe.errors import DataError
+from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.imageio import RetinalImage
 from retinapipe.rng import Xoshiro256
 
@@ -104,6 +105,33 @@ class TestForward:
         a = small_encoder(seed=4).forward(nchw)
         b = small_encoder(seed=4).forward(nchw)
         assert np.array_equal(a.logits.data, b.logits.data)
+
+
+    def test_non_finite_activation_raises(self):
+        enc = small_encoder()
+        enc.parameters()[0].data[0, 0, 0, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="encoder stage 0"), np.errstate(invalid="ignore"):
+            enc.forward(np.ones((1, 3, 16, 16)))
+
+
+class TestClassifierStep:
+    def test_input_batch_gets_no_gradient(self, monkeypatch):
+        """The image batch is marked as needing no gradient: a classifier step
+        scatters a gradient into every stage's input but the first."""
+        inputs, scatters = [], []
+        conv2d, col2im = ad.conv2d, ad._col2im_add
+        monkeypatch.setattr(ad, "conv2d", lambda x, *a, **kw: inputs.append(x) or conv2d(x, *a, **kw))
+        monkeypatch.setattr(ad, "_col2im_add", lambda *a: scatters.append(1) or col2im(*a))
+        enc = small_encoder()
+        batch = np.random.default_rng(0).uniform(0, 1, (3, 3, 16, 16))
+        with Tape() as tape:
+            loss = softmax_cross_entropy(enc.forward(batch).logits, [0, 2, 3])
+        backward(tape, loss)
+        stages = len(enc.config.stages)
+        assert len(inputs) == stages and len(scatters) == stages - 1
+        assert not inputs[0].needs_grad and inputs[0].grad is None
+        assert all(x.grad is not None for x in inputs[1:])
+        assert all(p.grad is not None for p in enc.parameters())
 
 
 class TestPreprocess:

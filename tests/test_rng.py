@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import InlineLoopXoshiro
 
 from retinapipe.rng import _MASK, Xoshiro256
 
@@ -51,6 +52,17 @@ class TestStream:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert a.random() == b.random()
         assert a.randrange(1000) == b.randrange(1000)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_block_draws_match_the_inline_loop(self, seed):
+        """The array scrambler gives the inline loop's stream and final state,
+        call after call."""
+        a, b = Xoshiro256(seed), InlineLoopXoshiro(seed)
+        for n in (1, 2, 7, 1024, 9216, 7, 1):
+            got = a._next_u64s(n)
+            assert got.dtype == np.uint64 and got.tolist() == b._next_u64s(n)
+            assert a._s == b._s
+        assert a.next_u64() == b._next_u64s(1)[0]
 
     def test_scalar_uniform_unchanged(self):
         a, b = Xoshiro256(3), PerDrawXoshiro(3)

@@ -8,7 +8,7 @@ from oracles import as_row, embedding_row, finite_difference_check, mean_scalars
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
-from retinapipe.errors import DataError
+from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, PAD, RESERVED, START, UNK, DecoderParams, KeywordProjection, Vocabulary, _beam_search,
@@ -617,6 +617,15 @@ def test_batched_beams_equal_lone_beams(seed):
         beams = _beam_search(feats, dec, width, 7)
         for f, beam in zip(feats, beams):
             assert beam_bits(beam) == reference_beam(f, dec, width, 7)
+
+
+def test_nan_decoder_raises_non_finite_error():
+    """A NaN output weight makes every score NaN: the search names the record
+    instead of returning an empty beam."""
+    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+    dec.out_w.data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="record 0"):
+        decode_greedy(np.zeros((2, 3)), dec, 5)
 
 
 def test_single_item_inputs_rejected():

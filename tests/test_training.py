@@ -4,12 +4,13 @@ import math
 import pathlib
 import weakref
 
+import numpy as np
 import pytest
 
 from retinapipe import autodiff, training
-from retinapipe.autodiff import SgdConfig, backward, lstm_cell_np
+from retinapipe.autodiff import SgdConfig, Tensor, backward, lstm_cell_np
 from retinapipe.data import generate_synthetic_dataset, split_dataset
-from retinapipe.errors import DataError
+from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.imageio import load_image
 from retinapipe.textgen import _beam_search, build_vocabulary
 from retinapipe.training import (
@@ -132,6 +133,50 @@ class TestTrainClassifier:
         lines = curve.to_csv().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_metric"
         assert len(lines) == 3
+
+
+def fit_one_parameter(loss_at, grad_at, validate=lambda: (0.0, 1.0)):
+    """_fit for 2 epochs over 6 records in batches of 2 with one parameter w; the
+    i-th batch (counted over both epochs) has loss loss_at(i) and gives w the
+    gradient grad_at(i). Returns w."""
+    w = Tensor(np.zeros(1), parameter=True, name="w")
+    calls = []
+
+    def batch_loss(batch):
+        i = len(calls)
+        calls.append(i)
+        out = Tensor(loss_at(i))
+        autodiff._emit((out,), lambda gs: w.accumulate(np.full(1, grad_at(i))))
+        return out
+
+    training._fit([w], list(range(6)), small_cfg(epochs=2, batch_size=2), 2, batch_loss, validate)
+    return w
+
+
+class TestDivergence:
+    """A diverging run stops with NonFiniteError (exit 3) naming where it stopped."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_names_epoch_and_batch(self, bad):
+        with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 1, batch 1: "
+                                                 r"the batch loss is (nan|inf)$"):
+            fit_one_parameter(lambda i: bad if i == 4 else 1.0, lambda i: 1.0)
+
+    def test_non_finite_gradient_names_the_parameter(self):
+        with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 0, batch 2: "
+                                                 r"the gradient of w is not finite$"):
+            fit_one_parameter(lambda i: 1.0, lambda i: -np.inf if i == 2 else 1.0)
+
+    def test_validation_error_names_the_epoch(self):
+        def validate():
+            raise NonFiniteError("the decoder scores of record 0 are not finite")
+
+        with pytest.raises(NonFiniteError, match="^training diverged at epoch 0, validation: "):
+            fit_one_parameter(lambda i: 1.0, lambda i: 1.0, validate)
+
+    def test_finite_run_is_unchanged(self):
+        w = fit_one_parameter(lambda i: 1.0, lambda i: 1.0)
+        assert w.data[0] == -0.6  # six steps of lr 0.1, all epochs tie so the last is kept
 
 
 class TestVocabularies:
