@@ -7,6 +7,7 @@ and raises ShapeError with a readable message.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -24,16 +25,16 @@ class Tensor:
     """Dense float64 array with an optional gradient of the same shape.
 
     A tensor made with needs_grad=False (an input batch, say) never holds a
-    gradient, and ops may skip computing one for it.
+    gradient, and ops may skip computing one for it. copy=False wraps a float64
+    ndarray as it is: ops use it for the fresh arrays they compute.
     """
 
-    __slots__ = ("data", "grad", "parameter", "name", "needs_grad")
+    __slots__ = ("data", "grad", "name", "needs_grad")
 
-    def __init__(self, data, parameter: bool = False, name: str | None = None,
-                 needs_grad: bool = True):
-        self.data = np.array(data, dtype=np.float64, copy=True)
+    def __init__(self, data, name: str | None = None, needs_grad: bool = True,
+                 copy: bool = True):
+        self.data = np.array(data, dtype=np.float64, copy=copy)
         self.grad: np.ndarray | None = None
-        self.parameter = parameter
         self.name = name
         self.needs_grad = needs_grad
 
@@ -44,21 +45,63 @@ class Tensor:
         if not self.needs_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0)  # a fresh array, with the bits of zeros + g
+        else:
+            self.grad += g
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
 
-class Tape:
-    """Ordered record of executed ops; creation order is topological order."""
+class Arena:
+    """Buffers for the arrays a training step's taped ops keep for backward.
+
+    The i-th buffer taken after a recycle reuses the memory of the i-th buffer
+    taken before it, and is allocated afresh (a miss) only when that is too
+    small. So a step that runs the same ops as the one before, on a batch no
+    larger, allocates nothing: the freed memory of a step is not handed back
+    to the OS only to be faulted in again by the next. Recycling ends the life
+    of every array taken before it, and backward refuses a tape that recorded
+    them.
+    """
 
     def __init__(self):
+        self._slots: list[np.ndarray] = []  # raw bytes
+        self._taken = 0
+        self.generation = 0
+        self.misses = 0
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array; the caller writes every element."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        i, self._taken = self._taken, self._taken + 1
+        if i == len(self._slots) or self._slots[i].nbytes < nbytes:
+            self._slots[i : i + 1] = [np.empty(nbytes, np.uint8)]  # replaces or appends slot i
+            self.misses += 1
+        return self._slots[i][:nbytes].view(dtype).reshape(shape)
+
+    def recycle(self) -> None:
+        self._taken = 0
+        self.generation += 1
+
+
+class Tape:
+    """Ordered record of executed ops; creation order is topological order.
+
+    With an arena, the ops recorded here take the arrays they keep for
+    backward from it; the tape is good for backward until the arena is next
+    recycled.
+    """
+
+    def __init__(self, arena: Arena | None = None):
         self._records: list[tuple[tuple[Tensor, ...], object]] = []
+        self.arena = arena
+        self._generation = None
 
     def __enter__(self) -> "Tape":
+        if self.arena is not None:
+            self._generation = self.arena.generation
         _STACK.tapes.append(self)
         return self
 
@@ -84,6 +127,15 @@ class _TapeStack(threading.local):
 _STACK = _TapeStack()
 
 
+def _buffer(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised array for an op to keep for backward: from the innermost
+    open tape's arena if it has one, else fresh, so an untaped result never
+    shares memory with another."""
+    tapes = _STACK.tapes
+    arena = tapes[-1].arena if tapes else None
+    return np.empty(shape, dtype) if arena is None else arena.take(shape, dtype)
+
+
 def _emit(outputs: tuple[Tensor, ...], backward_fn) -> None:
     tapes = _STACK.tapes
     if tapes:
@@ -96,6 +148,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     if not tape.produced(loss):
         raise ValueError("loss was not produced on this tape")
+    if tape.arena is not None and tape.arena.generation != tape._generation:
+        raise ValueError("the tape's arena was recycled after the tape recorded its ops")
     loss.grad = np.ones_like(loss.data)
     for outputs, fn in reversed(tape._records):
         if all(out.grad is None for out in outputs):
@@ -111,8 +165,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # elementwise ops
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
+    out = Tensor(np.maximum(x.data, 0.0, out=_buffer(x.data.shape)), copy=False)
+    mask = np.greater(x.data, 0.0, out=_buffer(x.data.shape, bool))
 
     def bwd(gs):
         x.accumulate(gs[0] * mask)
@@ -178,7 +232,8 @@ def _zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
     if not pad:
         return x
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp = _buffer((n, c, h + 2 * pad, w + 2 * pad))
+    xp.fill(0.0)
     xp[:, :, pad:-pad, pad:-pad] = x
     return xp
 
@@ -190,7 +245,9 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     sn, sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(  # B, C, kh, kw, ho, wo
         xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
-    return win.reshape(n, c * kh * kw, ho * wo)
+    cols = _buffer((n, c * kh * kw, ho * wo))
+    np.copyto(cols.reshape(win.shape), win)
+    return cols
 
 
 def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
@@ -226,9 +283,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     xp = _zero_pad(x.data, pad)
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
     kmat = kernels.data.reshape(k, c * kh * kw)
-    y = kmat @ cols  # one GEMM per image
+    y = np.matmul(kmat, cols, out=_buffer((n, k, ho * wo)))  # one GEMM per image
     y += bias.data[:, None]
-    out = Tensor(y.reshape(n, k, ho, wo))
+    out = Tensor(y.reshape(n, k, ho, wo), copy=False)
 
     def bwd(gs):
         gflat = gs[0].reshape(n, k, ho * wo)
@@ -260,10 +317,11 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     def at(arr, a, b):  # the element at offset (a, b) of every window
         return arr[:, :, a : a + window * ho : window, b : b + window * wo : window]
 
-    top = at(x.data, 0, 0).copy()
+    top = _buffer(x.data.shape[:2] + (ho, wo))
+    np.copyto(top, at(x.data, 0, 0))
     for a, b in offsets[1:]:
         np.maximum(top, at(x.data, a, b), out=top)
-    out = Tensor(top)
+    out = Tensor(top, copy=False)
 
     def bwd(gs):
         gx = np.zeros_like(x.data)
@@ -508,7 +566,7 @@ def glorot_uniform(rng: Xoshiro256, shape) -> np.ndarray:
 
 def parameters_from(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """Named parameter tensors holding copies of the arrays."""
-    return {name: Tensor(arr, parameter=True, name=name) for name, arr in arrays.items()}
+    return {name: Tensor(arr, name=name) for name, arr in arrays.items()}
 
 
 def init_arrays(rng: Xoshiro256, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:

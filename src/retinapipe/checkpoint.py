@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 
 MAGIC = b"RSCK"
 VERSION = 1
@@ -56,7 +56,12 @@ class ModelCheckpoint:
         return {name: self.params[name] for name in shapes}
 
     def save(self, path) -> None:
-        """Atomic write: serialize to a temp file, then rename into place."""
+        """Atomic write: serialize to a temp file, then rename into place.
+
+        A finite value beyond float32's range would be written as an infinity
+        that load refuses, so it raises NonFiniteError naming the entry, and
+        nothing is written.
+        """
         header_lines = []
         offset = 0
         payloads = []
@@ -65,7 +70,13 @@ class ModelCheckpoint:
                 raise ValueError(f"parameter name {name!r} may not contain spaces")
             if arr.shape == (0,):  # v1 writes shape (0,) and shape () both as "0"
                 raise ValueError(f"parameter {name!r} is an empty 1-D array, which v1 cannot store")
-            payload = arr.astype("<f4").tobytes()
+            with np.errstate(over="ignore"):
+                narrow = arr.astype("<f4")
+            overflow = np.isinf(narrow) & np.isfinite(arr)
+            if overflow.any():
+                raise NonFiniteError(f"checkpoint entry {name} holds {arr[overflow][0]:g}, "
+                                     "beyond float32's range")
+            payload = narrow.tobytes()
             dims = ",".join(str(d) for d in arr.shape) or "0"
             header_lines.append(f"{name} {dims} {offset}")
             payloads.append(payload)

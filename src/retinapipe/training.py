@@ -135,8 +135,13 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
     best metric replaces it. A run that diverges stops with NonFiniteError
     naming the epoch and the batch (or the validation), and the loss or
     parameter gradient that went non-finite.
+
+    Each batch's tape takes the arrays its ops keep for backward from one
+    arena, recycled at the start of the next batch, once sgd_step has used
+    the gradients.
     """
     curve = TrainingCurve()
+    arena = ad.Arena()
     best_metric, best_params = -1.0, None
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.sgd)
@@ -144,9 +149,10 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
         Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
         epoch_loss = 0.0
         for index, batch in enumerate(_batches(order, cfg.batch_size)):
+            arena.recycle()
             zero_grads(params)
             with _diverged_at(f"epoch {epoch}, batch {index}"):
-                with Tape() as tape:
+                with Tape(arena) as tape:
                     loss = batch_loss(batch)
                 value = float(loss.data)
                 if not math.isfinite(value):

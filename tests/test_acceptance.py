@@ -50,10 +50,10 @@ def test_criterion_1_gradient_correctness():
         rng = Xoshiro256(seed)
 
         # encoder micro-model: conv -> relu -> maxpool -> GAP -> linear -> xent
-        kern = Tensor(glorot_uniform(rng, (3, 2, 3, 3)), parameter=True, name="k")
-        kbias = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), parameter=True, name="kb")
-        w = Tensor(glorot_uniform(rng, (4, 3)), parameter=True, name="w")
-        b = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (4,))), parameter=True, name="b")
+        kern = Tensor(glorot_uniform(rng, (3, 2, 3, 3)), name="k")
+        kbias = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), name="kb")
+        w = Tensor(glorot_uniform(rng, (4, 3)), name="w")
+        b = Tensor(np.asarray(rng.uniform(-0.1, 0.1, (4,))), name="b")
         img = np.asarray(rng.uniform(-1, 1, (2, 6, 6)))[None]
 
         def encoder_model():
@@ -86,8 +86,8 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, rep.max_rel_error)
 
         # remaining elementwise ops, exercised standalone
-        v = Tensor(np.asarray(rng.uniform(-1, 1, (5,))), parameter=True, name="v")
-        u = Tensor(np.asarray(rng.uniform(-1, 1, (5,))), parameter=True, name="u")
+        v = Tensor(np.asarray(rng.uniform(-1, 1, (5,))), name="v")
+        u = Tensor(np.asarray(rng.uniform(-1, 1, (5,))), name="u")
 
         def elementwise_model():
             out = ad.add(ad.relu(u), ad.scale(v, 0.5))

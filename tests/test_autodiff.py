@@ -195,9 +195,9 @@ class TestSoftmaxCrossEntropy:
 class TestLstmStep:
     @staticmethod
     def zero_cell(d, h):
-        return LstmParams(wx=Tensor(np.zeros((4 * h, d)), parameter=True),
-                          wh=Tensor(np.zeros((4 * h, h)), parameter=True),
-                          b=Tensor(np.zeros(4 * h), parameter=True))
+        return LstmParams(wx=Tensor(np.zeros((4 * h, d))),
+                          wh=Tensor(np.zeros((4 * h, h))),
+                          b=Tensor(np.zeros(4 * h)))
 
     def test_zero_weights_zero_state(self):
         cell = self.zero_cell(3, 2)
@@ -237,28 +237,28 @@ class TestLstmStep:
 
 class TestBackward:
     def test_sum_gradient_ones(self):
-        w = Tensor(np.array([1.0, 2.0, 3.0]), parameter=True, name="w")
+        w = Tensor(np.array([1.0, 2.0, 3.0]), name="w")
         with Tape() as tape:
             loss = sum_all(w)
         backward(tape, loss)
         assert np.array_equal(w.grad, np.ones(3))
 
     def test_shared_input_gradient_accumulates(self):
-        w = Tensor(np.array([3.0]), parameter=True, name="w")
+        w = Tensor(np.array([3.0]), name="w")
         with Tape() as tape:
             loss = sum_all(ad.add(w, w))
         backward(tape, loss)
         assert np.array_equal(w.grad, [2.0])
 
     def test_non_scalar_loss_rejected(self):
-        w = Tensor(np.zeros(3), parameter=True)
+        w = Tensor(np.zeros(3))
         with Tape() as tape:
             y = ad.relu(w)
         with pytest.raises(ValueError):
             backward(tape, y)
 
     def test_off_tape_loss_rejected(self):
-        w = Tensor(np.zeros(3), parameter=True)
+        w = Tensor(np.zeros(3))
         with Tape() as tape:
             ad.relu(w)
         stray = sum_all(Tensor(np.zeros(2)))  # recorded on no tape
@@ -266,7 +266,7 @@ class TestBackward:
             backward(tape, stray)
 
     def test_each_thread_records_on_its_own_tape(self):
-        w = Tensor(np.ones(3), parameter=True)
+        w = Tensor(np.ones(3))
         b_open, a_done = threading.Event(), threading.Event()
         lengths = {}
 
@@ -291,33 +291,84 @@ class TestBackward:
         assert lengths == {"b": 1}
 
 
+class TestAccumulate:
+    def test_first_gradient_is_fresh_and_turns_negative_zero_positive(self):
+        t, g = Tensor(np.zeros(3)), np.array([-0.0, 1.5, -2.0])
+        t.accumulate(g)
+        assert not np.shares_memory(t.grad, g)
+        want = np.zeros(3) + g  # a zero-fill then an add: +0.0 first
+        assert np.array_equal(t.grad.view(np.uint64), want.view(np.uint64))
+        assert not np.signbit(t.grad[0])
+        t.accumulate(g)
+        assert np.array_equal(t.grad, [0.0, 3.0, -4.0])
+
+    def test_first_gradient_may_be_a_broadcast_view(self):
+        t = Tensor(np.zeros((2, 3)))
+        t.accumulate(np.broadcast_to(np.array([1.0, -0.0, 2.0]), (2, 3)))
+        t.accumulate(np.ones((2, 3)))
+        assert t.grad.flags.writeable and np.array_equal(t.grad, [[2.0, 1.0, 3.0]] * 2)
+
+
+class TestArena:
+    def test_recycled_buffers_reuse_memory_and_grow_when_too_small(self):
+        arena = ad.Arena()
+        a, m = arena.take((2, 3)), arena.take((4,), bool)
+        assert arena.misses == 2 and a.shape == (2, 3) and m.dtype == bool
+        arena.recycle()
+        a2, m2 = arena.take((1, 3)), arena.take((4,), bool)  # no larger: no miss
+        assert arena.misses == 2 and np.shares_memory(a, a2) and np.shares_memory(m, m2)
+        big = arena.take((5,))  # a third buffer
+        arena.recycle()
+        arena.take((3, 3))  # larger than the first slot
+        assert arena.misses == 4 and not np.shares_memory(big, a)
+        assert all(b.flags.c_contiguous for b in (a, m, a2, m2, big))
+
+    def test_ops_take_from_the_innermost_tape_only(self):
+        arena, x = ad.Arena(), Tensor(np.array([[-1.0, 2.0]]))
+        with Tape(arena):
+            with Tape():
+                ad.relu(x)
+            assert arena.misses == 0
+            ad.relu(x)
+        assert arena.misses == 2  # the output and the mask
+
+    def test_backward_refuses_a_tape_whose_arena_was_recycled(self):
+        arena, x = ad.Arena(), Tensor(np.array([[-1.0, 2.0]]))
+        with Tape(arena) as tape:
+            loss = sum_all(ad.relu(x))
+        arena.recycle()
+        with pytest.raises(ValueError, match="arena was recycled"):
+            backward(tape, loss)
+        assert x.grad is None
+
+
 class TestSgd:
     def test_zero_lr_is_noop(self):
-        p = Tensor(np.array([1.0, 2.0]), parameter=True, name="p")
+        p = Tensor(np.array([1.0, 2.0]), name="p")
         p.grad = np.array([5.0, -5.0])
         sgd_step([p], 0.0)
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_basic_update(self):
-        p = Tensor(np.array([1.0]), parameter=True, name="p")
+        p = Tensor(np.array([1.0]), name="p")
         p.grad = np.array([2.0])
         sgd_step([p], 0.1)
         assert np.allclose(p.data, [0.8])
 
     def test_two_steps_equal_summed_update(self):
         g = np.array([0.5, -1.5])
-        p1 = Tensor(np.array([1.0, 1.0]), parameter=True)
+        p1 = Tensor(np.array([1.0, 1.0]))
         p1.grad = g.copy()
         sgd_step([p1], 0.1)
         p1.grad = g.copy()
         sgd_step([p1], 0.1)
-        p2 = Tensor(np.array([1.0, 1.0]), parameter=True)
+        p2 = Tensor(np.array([1.0, 1.0]))
         p2.grad = 2 * g
         sgd_step([p2], 0.1)
         assert np.allclose(p1.data, p2.data, atol=1e-15)
 
     def test_missing_gradient_rejected(self):
-        p = Tensor(np.zeros(2), parameter=True, name="p")
+        p = Tensor(np.zeros(2), name="p")
         with pytest.raises(ValueError, match="no gradient"):
             sgd_step([p], 0.1)
 
@@ -332,7 +383,7 @@ class TestSgd:
 
 class TestFiniteDifferenceCheck:
     def test_linear_model_exact(self):
-        w = Tensor(np.array([1.0, -2.0, 0.5]), parameter=True, name="w")
+        w = Tensor(np.array([1.0, -2.0, 0.5]), name="w")
 
         def model():
             return sum_all(ad.scale(w, 3.0))
@@ -342,7 +393,7 @@ class TestFiniteDifferenceCheck:
         assert rep.max_rel_error < 1e-9
 
     def test_relu_away_from_kink(self):
-        w = Tensor(np.array([1.0, -1.0, 0.5]), parameter=True, name="w")
+        w = Tensor(np.array([1.0, -1.0, 0.5]), name="w")
 
         def model():
             return sum_all(ad.relu(w))
@@ -352,7 +403,7 @@ class TestFiniteDifferenceCheck:
         assert rep.max_rel_error < 1e-6
 
     def test_corrupted_gradient_is_caught(self):
-        w = Tensor(np.array([2.0, 3.0]), parameter=True, name="w")
+        w = Tensor(np.array([2.0, 3.0]), name="w")
 
         def bad_square(a):  # a * a, its analytic gradient 10% too large
             out = Tensor(a.data * a.data)
@@ -371,10 +422,10 @@ class TestFiniteDifferenceCheck:
             rng = Xoshiro256(seed)
             x = np.asarray(rng.uniform(-1, 1, (2, 5, 5)))[None]
             params = {
-                "k": Tensor(ad.glorot_uniform(rng, (3, 2, 3, 3)), parameter=True, name="k"),
-                "kb": Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), parameter=True, name="kb"),
-                "w": Tensor(ad.glorot_uniform(rng, (4, 3)), parameter=True, name="w"),
-                "b": Tensor(np.zeros(4), parameter=True, name="b"),
+                "k": Tensor(ad.glorot_uniform(rng, (3, 2, 3, 3)), name="k"),
+                "kb": Tensor(np.asarray(rng.uniform(-0.1, 0.1, (3,))), name="kb"),
+                "w": Tensor(ad.glorot_uniform(rng, (4, 3)), name="w"),
+                "b": Tensor(np.zeros(4), name="b"),
             }
 
             def model():
@@ -596,10 +647,10 @@ def encoder_chain(x, params, target, stride):
 
 def chain_params(rng, c=2, k=3):
     return {
-        "k": Tensor(rng.standard_normal((k, c, 3, 3)), parameter=True, name="k"),
-        "kb": Tensor(rng.standard_normal(k) * 0.1, parameter=True, name="kb"),
-        "w": Tensor(rng.standard_normal((4, k)), parameter=True, name="w"),
-        "b": Tensor(rng.standard_normal(4) * 0.1, parameter=True, name="b"),
+        "k": Tensor(rng.standard_normal((k, c, 3, 3)), name="k"),
+        "kb": Tensor(rng.standard_normal(k) * 0.1, name="kb"),
+        "w": Tensor(rng.standard_normal((4, k)), name="w"),
+        "b": Tensor(rng.standard_normal(4) * 0.1, name="b"),
     }
 
 
@@ -610,7 +661,7 @@ class TestBatchedOps:
         """A batch of one gives the single-image values and gradients bit for bit."""
         rng = np.random.default_rng(seed)
         params = chain_params(rng)
-        x = Tensor(rng.standard_normal((1, 2, 9, 9)), parameter=True, name="x")
+        x = Tensor(rng.standard_normal((1, 2, 9, 9)), name="x")
         with Tape() as tape:
             outs = encoder_chain(x, params, [seed % 4], stride)
         backward(tape, outs[-1])
@@ -640,7 +691,7 @@ class TestBatchedOps:
         """NCHW conv2d (B = 3), maxpool2d, GAP, B x D linear and B x C cross-entropy."""
         rng = np.random.default_rng(10 + seed)
         params = chain_params(rng)
-        params["x"] = Tensor(rng.standard_normal((3, 2, 7, 7)), parameter=True, name="x")
+        params["x"] = Tensor(rng.standard_normal((3, 2, 7, 7)), name="x")
         targets = [seed % 4, (seed + 1) % 4, 3]
 
         rep = finite_difference_check(

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from retinapipe.checkpoint import MAGIC, ModelCheckpoint
-from retinapipe.errors import DataError
+from retinapipe.errors import DataError, NonFiniteError
 
 
 @pytest.fixture
@@ -83,6 +83,22 @@ def test_empty_vector_is_refused_on_save(tmp_path):
     with pytest.raises(ValueError, match="'a'"):
         ck.save(tmp_path / "m.ckpt")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow in cast
+@pytest.mark.parametrize("value", [3.5e38, -1e300])
+def test_value_beyond_float32_is_refused_on_save(tmp_path, value):
+    ck = ModelCheckpoint({"a": np.ones(2), "b": np.array([[1.0, value]])})
+    with pytest.raises(NonFiniteError, match="^checkpoint entry b holds .*beyond float32's range"):
+        ck.save(tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinities_and_the_float32_extremes_still_save(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    ck = ModelCheckpoint({"a": np.array([np.inf, -np.inf, top, -top])})
+    ck.save(tmp_path / "m.ckpt")
+    assert ModelCheckpoint.load(tmp_path / "m.ckpt") == ck
 
 
 def test_entries_must_lie_back_to_back(tmp_path):

@@ -244,6 +244,18 @@ class TestDivergingTraining:
         assert not (tmp_path / "checkpoints" / "decoder.ckpt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow in cast
+def test_weights_beyond_float32_are_not_saved(dataset, tmp_path, capsys):
+    """At this rate every float64 weight stays finite but some pass float32's
+    range: the checkpoint would hold infinities that no command can load."""
+    assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
+                 "--out", str(tmp_path), "--epochs", "3", "--batch", "4",
+                 "--lr", "1e5"]) == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteError: checkpoint entry encoder." in err and "beyond float32's range" in err
+    assert not (tmp_path / "checkpoints" / "encoder.ckpt").exists()
+
+
 class TestEvaluate:
     def test_writes_metrics_and_bundle(self, dataset, trained, tmp_path):
         out = tmp_path / "eval"

@@ -107,6 +107,14 @@ class TestForward:
         assert np.array_equal(a.logits.data, b.logits.data)
 
 
+    def test_untaped_calls_never_share_memory(self):
+        enc, rng = small_encoder(), np.random.default_rng(5)
+        first = enc.forward(rng.uniform(0, 1, (2, 3, 16, 16)))
+        outputs = (first.feature_maps, first.pooled, first.logits)
+        kept = [t.data.copy() for t in outputs]
+        enc.forward(rng.uniform(0, 1, (2, 3, 16, 16)))
+        assert all(np.array_equal(t.data, want) for t, want in zip(outputs, kept))
+
     def test_non_finite_activation_raises(self):
         enc = small_encoder()
         enc.parameters()[0].data[0, 0, 0, 0] = np.inf

@@ -3,6 +3,8 @@
 - every name a package or test module imports is used in that module;
 - every function, class and method defined in `src/retinapipe/` is referenced
   somewhere in `src/retinapipe/`, so code no caller needs cannot pile up;
+- every `__slots__` entry of a class in `src/retinapipe/` is read somewhere in
+  `src/retinapipe/`, so a field that is only ever written cannot pile up;
 - every function the benchmark's layer trace wraps exists in the package.
 """
 
@@ -69,6 +71,24 @@ def uncalled_definitions(modules: dict[str, str], exempt=frozenset()) -> list[st
     return sorted(uncalled)
 
 
+def unread_slots(modules: dict[str, str]) -> list[str]:
+    """The qualified names ("module.Class.entry") of the __slots__ entries of the
+    classes in the module sources that no module reads as an attribute (x.entry
+    in a Load context; writes and augmented assignments do not count)."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and \
+                        any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                    unread += [f"{name}.{cls.name}.{entry}"
+                               for entry in ast.literal_eval(node.value) if entry not in read]
+    return sorted(unread)
+
+
 def trace_targets() -> list[str]:
     """Each entry of perfbench/layertrace.py's TARGETS as "module.attribute",
     read with ast so nothing under perfbench/ is imported."""
@@ -89,6 +109,16 @@ def test_uncalled_definitions():
     exempt = {"cli.main", *trace_targets()}
     package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert uncalled_definitions(package, exempt) == []
+
+
+def test_unread_slots():
+    assert unread_slots({
+        "a": "class T:\n    __slots__ = ('x', 'y', 'z', 'w')\n"
+             "    def f(self):\n        self.y = self.x\n        self.w += 1\n",
+        "b": "def g(t):\n    return t.z\n",
+    }) == ["a.T.w", "a.T.y"]
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unread_slots(package) == []
 
 
 def test_trace_targets_exist():

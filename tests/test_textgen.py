@@ -183,7 +183,7 @@ class TestFusion:
 
 
 def zero_decoder(vocab_size=4, dim=3, hidden=2) -> DecoderParams:
-    z = lambda *s: Tensor(np.zeros(s), parameter=True)
+    z = lambda *s: Tensor(np.zeros(s))
     return DecoderParams(
         embedding=z(vocab_size, dim),
         cell=ad.LstmParams(wx=z(4 * hidden, dim), wh=z(4 * hidden, hidden), b=z(4 * hidden)),

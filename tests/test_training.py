@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from retinapipe import autodiff, training
-from retinapipe.autodiff import SgdConfig, Tensor, backward, lstm_cell_np
+from retinapipe.autodiff import (
+    SgdConfig, Tape, Tensor, backward, lstm_cell_np, sgd_step, softmax_cross_entropy, zero_grads,
+)
 from retinapipe.data import generate_synthetic_dataset, split_dataset
+from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.imageio import load_image
-from retinapipe.textgen import _beam_search, build_vocabulary
+from retinapipe.rng import Xoshiro256
+from retinapipe.textgen import END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss
 from retinapipe.training import (
     Pipeline, TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
     load_train_config, lr_schedule, train_captioner,
@@ -135,11 +139,76 @@ class TestTrainClassifier:
         assert len(lines) == 3
 
 
+def encoder_steps():
+    """An encoder's parameters and the classifier loss of each of 3 batches, the
+    last one short."""
+    enc = VisionEncoder.init(EncoderConfig(num_classes=3, image_size=16, stages=SMALL_STAGES),
+                             Xoshiro256(7))
+    rng = np.random.default_rng(7)
+    batches = [rng.uniform(0, 1, (n, 3, 16, 16)) for n in (4, 4, 3)]
+    labels = [rng.integers(0, 3, len(b)) for b in batches]
+    return enc.parameters(), \
+        lambda step: softmax_cross_entropy(enc.forward(batches[step]).logits, labels[step])
+
+
+def captioner_steps():
+    """A decoder's parameters and the caption loss of each of 3 batches."""
+    dec = DecoderParams.init(Xoshiro256(3), 6, 4, 5)
+    rng = np.random.default_rng(3)
+    feats = [rng.uniform(-1, 1, (3, 4)) for _ in range(3)]
+    targets = [[START, 4, 5, END], [START, END], [START, 3, END]]
+    return dec.parameters(), lambda step: caption_loss(Tensor(feats[step]), targets, dec)
+
+
+class TestArena:
+    """_fit's tapes take the arrays the ops keep for backward from one arena."""
+
+    @pytest.mark.parametrize("steps", [encoder_steps, captioner_steps])
+    def test_steps_are_bit_identical_with_and_without_an_arena(self, steps):
+        seen = {}
+        for arena in (None, autodiff.Arena()):
+            params, loss_of = steps()
+            seen[arena is None] = out = []
+            for step in range(3):
+                if arena is not None:
+                    arena.recycle()
+                zero_grads(params)
+                with Tape(arena) as tape:
+                    loss = loss_of(step)
+                backward(tape, loss)
+                out += [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+                sgd_step(params, 0.5)
+        assert seen[True] == seen[False]
+
+    def test_fit_takes_no_fresh_buffer_after_the_first_batch(self, tiny_dataset, monkeypatch):
+        arenas = []
+
+        class CountingArena(autodiff.Arena):
+            def __init__(self):
+                super().__init__()
+                self.misses_per_batch = []
+                arenas.append(self)
+
+            def recycle(self):
+                self.misses_per_batch.append(self.misses)
+                super().recycle()
+
+        monkeypatch.setattr(autodiff, "Arena", CountingArena)
+        train_classifier(tiny_dataset, small_cfg(epochs=2, batch_size=4))
+        [arena] = arenas
+        n_batches = 2 * math.ceil(len(tiny_dataset.by_split("train")) / 4)
+        assert len(tiny_dataset.by_split("train")) % 4  # a short last batch in each epoch
+        counts = arena.misses_per_batch[1:] + [arena.misses]  # after batches 1, 2, ...
+        # padded input, columns and output of the conv, relu's output and mask,
+        # maxpool's output: one buffer each per stage, all taken by the first batch
+        assert counts == [6 * len(SMALL_STAGES)] * n_batches
+
+
 def fit_one_parameter(loss_at, grad_at, validate=lambda: (0.0, 1.0)):
     """_fit for 2 epochs over 6 records in batches of 2 with one parameter w; the
     i-th batch (counted over both epochs) has loss loss_at(i) and gives w the
     gradient grad_at(i). Returns w."""
-    w = Tensor(np.zeros(1), parameter=True, name="w")
+    w = Tensor(np.zeros(1), name="w")
     calls = []
 
     def batch_loss(batch):
