@@ -1,5 +1,6 @@
 """Class activation mapping over the encoder's final feature maps, plus
-normalization, align-corners bilinear resampling, and overlay rendering."""
+normalization, align-corners bilinear resampling, and overlay rendering over
+stacks of same-shape images."""
 
 from __future__ import annotations
 
@@ -7,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageio import RetinalImage, resize_bilinear
+from .imageio import resize_bilinear
 
 
 @dataclass
 class Heatmap:
-    values: np.ndarray  # h x w float64
-    normalized: bool = False
+    values: np.ndarray  # h x w float64, a raw class activation map
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -32,20 +32,21 @@ def compute_cam(feature_maps: np.ndarray, classifier_weights: np.ndarray, class_
     if not 0 <= class_id < weights.shape[0]:
         raise ValueError(f"class {class_id} out of range for {weights.shape[0]} classes")
     cam = np.tensordot(weights[class_id], fmaps, axes=1)
-    return Heatmap(values=cam, normalized=False)
+    return Heatmap(values=cam)
 
 
-def normalize_heatmap(raw: Heatmap) -> Heatmap:
-    lo, hi = raw.values.min(), raw.values.max()
-    if hi == lo:
-        return Heatmap(values=np.full_like(raw.values, 0.5), normalized=True)
-    return Heatmap(values=(raw.values - lo) / (hi - lo), normalized=True)
+def normalize_cams(cams: np.ndarray) -> np.ndarray:
+    """Each map of an N x h x w stack scaled to [0, 1]; a constant map becomes 0.5."""
+    lo = cams.min(axis=(1, 2), keepdims=True)
+    span = cams.max(axis=(1, 2), keepdims=True) - lo
+    flat = span == 0.0
+    return np.where(flat, 0.5, (cams - lo) / np.where(flat, 1.0, span))
 
 
-def upsample_bilinear(heatmap: Heatmap, out_h: int, out_w: int) -> Heatmap:
-    """Resample to out_h x out_w, up or down along either axis (align corners)."""
-    return Heatmap(values=resize_bilinear(heatmap.values, out_h, out_w),
-                   normalized=heatmap.normalized)
+def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resample each map of an N x h x w stack to out_h x out_w, up or down along
+    either axis (align corners)."""
+    return np.moveaxis(resize_bilinear(np.moveaxis(maps, 0, -1), out_h, out_w), -1, 0)
 
 
 def colormap(t: np.ndarray) -> np.ndarray:
@@ -61,26 +62,19 @@ def colormap(t: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def overlay(image: RetinalImage, heatmap: Heatmap, alpha: float) -> np.ndarray:
-    """Blend the grayscale image with the colormapped heatmap; uint8 RGB out."""
-    if not heatmap.normalized:
-        raise ValueError("overlay requires a normalized heatmap")
+def overlay(pixels: np.ndarray, cams: np.ndarray, alpha: float) -> np.ndarray:
+    """Blend N same-shape images (N x H x W x C uint8, C = 1 or 3) in grayscale
+    with their N raw CAMs (N x h x w), each normalized, resampled to H x W and
+    colormapped; N x H x W x 3 uint8 out. Every image comes out as it would alone."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if heatmap.values.shape != (image.height, image.width):
-        raise ValueError(
-            f"heatmap {heatmap.values.shape} does not match image "
-            f"{(image.height, image.width)}"
-        )
-    gray = image.pixels.mean(axis=2, dtype=np.float64) / 255.0
-    blended = (1.0 - alpha) * gray[:, :, None] + alpha * colormap(heatmap.values)
+    if pixels.ndim != 4 or cams.ndim != 3 or len(pixels) != len(cams):
+        raise ValueError(f"overlay needs N x H x W x C images and N x h x w CAMs, "
+                         f"got {pixels.shape} and {cams.shape}")
+    heat = upsample_bilinear(normalize_cams(cams), *pixels.shape[1:3])
+    gray = pixels.mean(axis=3, dtype=np.float64) / 255.0
+    blended = (1.0 - alpha) * gray[..., None] + alpha * colormap(heat)
     return np.rint(blended * 255.0).astype(np.uint8)
-
-
-def cam_overlay(image: RetinalImage, raw: Heatmap, alpha: float) -> np.ndarray:
-    """Normalize a raw CAM, resample it to the image size, and blend; uint8 RGB out."""
-    heat = upsample_bilinear(normalize_heatmap(raw), image.height, image.width)
-    return overlay(image, heat, alpha)
 
 
 def heatmap_to_text(heatmap: Heatmap, decimals: int = 6) -> str:

@@ -13,7 +13,7 @@ import shutil
 import sys
 
 from .autodiff import SgdConfig
-from .cam import cam_overlay, compute_cam, heatmap_to_text
+from .cam import compute_cam, heatmap_to_text, overlay
 from .checkpoint import ModelCheckpoint
 from .data import (
     CaseRecord, _split_keywords, generate_synthetic_dataset, parse_manifest,
@@ -209,7 +209,7 @@ def _cmd_explain(args) -> int:
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
-    write_png(args.out, cam_overlay(image, heat, args.alpha))
+    write_png(args.out, overlay(image.pixels[None], heat.values[None], args.alpha)[0])
     print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
     return 0
 
@@ -270,20 +270,15 @@ def _cmd_score(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="retinapipe",
-                     description="Retinal image report generation pipeline")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("synth-data", help="generate a deterministic synthetic dataset")
+def _synth_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--records", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", type=int, default=32, help="image side length")
-    p.set_defaults(func=_cmd_synth_data)
 
-    p = sub.add_parser("split", help="assign train/val/test splits")
+
+def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--ratios", default="0.6,0.2,0.2")
     p.add_argument("--seed", type=int, default=0)
@@ -291,21 +286,21 @@ def build_parser() -> _Parser:
     p.add_argument("--preserve", action="store_true",
                    help="keep existing split assignments")
     p.add_argument("--out", help="output manifest (default: in place)")
-    p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("stats", help="word-length histogram of labels")
+
+def _stats_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--field", choices=("keywords", "description"), default="description")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("train-rdi", help="train the disease classifier")
+
+def _train_rdi_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init", help="initial checkpoint (the 'pre-trained' axis)")
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_train_rdi)
 
-    p = sub.add_parser("train-cdg", help="train the clinical description generator")
+
+def _train_cdg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--out", required=True)
@@ -313,26 +308,26 @@ def build_parser() -> _Parser:
                    help="ablation: bypass keyword fusion")
     p.add_argument("--min-frequency", type=int, default=1)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_train_cdg)
 
-    p = sub.add_parser("evaluate", help="end-to-end evaluation on the test split")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     _add_inference_flags(p)
     p.add_argument("--topk", type=_positive_ints, default="1,5")
     p.add_argument("--group-by", choices=("none", "disease"), default="none")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("explain", help="CAM overlay for one image")
+
+def _explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--class-id", type=int)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--raw-txt", help="also dump the raw heatmap as text")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("report", help="full per-image path to an HTML report")
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image", required=True)
     p.add_argument("--keywords", default="")
     _add_inference_flags(p)
@@ -340,20 +335,49 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("score", help="score caption files (and optional rankings)")
+
+def _score_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cand", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--rankings")
     p.add_argument("--topk", type=_positive_ints, default="1,5")
-    p.set_defaults(func=_cmd_score)
 
+
+# name: (help line, handler, the function that adds its flags)
+_COMMANDS = {
+    "synth-data": ("generate a deterministic synthetic dataset", _cmd_synth_data,
+                   _synth_data_flags),
+    "split": ("assign train/val/test splits", _cmd_split, _split_flags),
+    "stats": ("word-length histogram of labels", _cmd_stats, _stats_flags),
+    "train-rdi": ("train the disease classifier", _cmd_train_rdi, _train_rdi_flags),
+    "train-cdg": ("train the clinical description generator", _cmd_train_cdg,
+                  _train_cdg_flags),
+    "evaluate": ("end-to-end evaluation on the test split", _cmd_evaluate, _evaluate_flags),
+    "explain": ("CAM overlay for one image", _cmd_explain, _explain_flags),
+    "report": ("full per-image path to an HTML report", _cmd_report, _report_flags),
+    "score": ("score caption files (and optional rankings)", _cmd_score, _score_flags),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """Every subcommand with its help line, and the flags of `command` only: a
+    call parses one subcommand, so the others' flags are never read."""
+    parser = _Parser(prog="retinapipe",
+                     description="Retinal image report generation pipeline")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (help_line, handler, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no flag with a value, so its first non-flag is the subcommand
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):

@@ -81,6 +81,9 @@ def parse_manifest(path) -> DatasetManifest:
             if not isinstance(obj[key], str):
                 raise DataError(f"record {i}: field {key!r} must be a string, "
                                 f"got {type(obj[key]).__name__}")
+        if any(c in obj["id"] for c in "/\\\0"):  # the id names the case's report assets
+            raise DataError(f"record {i}: id {obj['id']!r} holds a path separator or NUL; "
+                            "an id must be usable as one file name")
         if obj["id"] in seen_ids:
             raise DataError(f"record {i}: duplicate id {obj['id']!r}")
         seen_ids.add(obj["id"])

@@ -242,12 +242,12 @@ def write_png(path, pixels: np.ndarray) -> None:
     ihdr = (
         w.to_bytes(4, "big") + h.to_bytes(4, "big") + bytes([8, color, 0, 0, 0])
     )
-    rows = px.reshape(h, w * channels)
-    raw = b"".join(b"\x00" + rows[y].tobytes() for y in range(h))
+    scanlines = np.zeros((h, 1 + w * channels), dtype=np.uint8)  # column 0: filter type 0
+    scanlines[:, 1:] = px.reshape(h, w * channels)
     blob = (
         _PNG_SIG
         + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(raw, 6))
+        + _png_chunk(b"IDAT", zlib.compress(scanlines, 6))
         + _png_chunk(b"IEND", b"")
     )
     with open(path, "wb") as f:

@@ -12,28 +12,45 @@ from dataclasses import dataclass, field
 def ngram_counts(tokens: list[str], n: int) -> Counter:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+_Grams = list[list[Counter]]  # per sentence, its n-gram counts for n = 1, 2, ...
+
+
+def _counted(candidates: list[list[str]], references: list[list[str]],
+             up_to_n: int) -> tuple[_Grams, _Grams]:
+    """Each candidate's and each reference's n-gram counts for n = 1..up_to_n,
+    counted once for every metric that reads them."""
+    if len(candidates) != len(references):
+        raise ValueError(
+            f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
+        )
+
+    def count(sentences: list[list[str]]) -> _Grams:
+        return [[ngram_counts(s, n) for n in range(1, up_to_n + 1)] for s in sentences]
+
+    return count(candidates), count(references)
 
 
 def bleu_corpus(candidates: list[list[str]], references: list[list[str]],
                 up_to_n: int = 4) -> tuple[list[float], float]:
     """Corpus-level unsmoothed BLEU-1..up_to_n and their mean."""
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
-        )
-    if not candidates:
+    return _bleu(*_counted(candidates, references, up_to_n))
+
+
+def _bleu(cand_grams: _Grams, ref_grams: _Grams) -> tuple[list[float], float]:
+    if not cand_grams:
         raise ValueError("empty corpus")
+    up_to_n = len(cand_grams[0])
     matched = [0] * up_to_n
     total = [0] * up_to_n
-    cand_len = sum(len(c) for c in candidates)
-    ref_len = sum(len(r) for r in references)
-    for cand, ref in zip(candidates, references):
-        for n in range(1, up_to_n + 1):
-            cc = ngram_counts(cand, n)
-            rc = ngram_counts(ref, n)
-            matched[n - 1] += sum(min(cnt, rc[g]) for g, cnt in cc.items())
-            total[n - 1] += sum(cc.values())
+    cand_len = sum(sum(grams[0].values()) for grams in cand_grams)  # the unigram counts
+    ref_len = sum(sum(grams[0].values()) for grams in ref_grams)
+    for cand, ref in zip(cand_grams, ref_grams):
+        for n, (cc, rc) in enumerate(zip(cand, ref)):
+            matched[n] += sum(min(cnt, rc[g]) for g, cnt in cc.items())
+            total[n] += sum(cc.values())
     precisions = [m / t if t > 0 else 0.0 for m, t in zip(matched, total)]
     if cand_len == 0:
         bp = 0.0
@@ -50,15 +67,19 @@ def bleu_corpus(candidates: list[list[str]], references: list[list[str]],
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Length of the longest common subsequence, by the bit-parallel recurrence of
+    Hyyro (2004) over one integer: after each token of a, bit j of v is 0 exactly
+    where the LCS of a's prefix read so far grows at b[j], so v's zero bits count
+    it. The result is the integer the row-by-row dynamic programme gives."""
+    match: dict[str, int] = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - bin(v).count("1")
 
 
 def rouge_l(candidate: list[str], reference: list[str], beta: float = 1.2) -> float:
@@ -89,24 +110,26 @@ def cider(candidates: list[list[str]], references: list[list[str]],
     IDF documents are the reference sentences; needs >= 2 items to be
     non-degenerate.
     """
-    if len(candidates) != len(references):
-        raise ValueError("candidate/reference count mismatch")
-    n_items = len(candidates)
+    return _cider(*_counted(candidates, references, up_to_n))
+
+
+def _cider(cand_grams: _Grams, ref_grams: _Grams) -> float:
+    n_items = len(cand_grams)
     if n_items < 2:
         raise ValueError(
             "CIDEr needs at least 2 corpus items: IDF is degenerate on a single document"
         )
+    up_to_n = len(cand_grams[0])
     doc_freq = [Counter() for _ in range(up_to_n)]
-    for ref in references:
-        for n in range(1, up_to_n + 1):
-            for gram in set(ngram_counts(ref, n)):
-                doc_freq[n - 1][gram] += 1
+    for ref in ref_grams:
+        for df, counts in zip(doc_freq, ref):
+            df.update(counts.keys())
+    # an n-gram in no reference weighs as if it were in one
+    idf = [{g: math.log(n_items / df_g) for g, df_g in df.items()} for df in doc_freq]
+    unseen = math.log(n_items)
 
     def tfidf(counts: Counter, n: int) -> dict:
-        return {
-            g: c * math.log(n_items / max(doc_freq[n - 1][g], 1))
-            for g, c in counts.items()
-        }
+        return {g: c * idf[n].get(g, unseen) for g, c in counts.items()}
 
     def cosine(u: dict, v: dict) -> float:
         nu = math.sqrt(sum(x * x for x in u.values()))
@@ -117,12 +140,8 @@ def cider(candidates: list[list[str]], references: list[list[str]],
         return dot / (nu * nv)
 
     total = 0.0
-    for cand, ref in zip(candidates, references):
-        sims = []
-        for n in range(1, up_to_n + 1):
-            cu = tfidf(ngram_counts(cand, n), n)
-            cv = tfidf(ngram_counts(ref, n), n)
-            sims.append(cosine(cu, cv))
+    for cand, ref in zip(cand_grams, ref_grams):
+        sims = [cosine(tfidf(cand[n], n), tfidf(ref[n], n)) for n in range(up_to_n)]
         total += 10.0 * sum(sims) / up_to_n
     return total / n_items
 
@@ -170,9 +189,11 @@ class MetricReport:
 
 def score_captions(candidates: list[list[str]], references: list[list[str]],
                    rouge_beta: float = 1.2) -> MetricReport:
-    """All text metrics in one report; CIDEr set to 0 when the corpus is a single item."""
-    bleu, bleu_avg = bleu_corpus(candidates, references)
+    """All text metrics in one report, from one count of each sentence's n-grams;
+    CIDEr set to 0 when the corpus is a single item."""
+    cand_grams, ref_grams = _counted(candidates, references, 4)
+    bleu, bleu_avg = _bleu(cand_grams, ref_grams)
     report = MetricReport(bleu=bleu, bleu_avg=bleu_avg,
                           rouge=rouge_l_corpus(candidates, references, rouge_beta))
-    report.cider = cider(candidates, references) if len(candidates) >= 2 else 0.0
+    report.cider = _cider(cand_grams, ref_grams) if len(candidates) >= 2 else 0.0
     return report

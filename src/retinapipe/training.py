@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
-from .cam import cam_overlay, compute_cam
+from .cam import compute_cam, overlay
 from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
@@ -370,31 +370,76 @@ class Pipeline:
               assets_dir=None) -> list[Inference]:
         """One Inference per (case id, image, keywords) from cases, in order.
 
-        Each case is encoded as a batch of one and ranked, and with assets_dir set
-        its image and CAM overlay are written there; only the ranking and the fused
-        feature are kept, so a lazy cases holds one image at a time (encoding them
-        as one batch would hold them all). Then one beam search captions every
-        case, each exactly as it would be alone.
+        The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). Each
+        chunk is encoded as one batch and ranked, and with assets_dir set its
+        images and CAM overlays are written there. Only the rankings and the fused
+        features are kept, so a lazy cases holds one chunk of images at a time
+        (encoding the split as one batch would hold it all). Then one beam search
+        captions every case. Every case comes out as it would alone.
         """
         looked, fused = [], []
-        for case_id, image, keywords in cases:
-            out = self.encoder.encode_image(image)
-            ranked = predict_topk(out.logits.data[0], self.num_classes)
+        for chunk in _chunks(cases, self.encoder.config.image_size ** 2):
+            ids, images, keywords = zip(*chunk)
+            out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
+            ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
             feature = out.pooled
             if self.keyword_mode:
-                feature = self.kw_proj.fuse(feature, keyword_multihot(keywords, self.kw_vocab)[None])
-            fused.append(feature.data[0])
-            paths = (None, None)
+                feature = self.kw_proj.fuse(
+                    feature, np.stack([keyword_multihot(kw, self.kw_vocab) for kw in keywords]))
+            fused.extend(feature.data)
+            paths = [(None, None)] * len(chunk)
             if assets_dir is not None:
-                heat = compute_cam(out.feature_maps.data[0], self.encoder.classifier_weights,
-                                   ranked[0][0])
-                paths = write_case_assets(assets_dir, case_id, image,
-                                          cam_overlay(image, heat, alpha))
-            looked.append((ranked, paths))
-            del image, out  # before cases loads the next image
+                paths = [write_case_assets(assets_dir, *case) for case in zip(
+                    ids, images, self._overlays(images, out.feature_maps.data, ranked, alpha))]
+            looked += zip(ranked, paths)
+            del chunk, images, out  # before cases loads the next image
         beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
         return [Inference(ranked, beam[0].words(self.vocab), *paths)
                 for (ranked, paths), beam in zip(looked, beams)]
+
+    def _overlays(self, images: tuple[RetinalImage, ...], feature_maps: np.ndarray,
+                  ranked: list[list[tuple[int, float]]], alpha: float) -> list[np.ndarray]:
+        """The CAM overlay of each image for its top class, by one overlay call
+        per stack of same-shape images (so gray and RGB apart)."""
+        groups: dict[tuple, list[int]] = {}
+        for i, image in enumerate(images):
+            groups.setdefault(image.pixels.shape, []).append(i)
+        overlays = {}
+        for members in groups.values():
+            cams = [compute_cam(feature_maps[i], self.encoder.classifier_weights,
+                                ranked[i][0][0]).values for i in members]
+            pixels = overlay(np.stack([images[i].pixels for i in members]), np.stack(cams), alpha)
+            overlays.update(zip(members, pixels))
+        return [overlays[i] for i in range(len(images))]
+
+
+# A chunk of cases weighs at most this many pixels, a case weighing
+# max(its source pixels, image_size^2): 8 images at the default 32 px side.
+_CHUNK_PIXELS = 8 * 32 * 32
+
+
+def _chunks(cases, min_weight: int):
+    """The (case id, image, keywords) cases in order, in lists that each weigh at
+    most _CHUNK_PIXELS, or a single case that alone weighs more.
+
+    A chunk closes as soon as no case could join it, else when the next case
+    would take it over the budget; only then is that case loaded beside it.
+    """
+    chunk, weight = [], 0
+    for case in cases:
+        image = case[1]
+        case_weight = max(image.height * image.width, min_weight)
+        if chunk and weight + case_weight > _CHUNK_PIXELS:
+            yield chunk
+            chunk, weight = [], 0
+        chunk.append(case)
+        weight += case_weight
+        del case, image  # the chunk holds them; none is held past its chunk
+        if weight + min_weight > _CHUNK_PIXELS:
+            yield chunk
+            chunk, weight = [], 0
+    if chunk:
+        yield chunk
 
 
 @dataclass
@@ -425,11 +470,11 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                       keyword_mode: bool | None = None, heatmap_dir=None,
                       ) -> tuple[MetricReport, list[CaseResult]]:
     """Classify, caption and explain the test split through Pipeline.infer: the
-    images are loaded and encoded one at a time, then one beam search captions
-    every case.
+    images are loaded and encoded a chunk at a time, a few small images per
+    chunk and a large one alone, then one beam search captions every case.
 
     With heatmap_dir set, each case's image and CAM overlay are written there
-    by write_case_assets in the pass that encoded the image; heatmap_dir is
+    by write_case_assets in the pass that encoded its chunk; heatmap_dir is
     the assets directory of a report bundle.
     """
     test = manifest.by_split("test")

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from retinapipe.cam import (
-    Heatmap, cam_overlay, colormap, compute_cam, heatmap_to_text, normalize_heatmap,
-    overlay, upsample_bilinear,
+    Heatmap, colormap, compute_cam, heatmap_to_text, normalize_cams, overlay, upsample_bilinear,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
-from retinapipe.imageio import RetinalImage
+from retinapipe.imageio import RetinalImage, resize_bilinear
 from retinapipe.rng import Xoshiro256
+
+from oracles import overlay_one
 
 
 class TestComputeCam:
@@ -21,7 +22,6 @@ class TestComputeCam:
         fmaps = np.random.default_rng(0).random((4, 5, 5))
         cam = compute_cam(fmaps, np.zeros((3, 4)), 2)
         assert np.all(cam.values == 0.0)
-        assert not cam.normalized
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(1)
@@ -65,51 +65,63 @@ class TestComputeCam:
 
 class TestNormalize:
     def test_unit_range(self):
-        h = normalize_heatmap(Heatmap(np.array([[1.0, 5.0], [3.0, 2.0]])))
-        assert h.normalized
-        assert h.values.min() == 0.0
-        assert h.values.max() == 1.0
+        maps = normalize_cams(np.array([[[1.0, 5.0], [3.0, 2.0]], [[-4.0, 0.0], [9.0, 1.0]]]))
+        assert maps.min(axis=(1, 2)).tolist() == [0.0, 0.0]
+        assert maps.max(axis=(1, 2)).tolist() == [1.0, 1.0]
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(4)
-        v = rng.random((5, 5))
-        a = normalize_heatmap(Heatmap(v)).values
-        b = normalize_heatmap(Heatmap(3.0 * v - 7.0)).values
+        v = rng.random((2, 5, 5))
+        a = normalize_cams(v)
+        b = normalize_cams(3.0 * v - 7.0)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_constant_map_becomes_half(self):
-        h = normalize_heatmap(Heatmap(np.full((3, 3), 42.0)))
-        assert np.all(h.values == 0.5)
+        maps = normalize_cams(np.stack([np.full((3, 3), 42.0), np.eye(3)]))
+        assert np.all(maps[0] == 0.5)
+        assert np.array_equal(maps[1], np.eye(3))  # its neighbour is scaled on its own
 
     def test_idempotent(self):
-        h = normalize_heatmap(Heatmap(np.array([[0.0, 2.0]])))
-        again = normalize_heatmap(h)
-        assert np.allclose(again.values, h.values, atol=1e-12)
+        h = normalize_cams(np.array([[[0.0, 2.0]]]))
+        again = normalize_cams(h)
+        assert np.allclose(again, h, atol=1e-12)
+
+    def test_each_map_as_it_would_alone(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 3, 6)) * np.array([1.0, 1e-3, 1e3, 0.0])[:, None, None]
+        for one, got in zip(stack, normalize_cams(stack)):
+            assert np.array_equal(normalize_cams(one[None])[0], got)
 
 
 class TestUpsample:
     def test_preserves_extremes_of_normalized(self):
-        h = normalize_heatmap(Heatmap(np.array([[0.0, 4.0], [1.0, 3.0]])))
-        up = upsample_bilinear(h, 8, 8)
-        assert up.normalized
-        assert up.values.min() >= 0.0 and up.values.max() <= 1.0
-        assert up.values[0, 0] == 0.0
-        assert up.values[0, -1] == 1.0
+        h = normalize_cams(np.array([[[0.0, 4.0], [1.0, 3.0]]]))
+        up = upsample_bilinear(h, 8, 8)[0]
+        assert up.min() >= 0.0 and up.max() <= 1.0
+        assert up[0, 0] == 0.0
+        assert up[0, -1] == 1.0
 
     def test_downscale_gives_target_shape(self):
-        h = normalize_heatmap(Heatmap(np.arange(16.0).reshape(4, 4)))
+        h = normalize_cams(np.arange(16.0).reshape(1, 4, 4))
         down = upsample_bilinear(h, 2, 8)
-        assert down.values.shape == (2, 8) and down.normalized
-        assert down.values[0, 0] == 0.0 and down.values[-1, -1] == 1.0
+        assert down.shape == (1, 2, 8)
+        assert down[0, 0, 0] == 0.0 and down[0, -1, -1] == 1.0
 
     def test_overlay_on_image_smaller_than_cam(self):
-        image = RetinalImage(np.array([[10], [200]], dtype=np.uint8))  # 2 x 1, below the 4 x 4 CAM
-        out = cam_overlay(image, Heatmap(np.arange(16.0).reshape(4, 4)), 0.5)
-        assert out.shape == (2, 1, 3) and out.dtype == np.uint8
+        pixels = np.array([[[[10], [200]]]], dtype=np.uint8).reshape(1, 2, 1, 1)  # 2 x 1, below 4 x 4
+        out = overlay(pixels, np.arange(16.0).reshape(1, 4, 4), 0.5)
+        assert out.shape == (1, 2, 1, 3) and out.dtype == np.uint8
 
     def test_constant_stays_constant(self):
-        up = upsample_bilinear(Heatmap(np.full((2, 2), 0.3), normalized=True), 9, 5)
-        assert np.allclose(up.values, 0.3, atol=1e-12)
+        up = upsample_bilinear(np.full((1, 2, 2), 0.3), 9, 5)
+        assert np.allclose(up, 0.3, atol=1e-12)
+
+    @pytest.mark.parametrize("out_h, out_w", [(9, 5), (2, 8), (4, 6), (1, 1)])
+    def test_each_map_as_it_would_alone(self, out_h, out_w):
+        stack = np.random.default_rng(6).random((3, 4, 6))
+        got = upsample_bilinear(stack, out_h, out_w)
+        for one, want in zip(stack, got):
+            assert np.array_equal(resize_bilinear(one, out_h, out_w), want)
 
 
 class TestColormap:
@@ -130,20 +142,25 @@ class TestColormap:
 class TestOverlay:
     def rgb_image(self, h, w, seed=0):
         rng = np.random.default_rng(seed)
-        return RetinalImage(pixels=rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+        return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+
+    def unit_cam(self, h, w, seed):
+        """A raw CAM whose range is already [0, 1], so normalizing leaves it as is."""
+        vals = np.random.default_rng(seed).random((h, w))
+        vals.flat[0], vals.flat[-1] = 0.0, 1.0
+        return vals
 
     def test_alpha_zero_gives_grayscale_image(self):
-        img = self.rgb_image(4, 4)
-        hm = Heatmap(np.random.default_rng(1).random((4, 4)), normalized=True)
-        out = overlay(img, hm, alpha=0.0)
-        gray = np.rint(img.pixels.astype(np.float64).mean(axis=2)).astype(np.uint8)
+        px = self.rgb_image(4, 4)
+        out = overlay(px[None], self.unit_cam(4, 4, 1)[None], alpha=0.0)[0]
+        gray = np.rint(px.astype(np.float64).mean(axis=2)).astype(np.uint8)
         for c in range(3):
             assert np.array_equal(out[:, :, c], gray)
 
     def test_alpha_one_gives_pure_colormap(self):
-        img = self.rgb_image(3, 5)
-        vals = np.random.default_rng(2).random((3, 5))
-        out = overlay(img, Heatmap(vals, normalized=True), alpha=1.0)
+        px = self.rgb_image(3, 5)
+        vals = self.unit_cam(3, 5, 2)
+        out = overlay(px[None], vals[None], alpha=1.0)[0]
         want = np.rint(colormap(vals) * 255.0).astype(np.uint8)
         assert np.array_equal(out, want)
 
@@ -151,29 +168,49 @@ class TestOverlay:
         # the oracle is the reference formula; the overlay must equal it bit for bit
         rng = np.random.default_rng(3)
         for h, w, channels in [(4, 4, 3), (256, 256, 3), (9, 7, 1)]:
-            img = RetinalImage(pixels=rng.integers(0, 256, (h, w, channels), dtype=np.uint8))
-            vals = rng.random((h, w))
-            gray = img.pixels.astype(np.float64).mean(axis=2) / 255.0
+            px = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
+            vals = self.unit_cam(h, w, h)
+            gray = px.astype(np.float64).mean(axis=2) / 255.0
             base = np.repeat(gray[:, :, None], 3, axis=2)
             for alpha in (0.0, 0.3, 0.4, 0.5, 1.0):
-                out = overlay(img, Heatmap(vals, normalized=True), alpha)
+                out = overlay(px[None], vals[None], alpha)[0]
                 want = np.rint(((1 - alpha) * base + alpha * colormap(vals)) * 255.0)
                 assert np.array_equal(out, want.astype(np.uint8))
 
-    def test_unnormalized_rejected(self):
-        img = self.rgb_image(2, 2)
-        with pytest.raises(ValueError, match="normalized"):
-            overlay(img, Heatmap(np.zeros((2, 2))), 0.5)
+    @pytest.mark.parametrize("n, h, w, channels, cam_side", [
+        (1, 32, 32, 3, 4), (5, 32, 32, 1, 4), (3, 9, 7, 3, 4), (4, 2, 1, 1, 4),
+        (2, 48, 20, 3, 6), (8, 4, 4, 3, 4),
+    ])
+    def test_stack_equals_one_image_at_a_time(self, n, h, w, channels, cam_side):
+        rng = np.random.default_rng(n * h + w)
+        pixels = rng.integers(0, 256, (n, h, w, channels), dtype=np.uint8)
+        cams = rng.standard_normal((n, cam_side, cam_side))
+        cams[-1] = 2.5  # a constant map
+        for alpha in (0.0, 0.4, 0.5, 1.0):
+            got = overlay(pixels, cams, alpha)
+            assert got.shape == (n, h, w, 3) and got.dtype == np.uint8
+            for one, raw, want in zip(pixels, cams, got):
+                assert np.array_equal(overlay_one(one, raw, alpha), want)
+
+    def test_raw_cams_are_normalized_per_map(self):
+        """overlay takes raw CAMs: a map, its double and its half give the same
+        overlay, because each map is normalized on its own."""
+        px = np.stack([self.rgb_image(6, 6, 7)] * 3)
+        cam = np.random.default_rng(8).random((3, 3)) - 0.5
+        out = overlay(px, np.stack([cam, 2.0 * cam, 0.5 * cam]), 0.5)
+        assert np.array_equal(out[0], out[1]) and np.array_equal(out[0], out[2])
 
     def test_size_mismatch_rejected(self):
-        img = self.rgb_image(2, 2)
-        with pytest.raises(ValueError):
-            overlay(img, Heatmap(np.zeros((3, 3)), normalized=True), 0.5)
+        px = self.rgb_image(2, 2)
+        with pytest.raises(ValueError, match="N x h x w CAMs"):
+            overlay(np.stack([px, px]), np.zeros((3, 2, 2)), 0.5)
+        with pytest.raises(ValueError, match="N x H x W x C images"):
+            overlay(px, np.zeros((1, 2, 2)), 0.5)
 
     def test_bad_alpha_rejected(self):
-        img = self.rgb_image(2, 2)
+        px = self.rgb_image(2, 2)
         with pytest.raises(ValueError, match="alpha"):
-            overlay(img, Heatmap(np.zeros((2, 2)), normalized=True), 1.5)
+            overlay(px[None], np.zeros((1, 2, 2)), 1.5)
 
 
 def test_heatmap_requires_2d():

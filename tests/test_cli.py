@@ -1,11 +1,12 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from retinapipe import training
 from retinapipe.checkpoint import ModelCheckpoint
-from retinapipe.cli import main
+from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.rng import Xoshiro256
@@ -59,6 +60,43 @@ def model_args(ckpts, **files):
     paths.update(files)
     return [arg for key, path in paths.items()
             for arg in (f"--{key.replace('_', '-')}", str(path))]
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+COMMANDS = ("synth-data", "split", "stats", "train-rdi", "train-cdg", "evaluate", "explain",
+            "report", "score")
+
+
+class TestParserGolden:
+    """The help texts and usage errors, byte for byte, as they were when every
+    subcommand's flags were added on every call."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("help", ["--help"]),
+        *((f"help_{command}", [command, "--help"]) for command in COMMANDS),
+        ("no_command", []),
+        ("unknown_command", ["bogus"]),
+        ("missing_flag", ["evaluate", "--manifest", "m.json"]),
+        ("unknown_flag", ["stats", "--manifest", "m.json", "--bogus"]),
+        ("bad_choice", ["stats", "--manifest", "m.json", "--field", "x"]),
+    ])
+    def test_matches_golden_file(self, name, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        got = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+        assert got == (GOLDEN_DIR / f"cli_{name}.txt").read_text(encoding="utf-8")
+
+    def test_only_the_invoked_subcommand_gets_flags(self):
+        parser = build_parser("evaluate")
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        flags = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        assert set(flags) == set(COMMANDS)
+        assert "manifest" in flags["evaluate"] and "kw_vocab" in flags["evaluate"]
+        assert all(flags[name] == ["help"] for name in COMMANDS if name != "evaluate")
 
 
 class TestExitCodes:
@@ -270,6 +308,24 @@ class TestEvaluate:
         assert (out / "reports" / "report.html").exists()
         heatmaps = list((out / "heatmaps").glob("*_cam.png"))
         assert len(heatmaps) == 6  # 20% of 30 records
+
+
+    def test_id_with_a_path_separator_is_data_error(self, dataset, trained, tmp_path, capsys):
+        """Two ids x/b and y/b would both write assets/b.png; the manifest is refused
+        before anything is written."""
+        records = json.loads((dataset / "manifest.json").read_text())
+        test = [r for r in records if r.get("split") == "test"]
+        test[0]["id"], test[1]["id"] = "x/b", "y/b"
+        for r in records:
+            r["image_path"] = str(dataset / r["image_path"])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest),
+                     *model_args(trained / "checkpoints"), "--topk", "1,3",
+                     "--out", str(out)]) == 2
+        assert "id 'x/b' holds a path separator" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExplain:

@@ -50,6 +50,17 @@ class TestParseManifest:
         with pytest.raises(DataError, match="record 1.*duplicate"):
             parse_manifest(write_manifest(tmp_path, [GOOD_RECORD, dict(GOOD_RECORD)]))
 
+    @pytest.mark.parametrize("bad_id", ["x/b", "x\\b", "a\0b", "/", "case/"])
+    def test_id_that_is_not_one_file_name_rejected(self, tmp_path, bad_id):
+        bad = dict(GOOD_RECORD, id=bad_id)
+        with pytest.raises(DataError, match=r"record 1: id .* path separator or NUL"):
+            parse_manifest(write_manifest(tmp_path, [GOOD_RECORD, bad]))
+
+    @pytest.mark.parametrize("good_id", ["case.0001", "..", "a b", "x:y", "é"])
+    def test_other_ids_accepted(self, tmp_path, good_id):
+        assert parse_manifest(write_manifest(tmp_path, [dict(GOOD_RECORD, id=good_id)])) \
+            .records[0].id == good_id
+
     def test_unknown_modality_rejected(self, tmp_path):
         bad = dict(GOOD_RECORD, modality="OCT")
         with pytest.raises(DataError, match="modality"):

@@ -11,6 +11,8 @@ from retinapipe.imageio import (
     MAX_PNG_PIXELS, RetinalImage, load_image, resize_bilinear, write_png, write_pnm,
 )
 
+from oracles import png_bytes_row_join
+
 
 PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -291,6 +293,19 @@ class TestPng:
         monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
         assert np.array_equal(load_image(path).pixels[:, :, 0], pixels)
         assert opened == [path]
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (9, 1), (5, 7), (4, 33), (1, 1, 3), (1, 9, 3), (9, 1, 3), (5, 7, 3),
+        (3, 33, 3),
+    ])
+    def test_bytes_equal_row_join_oracle(self, shape, tmp_path):
+        px = np.random.default_rng(len(shape) * 100 + shape[1]).integers(
+            0, 256, shape, dtype=np.uint8)
+        write_png(tmp_path / "a.png", px)
+        assert (tmp_path / "a.png").read_bytes() == png_bytes_row_join(px)
+        write_png(tmp_path / "b.png", px[:, :, None] if px.ndim == 2 else px[:, ::-1])
+        want = px if px.ndim == 2 else np.ascontiguousarray(px[:, ::-1])  # a strided view
+        assert (tmp_path / "b.png").read_bytes() == png_bytes_row_join(want)
 
     def test_write_is_deterministic(self, tmp_path):
         px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)

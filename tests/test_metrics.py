@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retinapipe.metrics import (
-    bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l, score_captions,
+    _lcs_length, bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l, rouge_l_corpus,
+    score_captions,
 )
 from retinapipe.rng import Xoshiro256
 
+from oracles import cider_recounting, lcs_length_dp
+
 tokens_st = st.lists(st.sampled_from(list("abcde")), max_size=20)
+corpus_st = st.lists(st.tuples(tokens_st, tokens_st), min_size=1, max_size=8)
 
 
 class TestNgramCounts:
@@ -85,6 +89,11 @@ class TestRougeL:
     def test_disjoint(self):
         assert rouge_l(["a"], ["b"]) == 0.0
 
+    @given(tokens_st, st.lists(st.sampled_from(list("abcdef")), max_size=70))
+    def test_lcs_equals_dynamic_programme(self, a, b):
+        # b runs past 64 tokens, so the bit vector spans more than one machine word
+        assert _lcs_length(a, b) == lcs_length_dp(a, b) == _lcs_length(b, a)
+
     def test_empty_inputs(self):
         assert rouge_l([], ["a"]) == 0.0
         assert rouge_l(["a"], []) == 0.0
@@ -138,6 +147,11 @@ class TestCider:
     def test_single_item_rejected(self):
         with pytest.raises(ValueError, match="IDF"):
             cider([["a"]], [["a"]])
+
+    @given(corpus_st.filter(lambda pairs: len(pairs) >= 2))
+    def test_equals_recounting_oracle(self, pairs):
+        cands, refs = [list(c) for c, _ in pairs], [list(r) for _, r in pairs]
+        assert cider(cands, refs) == cider_recounting(cands, refs)
 
     def test_invariant_to_other_item_order(self):
         cands = [["a", "b"], ["c", "d"], ["e", "f"]]
@@ -215,3 +229,13 @@ def test_metrics_pure_and_deterministic():
     r1 = score_captions(cands, refs)
     r2 = score_captions(cands, refs)
     assert r1.to_json() == r2.to_json()
+
+
+@given(corpus_st)
+def test_score_captions_equals_the_separate_metrics(pairs):
+    """One count of each sentence's n-grams gives every metric its exact value."""
+    cands, refs = [list(c) for c, _ in pairs], [list(r) for _, r in pairs]
+    report = score_captions(cands, refs)
+    assert (report.bleu, report.bleu_avg) == bleu_corpus(cands, refs)
+    assert report.rouge == rouge_l_corpus(cands, refs)
+    assert report.cider == (cider(cands, refs) if len(pairs) >= 2 else 0.0)

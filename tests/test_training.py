@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import json
 import math
 import pathlib
@@ -11,10 +13,11 @@ from retinapipe import autodiff, training
 from retinapipe.autodiff import (
     SgdConfig, Tape, Tensor, backward, lstm_cell_np, sgd_step, softmax_cross_entropy, zero_grads,
 )
-from retinapipe.data import generate_synthetic_dataset, split_dataset
+from retinapipe.cli import main
+from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
-from retinapipe.imageio import load_image
+from retinapipe.imageio import RetinalImage, load_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss
 from retinapipe.training import (
@@ -22,6 +25,8 @@ from retinapipe.training import (
     load_train_config, lr_schedule, train_captioner,
     train_classifier,
 )
+
+from oracles import infer_one_at_a_time
 
 
 class TestLrSchedule:
@@ -380,32 +385,178 @@ class TestEvaluatePipeline:
         assert searches == [len(tiny_dataset.by_split("test"))]
         assert 0 < len(cells) <= 12 + 2
 
-    def test_holds_one_image_at_a_time(self, tiny_dataset, trained, tmp_path, monkeypatch):
-        """Each image is released before the next is loaded, so at every load and
-        when the joint search starts at most one image is alive."""
-        enc, dec, vocab, kw_vocab = trained
-        loaded, alive = [], []
 
-        def count_alive():
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in loaded))
+SIDES = (32, 48, 20)  # the 20 px images weigh as much as 32 px ones: the encoder's input
+
+
+@pytest.fixture(scope="module")
+def image_pool(tmp_path_factory):
+    """Records under one root: 17 of 32 px images, 17 that interleave gray and RGB
+    images of sides 32, 48 and 20, and 2 of 100 px, each heavier than a chunk."""
+    root = tmp_path_factory.mktemp("imagepool")
+    by_side = {}
+    for side, n in zip((*SIDES, 100), (17, 6, 6, 3)):
+        made = generate_synthetic_dataset(root / f"s{side}", n_classes=3, n_records=n, seed=4,
+                                          image_side=side)
+        by_side[side] = [dataclasses.replace(r, id=f"s{side}_{r.id}",
+                                             image_path=f"s{side}/{r.image_path}")
+                         for r in made.records]
+    mixed = [r for group in itertools.zip_longest(*(by_side[s] for s in SIDES))
+             for r in group if r is not None][:17]
+    return root, {"uniform": by_side[32], "mixed": mixed, "heavy": by_side[100][:2]}
+
+
+def with_test_split(root, records, n_test: int) -> DatasetManifest:
+    """The records with the first n_test in the test split and the rest in val."""
+    return DatasetManifest(records=[dataclasses.replace(r, split="test" if i < n_test else "val")
+                                    for i, r in enumerate(records)], root=str(root))
+
+
+class TestChunkedInference:
+    @pytest.mark.parametrize("min_weight, sides, want", [
+        (1024, [32] * 17, [8, 8, 1]),
+        (1024, [20] * 9, [8, 1]),  # smaller than the encoder's input: weighs 32^2
+        (1024, [48] * 7, [3, 3, 1]),  # 3 x 48^2 leaves room for a 32 px case, not a 48 px one
+        (1024, [32, 100, 32, 32, 100, 100, 32], [1, 1, 2, 1, 1, 1]),  # 100^2 is over the budget
+        (1024, [32] * 3 + [48] * 3 + [32] * 3, [5, 4]),
+        (4096, [32] * 5, [2, 2, 1]),
+    ])
+    def test_chunks_by_weight(self, min_weight, sides, want):
+        pulled, sizes = [], []
+
+        def cases():
+            for i, side in enumerate(sides):
+                pulled.append(i)
+                yield str(i), RetinalImage(np.zeros((side, side), dtype=np.uint8)), []
+
+        order = []
+        for chunk in training._chunks(cases(), min_weight):
+            sizes.append(len(chunk))
+            order += [case_id for case_id, _, _ in chunk]
+            weights = [max(image.height * image.width, min_weight) for _, image, _ in chunk]
+            assert sum(weights) <= training._CHUNK_PIXELS or len(chunk) == 1
+            # a case is read ahead only when it might have fit
+            ahead = len(pulled) - len(order)
+            assert ahead in (0, 1)
+            if ahead:
+                assert sum(weights) + min_weight <= training._CHUNK_PIXELS
+        assert sizes == want and order == [str(i) for i in range(len(sides))]
+
+    @pytest.mark.parametrize("keyword_mode", [None, False])
+    @pytest.mark.parametrize("kind", ["uniform", "mixed"])
+    @pytest.mark.parametrize("n_test", [1, 7, 8, 9, 17])
+    def test_infer_equals_one_case_at_a_time(self, image_pool, trained, tmp_path, kind, n_test,
+                                             keyword_mode):
+        """Captions, full rankings and every PNG's bytes match inference with each
+        case encoded and explained as a batch of one."""
+        root, pool = image_pool
+        manifest = with_test_split(root, pool[kind], n_test)
+        pipe = Pipeline(*trained, keyword_mode, manifest.class_list)
+        test = manifest.by_split("test")
+
+        def cases():
+            return ((r.id, load_image(manifest.image_file(r)), r.keywords) for r in test)
+
+        got = pipe.infer(cases(), 3, 30, assets_dir=tmp_path / "a" / "assets")
+        want = infer_one_at_a_time(pipe, cases(), 3, 30, assets_dir=tmp_path / "b" / "assets")
+        assert len(got) == n_test and got == want
+        files = [sorted((tmp_path / side / "assets").iterdir()) for side in "ab"]
+        assert [p.name for p in files[0]] == [p.name for p in files[1]]
+        assert len(files[0]) == 2 * n_test
+        for a, b in zip(*files):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "mixed"])
+    @pytest.mark.parametrize("n_test", [1, 7, 8, 9, 17])
+    def test_evaluate_bundle_equals_one_case_at_a_time(self, image_pool, trained, tmp_path,
+                                                       monkeypatch, capsys, kind, n_test):
+        """`evaluate` writes the same metrics.json, report.html, assets and heatmaps,
+        and prints the same, as with each case encoded and explained alone."""
+        root, pool = image_pool
+        manifest = root / f"manifest_{kind}_{n_test}.json"  # image paths are relative to root
+        save_manifest(with_test_split(root, pool[kind], n_test), manifest)
+        models = []
+        for name, item in zip(("encoder.ckpt", "decoder.ckpt", "vocab.txt", "kw_vocab.txt"),
+                              trained):
+            item.save(tmp_path / name)
+            models += [f"--{name.split('.')[0].replace('_', '-')}", str(tmp_path / name)]
+        argv = ["evaluate", "--manifest", str(manifest), *models, "--topk", "1,3"]
+        bundles = {}
+        for side in ("chunked", "oracle"):
+            if side == "oracle":
+                monkeypatch.setattr(Pipeline, "infer", infer_one_at_a_time)
+            assert main([*argv, "--out", str(tmp_path / side)]) == 0
+            files = sorted(p for p in (tmp_path / side).rglob("*") if p.is_file())
+            bundles[side] = ({str(p.relative_to(tmp_path / side)): p.read_bytes() for p in files},
+                             capsys.readouterr())
+        assert len(bundles["chunked"][0]) == 3 * n_test + 2
+        assert bundles["chunked"] == bundles["oracle"]
+
+    def alive_weights(self, loaded):
+        gc.collect()
+        return [weight for ref, weight in loaded if ref() is not None]
+
+    def test_images_alive_stay_within_one_chunk(self, image_pool, trained, tmp_path,
+                                                monkeypatch):
+        """At every load and when the search starts, the images alive weigh at most
+        the budget; while a chunk is encoded, at most one more image (the one read
+        ahead) is alive beside it."""
+        root, pool = image_pool
+        records = pool["mixed"][:9] + pool["heavy"][:1] + pool["mixed"][9:] + pool["heavy"][1:]
+        manifest = with_test_split(root, records, len(records))
+        loaded, at_loads, at_encodes = [], [], []
+        budget = training._CHUNK_PIXELS
 
         def tracked_load(path):
-            count_alive()
+            at_loads.append(self.alive_weights(loaded))
             image = load_image(path)
-            loaded.append(weakref.ref(image))
+            loaded.append((weakref.ref(image), max(image.height * image.width, 32 * 32)))
             return image
 
         def checked_search(*args):
-            count_alive()
+            at_loads.append(self.alive_weights(loaded))
             return _beam_search(*args)
 
+        def checked_forward(encoder, batch):
+            at_encodes.append(self.alive_weights(loaded))
+            return forward(encoder, batch)
+
+        forward = VisionEncoder.forward
         monkeypatch.setattr(training, "load_image", tracked_load)
         monkeypatch.setattr(training, "_beam_search", checked_search)
-        evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1,),
-                          heatmap_dir=tmp_path / "assets")
-        assert len(loaded) == len(tiny_dataset.by_split("test")) > 1
-        assert len(alive) == len(loaded) + 1 and max(alive) <= 1
+        monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
+        evaluate_pipeline(manifest, *trained, k_list=(1,), heatmap_dir=tmp_path / "assets")
+        assert len(loaded) == len(records) == 19
+        assert len(at_loads) == len(loaded) + 1 and at_loads[-1] == []
+        assert all(sum(alive) <= budget for alive in at_loads)
+        assert max(map(len, at_loads)) > 1  # chunks do hold several images
+        assert all(sum(alive) - max(alive) <= budget for alive in at_encodes)
+        assert [100 * 100] in at_encodes  # a heavy image is encoded alone
+        assert len(at_encodes) < len(loaded) / 2
+
+    def test_budget_below_one_image_holds_one_at_a_time(self, image_pool, trained, tmp_path,
+                                                        monkeypatch):
+        root, pool = image_pool
+        manifest = with_test_split(root, pool["mixed"], 9)
+        loaded, at_loads = [], []
+
+        def tracked_load(path):
+            at_loads.append(len(self.alive_weights(loaded)))
+            image = load_image(path)
+            loaded.append((weakref.ref(image), 0))
+            return image
+
+        def checked_forward(encoder, batch):
+            at_loads.append(len(self.alive_weights(loaded)))
+            assert len(batch) == 1
+            return forward(encoder, batch)
+
+        forward = VisionEncoder.forward
+        monkeypatch.setattr(training, "_CHUNK_PIXELS", 32 * 32 - 1)
+        monkeypatch.setattr(training, "load_image", tracked_load)
+        monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
+        evaluate_pipeline(manifest, *trained, k_list=(1,), heatmap_dir=tmp_path / "assets")
+        assert len(loaded) == 9 and max(at_loads) == 1
 
 
 def test_keyword_ablation_separates_on_keyword_dependent_captions(tmp_path):
