@@ -24,22 +24,18 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense float64 array with an optional gradient of the same shape.
 
-    A tensor made with needs_grad=False (an input batch, say) never holds a
-    gradient, and ops may skip computing one for it. copy=False wraps a float64
-    ndarray as it is: ops use it for the fresh arrays they compute.
+    A tensor holds the float64 ndarray it is given, not a copy (anything else
+    is converted). A tensor made with needs_grad=False (an input batch, say)
+    never holds a gradient, and ops may skip computing one for it.
     """
 
     __slots__ = ("data", "grad", "name", "needs_grad")
 
-    def __init__(self, data, name: str | None = None, needs_grad: bool = True,
-                 copy: bool = True):
-        self.data = np.array(data, dtype=np.float64, copy=copy)
+    def __init__(self, data, name: str | None = None, needs_grad: bool = True):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
         self.needs_grad = needs_grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
         if not self.needs_grad:
@@ -165,7 +161,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # elementwise ops
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0, out=_buffer(x.data.shape)), copy=False)
+    out = Tensor(np.maximum(x.data, 0.0, out=_buffer(x.data.shape)))
     mask = np.greater(x.data, 0.0, out=_buffer(x.data.shape, bool))
 
     def bwd(gs):
@@ -285,7 +281,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     kmat = kernels.data.reshape(k, c * kh * kw)
     y = np.matmul(kmat, cols, out=_buffer((n, k, ho * wo)))  # one GEMM per image
     y += bias.data[:, None]
-    out = Tensor(y.reshape(n, k, ho, wo), copy=False)
+    out = Tensor(y.reshape(n, k, ho, wo))
 
     def bwd(gs):
         gflat = gs[0].reshape(n, k, ho * wo)
@@ -321,7 +317,7 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     np.copyto(top, at(x.data, 0, 0))
     for a, b in offsets[1:]:
         np.maximum(top, at(x.data, a, b), out=top)
-    out = Tensor(top, copy=False)
+    out = Tensor(top)
 
     def bwd(gs):
         gx = np.zeros_like(x.data)
@@ -566,7 +562,7 @@ def glorot_uniform(rng: Xoshiro256, shape) -> np.ndarray:
 
 def parameters_from(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """Named parameter tensors holding copies of the arrays."""
-    return {name: Tensor(arr, name=name) for name, arr in arrays.items()}
+    return {name: Tensor(np.array(arr, np.float64), name=name) for name, arr in arrays.items()}
 
 
 def init_arrays(rng: Xoshiro256, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -604,4 +600,4 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
 
 def zero_grads(params: list[Tensor]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad = None

@@ -4,25 +4,14 @@ stacks of same-shape images."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .imageio import resize_bilinear
 
 
-@dataclass
-class Heatmap:
-    values: np.ndarray  # h x w float64, a raw class activation map
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or min(self.values.shape) < 1:
-            raise ValueError(f"heatmap must be a non-empty 2-D matrix, got {self.values.shape}")
-
-
-def compute_cam(feature_maps: np.ndarray, classifier_weights: np.ndarray, class_id: int) -> Heatmap:
-    """Weighted sum of feature maps by the class row of the classifier weights."""
+def compute_cam(feature_maps: np.ndarray, classifier_weights: np.ndarray,
+                class_id: int) -> np.ndarray:
+    """The raw h x w CAM: the K x h x w feature maps weighted by the class's weight row."""
     fmaps = np.asarray(feature_maps, dtype=np.float64)
     weights = np.asarray(classifier_weights, dtype=np.float64)
     if fmaps.ndim != 3 or weights.ndim != 2 or weights.shape[1] != fmaps.shape[0]:
@@ -31,8 +20,7 @@ def compute_cam(feature_maps: np.ndarray, classifier_weights: np.ndarray, class_
         )
     if not 0 <= class_id < weights.shape[0]:
         raise ValueError(f"class {class_id} out of range for {weights.shape[0]} classes")
-    cam = np.tensordot(weights[class_id], fmaps, axes=1)
-    return Heatmap(values=cam)
+    return np.tensordot(weights[class_id], fmaps, axes=1)
 
 
 def normalize_cams(cams: np.ndarray) -> np.ndarray:
@@ -77,8 +65,6 @@ def overlay(pixels: np.ndarray, cams: np.ndarray, alpha: float) -> np.ndarray:
     return np.rint(blended * 255.0).astype(np.uint8)
 
 
-def heatmap_to_text(heatmap: Heatmap, decimals: int = 6) -> str:
-    """Plain-text matrix export, one row per line."""
-    return "\n".join(
-        " ".join(f"{v:.{decimals}f}" for v in row) for row in heatmap.values
-    )
+def heatmap_to_text(cam: np.ndarray) -> str:
+    """Plain-text export of an h x w map, one row per line, six decimals a value."""
+    return "\n".join(" ".join(f"{v:.6f}" for v in row) for row in cam)

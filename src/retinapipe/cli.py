@@ -57,6 +57,15 @@ def _positive_ints(text: str) -> tuple[int, ...]:
     return tuple(map(_positive_int, text.split(",")))
 
 
+def _unit_float(text: str) -> float:
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
 def _warn_unknown_keywords(keywords, kw_vocab: Vocabulary) -> None:
     if unknown := sorted({kw for kw in keywords if kw not in kw_vocab}):
         print("ignored keywords not in the keyword vocabulary: " + ", ".join(unknown),
@@ -81,12 +90,12 @@ def _train_config(args) -> TrainConfig:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="versioned JSON config; overrides the flags below")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--decay-factor", type=float, default=5.0)
-    p.add_argument("--decay-period", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=SgdConfig.learning_rate)
+    p.add_argument("--decay-factor", type=float, default=SgdConfig.decay_factor)
+    p.add_argument("--decay-period", type=int, default=SgdConfig.decay_period_epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _out_layout(out_dir: str) -> dict[str, str]:
@@ -101,8 +110,8 @@ def _add_inference_flags(p: argparse.ArgumentParser) -> None:
     """The model files and decoding flags that evaluate and report share."""
     for name in ("--encoder", "--decoder", "--vocab", "--kw-vocab"):
         p.add_argument(name, required=True)
-    p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--beam", type=_positive_int, default=3)
+    p.add_argument("--max-len", type=_positive_int, default=30)
     p.add_argument("--no-keywords", action="store_true",
                    help="force the keyword bypass (default: the decoder's trained mode)")
 
@@ -153,6 +162,9 @@ def _cmd_train_rdi(args) -> int:
 
 
 def _cmd_train_cdg(args) -> int:
+    if args.config and args.no_keywords:  # not one of the flags a config overrides
+        raise _UsageError("--no-keywords cannot be combined with --config; "
+                          "set keyword_mode to false in the config instead")
     manifest = parse_manifest(args.manifest)
     cfg = _train_config(args)
     encoder_ckpt = ModelCheckpoint.load(args.encoder)
@@ -172,7 +184,7 @@ def _cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
     layout = _out_layout(args.out)
     model_files = _model_files(args)
-    report, results = evaluate_pipeline(
+    report, reports = evaluate_pipeline(
         manifest,
         *model_files,
         beam_width=args.beam,
@@ -183,13 +195,9 @@ def _cmd_evaluate(args) -> int:
     )
     _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
                            model_files[3])
-    reports = []
-    for res in results:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
-        shutil.copyfile(os.path.join(layout["reports"], res.cam_path),
-                        os.path.join(layout["heatmaps"], os.path.basename(res.cam_path)))
-        reports.append(build_report(
-            res.record, res.predictions, res.caption_words,
-            cam_path=res.cam_path, image_path=res.image_path))
+    for med in reports:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
+        shutil.copyfile(os.path.join(layout["reports"], med.cam_path),
+                        os.path.join(layout["heatmaps"], os.path.basename(med.cam_path)))
     with open(os.path.join(layout["reports"], "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html(reports, group_by=args.group_by))
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
@@ -201,7 +209,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_explain(args) -> int:
     image = load_image(args.image)
     encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
-    out = encoder.encode_image(image)
+    out = encoder.forward(encoder.preprocess(image)[None])
     class_id = args.class_id
     if class_id is None:
         class_id = predict_topk(out.logits.data[0], 1)[0][0]
@@ -209,7 +217,7 @@ def _cmd_explain(args) -> int:
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
-    write_png(args.out, overlay(image.pixels[None], heat.values[None], args.alpha)[0])
+    write_png(args.out, overlay(image.pixels[None], heat[None], args.alpha)[0])
     print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
     return 0
 
@@ -322,7 +330,7 @@ def _explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--class-id", type=int)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_unit_float, default=0.5)
     p.add_argument("--raw-txt", help="also dump the raw heatmap as text")
     p.add_argument("--out", required=True)
 
@@ -333,7 +341,7 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
     _add_inference_flags(p)
     p.add_argument("--manifest", help="optional; supplies disease names")
     p.add_argument("--topk", type=_positive_int, default=5)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_unit_float, default=0.5)
     p.add_argument("--out", required=True)
 
 

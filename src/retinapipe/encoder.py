@@ -157,10 +157,6 @@ class VisionEncoder:
             raise NonFiniteError("non-finite activation in classifier head")
         return EncoderOutput(feature_maps=feature_maps, pooled=pooled, logits=logits)
 
-    def encode_image(self, image: RetinalImage) -> EncoderOutput:
-        """The image as a batch of one."""
-        return self.forward(self.preprocess(image)[None])
-
 
 def predict_topk(logits: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Top-k classes of one image's C logits by stabilized softmax probability;

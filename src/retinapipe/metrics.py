@@ -8,6 +8,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+MAX_N = 4  # BLEU-1..4 and CIDEr over 1- to 4-grams
+ROUGE_BETA = 1.2  # the weight of ROUGE-L's recall against its precision
+
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
     if n < 1:
@@ -18,9 +21,8 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
 _Grams = list[list[Counter]]  # per sentence, its n-gram counts for n = 1, 2, ...
 
 
-def _counted(candidates: list[list[str]], references: list[list[str]],
-             up_to_n: int) -> tuple[_Grams, _Grams]:
-    """Each candidate's and each reference's n-gram counts for n = 1..up_to_n,
+def _counted(candidates: list[list[str]], references: list[list[str]]) -> tuple[_Grams, _Grams]:
+    """Each candidate's and each reference's n-gram counts for n = 1..MAX_N,
     counted once for every metric that reads them."""
     if len(candidates) != len(references):
         raise ValueError(
@@ -28,23 +30,22 @@ def _counted(candidates: list[list[str]], references: list[list[str]],
         )
 
     def count(sentences: list[list[str]]) -> _Grams:
-        return [[ngram_counts(s, n) for n in range(1, up_to_n + 1)] for s in sentences]
+        return [[ngram_counts(s, n) for n in range(1, MAX_N + 1)] for s in sentences]
 
     return count(candidates), count(references)
 
 
-def bleu_corpus(candidates: list[list[str]], references: list[list[str]],
-                up_to_n: int = 4) -> tuple[list[float], float]:
-    """Corpus-level unsmoothed BLEU-1..up_to_n and their mean."""
-    return _bleu(*_counted(candidates, references, up_to_n))
+def bleu_corpus(candidates: list[list[str]],
+                references: list[list[str]]) -> tuple[list[float], float]:
+    """Corpus-level unsmoothed BLEU-1..MAX_N and their mean."""
+    return _bleu(*_counted(candidates, references))
 
 
 def _bleu(cand_grams: _Grams, ref_grams: _Grams) -> tuple[list[float], float]:
     if not cand_grams:
         raise ValueError("empty corpus")
-    up_to_n = len(cand_grams[0])
-    matched = [0] * up_to_n
-    total = [0] * up_to_n
+    matched = [0] * MAX_N
+    total = [0] * MAX_N
     cand_len = sum(sum(grams[0].values()) for grams in cand_grams)  # the unigram counts
     ref_len = sum(sum(grams[0].values()) for grams in ref_grams)
     for cand, ref in zip(cand_grams, ref_grams):
@@ -57,13 +58,13 @@ def _bleu(cand_grams: _Grams, ref_grams: _Grams) -> tuple[list[float], float]:
     else:
         bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     scores = []
-    for k in range(1, up_to_n + 1):
+    for k in range(1, MAX_N + 1):
         ps = precisions[:k]
         if any(p == 0.0 for p in ps):
             scores.append(0.0)
         else:
             scores.append(bp * math.exp(sum(math.log(p) for p in ps) / k))
-    return scores, sum(scores) / up_to_n
+    return scores, sum(scores) / MAX_N
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -82,8 +83,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - bin(v).count("1")
 
 
-def rouge_l(candidate: list[str], reference: list[str], beta: float = 1.2) -> float:
-    """ROUGE-L F-score based on longest common subsequence."""
+def rouge_l(candidate: list[str], reference: list[str]) -> float:
+    """ROUGE-L F-score from the longest common subsequence, recall weighted by ROUGE_BETA."""
     if not candidate or not reference:
         return 0.0
     lcs = _lcs_length(candidate, reference)
@@ -91,26 +92,17 @@ def rouge_l(candidate: list[str], reference: list[str], beta: float = 1.2) -> fl
         return 0.0
     p = lcs / len(candidate)
     r = lcs / len(reference)
-    return (1 + beta * beta) * r * p / (r + beta * beta * p)
+    b2 = ROUGE_BETA * ROUGE_BETA
+    return (1 + b2) * r * p / (r + b2 * p)
 
 
-def rouge_l_corpus(candidates: list[list[str]], references: list[list[str]],
-                   beta: float = 1.2) -> float:
-    if len(candidates) != len(references):
-        raise ValueError("candidate/reference count mismatch")
-    if not candidates:
-        raise ValueError("empty corpus")
-    return sum(rouge_l(c, r, beta) for c, r in zip(candidates, references)) / len(candidates)
-
-
-def cider(candidates: list[list[str]], references: list[list[str]],
-          up_to_n: int = 4) -> float:
+def cider(candidates: list[list[str]], references: list[list[str]]) -> float:
     """TF-IDF weighted n-gram cosine similarity, averaged over n and items, x10.
 
     IDF documents are the reference sentences; needs >= 2 items to be
     non-degenerate.
     """
-    return _cider(*_counted(candidates, references, up_to_n))
+    return _cider(*_counted(candidates, references))
 
 
 def _cider(cand_grams: _Grams, ref_grams: _Grams) -> float:
@@ -119,8 +111,7 @@ def _cider(cand_grams: _Grams, ref_grams: _Grams) -> float:
         raise ValueError(
             "CIDEr needs at least 2 corpus items: IDF is degenerate on a single document"
         )
-    up_to_n = len(cand_grams[0])
-    doc_freq = [Counter() for _ in range(up_to_n)]
+    doc_freq = [Counter() for _ in range(MAX_N)]
     for ref in ref_grams:
         for df, counts in zip(doc_freq, ref):
             df.update(counts.keys())
@@ -141,8 +132,8 @@ def _cider(cand_grams: _Grams, ref_grams: _Grams) -> float:
 
     total = 0.0
     for cand, ref in zip(cand_grams, ref_grams):
-        sims = [cosine(tfidf(cand[n], n), tfidf(ref[n], n)) for n in range(up_to_n)]
-        total += 10.0 * sum(sims) / up_to_n
+        sims = [cosine(tfidf(cand[n], n), tfidf(ref[n], n)) for n in range(MAX_N)]
+        total += 10.0 * sum(sims) / MAX_N
     return total / n_items
 
 
@@ -187,13 +178,12 @@ class MetricReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def score_captions(candidates: list[list[str]], references: list[list[str]],
-                   rouge_beta: float = 1.2) -> MetricReport:
+def score_captions(candidates: list[list[str]], references: list[list[str]]) -> MetricReport:
     """All text metrics in one report, from one count of each sentence's n-grams;
     CIDEr set to 0 when the corpus is a single item."""
-    cand_grams, ref_grams = _counted(candidates, references, 4)
+    cand_grams, ref_grams = _counted(candidates, references)
     bleu, bleu_avg = _bleu(cand_grams, ref_grams)
     report = MetricReport(bleu=bleu, bleu_avg=bleu_avg,
-                          rouge=rouge_l_corpus(candidates, references, rouge_beta))
+                          rouge=sum(map(rouge_l, candidates, references)) / len(candidates))
     report.cider = _cider(cand_grams, ref_grams) if len(candidates) >= 2 else 0.0
     return report

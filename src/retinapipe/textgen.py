@@ -72,10 +72,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.index(t) for t in tokens]
 
-    def decode_words(self, indices) -> list[str]:
-        """Indices back to tokens, reserved symbols dropped."""
-        return [self._itos[i] for i in indices if i >= len(RESERVED)]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.FILE_HEADER + "\n")
@@ -261,29 +257,8 @@ class Hypothesis:
         return self.tokens[-1:] == (END,)
 
     def words(self, vocab: Vocabulary) -> list[str]:
-        return vocab.decode_words(self.tokens)
-
-
-class _DecoderState:
-    """Tape-free forward pass over raw numpy parameter views; states are B x H."""
-
-    def __init__(self, params: DecoderParams):
-        self.emb, self.wx, self.wh, self.b, self.ow, self.ob = (p.data for p in params.parameters())
-        self.hidden = params.hidden_size
-
-    def step(self, tokens, h: np.ndarray, c: np.ndarray):
-        """Feed tokens[b] to row b of the state."""
-        return ad.lstm_cell_np(self.wx, self.wh, self.b, self.emb[tokens], h, c)[:2]
-
-    def start_state(self, fused: np.ndarray):
-        """The B x H state after each row of the B x D fused features and START."""
-        zeros = np.zeros((len(fused), self.hidden))
-        h, c, _ = ad.lstm_cell_np(self.wx, self.wh, self.b, fused, zeros, zeros)
-        return self.step([START] * len(fused), h, c)
-
-    def log_probs(self, h: np.ndarray) -> np.ndarray:
-        """B x V next-token log-probabilities."""
-        return ad.log_softmax_np(ad.matvec_rows(self.ow, h) + self.ob)
+        """The caption's tokens, reserved symbols dropped."""
+        return [vocab.token(i) for i in self.tokens if i >= len(RESERVED)]
 
 
 def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
@@ -306,15 +281,20 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
         raise ValueError("max_len must be >= 1")
     if feats.ndim != 2 or feats.shape[1] != params.input_dim:
         raise ShapeError(f"decoding needs B x {params.input_dim} features, got shape {feats.shape}")
-    dec = _DecoderState(params)
-    h, c = dec.start_state(feats)
+    emb, wx, wh, bias, out_w, out_b = (p.data for p in params.parameters())
+
+    def advance(tokens, h, c):  # the B x H state after feeding tokens[b] to row b
+        return ad.lstm_cell_np(wx, wh, bias, emb[tokens], h, c)[:2]
+
+    zeros = np.zeros((len(feats), params.hidden_size))  # the state before the features
+    h, c = advance([START] * len(feats), *ad.lstm_cell_np(wx, wh, bias, feats, zeros, zeros)[:2])
     vocab = params.vocab_size
     k = min(width, vocab)
     finished: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in feats]
     # the record, cumulative log-prob and tokens of each row of h and c, grouped by record
     recs, lps, seqs = list(range(len(feats))), [0.0] * len(feats), [()] * len(feats)
     for step in range(max_len):
-        scores = np.array(lps)[:, None] + dec.log_probs(h)
+        scores = np.array(lps)[:, None] + ad.log_softmax_np(ad.matvec_rows(out_w, h) + out_b)
         # a candidate below its row's k-th best cannot make its record's top `width`
         picks = np.flatnonzero(scores >= np.partition(scores, -k, axis=1)[:, -k, None])
         candidates: dict[int, list] = {}  # each record's, in record order
@@ -339,7 +319,7 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
                 del rows[first:], recs[first:], lps[first:], seqs[first:]
         if not rows or step + 1 == max_len:
             break
-        h, c = dec.step([toks[-1] for toks in seqs], h[rows], c[rows])
+        h, c = advance([toks[-1] for toks in seqs], h[rows], c[rows])
     for rec, lp, toks in zip(recs, lps, seqs):  # max_len reached
         finished[rec].append((lp, toks))
     beams = []

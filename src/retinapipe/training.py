@@ -22,6 +22,7 @@ from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
 from .errors import DataError, NonFiniteError
 from .imageio import RetinalImage, load_image, write_png
 from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
+from .report import MedicalReport, build_report
 from .rng import Xoshiro256, derive_seed
 from .textgen import (
     END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
@@ -100,9 +101,6 @@ def load_train_config(path) -> TrainConfig:
 class TrainingCurve:
     entries: list[tuple[float, float, float]] = field(default_factory=list)
 
-    def append(self, train_loss: float, val_loss: float, val_metric: float) -> None:
-        self.entries.append((train_loss, val_loss, val_metric))
-
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,val_loss,val_metric"]
         for epoch, (tl, vl, vm) in enumerate(self.entries):
@@ -162,7 +160,7 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
             epoch_loss += value * len(batch)
         with _diverged_at(f"epoch {epoch}, validation"):
             val_loss, val_metric = validate()
-        curve.append(epoch_loss / len(order), val_loss, val_metric)
+        curve.entries.append((epoch_loss / len(order), val_loss, val_metric))
         if val_metric >= best_metric:
             best_metric = val_metric
             best_params = [p.data.copy() for p in params]
@@ -407,7 +405,7 @@ class Pipeline:
         overlays = {}
         for members in groups.values():
             cams = [compute_cam(feature_maps[i], self.encoder.classifier_weights,
-                                ranked[i][0][0]).values for i in members]
+                                ranked[i][0][0]) for i in members]
             pixels = overlay(np.stack([images[i].pixels for i in members]), np.stack(cams), alpha)
             overlays.update(zip(members, pixels))
         return [overlays[i] for i in range(len(images))]
@@ -442,15 +440,6 @@ def _chunks(cases, min_weight: int):
         yield chunk
 
 
-@dataclass
-class CaseResult:
-    record: CaseRecord
-    predictions: list[tuple[str, float]]  # (disease name, probability)
-    caption_words: list[str]
-    image_path: str | None = None  # the asset paths, relative to the report bundle
-    cam_path: str | None = None
-
-
 def write_case_assets(assets_dir, case_id: str, image: RetinalImage,
                       cam_pixels: np.ndarray) -> tuple[str, str]:
     """Write a case's image as `<id>.png` and its CAM overlay as `<id>_cam.png` into
@@ -468,7 +457,7 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
                       kw_vocab: Vocabulary, beam_width: int = 3,
                       k_list: tuple[int, ...] = (1, 5), max_caption_len: int = 30,
                       keyword_mode: bool | None = None, heatmap_dir=None,
-                      ) -> tuple[MetricReport, list[CaseResult]]:
+                      ) -> tuple[MetricReport, list[MedicalReport]]:
     """Classify, caption and explain the test split through Pipeline.infer: the
     images are loaded and encoded a chunk at a time, a few small images per
     chunk and a large one alone, then one beam search captions every case.
@@ -493,7 +482,6 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
     truths = [classes[r.disease] for r in test]
     report.prec_at = {k: precision_at_k(rankings, truths, k) for k in k_list}
     return report, [
-        CaseResult(record=r, caption_words=inf.caption_words, image_path=inf.image_path,
-                   cam_path=inf.cam_path,
-                   predictions=[(pipe.class_names[c], p) for c, p in inf.ranked[: max(k_list)]])
+        build_report(r, [(pipe.class_names[c], p) for c, p in inf.ranked[: max(k_list)]],
+                     inf.caption_words, cam_path=inf.cam_path, image_path=inf.image_path)
         for r, inf in zip(test, inferences)]

@@ -15,13 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from retinapipe.autodiff import ShapeError, Tape, Tensor, _emit, backward, zero_grads
+from retinapipe.autodiff import (
+    ShapeError, Tape, Tensor, _emit, backward, log_softmax_np, lstm_cell_np, matvec_rows,
+    zero_grads,
+)
 from retinapipe.cam import colormap, compute_cam
 from retinapipe.encoder import predict_topk
 from retinapipe.imageio import _PNG_SIG, _png_chunk, resize_bilinear
 from retinapipe.metrics import ngram_counts
 from retinapipe.rng import _MASK, Xoshiro256
-from retinapipe.textgen import DecoderParams, _beam_search, _DecoderState, keyword_multihot
+from retinapipe.textgen import START, DecoderParams, _beam_search, keyword_multihot
 from retinapipe.training import Inference, write_case_assets
 
 
@@ -100,14 +103,16 @@ def embedding_row(table: Tensor, index: int) -> Tensor:
 
 
 def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
-    """Independent recomputation of a hypothesis' cumulative log-probability."""
-    dec = _DecoderState(params)
-    h, c = dec.start_state(np.asarray(fused, dtype=np.float64)[None])
+    """Independent recomputation of a hypothesis' cumulative log-probability: the
+    fused feature, then START, then each token but the last, fed one at a time."""
+    emb, wx, wh, b, out_w, out_b = (p.data for p in params.parameters())
+    h = c = np.zeros((1, params.hidden_size))
     total = 0.0
-    for i, tok in enumerate(tokens):
-        total += float(dec.log_probs(h)[0, tok])
-        if i + 1 < len(tokens):
-            h, c = dec.step([tok], h, c)
+    inputs = [np.asarray(fused, dtype=np.float64), emb[START], *(emb[t] for t in tokens[:-1])]
+    for i, x in enumerate(inputs):
+        h, c, _ = lstm_cell_np(wx, wh, b, x[None], h, c)
+        if i:
+            total += float(log_softmax_np(matvec_rows(out_w, h) + out_b)[0, tokens[i - 1]])
     return total
 
 
@@ -196,7 +201,7 @@ def infer_one_at_a_time(pipe, cases, beam_width: int, max_len: int, alpha: float
     one, then one beam search over all of them."""
     looked, fused = [], []
     for case_id, image, keywords in cases:
-        out = pipe.encoder.encode_image(image)
+        out = pipe.encoder.forward(pipe.encoder.preprocess(image)[None])
         ranked = predict_topk(out.logits.data[0], pipe.num_classes)
         feature = out.pooled
         if pipe.keyword_mode:
@@ -207,7 +212,7 @@ def infer_one_at_a_time(pipe, cases, beam_width: int, max_len: int, alpha: float
             cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
                               ranked[0][0])
             paths = write_case_assets(assets_dir, case_id, image,
-                                      overlay_one(image.pixels, cam.values, alpha))
+                                      overlay_one(image.pixels, cam, alpha))
         looked.append((ranked, paths))
     beams = _beam_search(np.stack(fused), pipe.decoder, beam_width, max_len)
     return [Inference(ranked, beam[0].words(pipe.vocab), *paths)

@@ -155,7 +155,7 @@ def test_criterion_3_cam_logit_identity():
         out = enc.forward(rng.uniform(-1, 1, (3, 16, 16))[None])
         for c in range(5):
             cam = compute_cam(out.feature_maps.data[0], enc.classifier_weights, c)
-            err = abs(cam.values.mean() + bias[c]
+            err = abs(cam.mean() + bias[c]
                       - float(out.logits.data[0, c]))
             worst = max(worst, err)
     _verdict(3, f"CAM-logit identity (max err {worst:.2e})", worst < 1e-10)

@@ -309,6 +309,23 @@ class TestAccumulate:
         assert t.grad.flags.writeable and np.array_equal(t.grad, [[2.0, 1.0, 3.0]] * 2)
 
 
+class TestOwnership:
+    def test_a_tensor_holds_the_float64_array_it_is_given(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert Tensor(a).data is a
+        ints = np.arange(3)
+        t = Tensor(ints)  # anything else is converted
+        assert t.data.dtype == np.float64 and not np.shares_memory(t.data, ints)
+
+    def test_parameters_hold_copies_of_their_arrays(self):
+        a = np.array([1.0, 2.0])
+        w = ad.parameters_from({"w": a})["w"]
+        assert w.name == "w" and not np.shares_memory(w.data, a)
+        w.grad = np.array([1.0, 1.0])
+        sgd_step([w], 0.5)
+        assert np.array_equal(w.data, [0.5, 1.5]) and np.array_equal(a, [1.0, 2.0])
+
+
 class TestArena:
     def test_recycled_buffers_reuse_memory_and_grow_when_too_small(self):
         arena = ad.Arena()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retinapipe.cam import (
-    Heatmap, colormap, compute_cam, heatmap_to_text, normalize_cams, overlay, upsample_bilinear,
+    colormap, compute_cam, heatmap_to_text, normalize_cams, overlay, upsample_bilinear,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.imageio import RetinalImage, resize_bilinear
@@ -15,13 +15,13 @@ class TestComputeCam:
     def test_single_unit_weight_selects_one_map(self):
         fmaps = np.arange(2 * 3 * 3, dtype=np.float64).reshape(2, 3, 3)
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(compute_cam(fmaps, w, 0).values, fmaps[0])
-        assert np.array_equal(compute_cam(fmaps, w, 1).values, fmaps[1])
+        assert np.array_equal(compute_cam(fmaps, w, 0), fmaps[0])
+        assert np.array_equal(compute_cam(fmaps, w, 1), fmaps[1])
 
     def test_zero_weights_give_zero_map(self):
         fmaps = np.random.default_rng(0).random((4, 5, 5))
         cam = compute_cam(fmaps, np.zeros((3, 4)), 2)
-        assert np.all(cam.values == 0.0)
+        assert np.all(cam == 0.0)
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(1)
@@ -29,15 +29,15 @@ class TestComputeCam:
         w = rng.standard_normal((3, 6))
         for c in range(3):
             want = sum(w[c, k] * fmaps[k] for k in range(6))
-            assert np.allclose(compute_cam(fmaps, w, c).values, want, atol=1e-12)
+            assert np.allclose(compute_cam(fmaps, w, c), want, atol=1e-12)
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(2)
         fmaps = rng.random((3, 4, 4))
         wa = rng.standard_normal((2, 3))
         wb = rng.standard_normal((2, 3))
-        lhs = compute_cam(fmaps, wa + wb, 0).values
-        rhs = compute_cam(fmaps, wa, 0).values + compute_cam(fmaps, wb, 0).values
+        lhs = compute_cam(fmaps, wa + wb, 0)
+        rhs = compute_cam(fmaps, wa, 0) + compute_cam(fmaps, wb, 0)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -55,12 +55,12 @@ class TestComputeCam:
         cfg = EncoderConfig(num_classes=5, image_size=16)
         enc = VisionEncoder.init(cfg, Xoshiro256(11))
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-        out = enc.encode_image(RetinalImage(pixels=px))
+        out = enc.forward(enc.preprocess(RetinalImage(pixels=px))[None])
         w = enc.classifier_weights
         b = enc.to_checkpoint()["encoder.fc.bias"]
         for c in range(5):
             cam = compute_cam(out.feature_maps.data[0], w, c)
-            assert abs(cam.values.mean() + b[c] - float(out.logits.data[0, c])) < 1e-10
+            assert abs(cam.mean() + b[c] - float(out.logits.data[0, c])) < 1e-10
 
 
 class TestNormalize:
@@ -213,13 +213,8 @@ class TestOverlay:
             overlay(px[None], np.zeros((1, 2, 2)), 1.5)
 
 
-def test_heatmap_requires_2d():
-    with pytest.raises(ValueError):
-        Heatmap(np.zeros(4))
-
-
 def test_heatmap_to_text_round_trip():
     vals = np.array([[0.125, 0.5], [0.75, 1.0]])
-    text = heatmap_to_text(Heatmap(vals))
+    text = heatmap_to_text(vals)
     parsed = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
     assert np.allclose(parsed, vals, atol=1e-6)

@@ -10,7 +10,7 @@ from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.rng import Xoshiro256
-from retinapipe.textgen import Vocabulary, detokenize
+from retinapipe.textgen import Vocabulary
 from retinapipe.training import evaluate_pipeline
 
 
@@ -246,6 +246,18 @@ class TestTrainingArtifacts:
         assert str(path) in err and message in err
         assert reads == []  # refused before any image is read
 
+    def test_no_keywords_with_config_is_usage_error(self, dataset, trained, tmp_path, capsys):
+        """--no-keywords is not one of the flags a config overrides, so it is refused
+        rather than dropped."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        assert main(["train-cdg", "--manifest", str(dataset / "manifest.json"),
+                     "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                     "--out", str(out), "--config", str(path), "--no-keywords"]) == 1
+        assert "set keyword_mode to false in the config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_value_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
                      "--out", str(tmp_path / "out"), "--decay-factor", "0"]) == 2
@@ -393,20 +405,20 @@ class TestReportMatchesEvaluate:
             k_list=(1,))
         assert len(results) == 6
         mismatches = []
-        for res in results:
-            assert main(["report", "--image", manifest.image_file(res.record),
-                         "--keywords", ", ".join(res.record.keywords),
+        for r, res in zip(manifest.by_split("test"), results):
+            assert main(["report", "--image", manifest.image_file(r),
+                         "--keywords", ", ".join(r.keywords),
                          *model_args(ckpts, decoder=dec_dir / "decoder.ckpt",
                                      vocab=dec_dir / "vocab.txt",
                                      kw_vocab=dec_dir / "kw_vocab.txt"),
                          "--manifest", str(dataset / "manifest.json"),
-                         "--out", str(tmp_path / res.record.id)]) == 0
+                         "--out", str(tmp_path / r.id)]) == 0
             fields = dict(line.split(": ", 1)
                           for line in capsys.readouterr().out.splitlines())
             got = (fields["Prediction"].split(" (")[0], fields["Description"])
-            want = (res.predictions[0][0], detokenize(res.caption_words))
+            want = (res.predictions[0][0], res.description)
             if got != want:
-                mismatches.append((res.record.id, got, want))
+                mismatches.append((r.id, got, want))
         assert mismatches == []
 
 
@@ -547,6 +559,34 @@ class TestTopk:
                  "score": ["--cand", missing, "--refs", missing]}[command]
         assert main([command, *files, "--topk", topk]) == 1
         assert "--topk: expected a positive integer" in capsys.readouterr().err
+
+
+class TestDecodingFlags:
+    """--beam, --max-len and --alpha are checked when parsed: a bad value is a usage
+    error, and nothing is written."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--max-len", "0"), ("evaluate", "--beam", "0"),
+        ("report", "--beam", "-1"), ("report", "--max-len", "x"), ("report", "--alpha", "1.5"),
+        ("explain", "--alpha", "2"), ("explain", "--alpha", "-0.1"), ("explain", "--alpha", "nan"),
+    ])
+    def test_bad_value_is_usage_error_before_any_output(self, command, flag, value, dataset,
+                                                         trained, tmp_path, capsys):
+        ckpts, image = trained / "checkpoints", str(dataset / "images" / "case0001.pgm")
+        out, raw = tmp_path / "out", tmp_path / "raw.txt"
+        args = {"evaluate": ["--manifest", str(dataset / "manifest.json"), *model_args(ckpts)],
+                "report": ["--image", image, *model_args(ckpts)],
+                "explain": ["--image", image, "--encoder", str(ckpts / "encoder.ckpt"),
+                            "--raw-txt", str(raw)]}[command]
+        assert main([command, *args, flag, value, "--out", str(out)]) == 1
+        assert f"{flag}: expected" in capsys.readouterr().err
+        assert not out.exists() and not raw.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_alpha_bounds_are_accepted(self, alpha, dataset, trained, tmp_path, capsys):
+        assert main(["explain", "--image", str(dataset / "images" / "case0001.pgm"),
+                     "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                     "--alpha", alpha, "--out", str(tmp_path / "cam.png")]) == 0
 
 
 class TestUnknownKeywords:

@@ -5,6 +5,9 @@
   somewhere in `src/retinapipe/`, so code no caller needs cannot pile up;
 - every `__slots__` entry of a class in `src/retinapipe/` is read somewhere in
   `src/retinapipe/`, so a field that is only ever written cannot pile up;
+- every parameter with a default, of a function or method in `src/retinapipe/`,
+  is passed by some call in `src/retinapipe/`, so a parameter that every caller
+  leaves at one value cannot pile up;
 - every function the benchmark's layer trace wraps exists in the package.
 """
 
@@ -89,6 +92,62 @@ def unread_slots(modules: dict[str, str]) -> list[str]:
     return sorted(unread)
 
 
+def unpassed_defaults(modules: dict[str, str], exempt=frozenset()) -> list[str]:
+    """The qualified names ("module.Class.method.parameter") of the parameters with
+    a default, of the functions and methods in the module sources, that no call in
+    the module sources passes.
+
+    A call passes a parameter by keyword, by position (after the implicit self or
+    cls of a method called on an object or class), or through *args (every
+    positional parameter) or **kwargs (every parameter). As in uncalled_definitions
+    the match is by name only: a call to any callee of the function's name counts,
+    and a class's __init__ is called by the class's name.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+
+    def passed(call: ast.Call, positional: list[str], offset: int, param: str) -> bool:
+        if any(kw.arg in (None, param) for kw in call.keywords):
+            return True
+        if param not in positional:
+            return False  # keyword-only
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return positional.index(param) < offset + len(call.args)
+
+    unpassed = []
+
+    def visit(body, prefix, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}.{node.name}", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}.{node.name}"
+                a = node.args
+                positional = [arg.arg for arg in a.posonlyargs + a.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                offset = 1 if cls is not None and not static else 0
+                callees = [node.name] + ([cls] if node.name == "__init__" else [])
+                defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                defaulted += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                for param in defaulted:
+                    if f"{qualname}.{param}" not in exempt and not any(
+                            passed(call, positional, offset, param)
+                            for callee in callees for call in calls.get(callee, ())):
+                        unpassed.append(f"{qualname}.{param}")
+                visit(node.body, qualname)
+
+    for name, tree in trees.items():
+        visit(tree.body, name)
+    return sorted(unpassed)
+
+
 def trace_targets() -> list[str]:
     """Each entry of perfbench/layertrace.py's TARGETS as "module.attribute",
     read with ast so nothing under perfbench/ is imported."""
@@ -119,6 +178,22 @@ def test_unread_slots():
     }) == ["a.T.w", "a.T.y"]
     package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unread_slots(package) == []
+
+
+def test_unpassed_defaults():
+    assert unpassed_defaults({
+        "a": "def f(x, y=1, z=2, *, k=3, j=4): pass\n"
+             "def g(p=0): pass\n"
+             "def h(q=0, r=1): pass\n"
+             "class C:\n    def __init__(self, u=0): pass\n    def m(self, v=0, w=1): pass\n"
+             "    @staticmethod\n    def s(t=0): pass\n"
+             "def main(argv=None): pass\n",
+        "b": "from a import C, f, g, h\nf(0, 1)\nf(0, k=4)\nf(*[0, 1, 2])\ng(*[1])\n"
+             "h(**{})\nC(5).m(6)\nC.s(7)\n",
+    }, exempt={"a.main.argv"}) == ["a.C.m.w", "a.f.j"]
+    # cli.main(argv) is the console entry point, which calls it with no argument
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unpassed_defaults(package, {"cli.main.argv"}) == []
 
 
 def test_trace_targets_exist():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retinapipe.metrics import (
-    _lcs_length, bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l, rouge_l_corpus,
+    _lcs_length, bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l,
     score_captions,
 )
 from retinapipe.rng import Xoshiro256
@@ -99,9 +99,10 @@ class TestRougeL:
         assert rouge_l(["a"], []) == 0.0
 
     @given(tokens_st, tokens_st)
-    def test_symmetric_when_beta_one_and_equal_lengths(self, a, b):
+    def test_symmetric_for_equal_lengths(self, a, b):
+        # equal lengths make P = R, so the recall weight beta cannot break the symmetry
         if len(a) == len(b):
-            assert abs(rouge_l(a, b, beta=1.0) - rouge_l(b, a, beta=1.0)) < 1e-12
+            assert abs(rouge_l(a, b) - rouge_l(b, a)) < 1e-12
 
 
 def brute_cider(cands, refs, up_to_n=4):
@@ -237,5 +238,5 @@ def test_score_captions_equals_the_separate_metrics(pairs):
     cands, refs = [list(c) for c, _ in pairs], [list(r) for _, r in pairs]
     report = score_captions(cands, refs)
     assert (report.bleu, report.bleu_avg) == bleu_corpus(cands, refs)
-    assert report.rouge == rouge_l_corpus(cands, refs)
+    assert report.rouge == sum(rouge_l(c, r) for c, r in zip(cands, refs)) / len(cands)
     assert report.cider == (cider(cands, refs) if len(pairs) >= 2 else 0.0)

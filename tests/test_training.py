@@ -19,7 +19,9 @@ from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.imageio import RetinalImage, load_image
 from retinapipe.rng import Xoshiro256
-from retinapipe.textgen import END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss
+from retinapipe.textgen import (
+    END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss, detokenize,
+)
 from retinapipe.training import (
     Pipeline, TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
     load_train_config, lr_schedule, train_captioner,
@@ -336,7 +338,7 @@ class TestEvaluatePipeline:
                                        k_list=(1,), heatmap_dir=tmp_path / "cams")
         for res in results:
             assert res.cam_path is not None
-            assert (tmp_path / "cams" / f"{res.record.id}_cam.png").exists()
+            assert (tmp_path / "cams" / f"{res.case_id}_cam.png").exists()
 
     def test_k_larger_than_classes_rejected(self, tiny_dataset, trained):
         enc, dec, vocab, kw_vocab = trained
@@ -355,12 +357,11 @@ class TestEvaluatePipeline:
             max_caption_len=max_len, keyword_mode=keyword_mode, heatmap_dir=tmp_path / "all")
         pipe = Pipeline(enc, dec, vocab, kw_vocab, keyword_mode, tiny_dataset.class_list)
         test = tiny_dataset.by_split("test")
-        assert [res.record for res in results] == test and len(test) > 1
-        for res in results:
-            r = res.record
+        assert [res.case_id for res in results] == [r.id for r in test] and len(test) > 1
+        for r, res in zip(test, results):
             [one] = pipe.infer([(r.id, load_image(tiny_dataset.image_file(r)), r.keywords)],
                                beam_width, max_len, assets_dir=tmp_path / r.id)
-            assert res.caption_words == one.caption_words
+            assert res.description == detokenize(one.caption_words)
             assert res.predictions == [(pipe.class_names[c], p) for c, p in one.ranked]
             for got, want in ((res.cam_path, one.cam_path), (res.image_path, one.image_path)):
                 assert (tmp_path / "all" / pathlib.Path(got).name).read_bytes() == \
