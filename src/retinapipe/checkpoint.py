@@ -38,9 +38,6 @@ class ModelCheckpoint:
     def __contains__(self, name):
         return name in self.params
 
-    def __getitem__(self, name) -> np.ndarray:
-        return self.params[name]
-
     def take(self, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
         """The named arrays; DataError names an entry that is missing, whose
         shape differs from its declared one (a None dimension matches any size),

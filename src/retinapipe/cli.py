@@ -26,8 +26,8 @@ from .metrics import precision_at_k, score_captions
 from .report import build_report, render_html, render_text
 from .textgen import Vocabulary, tokenize
 from .training import (
-    Pipeline, TrainConfig, build_caption_vocabularies, evaluate_pipeline,
-    load_train_config, train_captioner, train_classifier,
+    Pipeline, TrainConfig, evaluate_pipeline, load_train_config, train_captioner,
+    train_classifier,
 )
 
 
@@ -41,10 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_triple(text: str, cast=float):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"expected three comma-separated values, got {text!r}")
-    return tuple(cast(p) for p in parts)
+    try:
+        values = tuple(map(cast, text.split(",")))
+    except ValueError:
+        values = ()
+    if len(values) != 3:
+        raise _UsageError(f"expected three comma-separated numbers, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -98,12 +101,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
-def _out_layout(out_dir: str) -> dict[str, str]:
-    layout = {name: os.path.join(out_dir, name)
-              for name in ("checkpoints", "curves", "reports", "heatmaps")}
-    for path in layout.values():
+def _made(out_dir: str, *names: str) -> list[str]:
+    """The named folders of out_dir, made if missing."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
         os.makedirs(path, exist_ok=True)
-    return layout
+    return paths
 
 
 def _add_inference_flags(p: argparse.ArgumentParser) -> None:
@@ -153,9 +156,9 @@ def _cmd_train_rdi(args) -> int:
     cfg = _train_config(args)
     init = ModelCheckpoint.load(args.init) if args.init else None
     ckpt, curve = train_classifier(manifest, cfg, init_checkpoint=init)
-    layout = _out_layout(args.out)
-    ckpt.save(os.path.join(layout["checkpoints"], "encoder.ckpt"))
-    with open(os.path.join(layout["curves"], "rdi.csv"), "w") as f:
+    checkpoints, curves = _made(args.out, "checkpoints", "curves")
+    ckpt.save(os.path.join(checkpoints, "encoder.ckpt"))
+    with open(os.path.join(curves, "rdi.csv"), "w") as f:
         f.write(curve.to_csv())
     print(f"best val Prec@1 {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
     return 0
@@ -168,13 +171,13 @@ def _cmd_train_cdg(args) -> int:
     manifest = parse_manifest(args.manifest)
     cfg = _train_config(args)
     encoder_ckpt = ModelCheckpoint.load(args.encoder)
-    vocab, kw_vocab = build_caption_vocabularies(manifest, args.min_frequency)
-    ckpt, curve = train_captioner(manifest, cfg, encoder_ckpt, vocab, kw_vocab)
-    layout = _out_layout(args.out)
-    ckpt.save(os.path.join(layout["checkpoints"], "decoder.ckpt"))
-    vocab.save(os.path.join(layout["checkpoints"], "vocab.txt"))
-    kw_vocab.save(os.path.join(layout["checkpoints"], "kw_vocab.txt"))
-    with open(os.path.join(layout["curves"], "cdg.csv"), "w") as f:
+    ckpt, curve, vocab, kw_vocab = train_captioner(manifest, cfg, encoder_ckpt,
+                                                   args.min_frequency)
+    checkpoints, curves = _made(args.out, "checkpoints", "curves")
+    ckpt.save(os.path.join(checkpoints, "decoder.ckpt"))
+    vocab.save(os.path.join(checkpoints, "vocab.txt"))
+    kw_vocab.save(os.path.join(checkpoints, "kw_vocab.txt"))
+    with open(os.path.join(curves, "cdg.csv"), "w") as f:
         f.write(curve.to_csv())
     print(f"best val BLEU-avg {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
     return 0
@@ -182,7 +185,6 @@ def _cmd_train_cdg(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
-    layout = _out_layout(args.out)
     model_files = _model_files(args)
     report, reports = evaluate_pipeline(
         manifest,
@@ -191,14 +193,16 @@ def _cmd_evaluate(args) -> int:
         k_list=args.topk,
         max_caption_len=args.max_len,
         keyword_mode=False if args.no_keywords else None,
-        heatmap_dir=os.path.join(layout["reports"], "assets"),
+        heatmap_dir=os.path.join(args.out, "reports", "assets"),
     )
+    # made once the run is through, so a failed one leaves no empty folder
+    report_dir, heatmap_dir = _made(args.out, "reports", "heatmaps")
     _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
                            model_files[3])
     for med in reports:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
-        shutil.copyfile(os.path.join(layout["reports"], med.cam_path),
-                        os.path.join(layout["heatmaps"], os.path.basename(med.cam_path)))
-    with open(os.path.join(layout["reports"], "report.html"), "w", encoding="utf-8") as f:
+        shutil.copyfile(os.path.join(report_dir, med.cam_path),
+                        os.path.join(heatmap_dir, os.path.basename(med.cam_path)))
+    with open(os.path.join(report_dir, "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html(reports, group_by=args.group_by))
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
         f.write(report.to_json() + "\n")
@@ -283,7 +287,7 @@ def _synth_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--records", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--side", type=int, default=32, help="image side length")
+    p.add_argument("--side", type=_positive_int, default=32, help="image side length")
 
 
 def _split_flags(p: argparse.ArgumentParser) -> None:

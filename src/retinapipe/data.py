@@ -139,6 +139,8 @@ def split_dataset(manifest: DatasetManifest, ratios: tuple[float, float, float],
     n = len(todo)
     if explicit_counts is not None:
         n_train, n_val, n_test = explicit_counts
+        if min(explicit_counts) < 0:
+            raise ValueError(f"explicit counts must not be negative, got {explicit_counts}")
         if n_train + n_val + n_test != n:
             raise ValueError(
                 f"explicit counts sum to {n_train + n_val + n_test}, but {n} records need splits"

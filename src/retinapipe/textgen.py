@@ -47,14 +47,13 @@ class Vocabulary:
 
     FILE_HEADER = "retinapipe-vocab-v1"
 
-    def __init__(self, tokens: list[str], source_ids: frozenset[str] | None = None):
+    def __init__(self, tokens: list[str]):
         self._itos = list(RESERVED) + list(tokens)
         self._stoi = {t: i for i, t in enumerate(self._itos)}
         if len(self._stoi) != len(self._itos):
             raise ValueError("vocabulary contains duplicate tokens")
         if any("\n" in tok for tok in tokens):
             raise ValueError("a vocabulary token contains a line break, which the file cannot hold")
-        self.source_ids = source_ids
 
     @property
     def size(self) -> int:
@@ -97,8 +96,7 @@ class Vocabulary:
             raise DataError(f"{path}: {e}") from e
 
 
-def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1,
-                     source_ids=None) -> Vocabulary:
+def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1) -> Vocabulary:
     """Tokens with count >= min_frequency, ordered by (count desc, token asc)."""
     if min_frequency < 1:
         raise ValueError("min_frequency must be >= 1")
@@ -110,7 +108,7 @@ def build_vocabulary(corpus: list[list[str]], min_frequency: int = 1,
         (t for t, c in counts.items() if c >= min_frequency and t not in RESERVED),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary(kept, source_ids=frozenset(source_ids) if source_ids else None)
+    return Vocabulary(kept)
 
 
 # ---------------------------------------------------------------------------

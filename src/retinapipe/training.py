@@ -108,10 +108,10 @@ class TrainingCurve:
         return "\n".join(lines) + "\n"
 
 
-def _check_splits(manifest: DatasetManifest, *names: str) -> None:
-    for name in names:
-        if not manifest.by_split(name):
-            raise ValueError(f"manifest has an empty {name!r} split")
+def _split(manifest: DatasetManifest, name: str) -> list[CaseRecord]:
+    if not (records := manifest.by_split(name)):
+        raise ValueError(f"manifest has an empty {name!r} split")
+    return records
 
 
 def _batches(records: list[CaseRecord], size: int):
@@ -123,16 +123,17 @@ def _stacked(by_id: dict[str, np.ndarray], batch: list[CaseRecord]) -> np.ndarra
     return np.stack([by_id[r.id] for r in batch])
 
 
-def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream: int,
-         batch_loss, validate) -> TrainingCurve:
+def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
+         cfg: TrainConfig, stream: int, batch_loss, val_metric) -> TrainingCurve:
     """Mini-batch SGD with a seeded per-epoch shuffle (seed stream `stream`)
     and step lr decay; leaves the best-val parameters in place.
 
-    batch_loss(records) gives the batch's mean loss as a scalar Tensor;
-    validate() gives (val_loss, val_metric), and a later epoch that ties the
-    best metric replaces it. A run that diverges stops with NonFiniteError
-    naming the epoch and the batch (or the validation), and the loss or
-    parameter gradient that went non-finite.
+    batch_loss(records) gives the batch's mean loss as a scalar Tensor and its
+    output; it takes the training steps and, untaped, the val batches, whose
+    outputs val_metric(outputs) scores. A later epoch that ties the best metric
+    replaces it. A run that diverges stops with NonFiniteError naming the epoch
+    and the batch (or the validation), and the loss or parameter gradient that
+    went non-finite.
 
     Each batch's tape takes the arrays its ops keep for backward from one
     arena, recycled at the start of the next batch, once sgd_step has used
@@ -151,18 +152,23 @@ def _fit(params: list[Tensor], train: list[CaseRecord], cfg: TrainConfig, stream
             zero_grads(params)
             with _diverged_at(f"epoch {epoch}, batch {index}"):
                 with Tape(arena) as tape:
-                    loss = batch_loss(batch)
+                    loss, _ = batch_loss(batch)
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NonFiniteError(f"the batch loss is {value}")
                 backward(tape, loss)
                 sgd_step(params, lr)
             epoch_loss += value * len(batch)
+        val_loss, outputs = 0.0, []
         with _diverged_at(f"epoch {epoch}, validation"):
-            val_loss, val_metric = validate()
-        curve.entries.append((epoch_loss / len(order), val_loss, val_metric))
-        if val_metric >= best_metric:
-            best_metric = val_metric
+            for batch in _batches(val, cfg.batch_size):
+                loss, output = batch_loss(batch)
+                val_loss += float(loss.data) * len(batch)
+                outputs.append(output)
+            metric = val_metric(outputs)
+        curve.entries.append((epoch_loss / len(order), val_loss / len(val), metric))
+        if metric >= best_metric:
+            best_metric = metric
             best_params = [p.data.copy() for p in params]
     for p, best in zip(params, best_params):
         p.data[...] = best
@@ -197,7 +203,7 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
     The "pre-trained vs random init" axis is just whether init_checkpoint is
     supplied.
     """
-    _check_splits(manifest, "train", "val")
+    train, val = _split(manifest, "train"), _split(manifest, "val")
     classes = manifest.class_index()
     if len(classes) < 2:
         raise ValueError("need at least 2 disease classes")
@@ -211,71 +217,43 @@ def train_classifier(manifest: DatasetManifest, cfg: TrainConfig,
             num_classes=len(classes), input_channels=cfg.input_channels,
             image_size=cfg.image_size, stages=cfg.encoder_stages)
         encoder = VisionEncoder.init(config, Xoshiro256(derive_seed(cfg.seed, 1)))
-    train = manifest.by_split("train")
-    val = manifest.by_split("val")
     inputs = _preprocessed(manifest, train + val, encoder)
 
-    def classify(batch: list[CaseRecord]) -> tuple[Tensor, list[int]]:
-        """The batch's logits and true class ids."""
-        return encoder.forward(_stacked(inputs, batch)).logits, [classes[r.disease] for r in batch]
+    def batch_loss(batch: list[CaseRecord]) -> tuple[Tensor, tuple[np.ndarray, list[int]]]:
+        """The batch's loss, with its logits and true class ids."""
+        logits = encoder.forward(_stacked(inputs, batch)).logits
+        truth = [classes[r.disease] for r in batch]
+        return ad.softmax_cross_entropy(logits, truth), (logits.data, truth)
 
-    def batch_loss(batch: list[CaseRecord]) -> Tensor:
-        return ad.softmax_cross_entropy(*classify(batch))
+    def top1_share(outputs) -> float:
+        return sum(predict_topk(row, 1)[0][0] == t
+                   for logits, truth in outputs for row, t in zip(logits, truth)) / len(val)
 
-    def validate() -> tuple[float, float]:
-        val_loss, hits = 0.0, 0
-        for batch in _batches(val, cfg.batch_size):
-            logits, truth = classify(batch)
-            val_loss += float(ad.softmax_cross_entropy(logits, truth).data) * len(batch)
-            hits += sum(predict_topk(row, 1)[0][0] == t for row, t in zip(logits.data, truth))
-        return val_loss / len(val), hits / len(val)
-
-    curve = _fit(encoder.parameters(), train, cfg, 2, batch_loss, validate)
+    curve = _fit(encoder.parameters(), train, val, cfg, 2, batch_loss, top1_share)
     return encoder.to_checkpoint(), curve
 
 
 # ---------------------------------------------------------------------------
 # captioner
 
-def build_caption_vocabularies(manifest: DatasetManifest, min_frequency: int = 1,
-                               ) -> tuple[Vocabulary, Vocabulary]:
-    """Caption and keyword vocabularies from the train split only."""
-    _check_splits(manifest, "train")
-    train = manifest.by_split("train")
-    ids = [r.id for r in train]
-    vocab = build_vocabulary(
-        [tokenize(r.description) for r in train], min_frequency, source_ids=ids)
-    kw_vocab = build_vocabulary([r.keywords for r in train], 1, source_ids=ids)
-    return vocab, kw_vocab
-
-
 def caption_target(vocab: Vocabulary, description: str) -> list[int]:
     return [START] + vocab.encode(tokenize(description)) + [END]
-
-
-def _guard_vocab_sources(vocab: Vocabulary, train_ids: set[str], label: str) -> None:
-    if vocab.source_ids is not None and not set(vocab.source_ids) <= train_ids:
-        leaked = sorted(set(vocab.source_ids) - train_ids)[:3]
-        raise ValueError(
-            f"{label} vocabulary was built from non-train records (e.g. {leaked}); "
-            "rebuild it from the train split to avoid leakage"
-        )
 
 
 _KEYWORD_MODE = "decoder.keyword_mode"  # 1 or 0; a decoder file without it means 1
 
 
 def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
-                    encoder_ckpt: ModelCheckpoint,
-                    vocab: Vocabulary, kw_vocab: Vocabulary,
-                    ) -> tuple[ModelCheckpoint, TrainingCurve]:
-    """Teacher-forced captioner training over frozen encoder features."""
-    _check_splits(manifest, "train", "val")
-    train = manifest.by_split("train")
-    val = manifest.by_split("val")
-    train_ids = {r.id for r in train}
-    _guard_vocab_sources(vocab, train_ids, "caption")
-    _guard_vocab_sources(kw_vocab, train_ids, "keyword")
+                    encoder_ckpt: ModelCheckpoint, min_frequency: int = 1,
+                    ) -> tuple[ModelCheckpoint, TrainingCurve, Vocabulary, Vocabulary]:
+    """Teacher-forced captioner training over frozen encoder features; returns
+    the best-val checkpoint and the curve with the caption vocabulary (words
+    seen at least min_frequency times) and the keyword vocabulary, both built
+    from the train split only."""
+    train = _split(manifest, "train")
+    vocab = build_vocabulary([tokenize(r.description) for r in train], min_frequency)
+    kw_vocab = build_vocabulary([r.keywords for r in train])
+    val = _split(manifest, "val")
     encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
     inputs = _preprocessed(manifest, train + val, encoder)
     pooled = {}
@@ -291,28 +269,23 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
     bags = {r.id: keyword_multihot(r.keywords, kw_vocab) for r in train + val}
     refs = [tokenize(r.description) for r in val]
 
-    def fused(batch: list[CaseRecord]) -> Tensor:
-        img = Tensor(_stacked(pooled, batch))
-        return kw_proj.fuse(img, _stacked(bags, batch)) if cfg.keyword_mode else img
+    def batch_loss(batch: list[CaseRecord]) -> tuple[Tensor, np.ndarray]:
+        """The batch's loss, with its fused features."""
+        feats = Tensor(_stacked(pooled, batch))
+        if cfg.keyword_mode:
+            feats = kw_proj.fuse(feats, _stacked(bags, batch))
+        return caption_loss(feats, [targets[r.id] for r in batch], decoder), feats.data
 
-    def batch_loss(batch: list[CaseRecord]) -> Tensor:
-        return caption_loss(fused(batch), [targets[r.id] for r in batch], decoder)
+    def greedy_bleu(outputs) -> float:
+        decoded = [h.words(vocab) for feats in outputs
+                   for h in decode_greedy(feats, decoder, cfg.max_caption_len)]
+        return bleu_corpus(decoded, refs)[1]
 
-    def validate() -> tuple[float, float]:
-        val_loss, decoded = 0.0, []
-        for batch in _batches(val, cfg.batch_size):
-            feats = fused(batch)
-            val_loss += float(caption_loss(feats, [targets[r.id] for r in batch], decoder).data) \
-                * len(batch)
-            decoded += [h.words(vocab)
-                        for h in decode_greedy(feats.data, decoder, cfg.max_caption_len)]
-        return val_loss / len(val), bleu_corpus(decoded, refs)[1]
-
-    curve = _fit(params, train, cfg, 4, batch_loss, validate)
+    curve = _fit(params, train, val, cfg, 4, batch_loss, greedy_bleu)
     return ModelCheckpoint({
         **{p.name: p.data for p in decoder.parameters() + kw_proj.parameters()},
         _KEYWORD_MODE: np.array([1.0 if cfg.keyword_mode else 0.0]),
-    }), curve
+    }), curve, vocab, kw_vocab
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +439,7 @@ def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
     by write_case_assets in the pass that encoded its chunk; heatmap_dir is
     the assets directory of a report bundle.
     """
-    test = manifest.by_split("test")
-    if not test:
-        raise ValueError("manifest has an empty 'test' split")
+    test = _split(manifest, "test")
     pipe = Pipeline(encoder_ckpt, decoder_ckpt, vocab, kw_vocab, keyword_mode,
                     manifest.class_list)
     if max(k_list) > pipe.num_classes:

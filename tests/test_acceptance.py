@@ -29,8 +29,7 @@ from retinapipe.textgen import (
     caption_loss, decode_beam, decode_greedy, keyword_multihot,
 )
 from retinapipe.training import (
-    TrainConfig, build_caption_vocabularies, evaluate_pipeline, lr_schedule,
-    train_captioner, train_classifier,
+    TrainConfig, evaluate_pipeline, lr_schedule, train_captioner, train_classifier,
 )
 
 SMALL_STAGES = ((4, 3, 1, 2), (8, 3, 1, 2))
@@ -148,7 +147,7 @@ def test_criterion_3_cam_logit_identity():
     """mean(CAM_c) + bias_c == logit_c within 1e-10, all classes, 50 inputs."""
     cfg = EncoderConfig(num_classes=5, image_size=16, stages=SMALL_STAGES)
     enc = VisionEncoder.init(cfg, Xoshiro256(42))
-    bias = enc.to_checkpoint()["encoder.fc.bias"]
+    bias = enc.to_checkpoint().params["encoder.fc.bias"]
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(50):
@@ -236,14 +235,13 @@ def test_criterion_6_keyword_ablation(tmp_path):
             epochs=8, batch_size=8, seed=seed,
             sgd=SgdConfig(learning_rate=0.1, decay_factor=2.0, decay_period_epochs=30),
             encoder_stages=SMALL_STAGES))
-        vocab, kw_vocab = build_caption_vocabularies(m)
         bleu = {}
         for mode in (True, False):
             cfg = TrainConfig(epochs=80, batch_size=8, seed=seed, keyword_mode=mode,
                               sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
                                             decay_period_epochs=60),
                               encoder_stages=SMALL_STAGES, decoder_hidden=24)
-            dec_ckpt, _ = train_captioner(m, cfg, enc_ckpt, vocab, kw_vocab)
+            dec_ckpt, _, vocab, kw_vocab = train_captioner(m, cfg, enc_ckpt)
             report, _ = evaluate_pipeline(m, enc_ckpt, dec_ckpt, vocab, kw_vocab,
                                           beam_width=3, k_list=(1, 4),
                                           keyword_mode=mode)
@@ -292,8 +290,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     ok &= parse_manifest(mpath).records == m.records
 
     # `report` subcommand re-run -> byte-identical HTML
-    vocab, kw_vocab = build_caption_vocabularies(m)
-    dec_ckpt, _ = train_captioner(m, cfg, ck_a, vocab, kw_vocab)
+    dec_ckpt, _, vocab, kw_vocab = train_captioner(m, cfg, ck_a)
     enc_path, dec_path = tmp_path / "enc.ckpt", tmp_path / "dec.ckpt"
     ck_a.save(enc_path)
     dec_ckpt.save(dec_path)

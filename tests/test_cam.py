@@ -57,7 +57,7 @@ class TestComputeCam:
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         out = enc.forward(enc.preprocess(RetinalImage(pixels=px))[None])
         w = enc.classifier_weights
-        b = enc.to_checkpoint()["encoder.fc.bias"]
+        b = enc.to_checkpoint().params["encoder.fc.bias"]
         for c in range(5):
             cam = compute_cam(out.feature_maps.data[0], w, c)
             assert abs(cam.mean() + b[c] - float(out.logits.data[0, c])) < 1e-10

@@ -179,6 +179,30 @@ class TestSplit:
                      "--ratios", "0.5,0.5", "--out", str(tmp_path / "o.json")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [("--ratios", "a,b,c"), ("--ratios", "0.6,,0.2"),
+                                             ("--counts", "20,5,x"), ("--counts", "20,5.5,4")])
+    def test_non_number_is_usage_error(self, flag, value, dataset, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["split", "--manifest", str(dataset / "manifest.json"),
+                     flag, value, "--out", str(out)]) == 1
+        assert f"expected three comma-separated numbers, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count_is_data_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["split", "--manifest", str(dataset / "manifest.json"),
+                     "--counts", "32,-2,0", "--out", str(out)]) == 2
+        assert "explicit counts must not be negative, got (32, -2, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["0", "-3"])
+def test_synth_data_side_must_be_positive(side, tmp_path, capsys):
+    assert main(["synth-data", "--out", str(tmp_path / "d"), "--records", "4",
+                 "--classes", "2", "--side", side]) == 1
+    assert f"expected a positive integer, got '{side}'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
 
 def test_stats_prints_histogram(dataset, capsys):
     assert main(["stats", "--manifest", str(dataset / "manifest.json")]) == 0
@@ -188,6 +212,7 @@ def test_stats_prints_histogram(dataset, capsys):
 
 class TestTrainingArtifacts:
     def test_layout(self, trained):
+        assert sorted(p.name for p in trained.iterdir()) == ["checkpoints", "curves"]
         assert (trained / "checkpoints" / "encoder.ckpt").exists()
         assert (trained / "checkpoints" / "decoder.ckpt").exists()
         assert (trained / "checkpoints" / "vocab.txt").exists()
@@ -320,6 +345,16 @@ class TestEvaluate:
         assert (out / "reports" / "report.html").exists()
         heatmaps = list((out / "heatmaps").glob("*_cam.png"))
         assert len(heatmaps) == 6  # 20% of 30 records
+        assert sorted(p.name for p in out.iterdir()) == ["heatmaps", "metrics.json", "reports"]
+
+    def test_bad_model_file_makes_no_folder(self, dataset, trained, tmp_path, capsys):
+        junk = tmp_path / "junk.ckpt"
+        junk.write_bytes(b"junk")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(dataset / "manifest.json"),
+                     *model_args(trained / "checkpoints", encoder=junk), "--out", str(out)]) == 2
+        assert "bad magic bytes" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_id_with_a_path_separator_is_data_error(self, dataset, trained, tmp_path, capsys):

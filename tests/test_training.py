@@ -21,11 +21,11 @@ from retinapipe.imageio import RetinalImage, load_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss, detokenize,
+    tokenize,
 )
 from retinapipe.training import (
-    Pipeline, TrainConfig, build_caption_vocabularies, caption_target, evaluate_pipeline,
-    load_train_config, lr_schedule, train_captioner,
-    train_classifier,
+    Pipeline, TrainConfig, caption_target, evaluate_pipeline, load_train_config, lr_schedule,
+    train_captioner, train_classifier,
 )
 
 from oracles import infer_one_at_a_time
@@ -211,21 +211,24 @@ class TestArena:
         assert counts == [6 * len(SMALL_STAGES)] * n_batches
 
 
-def fit_one_parameter(loss_at, grad_at, validate=lambda: (0.0, 1.0)):
-    """_fit for 2 epochs over 6 records in batches of 2 with one parameter w; the
-    i-th batch (counted over both epochs) has loss loss_at(i) and gives w the
-    gradient grad_at(i). Returns w."""
+def fit_one_parameter(loss_at, grad_at, val_metric=lambda outputs: 1.0):
+    """_fit for 2 epochs over 6 records in batches of 2 with one parameter w and
+    one val record; the i-th training batch (counted over both epochs) has loss
+    loss_at(i) and gives w the gradient grad_at(i). Returns w."""
     w = Tensor(np.zeros(1), name="w")
     calls = []
 
     def batch_loss(batch):
+        if batch == ["val"]:
+            return Tensor(np.zeros(())), None
         i = len(calls)
         calls.append(i)
         out = Tensor(loss_at(i))
         autodiff._emit((out,), lambda gs: w.accumulate(np.full(1, grad_at(i))))
-        return out
+        return out, None
 
-    training._fit([w], list(range(6)), small_cfg(epochs=2, batch_size=2), 2, batch_loss, validate)
+    training._fit([w], list(range(6)), ["val"], small_cfg(epochs=2, batch_size=2), 2,
+                  batch_loss, val_metric)
     return w
 
 
@@ -244,11 +247,11 @@ class TestDivergence:
             fit_one_parameter(lambda i: 1.0, lambda i: -np.inf if i == 2 else 1.0)
 
     def test_validation_error_names_the_epoch(self):
-        def validate():
+        def val_metric(outputs):
             raise NonFiniteError("the decoder scores of record 0 are not finite")
 
         with pytest.raises(NonFiniteError, match="^training diverged at epoch 0, validation: "):
-            fit_one_parameter(lambda i: 1.0, lambda i: 1.0, validate)
+            fit_one_parameter(lambda i: 1.0, lambda i: 1.0, val_metric)
 
     def test_finite_run_is_unchanged(self):
         w = fit_one_parameter(lambda i: 1.0, lambda i: 1.0)
@@ -256,22 +259,23 @@ class TestDivergence:
 
 
 class TestVocabularies:
-    def test_built_from_train_only(self, tiny_dataset):
-        vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
-        train_ids = {r.id for r in tiny_dataset.by_split("train")}
-        assert set(vocab.source_ids) <= train_ids
-        assert set(kw_vocab.source_ids) <= train_ids
-
-    def test_leakage_guard_trips(self, tiny_dataset):
-        vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
-        poisoned = build_vocabulary([["word"]], source_ids=["not-a-train-id"])
-        enc_ckpt, _ = train_classifier(tiny_dataset, small_cfg(epochs=1))
-        with pytest.raises(ValueError, match="leakage"):
-            train_captioner(tiny_dataset, small_cfg(epochs=1), enc_ckpt,
-                            poisoned, kw_vocab)
+    def test_built_from_train_only(self, tiny_dataset, encoder_ckpt):
+        """A word or keyword found only in val or test records is in neither vocabulary."""
+        records = [dataclasses.replace(r) for r in tiny_dataset.records]
+        for r in records:
+            if r.split != "train":
+                r.description += f" heldout{r.split}"
+                r.keywords = [*r.keywords, f"heldout {r.split}"]
+        manifest = DatasetManifest(records, tiny_dataset.root)
+        _, _, vocab, kw_vocab = train_captioner(manifest, small_cfg(epochs=1), encoder_ckpt)
+        for split in ("val", "test"):
+            assert f"heldout{split}" not in vocab and f"heldout {split}" not in kw_vocab
+        train = manifest.by_split("train")
+        assert all(tok in vocab for r in train for tok in tokenize(r.description))
+        assert all(kw in kw_vocab for r in train for kw in r.keywords)
 
     def test_caption_target_brackets(self, tiny_dataset):
-        vocab, _ = build_caption_vocabularies(tiny_dataset)
+        vocab = build_vocabulary([tokenize(r.description) for r in tiny_dataset.by_split("train")])
         target = caption_target(vocab, tiny_dataset.records[0].description)
         assert target[0] == 1 and target[-1] == 2  # START ... END
 
@@ -284,41 +288,36 @@ def encoder_ckpt(tiny_dataset):
 
 class TestTrainCaptioner:
     def test_memorizes_small_corpus(self, tiny_dataset, encoder_ckpt):
-        vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
         cfg = small_cfg(epochs=150, batch_size=4,
                         sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
                                       decay_period_epochs=150))
-        _, curve = train_captioner(tiny_dataset, cfg, encoder_ckpt, vocab, kw_vocab)
+        _, curve, _, _ = train_captioner(tiny_dataset, cfg, encoder_ckpt)
         assert min(tl for tl, _, _ in curve.entries) < 0.05
 
     def test_deterministic_same_seed(self, tiny_dataset, encoder_ckpt):
-        vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
-        a, ca = train_captioner(tiny_dataset, small_cfg(epochs=3), encoder_ckpt,
-                                vocab, kw_vocab)
-        b, cb = train_captioner(tiny_dataset, small_cfg(epochs=3), encoder_ckpt,
-                                vocab, kw_vocab)
+        a, ca, *vocabs_a = train_captioner(tiny_dataset, small_cfg(epochs=3), encoder_ckpt)
+        b, cb, *vocabs_b = train_captioner(tiny_dataset, small_cfg(epochs=3), encoder_ckpt)
         assert a == b
         assert ca.entries == cb.entries
+        assert [list(map(v.token, range(v.size))) for v in vocabs_a] == \
+            [list(map(v.token, range(v.size))) for v in vocabs_b]
 
     def test_keyword_mode_recorded_in_checkpoint(self, tiny_dataset, encoder_ckpt):
-        vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
-        on, _ = train_captioner(tiny_dataset, small_cfg(epochs=1), encoder_ckpt,
-                                vocab, kw_vocab)
-        off, _ = train_captioner(tiny_dataset, small_cfg(epochs=1, keyword_mode=False),
-                                 encoder_ckpt, vocab, kw_vocab)
-        assert on["decoder.keyword_mode"][0] == 1.0
-        assert off["decoder.keyword_mode"][0] == 0.0
+        on, *_ = train_captioner(tiny_dataset, small_cfg(epochs=1), encoder_ckpt)
+        off, *_ = train_captioner(tiny_dataset, small_cfg(epochs=1, keyword_mode=False),
+                                  encoder_ckpt)
+        assert on.params["decoder.keyword_mode"][0] == 1.0
+        assert off.params["decoder.keyword_mode"][0] == 0.0
 
 
 @pytest.fixture(scope="module")
 def trained(tiny_dataset):
     enc_ckpt, _ = train_classifier(tiny_dataset, small_cfg(epochs=10))
-    vocab, kw_vocab = build_caption_vocabularies(tiny_dataset)
-    dec_ckpt, _ = train_captioner(
+    dec_ckpt, _, vocab, kw_vocab = train_captioner(
         tiny_dataset, small_cfg(epochs=60, batch_size=4,
                                 sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
                                               decay_period_epochs=60)),
-        enc_ckpt, vocab, kw_vocab)
+        enc_ckpt)
     return enc_ckpt, dec_ckpt, vocab, kw_vocab
 
 
@@ -566,15 +565,14 @@ def test_keyword_ablation_separates_on_keyword_dependent_captions(tmp_path):
     m = generate_synthetic_dataset(tmp_path, n_classes=3, n_records=36, seed=22)
     split_dataset(m, (0.6, 0.2, 0.2), seed=2)
     enc_ckpt, _ = train_classifier(m, small_cfg(epochs=10, seed=22))
-    vocab, kw_vocab = build_caption_vocabularies(m)
     cfg_on = small_cfg(epochs=150, batch_size=4, seed=22,
                        sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
                                      decay_period_epochs=150))
     cfg_off = small_cfg(epochs=150, batch_size=4, seed=22, keyword_mode=False,
                         sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
                                       decay_period_epochs=150))
-    _, curve_on = train_captioner(m, cfg_on, enc_ckpt, vocab, kw_vocab)
-    _, curve_off = train_captioner(m, cfg_off, enc_ckpt, vocab, kw_vocab)
+    _, curve_on, _, _ = train_captioner(m, cfg_on, enc_ckpt)
+    _, curve_off, _, _ = train_captioner(m, cfg_off, enc_ckpt)
     best_on = max(vm for _, _, vm in curve_on.entries)
     best_off = max(vm for _, _, vm in curve_off.entries)
     assert best_on > best_off
