@@ -68,14 +68,14 @@ class Arena:
         self.generation = 0
         self.misses = 0
 
-    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """An uninitialised C-contiguous array; the caller writes every element."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised C-contiguous float64 array; the caller writes every element."""
+        nbytes = math.prod(shape) * 8
         i, self._taken = self._taken, self._taken + 1
         if i == len(self._slots) or self._slots[i].nbytes < nbytes:
             self._slots[i : i + 1] = [np.empty(nbytes, np.uint8)]  # replaces or appends slot i
             self.misses += 1
-        return self._slots[i][:nbytes].view(dtype).reshape(shape)
+        return self._slots[i][:nbytes].view(np.float64).reshape(shape)
 
     def recycle(self) -> None:
         self._taken = 0
@@ -123,13 +123,13 @@ class _TapeStack(threading.local):
 _STACK = _TapeStack()
 
 
-def _buffer(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An uninitialised array for an op to keep for backward: from the innermost
-    open tape's arena if it has one, else fresh, so an untaped result never
-    shares memory with another."""
+def _buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array for an op to keep for backward: from the
+    innermost open tape's arena if it has one, else fresh, so an untaped result
+    never shares memory with another."""
     tapes = _STACK.tapes
     arena = tapes[-1].arena if tapes else None
-    return np.empty(shape, dtype) if arena is None else arena.take(shape, dtype)
+    return np.empty(shape) if arena is None else arena.take(shape)
 
 
 def _emit(outputs: tuple[Tensor, ...], backward_fn) -> None:
@@ -160,35 +160,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0, out=_buffer(x.data.shape)))
-    mask = np.greater(x.data, 0.0, out=_buffer(x.data.shape, bool))
-
-    def bwd(gs):
-        x.accumulate(gs[0] * mask)
-
-    _emit((out,), bwd)
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
+def average(a: Tensor, b: Tensor) -> Tensor:
+    """The elementwise mean of two tensors of one shape."""
     if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data + b.data)
+        raise ShapeError(f"average: shapes {a.data.shape} and {b.data.shape} differ")
+    out = Tensor((a.data + b.data) * 0.5)
 
     def bwd(gs):
-        a.accumulate(gs[0])
-        b.accumulate(gs[0])
-
-    _emit((out,), bwd)
-    return out
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    out = Tensor(x.data * s)
-
-    def bwd(gs):
-        x.accumulate(gs[0] * s)
+        half = gs[0] * 0.5
+        a.accumulate(half)
+        b.accumulate(half)
 
     _emit((out,), bwd)
     return out
@@ -300,7 +281,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
 
 
 def maxpool2d(x: Tensor, window: int) -> Tensor:
-    """Max over the non-overlapping window x window patches of each map of an NCHW batch."""
+    """Max over the non-overlapping window x window patches of each map of an NCHW
+    batch, floored at 0: the max-pool of relu(x), as max and ReLU commute."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: expected NCHW input, got {x.data.shape}")
     h, w = x.data.shape[2:]
@@ -317,11 +299,14 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     np.copyto(top, at(x.data, 0, 0))
     for a, b in offsets[1:]:
         np.maximum(top, at(x.data, a, b), out=top)
+    np.maximum(top, 0.0, out=top)
     out = Tensor(top)
 
     def bwd(gs):
         gx = np.zeros_like(x.data)
-        unclaimed = np.ones(top.shape, dtype=bool)  # a tie goes to the first offset, as argmax's
+        # a window with no positive value passes nothing; a tie goes to the first
+        # offset, as argmax's
+        unclaimed = top > 0.0
         for a, b in offsets:
             hit = unclaimed & (at(x.data, a, b) == top)
             unclaimed &= ~hit
@@ -580,8 +565,8 @@ class SgdConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "decay_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.decay_period_epochs < 1:
             raise ValueError("decay_period_epochs must be >= 1")
 

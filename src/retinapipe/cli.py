@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -69,6 +70,15 @@ def _unit_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        if 0.0 < (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+
+
 def _warn_unknown_keywords(keywords, kw_vocab: Vocabulary) -> None:
     if unknown := sorted({kw for kw in keywords if kw not in kw_vocab}):
         print("ignored keywords not in the keyword vocabulary: " + ", ".join(unknown),
@@ -93,11 +103,11 @@ def _train_config(args) -> TrainConfig:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="versioned JSON config; overrides the flags below")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=SgdConfig.learning_rate)
-    p.add_argument("--decay-factor", type=float, default=SgdConfig.decay_factor)
-    p.add_argument("--decay-period", type=int, default=SgdConfig.decay_period_epochs)
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=_positive_float, default=SgdConfig.learning_rate)
+    p.add_argument("--decay-factor", type=_positive_float, default=SgdConfig.decay_factor)
+    p.add_argument("--decay-period", type=_positive_int, default=SgdConfig.decay_period_epochs)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
@@ -318,7 +328,7 @@ def _train_cdg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--no-keywords", action="store_true",
                    help="ablation: bypass keyword fusion")
-    p.add_argument("--min-frequency", type=int, default=1)
+    p.add_argument("--min-frequency", type=_positive_int, default=1)
     _add_train_flags(p)
 
 

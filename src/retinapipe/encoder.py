@@ -145,8 +145,7 @@ class VisionEncoder:
             x = ad.conv2d(x, self._params[f"encoder.stage{i}.kernels"],
                           self._params[f"encoder.stage{i}.bias"],
                           stride=stride, pad=kernel // 2)
-            x = ad.relu(x)
-            x = ad.maxpool2d(x, pool)
+            x = ad.maxpool2d(x, pool)  # rectifies too: the max-pool of relu(x)
             if not np.isfinite(x.data).all():
                 raise NonFiniteError(f"non-finite activation after encoder stage {i}")
         feature_maps = x

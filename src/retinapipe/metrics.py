@@ -96,16 +96,10 @@ def rouge_l(candidate: list[str], reference: list[str]) -> float:
     return (1 + b2) * r * p / (r + b2 * p)
 
 
-def cider(candidates: list[list[str]], references: list[list[str]]) -> float:
-    """TF-IDF weighted n-gram cosine similarity, averaged over n and items, x10.
-
-    IDF documents are the reference sentences; needs >= 2 items to be
-    non-degenerate.
-    """
-    return _cider(*_counted(candidates, references))
-
-
 def _cider(cand_grams: _Grams, ref_grams: _Grams) -> float:
+    """CIDEr: TF-IDF weighted n-gram cosine similarity, averaged over n and items,
+    x10. IDF documents are the reference sentences; needs >= 2 items to be
+    non-degenerate."""
     n_items = len(cand_grams)
     if n_items < 2:
         raise ValueError(

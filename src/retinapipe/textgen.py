@@ -124,11 +124,6 @@ def keyword_multihot(keywords, kw_vocab: Vocabulary) -> np.ndarray:
     return v
 
 
-def fuse_features(image_feat: Tensor, keyword_feat: Tensor) -> Tensor:
-    """Elementwise average of the two feature vectors (ShapeError if their dims differ)."""
-    return ad.scale(ad.add(image_feat, keyword_feat), 0.5)
-
-
 # ---------------------------------------------------------------------------
 # decoder parameters
 
@@ -207,7 +202,7 @@ class KeywordProjection:
     def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
         """The B x D image features averaged with their projected keyword bags, the
         B x KV rows of keyword_multihot."""
-        return fuse_features(image_feat, ad.linear(Tensor(bags), self.weight, self.bias))
+        return ad.average(image_feat, ad.linear(Tensor(bags), self.weight, self.bias))
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":

@@ -271,7 +271,7 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
 
     def batch_loss(batch: list[CaseRecord]) -> tuple[Tensor, np.ndarray]:
         """The batch's loss, with its fused features."""
-        feats = Tensor(_stacked(pooled, batch))
+        feats = Tensor(_stacked(pooled, batch), needs_grad=False)  # the encoder is frozen
         if cfg.keyword_mode:
             feats = kw_proj.fuse(feats, _stacked(bags, batch))
         return caption_loss(feats, [targets[r.id] for r in batch], decoder), feats.data

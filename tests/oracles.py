@@ -1,5 +1,7 @@
 """Reference code that only the tests use: the central finite-difference gradient
-check, the taped ops the per-record oracles are built from, an independent
+check, the taped ops the per-record oracles are built from, the encoder stage
+and keyword fusion as the separate relu, max-pool, add and scale ops that
+maxpool2d and average fold together, an independent
 recomputation of a caption's log-probability, the xoshiro256** block draw
 as one inline Python loop, the CAM overlay of one image, inference one case at
 a time, the PNG writer that joins its scanlines row by row, CIDEr with every
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from retinapipe.autodiff import (
-    ShapeError, Tape, Tensor, _emit, backward, log_softmax_np, lstm_cell_np, matvec_rows,
-    zero_grads,
+    ShapeError, Tape, Tensor, _emit, backward, conv2d, global_avg_pool, linear, log_softmax_np,
+    lstm_cell_np, matvec_rows, zero_grads,
 )
 from retinapipe.cam import colormap, compute_cam
 from retinapipe.encoder import predict_topk
@@ -100,6 +102,87 @@ def embedding_row(table: Tensor, index: int) -> Tensor:
 
     _emit((out,), bwd)
     return out
+
+
+def relu(x: Tensor) -> Tensor:
+    out = Tensor(np.maximum(x.data, 0.0))
+    mask = x.data > 0.0
+
+    def bwd(gs):
+        x.accumulate(gs[0] * mask)
+
+    _emit((out,), bwd)
+    return out
+
+
+def maxpool2d_unrectified(x: Tensor, window: int) -> Tensor:
+    """The max of each non-overlapping window of an NCHW batch, not floored at 0;
+    a tie sends the gradient to the first offset, as argmax's."""
+    h, w = x.data.shape[2:]
+    ho, wo = h // window, w // window
+    offsets = [(a, b) for a in range(window) for b in range(window)]
+
+    def at(arr, a, b):
+        return arr[:, :, a : a + window * ho : window, b : b + window * wo : window]
+
+    top = at(x.data, 0, 0).copy()
+    for a, b in offsets[1:]:
+        np.maximum(top, at(x.data, a, b), out=top)
+    out = Tensor(top)
+
+    def bwd(gs):
+        gx = np.zeros_like(x.data)
+        unclaimed = np.ones(top.shape, dtype=bool)
+        for a, b in offsets:
+            hit = unclaimed & (at(x.data, a, b) == top)
+            unclaimed &= ~hit
+            at(gx, a, b)[...] += gs[0] * hit
+        x.accumulate(gx)
+
+    _emit((out,), bwd)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    out = Tensor(a.data + b.data)
+
+    def bwd(gs):
+        a.accumulate(gs[0])
+        b.accumulate(gs[0])
+
+    _emit((out,), bwd)
+    return out
+
+
+def scale(x: Tensor, s: float) -> Tensor:
+    out = Tensor(x.data * s)
+
+    def bwd(gs):
+        x.accumulate(gs[0] * s)
+
+    _emit((out,), bwd)
+    return out
+
+
+def encoder_forward_three_ops(encoder, nchw: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """VisionEncoder.forward's feature maps, pooled features and logits with each
+    stage run as conv2d, then relu, then the unrectified max-pool."""
+    x = Tensor(nchw, needs_grad=False)
+    for i, (_out_ch, kernel, stride, pool) in enumerate(encoder.config.stages):
+        x = conv2d(x, encoder._params[f"encoder.stage{i}.kernels"],
+                   encoder._params[f"encoder.stage{i}.bias"], stride=stride, pad=kernel // 2)
+        x = maxpool2d_unrectified(relu(x), pool)
+    pooled = global_avg_pool(x)
+    return x, pooled, linear(pooled, encoder._params["encoder.fc.weight"],
+                             encoder._params["encoder.fc.bias"])
+
+
+def fuse_three_ops(proj, image_feat: Tensor, bags: np.ndarray) -> Tensor:
+    """KeywordProjection.fuse as the scaled sum of the image features and the
+    projected keyword bags."""
+    return scale(add(image_feat, linear(Tensor(bags), proj.weight, proj.bias)), 0.5)
 
 
 def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:

@@ -3,13 +3,21 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import finite_difference_check, sum_all
+from oracles import (
+    encoder_forward_three_ops, finite_difference_check, fuse_three_ops, maxpool2d_unrectified,
+    relu, sum_all,
+)
 
 from retinapipe import autodiff as ad
-from retinapipe.autodiff import LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward, sgd_step
+from retinapipe.autodiff import (
+    LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward, sgd_step, zero_grads,
+)
+from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.errors import NonFiniteError
 from retinapipe.rng import Xoshiro256
-from retinapipe.textgen import DecoderParams
+from retinapipe.textgen import (
+    END, START, DecoderParams, KeywordProjection, build_vocabulary, caption_loss, keyword_multihot,
+)
 
 
 def brute_conv(x, k, b, stride, pad):
@@ -84,7 +92,7 @@ class TestMaxpool:
         for c in range(2):
             for i in range(3):
                 for j in range(3):
-                    want[c, i, j] = x[c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
+                    want[c, i, j] = max(x[c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max(), 0.0)
         assert np.array_equal(got, want)
 
     def test_tie_sends_gradient_to_first_element(self):
@@ -103,16 +111,23 @@ class TestMaxpool:
             ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
 
 
+def relu_by_pool(values) -> Tensor:
+    """maxpool2d with a 1 x 1 window over a 1 x 1 x 1 x N map: relu of each value."""
+    return ad.maxpool2d(Tensor(np.reshape(values, (1, 1, 1, -1))), 1)
+
+
 class TestRelu:
+    """The ReLU that maxpool2d folds in."""
+
     def test_all_negative(self):
-        assert np.all(ad.relu(Tensor([-1.0, -5.0])).data == 0.0)
+        assert np.all(relu_by_pool([-1.0, -5.0]).data == 0.0)
 
     def test_all_positive_identity(self):
         x = np.array([1.0, 2.0, 0.5])
-        assert np.array_equal(ad.relu(Tensor(x)).data, x)
+        assert np.array_equal(relu_by_pool(x).data.ravel(), x)
 
     def test_mixed(self):
-        assert ad.relu(Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
+        assert relu_by_pool([-1.0, 0.0, 2.0]).data.ravel().tolist() == [0.0, 0.0, 2.0]
 
 
 class TestLinear:
@@ -246,21 +261,21 @@ class TestBackward:
     def test_shared_input_gradient_accumulates(self):
         w = Tensor(np.array([3.0]), name="w")
         with Tape() as tape:
-            loss = sum_all(ad.add(w, w))
+            loss = sum_all(ad.average(w, w))
         backward(tape, loss)
-        assert np.array_equal(w.grad, [2.0])
+        assert np.array_equal(w.grad, [1.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.zeros(3))
         with Tape() as tape:
-            y = ad.relu(w)
+            y = ad.average(w, w)
         with pytest.raises(ValueError):
             backward(tape, y)
 
     def test_off_tape_loss_rejected(self):
         w = Tensor(np.zeros(3))
         with Tape() as tape:
-            ad.relu(w)
+            ad.average(w, w)
         stray = sum_all(Tensor(np.zeros(2)))  # recorded on no tape
         with pytest.raises(ValueError):
             backward(tape, stray)
@@ -271,19 +286,19 @@ class TestBackward:
         lengths = {}
 
         def thread_b():
-            ad.relu(w)  # this thread has no tape open: recorded nowhere
+            ad.average(w, w)  # this thread has no tape open: recorded nowhere
             with Tape() as tape_b:
                 b_open.set()
                 a_done.wait(10)
-                ad.relu(w)
+                ad.average(w, w)
             lengths["b"] = len(tape_b)
 
         worker = threading.Thread(target=thread_b)
         with Tape() as tape_a:
-            y = ad.relu(w)
+            y = ad.average(w, w)
             worker.start()
             b_open.wait(10)
-            z = ad.relu(w)  # while thread B's tape is open
+            z = ad.average(w, w)  # while thread B's tape is open
             a_done.set()
             worker.join(10)
         assert not worker.is_alive()
@@ -329,10 +344,10 @@ class TestOwnership:
 class TestArena:
     def test_recycled_buffers_reuse_memory_and_grow_when_too_small(self):
         arena = ad.Arena()
-        a, m = arena.take((2, 3)), arena.take((4,), bool)
-        assert arena.misses == 2 and a.shape == (2, 3) and m.dtype == bool
+        a, m = arena.take((2, 3)), arena.take((4,))
+        assert arena.misses == 2 and a.shape == (2, 3) and m.dtype == np.float64
         arena.recycle()
-        a2, m2 = arena.take((1, 3)), arena.take((4,), bool)  # no larger: no miss
+        a2, m2 = arena.take((1, 3)), arena.take((3,))  # no larger: no miss
         assert arena.misses == 2 and np.shares_memory(a, a2) and np.shares_memory(m, m2)
         big = arena.take((5,))  # a third buffer
         arena.recycle()
@@ -341,18 +356,18 @@ class TestArena:
         assert all(b.flags.c_contiguous for b in (a, m, a2, m2, big))
 
     def test_ops_take_from_the_innermost_tape_only(self):
-        arena, x = ad.Arena(), Tensor(np.array([[-1.0, 2.0]]))
+        arena, x = ad.Arena(), Tensor(np.array([[[[-1.0, 2.0]]]]))
         with Tape(arena):
             with Tape():
-                ad.relu(x)
+                ad.maxpool2d(x, 1)
             assert arena.misses == 0
-            ad.relu(x)
-        assert arena.misses == 2  # the output and the mask
+            ad.maxpool2d(x, 1)
+        assert arena.misses == 1  # the output
 
     def test_backward_refuses_a_tape_whose_arena_was_recycled(self):
-        arena, x = ad.Arena(), Tensor(np.array([[-1.0, 2.0]]))
+        arena, x = ad.Arena(), Tensor(np.array([[[[-1.0, 2.0]]]]))
         with Tape(arena) as tape:
-            loss = sum_all(ad.relu(x))
+            loss = sum_all(ad.maxpool2d(x, 1))
         arena.recycle()
         with pytest.raises(ValueError, match="arena was recycled"):
             backward(tape, loss)
@@ -403,17 +418,17 @@ class TestFiniteDifferenceCheck:
         w = Tensor(np.array([1.0, -2.0, 0.5]), name="w")
 
         def model():
-            return sum_all(ad.scale(w, 3.0))
+            return sum_all(ad.average(w, w))
 
         rep = finite_difference_check(model, {"w": w})
         assert rep.passed
         assert rep.max_rel_error < 1e-9
 
     def test_relu_away_from_kink(self):
-        w = Tensor(np.array([1.0, -1.0, 0.5]), name="w")
+        w = Tensor(np.array([[[[1.0, -1.0, 0.5]]]]), name="w")
 
         def model():
-            return sum_all(ad.relu(w))
+            return sum_all(ad.maxpool2d(w, 1))
 
         rep = finite_difference_check(model, {"w": w})
         assert rep.passed
@@ -447,7 +462,6 @@ class TestFiniteDifferenceCheck:
 
             def model():
                 t = ad.conv2d(Tensor(x), params["k"], params["kb"], 1, 1)
-                t = ad.relu(t)
                 t = ad.maxpool2d(t, 2)
                 p = ad.global_avg_pool(t)
                 return ad.softmax_cross_entropy(ad.linear(p, params["w"], params["b"]), [seed % 4])
@@ -609,7 +623,7 @@ class TestConvPaddingAndNoGrad:
     def test_no_grad_tensor_never_holds_a_gradient(self):
         x = Tensor(np.array([[-1.0, 2.0]]), needs_grad=False)
         with Tape() as tape:
-            loss = sum_all(ad.relu(x))
+            loss = sum_all(ad.average(x, x))
         backward(tape, loss)
         assert x.grad is None
         x.accumulate(np.ones((1, 2)))
@@ -655,7 +669,7 @@ def single_image_oracle(x, k, kb, w, b, target, stride, pad):
 def encoder_chain(x, params, target, stride):
     t = ad.conv2d(x, params["k"], params["kb"], stride, 1)
     convolved = t
-    t = ad.maxpool2d(ad.relu(t), 2)
+    t = ad.maxpool2d(t, 2)
     pooled = t
     gap = ad.global_avg_pool(t)
     logits = ad.linear(gap, params["w"], params["b"])
@@ -754,3 +768,122 @@ class TestBatchedOps:
         with pytest.raises(ShapeError):
             ad.lstm_sequence_xent(Tensor(np.zeros(3)), steps, steps, np.ones((1, 2)),
                                   dec.embedding, dec.cell, dec.out_w, dec.out_b)
+
+
+# ---------------------------------------------------------------------------
+# the folded ops against the separate ops they replace
+
+def weighted_sum(x: Tensor, g: np.ndarray) -> Tensor:
+    """sum(x * g) as one taped op, whose backward hands x exactly g."""
+    out = Tensor((x.data * g).sum())
+
+    def bwd(gs):
+        x.accumulate(g * float(gs[0]))
+
+    ad._emit((out,), bwd)
+    return out
+
+
+def pool_input(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Random maps whose first 2 x 2 windows hold the edge cases: every value
+    negative, a max of exactly 0 reached twice, all zeros, a positive max tied
+    three times, and a positive max tied with a zero."""
+    x = np.random.default_rng(seed).standard_normal(shape)
+    x[0, 0, :2, :2] = [[-1.0, -2.0], [-0.5, -3.0]]
+    x[0, 1, :2, :2] = [[0.0, -1.0], [0.0, -2.0]]
+    x[0, 2, :2, :2] = 0.0
+    x[1, 0, :2, :2] = [[2.0, 2.0], [1.0, 2.0]]
+    x[1, 1, :2, :2] = [[0.0, 0.5], [0.0, 0.5]]
+    return x
+
+
+class TestFoldedOps:
+    """maxpool2d and average give, bit for bit, the values and gradients of the
+    relu -> unrectified max-pool and add -> scale paths they replace."""
+
+    @pytest.mark.parametrize("shape, window", [((2, 3, 4, 6), 2), ((2, 3, 7, 7), 3),
+                                               ((2, 3, 6, 6), 1)])
+    def test_maxpool2d_equals_relu_then_pool(self, shape, window):
+        x = pool_input(sum(shape) + window, shape)
+        out_shape = shape[:2] + (shape[2] // window, shape[3] // window)
+        g = np.random.default_rng(window).standard_normal(out_shape)
+        g[0, 0, 0, 0], g[1, 1, 0, 0] = -0.0, 0.0
+        runs = {}
+        for name, op in (("folded", lambda t: ad.maxpool2d(t, window)),
+                         ("separate", lambda t: maxpool2d_unrectified(relu(t), window))):
+            t = Tensor(x.copy())
+            with Tape() as tape:
+                out = op(t)
+                loss = weighted_sum(out, g)
+            backward(tape, loss)
+            runs[name] = (out.data.tobytes(), t.grad.tobytes())
+        assert runs["folded"] == runs["separate"]
+
+    def test_encoder_steps_equal_the_three_op_path(self):
+        config = EncoderConfig(num_classes=3, image_size=12, stages=((4, 3, 1, 2), (6, 3, 1, 2)))
+        rng = np.random.default_rng(5)
+        batches = [rng.uniform(-1, 1, (4, 3, 12, 12)) for _ in range(3)]
+        labels = [rng.integers(0, 3, 4) for _ in range(3)]
+        runs, zero_windows = {}, 0
+        for name in ("folded", "three ops"):
+            enc = VisionEncoder.init(config, Xoshiro256(9))
+            params = enc.parameters()
+            runs[name] = seen = []
+            for step in range(3):
+                zero_grads(params)
+                with Tape() as tape:
+                    if name == "folded":
+                        out = enc.forward(batches[step])
+                        maps, logits = out.feature_maps, out.logits
+                    else:
+                        maps, _, logits = encoder_forward_three_ops(enc, batches[step])
+                    loss = ad.softmax_cross_entropy(logits, labels[step])
+                backward(tape, loss)
+                zero_windows += int((maps.data == 0.0).sum())
+                seen += [maps.data.tobytes(), loss.data.tobytes(),
+                         *(p.grad.tobytes() for p in params)]
+                sgd_step(params, 0.5)
+        assert runs["folded"] == runs["three ops"]
+        assert zero_windows  # some windows had no positive value
+
+    def test_fusion_steps_equal_add_then_scale(self):
+        kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
+        rng = np.random.default_rng(6)
+        feats = [rng.uniform(-1, 1, (3, 5)) for _ in range(3)]
+        feats[0][0, :2] = 0.0
+        bags = np.stack([keyword_multihot(k, kw_vocab) for k in (["a"], ["b", "c"], [])])
+        targets = [[START, 4, 5, END], [START, END], [START, 3, END]]
+        runs = {}
+        for name in ("folded", "add then scale"):
+            init = Xoshiro256(4)
+            dec = DecoderParams.init(init, 6, 5, 4)
+            proj = KeywordProjection.init(init, kw_vocab.size, 5)
+            params = dec.parameters() + proj.parameters()
+            runs[name] = seen = []
+            for step in range(3):
+                zero_grads(params)
+                image = Tensor(feats[step].copy())
+                with Tape() as tape:
+                    if name == "folded":
+                        fused = proj.fuse(image, bags)
+                    else:
+                        fused = fuse_three_ops(proj, image, bags)
+                    loss = caption_loss(fused, targets, dec)
+                backward(tape, loss)
+                seen += [fused.data.tobytes(), loss.data.tobytes(), image.grad.tobytes(),
+                         *(p.grad.tobytes() for p in params)]
+                sgd_step(params, 0.5)
+        assert runs["folded"] == runs["add then scale"]
+
+    def test_average_of_a_frozen_input_builds_no_gradient_for_it(self):
+        a, b = Tensor(np.ones((2, 3)), needs_grad=False), Tensor(np.full((2, 3), 3.0))
+        with Tape() as tape:
+            out = ad.average(a, b)
+            loss = sum_all(out)
+        backward(tape, loss)
+        assert np.array_equal(out.data, np.full((2, 3), 2.0))
+        assert a.grad is None and np.array_equal(b.grad, np.full((2, 3), 0.5))
+
+    def test_average_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="average"):
+            ad.average(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retinapipe import training
+from retinapipe.autodiff import SgdConfig
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
@@ -283,10 +284,11 @@ class TestTrainingArtifacts:
         assert "set keyword_mode to false in the config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_flag_value_is_data_error(self, dataset, tmp_path, capsys):
+    def test_bad_flag_value_is_usage_error(self, dataset, tmp_path, capsys):
         assert main(["train-rdi", "--manifest", str(dataset / "manifest.json"),
-                     "--out", str(tmp_path / "out"), "--decay-factor", "0"]) == 2
-        assert "decay_factor must be positive" in capsys.readouterr().err
+                     "--out", str(tmp_path / "out"), "--decay-factor", "0"]) == 1
+        assert "--decay-factor: expected a positive finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_must_be_an_object(self, dataset, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -295,6 +297,50 @@ class TestTrainingArtifacts:
                      "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
+
+class TestTrainingFlags:
+    """Each training flag is checked when parsed: a bad value is a usage error
+    before the manifest is opened, and nothing is written."""
+
+    @pytest.mark.parametrize("command", ["train-rdi", "train-cdg"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"), ("--lr", "0"), ("--lr", "x"),
+        ("--decay-factor", "nan"), ("--decay-factor", "inf"), ("--decay-factor", "1e400"),
+        ("--epochs", "0"), ("--batch", "0"), ("--batch", "-4"), ("--decay-period", "0"),
+        ("--epochs", "1.5"),
+    ])
+    def test_bad_value_exits_1_before_any_file_opens(self, command, flag, value, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(tmp_path / "missing.json"), "--out", str(out)]
+        if command == "train-cdg":
+            args += ["--encoder", str(tmp_path / "missing.ckpt")]
+        assert main([*args, flag, value]) == 1
+        assert f"{flag}: expected a positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_min_frequency_zero_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train-cdg", "--manifest", str(tmp_path / "missing.json"),
+                     "--encoder", str(tmp_path / "missing.ckpt"), "--out", str(out),
+                     "--min-frequency", "0"]) == 1
+        assert "--min-frequency: expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_good_values_reach_the_manifest(self, tmp_path, capsys):
+        """Positive finite rates, however small or large, pass the parser."""
+        assert main(["train-rdi", "--manifest", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "out"), "--lr", "1e-300", "--decay-factor", "1e300",
+                     "--epochs", "1", "--batch", "1", "--decay-period", "1"]) == 2
+        assert "cannot read manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", float("nan")),
+                                              ("learning_rate", float("inf")),
+                                              ("decay_factor", float("nan")),
+                                              ("decay_factor", float("inf"))])
+    def test_sgd_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SgdConfig(**{field: value})
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 class TestDivergingTraining:

@@ -1,0 +1,145 @@
+"""Byte identity of every CLI output on a fixed small matrix.
+
+The matrix runs on seed 1 over 60 synthetic records with 1 epoch per
+training: data generation and splitting, both trainers (the classifier from
+scratch and warm-started from the benchmark fixture; the captioner with
+keywords and without), evaluation of the trained and the fixture models
+(plain, with --no-keywords and with --beam 1), report on a gray and a color
+image, and explain. Every file the matrix writes is hashed, and so are each
+call's exit code, stdout and stderr, with the temporary root replaced by a
+placeholder. tests/golden/identity_seed1.json holds the expected hashes.
+
+The hashes depend on the float rounding of numpy's BLAS and on zlib's
+compressed bytes, so the golden file records those libraries' versions and
+the test skips on a machine whose versions differ.
+
+To rewrite the golden file, for a change that means to alter an output:
+    PYTHONPATH=src python tests/test_identity.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import zlib
+
+import numpy as np
+import pytest
+
+from retinapipe.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "identity_seed1.json"
+FIXTURE = pathlib.Path(__file__).parent.parent / "perfbench" / "fixture"
+ROOT_TAG, FIXTURE_TAG = "<root>", "<fixture>"
+
+
+def environment() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version')}",
+            "zlib": zlib.ZLIB_RUNTIME_VERSION}
+
+
+def _models(encoder_dir: str, decoder_dir: str) -> list[str]:
+    return ["--encoder", f"{encoder_dir}/encoder.ckpt", "--decoder", f"{decoder_dir}/decoder.ckpt",
+            "--vocab", f"{decoder_dir}/vocab.txt", "--kw-vocab", f"{decoder_dir}/kw_vocab.txt"]
+
+
+def calls(root: str, fixture: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every call of the matrix, in the order they run."""
+    data, manifest = f"{root}/data", f"{root}/data/manifest.json"
+    train = ["--epochs", "1", "--batch", "4", "--seed", "1"]
+    trained, off = f"{root}/rdi/checkpoints", f"{root}/cdg_off/checkpoints"
+    matrix = [
+        ("synth-data", ["synth-data", "--out", data, "--classes", "4", "--records", "60",
+                        "--seed", "1"]),
+        ("split", ["split", "--manifest", manifest, "--seed", "1"]),
+        ("train-rdi", ["train-rdi", "--manifest", manifest, "--out", f"{root}/rdi", *train]),
+        ("train-rdi-init", ["train-rdi", "--manifest", manifest, "--out", f"{root}/rdi_init",
+                            "--init", f"{fixture}/encoder.ckpt", *train]),
+        ("train-cdg", ["train-cdg", "--manifest", manifest, "--encoder",
+                       f"{trained}/encoder.ckpt", "--out", f"{root}/rdi", "--lr", "1.0",
+                       *train]),
+        ("train-cdg-off", ["train-cdg", "--manifest", manifest, "--encoder",
+                           f"{trained}/encoder.ckpt", "--out", f"{root}/cdg_off",
+                           "--no-keywords", "--min-frequency", "2", "--lr", "1.0", *train]),
+    ]
+    models = {"trained": _models(trained, trained), "fixture": _models(fixture, fixture)}
+    for model, files in models.items():
+        for variant, extra in (("plain", []), ("no-keywords", ["--no-keywords"]),
+                               ("beam1", ["--beam", "1"])):
+            matrix.append((f"evaluate-{model}-{variant}",
+                           ["evaluate", "--manifest", manifest, *files, *extra, "--topk", "1,3",
+                            "--out", f"{root}/eval_{model}_{variant}"]))
+    matrix.append(("evaluate-no-keywords-decoder",
+                   ["evaluate", "--manifest", manifest, *_models(trained, off), "--topk", "1,3",
+                    "--out", f"{root}/eval_off"]))
+    for name, image, keywords in (("pgm", "case0001.pgm", "dot hemorrhages,hard exudates"),
+                                  ("ppm", "case0000.ppm", "soft drusen,not a keyword")):
+        matrix.append((f"report-{name}",
+                       ["report", "--image", f"{data}/images/{image}", *models["fixture"],
+                        "--keywords", keywords, "--manifest", manifest,
+                        "--out", f"{root}/report_{name}"]))
+    matrix.append(("explain", ["explain", "--image", f"{data}/images/case0002.ppm",
+                               "--encoder", f"{trained}/encoder.ckpt",
+                               "--raw-txt", f"{root}/explain.txt",
+                               "--out", f"{root}/explain.png"]))
+    return matrix
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_matrix(root: pathlib.Path) -> dict[str, object]:
+    """Entry name -> exit code or sha256, over every call and every file written."""
+    entries: dict[str, object] = {}
+
+    def masked(text: str) -> bytes:
+        return text.replace(str(root), ROOT_TAG).replace(str(FIXTURE), FIXTURE_TAG).encode()
+
+    for name, argv in calls(str(root), str(FIXTURE)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            entries[f"{name}.exit"] = main(argv)
+        entries[f"{name}.stdout"] = _sha(masked(out.getvalue()))
+        entries[f"{name}.stderr"] = _sha(masked(err.getvalue()))
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            entries[f"file:{path.relative_to(root).as_posix()}"] = _sha(path.read_bytes())
+    return entries
+
+
+def test_every_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    here = environment()
+    if here != golden["environment"]:
+        pytest.skip(f"hashes recorded under {golden['environment']}, this machine has {here}")
+    got, want = run_matrix(tmp_path), golden["entries"]
+    differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not differ, f"{len(differ)} entries differ from {GOLDEN.name}: {differ}"
+
+
+def test_matrix_covers_every_command_kind(tmp_path):
+    """The golden file holds an exit code 0 for each call of the matrix, and the
+    files of every bundle kind."""
+    want = json.loads(GOLDEN.read_text())["entries"]
+    for name, _argv in calls(str(tmp_path), str(FIXTURE)):
+        assert want[f"{name}.exit"] == 0, name
+    files = [name for name in want if name.startswith("file:")]
+    for part in ("data/images/", "rdi/checkpoints/decoder.ckpt", "cdg_off/curves/cdg.csv",
+                 "eval_fixture_beam1/metrics.json", "report_ppm/report.html", "explain.txt"):
+        assert any(part in name for name in files), part
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix_entries = run_matrix(pathlib.Path(tmp))
+    GOLDEN.write_text(json.dumps({"environment": environment(), "entries": matrix_entries},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(matrix_entries)} entries to {GOLDEN}", file=sys.stderr)

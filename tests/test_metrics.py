@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retinapipe.metrics import (
-    _lcs_length, bleu_corpus, cider, ngram_counts, precision_at_k, rouge_l,
+    _cider, _counted, _lcs_length, bleu_corpus, ngram_counts, precision_at_k, rouge_l,
     score_captions,
 )
 from retinapipe.rng import Xoshiro256
@@ -127,6 +127,11 @@ def brute_cider(cands, refs, up_to_n=4):
     return total / n_items
 
 
+def cider(candidates, references):
+    """CIDEr as score_captions reports it."""
+    return score_captions(candidates, references).cider
+
+
 class TestCider:
     def test_two_item_identity_corpus_scores_ten(self):
         a = ["pale", "disc", "with", "cupping", "noted"]
@@ -147,7 +152,7 @@ class TestCider:
 
     def test_single_item_rejected(self):
         with pytest.raises(ValueError, match="IDF"):
-            cider([["a"]], [["a"]])
+            _cider(*_counted([["a"]], [["a"]]))
 
     @given(corpus_st.filter(lambda pairs: len(pairs) >= 2))
     def test_equals_recounting_oracle(self, pairs):
@@ -239,4 +244,4 @@ def test_score_captions_equals_the_separate_metrics(pairs):
     report = score_captions(cands, refs)
     assert (report.bleu, report.bleu_avg) == bleu_corpus(cands, refs)
     assert report.rouge == sum(rouge_l(c, r) for c, r in zip(cands, refs)) / len(cands)
-    assert report.cider == (cider(cands, refs) if len(pairs) >= 2 else 0.0)
+    assert report.cider == (_cider(*_counted(cands, refs)) if len(pairs) >= 2 else 0.0)

@@ -12,8 +12,8 @@ from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, PAD, RESERVED, START, UNK, DecoderParams, KeywordProjection, Vocabulary, _beam_search,
-    build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize,
-    fuse_features, keyword_multihot, tokenize,
+    build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize, keyword_multihot,
+    tokenize,
 )
 
 
@@ -164,22 +164,24 @@ class TestKeywordEmbedding:
 
 
 class TestFusion:
+    """The average that KeywordProjection.fuse takes of the image and keyword features."""
+
     def test_idempotent_on_equal(self):
         v = Tensor([1.0, 2.0])
-        assert np.array_equal(fuse_features(v, Tensor([1.0, 2.0])).data, [1.0, 2.0])
+        assert np.array_equal(ad.average(v, Tensor([1.0, 2.0])).data, [1.0, 2.0])
 
     def test_antisymmetric(self):
         v = Tensor([1.0, -2.0])
         w = Tensor([-1.0, 2.0])
-        assert np.all(fuse_features(v, w).data == 0.0)
+        assert np.all(ad.average(v, w).data == 0.0)
 
     def test_arithmetic(self):
-        out = fuse_features(Tensor([1.0, 3.0]), Tensor([3.0, 5.0]))
+        out = ad.average(Tensor([1.0, 3.0]), Tensor([3.0, 5.0]))
         assert out.data.tolist() == [2.0, 4.0]
 
     def test_dim_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            fuse_features(Tensor([1.0]), Tensor([1.0, 2.0]))
+            ad.average(Tensor([1.0]), Tensor([1.0, 2.0]))
 
 
 def zero_decoder(vocab_size=4, dim=3, hidden=2) -> DecoderParams:

@@ -130,8 +130,8 @@ class TestTrainClassifier:
         monkeypatch.setattr(training, "backward", counting_backward)
         train_classifier(tiny_dataset, small_cfg(epochs=1, batch_size=4))
         n_train = len(tiny_dataset.by_split("train"))
-        # conv, relu and maxpool per stage, then GAP, linear and cross-entropy
-        assert tape_sizes == [3 * len(SMALL_STAGES) + 3] * math.ceil(n_train / 4)
+        # conv and maxpool per stage, then GAP, linear and cross-entropy
+        assert tape_sizes == [2 * len(SMALL_STAGES) + 3] * math.ceil(n_train / 4)
 
     def test_empty_split_rejected(self, tmp_path):
         m = generate_synthetic_dataset(tmp_path, n_classes=2, n_records=4, seed=0,
@@ -206,9 +206,9 @@ class TestArena:
         n_batches = 2 * math.ceil(len(tiny_dataset.by_split("train")) / 4)
         assert len(tiny_dataset.by_split("train")) % 4  # a short last batch in each epoch
         counts = arena.misses_per_batch[1:] + [arena.misses]  # after batches 1, 2, ...
-        # padded input, columns and output of the conv, relu's output and mask,
-        # maxpool's output: one buffer each per stage, all taken by the first batch
-        assert counts == [6 * len(SMALL_STAGES)] * n_batches
+        # padded input, columns and output of the conv, maxpool's output: one
+        # buffer each per stage, all taken by the first batch
+        assert counts == [4 * len(SMALL_STAGES)] * n_batches
 
 
 def fit_one_parameter(loss_at, grad_at, val_metric=lambda outputs: 1.0):
@@ -308,6 +308,36 @@ class TestTrainCaptioner:
                                   encoder_ckpt)
         assert on.params["decoder.keyword_mode"][0] == 1.0
         assert off.params["decoder.keyword_mode"][0] == 0.0
+
+    @pytest.mark.parametrize("keyword_mode, taped_ops", [(True, 3), (False, 1)])
+    def test_frozen_features_get_no_gradient(self, keyword_mode, taped_ops, tiny_dataset,
+                                             encoder_ckpt, monkeypatch):
+        """A batch tapes the keyword projection (linear), average and the sequence
+        loss, or the loss alone; the encoder features it starts from never hold
+        a gradient."""
+        features, tape_sizes = [], []
+        real_loss, real_backward = training.caption_loss, training.backward
+
+        def loss_recording_features(fused, targets, params):
+            features.append(fused)
+            return real_loss(fused, targets, params)
+
+        def counting_backward(tape, loss):
+            tape_sizes.append(len(tape))
+            return real_backward(tape, loss)
+
+        if keyword_mode:
+            real_average = autodiff.average
+            monkeypatch.setattr(autodiff, "average",
+                                lambda a, b: features.append(a) or real_average(a, b))
+        else:
+            monkeypatch.setattr(training, "caption_loss", loss_recording_features)
+        monkeypatch.setattr(training, "backward", counting_backward)
+        train_captioner(tiny_dataset, small_cfg(epochs=1, keyword_mode=keyword_mode),
+                        encoder_ckpt)
+        n_train = len(tiny_dataset.by_split("train"))
+        assert tape_sizes == [taped_ops] * math.ceil(n_train / 4)
+        assert features and all(not f.needs_grad and f.grad is None for f in features)
 
 
 @pytest.fixture(scope="module")
