@@ -193,7 +193,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(gs):
         g = gs[0]
-        x.accumulate(g @ weight.data)
+        if x.needs_grad:
+            x.accumulate(g @ weight.data)
         weight.accumulate(g.T @ x.data)
         bias.accumulate(g.sum(axis=0))
 
@@ -215,13 +216,20 @@ def _zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The read-only B x C x kh x kw x ho x wo view of B x C x Hp x Wp whose element
+    (n, ch, a, b, i, j) is xp[n, ch, a + stride*i, b + stride*j]."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """B x C x Hp x Wp -> B x (C*kh*kw) x (ho*wo): row (ch, a, b) and column (i, j)
     of image n hold xp[n, ch, a + stride*i, b + stride*j]."""
     n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(  # B, C, kh, kw, ho, wo
-        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    win = _windows(xp, kh, kw, stride, ho, wo)
     cols = _buffer((n, c * kh * kw, ho * wo))
     np.copyto(cols.reshape(win.shape), win)
     return cols
@@ -238,9 +246,33 @@ def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
     return gxp
 
 
+def _conv_streamed(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+                   ho: int, wo: int) -> np.ndarray:
+    """The B x K x (ho*wo) convolution of an NCHW batch, padding and unfolding one
+    image at a time into one reused buffer for that image's GEMM: the same
+    kmat @ cols[n] that np.matmul runs per image of a stacked batch."""
+    n, c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))  # the border stays zero
+    inner = xp[:, pad : pad + h, pad : pad + w]
+    win = _windows(xp[None], kh, kw, stride, ho, wo)[0]
+    cols = np.empty((c * kh * kw, ho * wo))
+    y = np.empty((n, len(kmat), ho * wo))
+    for i in range(n):
+        np.copyto(inner, x[i])
+        np.copyto(cols.reshape(win.shape), win)
+        np.matmul(kmat, cols, out=y[i])
+    return y
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) of an NCHW batch, each image computed
-    exactly as it would be alone."""
+    exactly as it would be alone.
+
+    A taped call keeps what its backward reads: the padded batch and its
+    B x (C*kh*kw) x (ho*wo) im2col columns, from the tape's arena if it has one.
+    An untaped call keeps nothing: it streams the images one at a time through
+    a single (C*kh*kw) x (ho*wo) column buffer, with bit-identical results.
+    """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d: expected NCHW input and KCkhkw kernels, "
                          f"got {x.data.shape}, {kernels.data.shape}")
@@ -257,9 +289,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    kmat = kernels.data.reshape(k, c * kh * kw)
+    if not _STACK.tapes:  # nothing will read the columns back
+        y = _conv_streamed(x.data, kmat, kh, kw, stride, pad, ho, wo)
+        y += bias.data[:, None]
+        return Tensor(y.reshape(n, k, ho, wo))
     xp = _zero_pad(x.data, pad)
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
-    kmat = kernels.data.reshape(k, c * kh * kw)
     y = np.matmul(kmat, cols, out=_buffer((n, k, ho * wo)))  # one GEMM per image
     y += bias.data[:, None]
     out = Tensor(y.reshape(n, k, ho, wo))
@@ -391,9 +427,10 @@ class LstmParams:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Stable logistic without masks: exp only ever sees -|x|."""
+    """Stable logistic without masks: exp only ever sees -|x|, and the numerator
+    max(e, sign(x)) is 1 where x >= 0 (e <= 1 there) and e where x < 0."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, np.sign(x)) / (1.0 + e)
 
 
 def matvec_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:

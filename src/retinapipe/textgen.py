@@ -201,8 +201,9 @@ class KeywordProjection:
 
     def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
         """The B x D image features averaged with their projected keyword bags, the
-        B x KV rows of keyword_multihot."""
-        return ad.average(image_feat, ad.linear(Tensor(bags), self.weight, self.bias))
+        B x KV rows of keyword_multihot, which take no gradient."""
+        return ad.average(image_feat,
+                          ad.linear(Tensor(bags, needs_grad=False), self.weight, self.bias))
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":

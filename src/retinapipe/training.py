@@ -137,7 +137,9 @@ def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
 
     Each batch's tape takes the arrays its ops keep for backward from one
     arena, recycled at the start of the next batch, once sgd_step has used
-    the gradients.
+    the gradients. The tape and the loss are dropped as soon as sgd_step
+    returns, so no step's tensors or their gradients outlive it into the
+    validation pass.
     """
     curve = TrainingCurve()
     arena = ad.Arena()
@@ -152,12 +154,13 @@ def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
             zero_grads(params)
             with _diverged_at(f"epoch {epoch}, batch {index}"):
                 with Tape(arena) as tape:
-                    loss, _ = batch_loss(batch)
+                    loss = batch_loss(batch)[0]
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NonFiniteError(f"the batch loss is {value}")
                 backward(tape, loss)
                 sgd_step(params, lr)
+            del tape, loss  # the step's tensors and gradients, before validation allocates
             epoch_loss += value * len(batch)
         val_loss, outputs = 0.0, []
         with _diverged_at(f"epoch {epoch}, validation"):
@@ -277,9 +280,8 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
         return caption_loss(feats, [targets[r.id] for r in batch], decoder), feats.data
 
     def greedy_bleu(outputs) -> float:
-        decoded = [h.words(vocab) for feats in outputs
-                   for h in decode_greedy(feats, decoder, cfg.max_caption_len)]
-        return bleu_corpus(decoded, refs)[1]
+        decoded = decode_greedy(np.concatenate(outputs), decoder, cfg.max_caption_len)
+        return bleu_corpus([h.words(vocab) for h in decoded], refs)[1]
 
     curve = _fit(params, train, val, cfg, 4, batch_loss, greedy_bleu)
     return ModelCheckpoint({

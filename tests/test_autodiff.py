@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ class TestLinear:
         want = np.array([sum(w[i, j] * x[j] for j in range(4)) + b[i] for i in range(3)])
         got = ad.linear(Tensor(x[None]), Tensor(w), Tensor(b)).data[0]
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_frozen_input_gets_no_gradient(self):
+        rng = np.random.default_rng(4)
+        xd, wd, bd = rng.standard_normal((3, 5)), rng.standard_normal((2, 5)), rng.standard_normal(2)
+        grads = {}
+        for needs_grad in (True, False):
+            x, w, b = Tensor(xd, needs_grad=needs_grad), Tensor(wd), Tensor(bd)
+            with Tape() as tape:
+                loss = sum_all(ad.linear(x, w, b))
+            backward(tape, loss)
+            assert (x.grad is None) == (not needs_grad)
+            grads[needs_grad] = w.grad.tobytes() + b.grad.tobytes()
+        assert grads[True] == grads[False]
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -628,6 +642,44 @@ class TestConvPaddingAndNoGrad:
         assert x.grad is None
         x.accumulate(np.ones((1, 2)))
         assert x.grad is None
+
+
+class TestUntapedConv:
+    """With no tape open, conv2d streams its images through one column buffer."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_untaped_equals_taped_bit_for_bit(self, channels, pad, stride):
+        rng = np.random.default_rng(100 * channels + 10 * pad + stride)
+        k = Tensor(rng.standard_normal((4, channels, 3, 3)))
+        b = Tensor(rng.standard_normal(4))
+        for n in range(1, 10):
+            x = Tensor(rng.standard_normal((n, channels, 7, 9)), needs_grad=False)
+            x.data[0, 0, 0, 0] = -0.0
+            untaped = ad.conv2d(x, k, b, stride=stride, pad=pad)
+            with Tape(ad.Arena()) as tape:
+                taped = ad.conv2d(x, k, b, stride=stride, pad=pad)
+            assert len(tape) == 1 and untaped.data.shape == taped.data.shape
+            assert np.array_equal(untaped.data.view(np.uint64), taped.data.view(np.uint64))
+
+    def test_untaped_batch_holds_one_images_columns(self):
+        """An untaped batch-8 conv at the default stage-0 shape allocates its output,
+        one padded image and one image's column buffer, and nothing per image."""
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((8, 3, 32, 32)), needs_grad=False)
+        k, b = Tensor(rng.standard_normal((8, 3, 3, 3))), Tensor(rng.standard_normal(8))
+        ad.conv2d(x, k, b, pad=1)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv2d(x, k, b, pad=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        one_image = 3 * 34 * 34 * 8 + 27 * 32 * 32 * 8  # padded input and its columns
+        assert peak <= y.data.nbytes + one_image + 4096
+        assert one_image < 8 * 27 * 32 * 32 * 8  # less than the batch's columns alone
 
 
 def single_image_oracle(x, k, kb, w, b, target, stride, pad):

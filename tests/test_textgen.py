@@ -163,6 +163,32 @@ class TestKeywordEmbedding:
         assert np.array_equal(with_unknown, embed(["soft drusen"], kw_vocab, proj))
 
 
+    def test_bags_get_no_gradient(self, monkeypatch):
+        """The bags are data: backward leaves them without a gradient, and every
+        parameter gradient is the one a bag tensor that took a gradient gave."""
+        kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
+        bags = np.stack([keyword_multihot(kws, kw_vocab) for kws in (["a"], ["b", "c"], [])])
+        image = np.random.default_rng(5).uniform(-1, 1, (3, 4))
+        targets = [[START, 4, END], [START, END], [START, 3, 5, END]]
+        real_linear, inputs, grads = ad.linear, [], {}
+        monkeypatch.setattr(ad, "linear", lambda x, w, b: inputs.append(x) or real_linear(x, w, b))
+        for through_fuse in (True, False):
+            proj = KeywordProjection.init(Xoshiro256(6), kw_vocab.size, 4)
+            dec = DecoderParams.init(Xoshiro256(7), 6, 4, 5)
+            image_feat = Tensor(image, needs_grad=False)
+            with Tape() as tape:
+                if through_fuse:
+                    fused = proj.fuse(image_feat, bags)
+                else:  # a bag tensor that takes a gradient
+                    fused = ad.average(image_feat, real_linear(Tensor(bags), proj.weight, proj.bias))
+                loss = caption_loss(fused, targets, dec)
+            backward(tape, loss)
+            grads[through_fuse] = [p.grad.tobytes() for p in proj.parameters() + dec.parameters()]
+        [bag_tensor] = inputs
+        assert not bag_tensor.needs_grad and bag_tensor.grad is None
+        assert grads[True] == grads[False]
+
+
 class TestFusion:
     """The average that KeywordProjection.fuse takes of the image and keyword features."""
 
@@ -387,6 +413,12 @@ def masked_sigmoid(x):
     return out
 
 
+def where_sigmoid(x):
+    """The np.where sigmoid that ad._sigmoid_np replaced."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def test_branch_free_sigmoid_matches_masked_form():
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(0.0, 20.0, 20000), rng.normal(0.0, 1e-3, 1000),
@@ -394,6 +426,15 @@ def test_branch_free_sigmoid_matches_masked_form():
                          np.inf, -np.inf]])
     for arr in (x, x.reshape(-1, 1)[::3]):
         assert np.array_equal(ad._sigmoid_np(arr).view(np.uint64), masked_sigmoid(arr).view(np.uint64))
+        assert np.array_equal(ad._sigmoid_np(arr).view(np.uint64), where_sigmoid(arr).view(np.uint64))
+    # NaNs of either sign and other payloads come out as NaN, with the bits the
+    # np.where form gave them (the masked form's exp(x) can flip their sign bit)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF8000000000123], dtype=np.uint64).view(np.float64)
+    arr = np.concatenate([x[:100], nans, x[100:200]])
+    got = ad._sigmoid_np(arr)
+    assert np.isnan(got[100:104]).all() and np.isnan(masked_sigmoid(arr)[100:104]).all()
+    assert np.array_equal(got.view(np.uint64), where_sigmoid(arr).view(np.uint64))
 
 
 class TestDecoding:

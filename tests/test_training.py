@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from retinapipe.autodiff import (
 )
 from retinapipe.cli import main
 from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
-from retinapipe.encoder import EncoderConfig, VisionEncoder
+from retinapipe.encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.imageio import RetinalImage, load_image
 from retinapipe.rng import Xoshiro256
@@ -211,6 +212,72 @@ class TestArena:
         assert counts == [4 * len(SMALL_STAGES)] * n_batches
 
 
+def watch_validation(monkeypatch, on_validation, on_metric=lambda: None):
+    """Patch training._fit so that on_validation() runs just before each epoch's
+    first val batch and on_metric() just before the val metric."""
+    real_fit = training._fit
+
+    def fit(params, train, val, cfg, stream, batch_loss, val_metric):
+        def watched_loss(batch):
+            if not autodiff._STACK.tapes and batch[0] is val[0]:
+                on_validation()
+            return batch_loss(batch)
+
+        def watched_metric(outputs):
+            on_metric()
+            return val_metric(outputs)
+
+        return real_fit(params, train, val, cfg, stream, watched_loss, watched_metric)
+
+    monkeypatch.setattr(training, "_fit", fit)
+
+
+class TestStepLifetime:
+    """A training step's tape, loss and recorded tensors are freed before validation."""
+
+    def test_no_step_tensor_is_alive_when_validation_starts(self, tiny_dataset, monkeypatch):
+        step_refs, checks = [], []
+
+        class RecordingTape(Tape):
+            def __exit__(self, *exc):
+                # the tape, and the data of every tensor its ops recorded (the loss too)
+                step_refs[:] = [weakref.ref(self)] + [
+                    weakref.ref(out.data) for outs, _ in self._records for out in outs]
+                return super().__exit__(*exc)
+
+        def on_validation():
+            checks.append([ref() is None for ref in step_refs])
+
+        monkeypatch.setattr(training, "Tape", RecordingTape)
+        watch_validation(monkeypatch, on_validation)
+        train_classifier(tiny_dataset, small_cfg(epochs=2, batch_size=4))
+        assert len(checks) == 2 and all(len(dead) == 2 * len(SMALL_STAGES) + 4 for dead in checks)
+        assert all(all(dead) for dead in checks)
+
+    def test_validation_stays_below_the_training_peak(self, tiny_dataset, monkeypatch):
+        """Under tracemalloc, no validation pass of the classifier's _fit (default
+        stages, 32 px) reaches the peak its training steps reached: the val
+        batches hold no tape and stream their convs through one column buffer."""
+        peaks = []  # (training steps, validation) per epoch
+
+        def on_validation():
+            peaks.append([tracemalloc.get_traced_memory()[1]])
+            tracemalloc.reset_peak()
+
+        def on_metric():
+            peaks[-1].append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        watch_validation(monkeypatch, on_validation, on_metric)
+        tracemalloc.start()
+        try:
+            train_classifier(tiny_dataset, small_cfg(epochs=2, batch_size=4,
+                                                     encoder_stages=DEFAULT_STAGES))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2 and all(val < steps for steps, val in peaks)
+
+
 def fit_one_parameter(loss_at, grad_at, val_metric=lambda outputs: 1.0):
     """_fit for 2 epochs over 6 records in batches of 2 with one parameter w and
     one val record; the i-th training batch (counted over both epochs) has loss
@@ -308,6 +375,20 @@ class TestTrainCaptioner:
                                   encoder_ckpt)
         assert on.params["decoder.keyword_mode"][0] == 1.0
         assert off.params["decoder.keyword_mode"][0] == 0.0
+
+    def test_one_greedy_search_per_validation(self, tiny_dataset, encoder_ckpt, monkeypatch):
+        searched = []
+        real_greedy = training.decode_greedy
+
+        def counting_greedy(feats, params, max_len):
+            searched.append(len(feats))
+            return real_greedy(feats, params, max_len)
+
+        monkeypatch.setattr(training, "decode_greedy", counting_greedy)
+        n_val = len(tiny_dataset.by_split("val"))
+        assert n_val > 4  # more than one val batch
+        train_captioner(tiny_dataset, small_cfg(epochs=2, batch_size=4), encoder_ckpt)
+        assert searched == [n_val, n_val]
 
     @pytest.mark.parametrize("keyword_mode, taped_ops", [(True, 3), (False, 1)])
     def test_frozen_features_get_no_gradient(self, keyword_mode, taped_ops, tiny_dataset,
