@@ -205,39 +205,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # conv / pool
 
-def _zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """x (B x C x H x W) with `pad` zeros around each map, as np.pad gives it."""
-    if not pad:
-        return x
-    n, c, h, w = x.shape
-    xp = _buffer((n, c, h + 2 * pad, w + 2 * pad))
-    xp.fill(0.0)
-    xp[:, :, pad:-pad, pad:-pad] = x
-    return xp
-
-
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """The read-only B x C x kh x kw x ho x wo view of B x C x Hp x Wp whose element
-    (n, ch, a, b, i, j) is xp[n, ch, a + stride*i, b + stride*j]."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
+    """The read-only C x kh x kw x ho x wo view of a C x Hp x Wp image whose element
+    (ch, a, b, i, j) is xp[ch, a + stride*i, b + stride*j]: copied into a
+    (C*kh*kw) x (ho*wo) matrix, the image's im2col columns."""
+    sc, sh, sw = xp.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """B x C x Hp x Wp -> B x (C*kh*kw) x (ho*wo): row (ch, a, b) and column (i, j)
-    of image n hold xp[n, ch, a + stride*i, b + stride*j]."""
-    n, c = xp.shape[:2]
-    win = _windows(xp, kh, kw, stride, ho, wo)
-    cols = _buffer((n, c * kh * kw, ho * wo))
-    np.copyto(cols.reshape(win.shape), win)
-    return cols
+        xp, (len(xp), kh, kw, ho, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
 
 
 def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
-    """The adjoint of _im2col, into a zero array of `shape` (B x C x Hp x Wp). Each
-    element receives its additions in the same (a, b) order as a per-channel loop."""
+    """The adjoint of the im2col unfolding of each image, into a zero array of
+    `shape` (B x C x Hp x Wp). Each element receives its additions in the same
+    (a, b) order as a per-channel loop."""
     gxp = np.zeros(shape, dtype=np.float64)
     g = gcols.reshape(shape[0], shape[1], kh, kw, ho, wo)
     for a in range(kh):
@@ -246,32 +226,16 @@ def _col2im_add(gcols: np.ndarray, shape, kh, kw, stride, ho, wo) -> np.ndarray:
     return gxp
 
 
-def _conv_streamed(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-                   ho: int, wo: int) -> np.ndarray:
-    """The B x K x (ho*wo) convolution of an NCHW batch, padding and unfolding one
-    image at a time into one reused buffer for that image's GEMM: the same
-    kmat @ cols[n] that np.matmul runs per image of a stacked batch."""
-    n, c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))  # the border stays zero
-    inner = xp[:, pad : pad + h, pad : pad + w]
-    win = _windows(xp[None], kh, kw, stride, ho, wo)[0]
-    cols = np.empty((c * kh * kw, ho * wo))
-    y = np.empty((n, len(kmat), ho * wo))
-    for i in range(n):
-        np.copyto(inner, x[i])
-        np.copyto(cols.reshape(win.shape), win)
-        np.matmul(kmat, cols, out=y[i])
-    return y
-
-
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) of an NCHW batch, each image computed
     exactly as it would be alone.
 
-    A taped call keeps what its backward reads: the padded batch and its
-    B x (C*kh*kw) x (ho*wo) im2col columns, from the tape's arena if it has one.
-    An untaped call keeps nothing: it streams the images one at a time through
-    a single (C*kh*kw) x (ho*wo) column buffer, with bit-identical results.
+    One loop serves every call: each image is copied into one zero-bordered
+    C x Hp x Wp buffer, unfolded into its (C*kh*kw) x (ho*wo) im2col columns and
+    multiplied by the kernel matrix. A taped call keeps every image's columns
+    for its backward, in one B x (C*kh*kw) x (ho*wo) buffer from the tape's
+    arena if it has one; an untaped call reuses one image's columns and keeps
+    nothing.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d: expected NCHW input and KCkhkw kernels, "
@@ -290,13 +254,21 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     kmat = kernels.data.reshape(k, c * kh * kw)
-    if not _STACK.tapes:  # nothing will read the columns back
-        y = _conv_streamed(x.data, kmat, kh, kw, stride, pad, ho, wo)
-        y += bias.data[:, None]
-        return Tensor(y.reshape(n, k, ho, wo))
-    xp = _zero_pad(x.data, pad)
-    cols = _im2col(xp, kh, kw, stride, ho, wo)  # B x CKK x (ho*wo)
-    y = np.matmul(kmat, cols, out=_buffer((n, k, ho * wo)))  # one GEMM per image
+    taped = bool(_STACK.tapes)
+    cols = _buffer((n if taped else 1, c * kh * kw, ho * wo))
+    y = _buffer((n, k, ho * wo))
+    xp = np.zeros((c, hp, wp))
+    inner = xp[:, pad : pad + h, pad : pad + w]  # only this is written, so the border stays zero
+    win = _windows(xp, kh, kw, stride, ho, wo)
+    for i in range(n):
+        np.copyto(inner, x.data[i])
+        col = cols[i if taped else 0]
+        np.copyto(col.reshape(win.shape), win)
+        np.matmul(kmat, col, out=y[i])  # the GEMM a stacked matmul runs per image
+    # free the padded image, and an untaped call's columns, before the bias add's temporary
+    xp = inner = win = col = None
+    if not taped:
+        cols = None
     y += bias.data[:, None]
     out = Tensor(y.reshape(n, k, ho, wo))
 

@@ -12,6 +12,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 
 from .autodiff import SgdConfig
 from .cam import compute_cam, heatmap_to_text, overlay
@@ -54,6 +55,12 @@ def _parse_triple(text: str, cast=float):
 def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _class_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 classes, got {text!r}")
     return int(text)
 
 
@@ -193,29 +200,43 @@ def _cmd_train_cdg(args) -> int:
     return 0
 
 
+def _move_tree(src: str, dst: str) -> None:
+    """Move every file under src to the same place under dst, replacing any there."""
+    for folder, _, files in os.walk(src):
+        target = os.path.normpath(os.path.join(dst, os.path.relpath(folder, src)))
+        os.makedirs(target, exist_ok=True)
+        for name in files:
+            os.replace(os.path.join(folder, name), os.path.join(target, name))
+
+
 def _cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
     model_files = _model_files(args)
-    report, reports = evaluate_pipeline(
-        manifest,
-        *model_files,
-        beam_width=args.beam,
-        k_list=args.topk,
-        max_caption_len=args.max_len,
-        keyword_mode=False if args.no_keywords else None,
-        heatmap_dir=os.path.join(args.out, "reports", "assets"),
-    )
-    # made once the run is through, so a failed one leaves no empty folder
-    report_dir, heatmap_dir = _made(args.out, "reports", "heatmaps")
-    _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
-                           model_files[3])
-    for med in reports:  # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
-        shutil.copyfile(os.path.join(report_dir, med.cam_path),
-                        os.path.join(heatmap_dir, os.path.basename(med.cam_path)))
-    with open(os.path.join(report_dir, "report.html"), "w", encoding="utf-8") as f:
-        f.write(render_html(reports, group_by=args.group_by))
-    with open(os.path.join(args.out, "metrics.json"), "w") as f:
-        f.write(report.to_json() + "\n")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(parent, exist_ok=True)
+    # the bundle is built next to --out and moved in whole, so a failed run leaves --out as it was
+    with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=parent) as stage:
+        report, reports = evaluate_pipeline(
+            manifest,
+            *model_files,
+            beam_width=args.beam,
+            k_list=args.topk,
+            max_caption_len=args.max_len,
+            keyword_mode=False if args.no_keywords else None,
+            heatmap_dir=os.path.join(stage, "reports", "assets"),
+        )
+        report_dir, heatmap_dir = _made(stage, "reports", "heatmaps")
+        _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
+                               model_files[3])
+        # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
+        for med in reports:
+            shutil.copyfile(os.path.join(report_dir, med.cam_path),
+                            os.path.join(heatmap_dir, os.path.basename(med.cam_path)))
+        with open(os.path.join(report_dir, "report.html"), "w", encoding="utf-8") as f:
+            f.write(render_html(reports, group_by=args.group_by))
+        with open(os.path.join(stage, "metrics.json"), "w") as f:
+            f.write(report.to_json() + "\n")
+        _move_tree(stage, args.out)
     print(report.to_json())
     return 0
 
@@ -294,8 +315,8 @@ def _cmd_score(args) -> int:
 
 def _synth_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--records", type=int, default=200)
+    p.add_argument("--classes", type=_class_count, default=4)
+    p.add_argument("--records", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", type=_positive_int, default=32, help="image side length")
 

@@ -502,7 +502,7 @@ def test_sgd_config_validation():
 # batched (NCHW / B x D) ops
 
 def loop_im2col(xp, kh, kw, stride, ho, wo):
-    """The per-channel loop _im2col replaced, for one C x Hp x Wp image."""
+    """The im2col columns of one C x Hp x Wp image, by a per-channel loop."""
     c = xp.shape[0]
     cols = np.empty((c * kh * kw, ho * wo), dtype=np.float64)
     row = 0
@@ -534,11 +534,33 @@ IM2COL_CASES = [(3, 34, 3, 1), (8, 18, 3, 1), (16, 10, 3, 1), (3, 9, 3, 2), (2, 
 NON_SQUARE_CASES = [(3, 9, 14, 3, 2), (2, 13, 6, 3, 1), (3, 11, 8, 3, 2), (2, 5, 12, 2, 3)]
 
 
+class RecordingArena(ad.Arena):
+    """An arena that keeps every buffer it hands out, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken = []
+
+    def take(self, shape):
+        self.taken.append(buf := super().take(shape))
+        return buf
+
+
+def kept_columns(x, k, stride, pad):
+    """The B x (C*k*k) x (ho*wo) columns a taped conv2d of x keeps for backward."""
+    arena, c = RecordingArena(), x.shape[1]
+    with Tape(arena):
+        ad.conv2d(Tensor(x, needs_grad=False), Tensor(np.ones((2, c, k, k))), Tensor(np.zeros(2)),
+                  stride=stride, pad=pad)
+    [cols] = [b for b in arena.taken if b.shape[1] == c * k * k]  # not the 2-kernel output
+    return cols
+
+
 def check_gather_and_scatter(c, hp, wp, k, stride):
     rng = np.random.default_rng(c * hp * wp + k)
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xp = rng.standard_normal((2, c, hp, wp))
-    cols = ad._im2col(xp, k, k, stride, ho, wo)
+    cols = kept_columns(xp, k, stride, 0)
     gcols = rng.standard_normal(cols.shape)
     gxp = ad._col2im_add(gcols, xp.shape, k, k, stride, ho, wo)
     for n in range(2):
@@ -547,6 +569,9 @@ def check_gather_and_scatter(c, hp, wp, k, stride):
 
 
 class TestIm2col:
+    """The columns conv2d unfolds each image into, and their adjoint scatter,
+    against the per-channel loops."""
+
     @pytest.mark.parametrize("c, side, k, stride", IM2COL_CASES)
     def test_gather_and_scatter_equal_the_loops(self, c, side, k, stride):
         check_gather_and_scatter(c, side, side, k, stride)
@@ -556,19 +581,21 @@ class TestIm2col:
         check_gather_and_scatter(c, hp, wp, k, stride)
 
     def test_gather_reads_a_non_contiguous_input(self):
-        xp = np.random.default_rng(0).standard_normal((2, 3, 9, 16))[:, :, :, ::2]
-        cols = ad._im2col(xp, 3, 3, 2, 4, 3)
+        x = np.random.default_rng(0).standard_normal((2, 3, 9, 16))[:, :, :, ::2]
+        cols = kept_columns(x, 3, 2, 0)
         for n in range(2):
-            assert np.array_equal(cols[n], loop_im2col(xp[n], 3, 3, 2, 4, 3))
+            assert np.array_equal(cols[n], loop_im2col(x[n], 3, 3, 2, 4, 3))
 
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_zero_pad_equals_np_pad(self, pad):
         x = np.random.default_rng(pad).standard_normal((2, 3, 5, 8))
         x[0, 0, 0, 0] = -0.0
-        got = ad._zero_pad(x, pad)
-        want = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ho, wo = xp.shape[2] - 2, xp.shape[3] - 2
+        cols = kept_columns(x, 3, 1, pad)
+        for n in range(2):
+            want = loop_im2col(xp[n], 3, 3, 1, ho, wo)
+            assert np.array_equal(cols[n].view(np.uint64), want.view(np.uint64))
 
 
 def conv_oracle(x, k, b, g, stride, pad):

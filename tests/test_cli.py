@@ -205,6 +205,21 @@ def test_synth_data_side_must_be_positive(side, tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--records", "0", "expected a positive integer, got '0'"),
+    ("--records", "-5", "expected a positive integer, got '-5'"),
+    ("--classes", "1", "expected at least 2 classes, got '1'"),
+    ("--classes", "-3", "expected at least 2 classes, got '-3'"),
+    ("--classes", "two", "expected at least 2 classes, got 'two'"),
+])
+def test_synth_data_counts_are_checked_when_parsed(flag, value, message, tmp_path, capsys):
+    argv = ["synth-data", "--out", str(tmp_path / "d"), "--records", "4", "--classes", "2"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_stats_prints_histogram(dataset, capsys):
     assert main(["stats", "--manifest", str(dataset / "manifest.json")]) == 0
     hist = json.loads(capsys.readouterr().out)
@@ -377,6 +392,24 @@ def test_weights_beyond_float32_are_not_saved(dataset, tmp_path, capsys):
     assert not (tmp_path / "checkpoints" / "encoder.ckpt").exists()
 
 
+def evaluate_manifest(dataset, tmp_path, missing=None):
+    """The dataset's manifest with its first 12 records as the test split, two
+    chunks of 32 px images, and test record `missing` pointing to no file."""
+    records = json.loads((dataset / "manifest.json").read_text())
+    for i, r in enumerate(records):
+        r["split"] = "test" if i < 12 else "train"
+        r["image_path"] = str(tmp_path / "gone.ppm" if i == missing else dataset / r["image_path"])
+    manifest = tmp_path / f"manifest_{missing}.json"
+    manifest.write_text(json.dumps(records))
+    return manifest
+
+
+def files_under(root):
+    """Relative path -> (bytes, inode, mtime) of every file under root."""
+    return {p.relative_to(root).as_posix(): (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
+
+
 class TestEvaluate:
     def test_writes_metrics_and_bundle(self, dataset, trained, tmp_path):
         out = tmp_path / "eval"
@@ -402,6 +435,40 @@ class TestEvaluate:
         assert "bad magic bytes" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("missing", [2, 10])  # in the first chunk of 8 images, in the second
+    def test_missing_image_writes_nothing(self, missing, dataset, trained, tmp_path, capsys):
+        manifest = evaluate_manifest(dataset, tmp_path, missing)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), *model_args(trained / "checkpoints"),
+                     "--topk", "1,3", "--out", str(out)]) == 2
+        assert f"cannot open {tmp_path / 'gone.ppm'}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]  # no staging folder left
+
+    def test_failed_run_leaves_an_existing_bundle_as_it_was(self, dataset, trained, tmp_path,
+                                                            capsys):
+        out = tmp_path / "eval"
+        argv = ["evaluate", *model_args(trained / "checkpoints"), "--topk", "1,3",
+                "--out", str(out)]
+        assert main([*argv, "--manifest", str(evaluate_manifest(dataset, tmp_path))]) == 0
+        before = files_under(out)
+        assert len(before) == 3 * 12 + 2  # image, overlay and heatmap copy per case; HTML, metrics
+        assert main([*argv, "--manifest", str(evaluate_manifest(dataset, tmp_path, 10))]) == 2
+        assert "cannot open" in capsys.readouterr().err
+        assert files_under(out) == before
+
+    def test_rerun_replaces_the_bundle_and_keeps_other_files(self, dataset, trained, tmp_path):
+        argv = ["evaluate", "--manifest", str(evaluate_manifest(dataset, tmp_path)),
+                *model_args(trained / "checkpoints"), "--topk", "1,3", "--out"]
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main([*argv, str(fresh)]) == 0
+        (rerun / "reports" / "assets").mkdir(parents=True)
+        (rerun / "reports" / "assets" / "old.png").write_bytes(b"old")
+        (rerun / "metrics.json").write_text("stale")
+        assert main([*argv, str(rerun)]) == 0
+        want = {name: data for name, (data, _, _) in files_under(fresh).items()}
+        want["reports/assets/old.png"] = b"old"
+        assert {name: data for name, (data, _, _) in files_under(rerun).items()} == want
 
     def test_id_with_a_path_separator_is_data_error(self, dataset, trained, tmp_path, capsys):
         """Two ids x/b and y/b would both write assets/b.png; the manifest is refused

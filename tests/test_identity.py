@@ -15,6 +15,10 @@ the test skips on a machine whose versions differ.
 
 To rewrite the golden file, for a change that means to alter an output:
     PYTHONPATH=src python tests/test_identity.py
+
+To print the matrix's hashes for another seed as JSON, leaving the golden
+file alone (run it on two trees and diff the outputs to compare them):
+    PYTHONPATH=src python tests/test_identity.py --seed 3
 """
 
 from __future__ import annotations
@@ -48,15 +52,15 @@ def _models(encoder_dir: str, decoder_dir: str) -> list[str]:
             "--vocab", f"{decoder_dir}/vocab.txt", "--kw-vocab", f"{decoder_dir}/kw_vocab.txt"]
 
 
-def calls(root: str, fixture: str) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every call of the matrix, in the order they run."""
+def calls(root: str, fixture: str, seed: int) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every call of the matrix on seed, in the order they run."""
     data, manifest = f"{root}/data", f"{root}/data/manifest.json"
-    train = ["--epochs", "1", "--batch", "4", "--seed", "1"]
+    train = ["--epochs", "1", "--batch", "4", "--seed", str(seed)]
     trained, off = f"{root}/rdi/checkpoints", f"{root}/cdg_off/checkpoints"
     matrix = [
         ("synth-data", ["synth-data", "--out", data, "--classes", "4", "--records", "60",
-                        "--seed", "1"]),
-        ("split", ["split", "--manifest", manifest, "--seed", "1"]),
+                        "--seed", str(seed)]),
+        ("split", ["split", "--manifest", manifest, "--seed", str(seed)]),
         ("train-rdi", ["train-rdi", "--manifest", manifest, "--out", f"{root}/rdi", *train]),
         ("train-rdi-init", ["train-rdi", "--manifest", manifest, "--out", f"{root}/rdi_init",
                             "--init", f"{fixture}/encoder.ckpt", *train]),
@@ -94,14 +98,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_matrix(root: pathlib.Path) -> dict[str, object]:
+def run_matrix(root: pathlib.Path, seed: int) -> dict[str, object]:
     """Entry name -> exit code or sha256, over every call and every file written."""
     entries: dict[str, object] = {}
 
     def masked(text: str) -> bytes:
         return text.replace(str(root), ROOT_TAG).replace(str(FIXTURE), FIXTURE_TAG).encode()
 
-    for name, argv in calls(str(root), str(FIXTURE)):
+    for name, argv in calls(str(root), str(FIXTURE), seed):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             entries[f"{name}.exit"] = main(argv)
@@ -118,7 +122,7 @@ def test_every_output_matches_golden(tmp_path):
     here = environment()
     if here != golden["environment"]:
         pytest.skip(f"hashes recorded under {golden['environment']}, this machine has {here}")
-    got, want = run_matrix(tmp_path), golden["entries"]
+    got, want = run_matrix(tmp_path, 1), golden["entries"]
     differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
     assert not differ, f"{len(differ)} entries differ from {GOLDEN.name}: {differ}"
 
@@ -127,7 +131,7 @@ def test_matrix_covers_every_command_kind(tmp_path):
     """The golden file holds an exit code 0 for each call of the matrix, and the
     files of every bundle kind."""
     want = json.loads(GOLDEN.read_text())["entries"]
-    for name, _argv in calls(str(tmp_path), str(FIXTURE)):
+    for name, _argv in calls(str(tmp_path), str(FIXTURE), 1):
         assert want[f"{name}.exit"] == 0, name
     files = [name for name in want if name.startswith("file:")]
     for part in ("data/images/", "rdi/checkpoints/decoder.ckpt", "cdg_off/curves/cdg.csv",
@@ -136,10 +140,18 @@ def test_matrix_covers_every_command_kind(tmp_path):
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite the seed-1 golden file, or with "
+                                                 "--seed print one seed's hashes as JSON.")
+    parser.add_argument("--seed", type=int, help="print this seed's hashes to stdout instead")
+    seed = parser.parse_args().seed
     with tempfile.TemporaryDirectory() as tmp:
-        matrix_entries = run_matrix(pathlib.Path(tmp))
-    GOLDEN.write_text(json.dumps({"environment": environment(), "entries": matrix_entries},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(matrix_entries)} entries to {GOLDEN}", file=sys.stderr)
+        matrix_entries = run_matrix(pathlib.Path(tmp), 1 if seed is None else seed)
+    if seed is None:
+        GOLDEN.write_text(json.dumps({"environment": environment(), "entries": matrix_entries},
+                                     indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(matrix_entries)} entries to {GOLDEN}", file=sys.stderr)
+    else:
+        print(json.dumps(matrix_entries, indent=1, sort_keys=True))

@@ -207,9 +207,9 @@ class TestArena:
         n_batches = 2 * math.ceil(len(tiny_dataset.by_split("train")) / 4)
         assert len(tiny_dataset.by_split("train")) % 4  # a short last batch in each epoch
         counts = arena.misses_per_batch[1:] + [arena.misses]  # after batches 1, 2, ...
-        # padded input, columns and output of the conv, maxpool's output: one
-        # buffer each per stage, all taken by the first batch
-        assert counts == [4 * len(SMALL_STAGES)] * n_batches
+        # the conv's columns and output, maxpool's output: one buffer each per
+        # stage, all taken by the first batch
+        assert counts == [3 * len(SMALL_STAGES)] * n_batches
 
 
 def watch_validation(monkeypatch, on_validation, on_metric=lambda: None):
