@@ -25,7 +25,7 @@ from .encoder import VisionEncoder, predict_topk
 from .errors import DataError
 from .imageio import load_image, write_png
 from .metrics import precision_at_k, score_captions
-from .report import build_report, render_html, render_text
+from .report import render_html, render_text
 from .textgen import Vocabulary, tokenize
 from .training import (
     Pipeline, TrainConfig, evaluate_pipeline, load_train_config, train_captioner,
@@ -42,14 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_triple(text: str, cast=float):
-    try:
-        values = tuple(map(cast, text.split(",")))
-    except ValueError:
-        values = ()
-    if len(values) != 3:
-        raise _UsageError(f"expected three comma-separated numbers, got {text!r}")
-    return values
+def _triple(cast):
+    """The argparse type of three comma-separated numbers, each read by cast."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(map(cast, text.split(",")))
+        except ValueError:
+            values = ()
+        if len(values) != 3:
+            raise argparse.ArgumentTypeError(
+                f"expected three comma-separated numbers, got {text!r}")
+        return values
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -136,16 +140,22 @@ def _add_inference_flags(p: argparse.ArgumentParser) -> None:
                    help="force the keyword bypass (default: the decoder's trained mode)")
 
 
-def _model_files(args) -> tuple:
-    """The encoder and decoder checkpoints and the caption and keyword vocabularies."""
-    return (ModelCheckpoint.load(args.encoder), ModelCheckpoint.load(args.decoder),
-            Vocabulary.load(args.vocab), Vocabulary.load(args.kw_vocab))
+def _pipeline(args, class_names) -> Pipeline:
+    """The inference pipeline over the model files that evaluate and report share;
+    class_names() gives the disease names (None: class_0, class_1, ...) and is
+    called once those files have loaded."""
+    return Pipeline(ModelCheckpoint.load(args.encoder), ModelCheckpoint.load(args.decoder),
+                    Vocabulary.load(args.vocab), Vocabulary.load(args.kw_vocab),
+                    False if args.no_keywords else None, class_names())
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_synth_data(args) -> int:
+    if args.records < args.classes:
+        raise _UsageError(f"argument --records: expected at least one record per class "
+                          f"({args.classes}), got '{args.records}'")
     generate_synthetic_dataset(args.out, args.classes, args.records, args.seed,
                                image_side=args.side)
     print(f"wrote {args.records} records to {args.out}", file=sys.stderr)
@@ -154,9 +164,8 @@ def _cmd_synth_data(args) -> int:
 
 def _cmd_split(args) -> int:
     manifest = parse_manifest(args.manifest)
-    counts = _parse_triple(args.counts, int) if args.counts else None
-    split_dataset(manifest, _parse_triple(args.ratios), args.seed,
-                  preserve=args.preserve, explicit_counts=counts)
+    split_dataset(manifest, args.ratios, args.seed, preserve=args.preserve,
+                  explicit_counts=args.counts)
     save_manifest(manifest, args.out or args.manifest)
     return 0
 
@@ -211,23 +220,16 @@ def _move_tree(src: str, dst: str) -> None:
 
 def _cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
-    model_files = _model_files(args)
+    pipe = _pipeline(args, lambda: manifest.class_list)
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     # the bundle is built next to --out and moved in whole, so a failed run leaves --out as it was
     with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=parent) as stage:
-        report, reports = evaluate_pipeline(
-            manifest,
-            *model_files,
-            beam_width=args.beam,
-            k_list=args.topk,
-            max_caption_len=args.max_len,
-            keyword_mode=False if args.no_keywords else None,
-            heatmap_dir=os.path.join(stage, "reports", "assets"),
-        )
+        report, reports = evaluate_pipeline(manifest, pipe, args.beam, args.topk, args.max_len,
+                                            os.path.join(stage, "reports", "assets"))
         report_dir, heatmap_dir = _made(stage, "reports", "heatmaps")
         _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
-                               model_files[3])
+                               pipe.kw_vocab)
         # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
         for med in reports:
             shutil.copyfile(os.path.join(report_dir, med.cam_path),
@@ -258,22 +260,16 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    pipe = Pipeline(
-        *_model_files(args),
-        keyword_mode=False if args.no_keywords else None,
-        class_names=parse_manifest(args.manifest).class_list if args.manifest else None,
-    )
+    pipe = _pipeline(args, lambda: parse_manifest(args.manifest).class_list
+                     if args.manifest else None)
     keywords = _split_keywords([args.keywords])
     _warn_unknown_keywords(keywords, pipe.kw_vocab)
     image = load_image(args.image)
-    case_id = os.path.splitext(os.path.basename(args.image))[0]
-    [inf] = pipe.infer([(case_id, image, keywords)], args.beam, args.max_len, args.alpha,
-                       assets_dir=os.path.join(args.out, "assets"))
-    record = CaseRecord(id=case_id, image_path=args.image, modality=image.modality,
-                        disease="", keywords=keywords, description="")
-    predictions = [(pipe.class_names[c], p) for c, p in inf.ranked[: args.topk]]
-    med = build_report(record, predictions, inf.caption_words,
-                       cam_path=inf.cam_path, image_path=inf.image_path, include_truth=False)
+    record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
+                        image_path=args.image, modality=image.modality, disease="",
+                        keywords=keywords, description="")  # no disease: no ground truth
+    [med] = pipe.infer([(record, image)], args.topk, args.beam, args.max_len,
+                       os.path.join(args.out, "assets"), args.alpha)
     with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
         f.write(render_html([med]))
     print(render_text(med))
@@ -323,9 +319,10 @@ def _synth_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
+    p.add_argument("--ratios", type=_triple(float), default="0.6,0.2,0.2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--counts", help="explicit train,val,test sizes (overrides ratios)")
+    p.add_argument("--counts", type=_triple(int),
+                   help="explicit train,val,test sizes (overrides ratios)")
     p.add_argument("--preserve", action="store_true",
                    help="keep existing split assignments")
     p.add_argument("--out", help="output manifest (default: in place)")

@@ -22,30 +22,27 @@ class MedicalReport:
     cam_path: str
     predictions: list[tuple[str, float]]  # (disease, probability), sorted desc
     keywords: list[str]
-    description: str
-    truth_disease: str | None = None
-    truth_description: str | None = None
+    caption: list[str]  # the generated tokens
+    truth_disease: str | None
+    truth_description: str | None
+
+    @property
+    def description(self) -> str:
+        return detokenize(self.caption)
 
 
 def build_report(record: CaseRecord, predictions: list[tuple[str, float]],
-                 caption_tokens: list[str], cam_path: str,
-                 image_path: str | None = None,
-                 include_truth: bool = True) -> MedicalReport:
+                 caption_tokens: list[str], image_path: str, cam_path: str) -> MedicalReport:
+    """The report of record's case; it holds the record's disease and description
+    as ground truth if its disease is non-empty, and no ground truth otherwise."""
     if not predictions:
         raise ValueError("prediction list must be non-empty")
     probs = [p for _, p in predictions]
     if any(a < b for a, b in zip(probs, probs[1:])):
         raise ValueError("predictions must be sorted by probability descending")
-    return MedicalReport(
-        case_id=record.id,
-        image_path=image_path if image_path is not None else record.image_path,
-        cam_path=cam_path,
-        predictions=list(predictions),
-        keywords=list(record.keywords),
-        description=detokenize(caption_tokens),
-        truth_disease=record.disease if include_truth else None,
-        truth_description=record.description if include_truth else None,
-    )
+    truth = (record.disease, record.description) if record.disease else (None, None)
+    return MedicalReport(record.id, image_path, cam_path, list(predictions),
+                         list(record.keywords), caption_tokens, *truth)
 
 
 def format_probability(p: float) -> str:

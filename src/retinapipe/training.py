@@ -1,6 +1,7 @@
 """Deterministic training of the disease classifier and the keyword-driven
-captioner through one SGD loop, plus the loaded-once inference pipeline
-(classify, caption, explain) and end-to-end evaluation over a test split."""
+captioner through one SGD loop, plus the loaded-once inference pipeline that
+turns each case into a medical report (classify, caption, explain) and the
+end-to-end evaluation of those reports over a test split."""
 
 from __future__ import annotations
 
@@ -293,26 +294,18 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # inference and evaluation
 
-@dataclass
-class Inference:
-    ranked: list[tuple[int, float]]  # every class id with its probability, best first
-    caption_words: list[str]
-    image_path: str | None = None  # the asset paths, relative to the report bundle
-    cam_path: str | None = None
-
-
 class Pipeline:
-    """Classify, caption and explain a stream of images, with the models and
-    vocabularies loaded and cross-checked once.
+    """Classify, caption and explain a stream of images into medical reports,
+    with the models and vocabularies loaded and cross-checked once.
 
     keyword_mode None takes the mode the decoder was trained with; False
-    forces the keyword bypass. class_names, if given, must name every
-    encoder class; by default they are class_0, class_1, ...
+    forces the keyword bypass. class_names, if not None, must name every
+    encoder class; None names them class_0, class_1, ...
     """
 
     def __init__(self, encoder_ckpt: ModelCheckpoint, decoder_ckpt: ModelCheckpoint,
-                 vocab: Vocabulary, kw_vocab: Vocabulary,
-                 keyword_mode: bool | None = None, class_names: list[str] | None = None):
+                 vocab: Vocabulary, kw_vocab: Vocabulary, keyword_mode: bool | None,
+                 class_names: list[str] | None):
         self.encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
         self.decoder = DecoderParams.from_checkpoint(decoder_ckpt)
         self.kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
@@ -339,36 +332,37 @@ class Pipeline:
             if a != b:
                 raise DataError(f"{what}: {a} != {b}")
 
-    def infer(self, cases, beam_width: int, max_len: int, alpha: float = 0.5,
-              assets_dir=None) -> list[Inference]:
-        """One Inference per (case id, image, keywords) from cases, in order.
+    def infer(self, cases, topk: int, beam_width: int, max_len: int, assets_dir,
+              alpha: float = 0.5) -> list[MedicalReport]:
+        """One MedicalReport per (CaseRecord, RetinalImage) of cases, in order,
+        listing the first topk classes of its ranking (every class if topk is
+        more); each case's image and CAM overlay go to assets_dir.
 
         The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). Each
-        chunk is encoded as one batch and ranked, and with assets_dir set its
-        images and CAM overlays are written there. Only the rankings and the fused
-        features are kept, so a lazy cases holds one chunk of images at a time
-        (encoding the split as one batch would hold it all). Then one beam search
-        captions every case. Every case comes out as it would alone.
+        chunk is encoded as one batch and ranked, and its images and CAM overlays
+        are written. Only the records, rankings and fused features are kept, so
+        a lazy cases holds one chunk of images at a time (encoding the split as
+        one batch would hold it all). Then one beam search captions every case.
+        Every case comes out as it would alone.
         """
         looked, fused = [], []
         for chunk in _chunks(cases, self.encoder.config.image_size ** 2):
-            ids, images, keywords = zip(*chunk)
+            records, images = zip(*chunk)
             out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
             ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
             feature = out.pooled
             if self.keyword_mode:
-                feature = self.kw_proj.fuse(
-                    feature, np.stack([keyword_multihot(kw, self.kw_vocab) for kw in keywords]))
+                feature = self.kw_proj.fuse(feature, np.stack(
+                    [keyword_multihot(r.keywords, self.kw_vocab) for r in records]))
             fused.extend(feature.data)
-            paths = [(None, None)] * len(chunk)
-            if assets_dir is not None:
-                paths = [write_case_assets(assets_dir, *case) for case in zip(
-                    ids, images, self._overlays(images, out.feature_maps.data, ranked, alpha))]
-            looked += zip(ranked, paths)
+            paths = [write_case_assets(assets_dir, r.id, image, cam) for r, image, cam in zip(
+                records, images, self._overlays(images, out.feature_maps.data, ranked, alpha))]
+            looked += zip(records, ranked, paths)
             del chunk, images, out  # before cases loads the next image
         beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
-        return [Inference(ranked, beam[0].words(self.vocab), *paths)
-                for (ranked, paths), beam in zip(looked, beams)]
+        return [build_report(record, [(self.class_names[c], p) for c, p in ranked[:topk]],
+                             beam[0].words(self.vocab), *paths)
+                for (record, ranked, paths), beam in zip(looked, beams)]
 
     def _overlays(self, images: tuple[RetinalImage, ...], feature_maps: np.ndarray,
                   ranked: list[list[tuple[int, float]]], alpha: float) -> list[np.ndarray]:
@@ -392,7 +386,7 @@ _CHUNK_PIXELS = 8 * 32 * 32
 
 
 def _chunks(cases, min_weight: int):
-    """The (case id, image, keywords) cases in order, in lists that each weigh at
+    """The (record, image) cases in order, in lists that each weigh at
     most _CHUNK_PIXELS, or a single case that alone weighs more.
 
     A chunk closes as soon as no case could join it, else when the next case
@@ -427,34 +421,24 @@ def write_case_assets(assets_dir, case_id: str, image: RetinalImage,
     return paths
 
 
-def evaluate_pipeline(manifest: DatasetManifest, encoder_ckpt: ModelCheckpoint,
-                      decoder_ckpt: ModelCheckpoint, vocab: Vocabulary,
-                      kw_vocab: Vocabulary, beam_width: int = 3,
-                      k_list: tuple[int, ...] = (1, 5), max_caption_len: int = 30,
-                      keyword_mode: bool | None = None, heatmap_dir=None,
+def evaluate_pipeline(manifest: DatasetManifest, pipe: Pipeline, beam_width: int,
+                      k_list: tuple[int, ...], max_caption_len: int, assets_dir,
                       ) -> tuple[MetricReport, list[MedicalReport]]:
-    """Classify, caption and explain the test split through Pipeline.infer: the
-    images are loaded and encoded a chunk at a time, a few small images per
-    chunk and a large one alone, then one beam search captions every case.
-
-    With heatmap_dir set, each case's image and CAM overlay are written there
-    by write_case_assets in the pass that encoded its chunk; heatmap_dir is
-    the assets directory of a report bundle.
+    """The test split's reports from pipe.infer, each listing max(k_list)
+    classes, and their scores: BLEU, ROUGE-L and CIDEr of the generated tokens
+    against the tokenized descriptions, and Prec@k of the listed disease names
+    for each k of k_list. The images are loaded as infer takes them, a chunk
+    at a time; each case's image and CAM overlay go to assets_dir, the assets
+    folder of a report bundle.
     """
     test = _split(manifest, "test")
-    pipe = Pipeline(encoder_ckpt, decoder_ckpt, vocab, kw_vocab, keyword_mode,
-                    manifest.class_list)
     if max(k_list) > pipe.num_classes:
         raise ValueError(f"k={max(k_list)} exceeds number of classes {pipe.num_classes}")
-    cases = ((r.id, load_image(manifest.image_file(r)), r.keywords) for r in test)
-    inferences = pipe.infer(cases, beam_width, max_caption_len, assets_dir=heatmap_dir)
-    classes = manifest.class_index()
-    report = score_captions([inf.caption_words for inf in inferences],
-                            [tokenize(r.description) for r in test])
-    rankings = [[cid for cid, _ in inf.ranked] for inf in inferences]
-    truths = [classes[r.disease] for r in test]
-    report.prec_at = {k: precision_at_k(rankings, truths, k) for k in k_list}
-    return report, [
-        build_report(r, [(pipe.class_names[c], p) for c, p in inf.ranked[: max(k_list)]],
-                     inf.caption_words, cam_path=inf.cam_path, image_path=inf.image_path)
-        for r, inf in zip(test, inferences)]
+    cases = ((r, load_image(manifest.image_file(r))) for r in test)
+    reports = pipe.infer(cases, max(k_list), beam_width, max_caption_len, assets_dir)
+    metrics = score_captions([med.caption for med in reports],
+                             [tokenize(r.description) for r in test])
+    rankings = [[name for name, _ in med.predictions] for med in reports]
+    truths = [r.disease for r in test]
+    metrics.prec_at = {k: precision_at_k(rankings, truths, k) for k in k_list}
+    return metrics, reports

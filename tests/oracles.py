@@ -25,9 +25,10 @@ from retinapipe.cam import colormap, compute_cam
 from retinapipe.encoder import predict_topk
 from retinapipe.imageio import _PNG_SIG, _png_chunk, resize_bilinear
 from retinapipe.metrics import ngram_counts
+from retinapipe.report import MedicalReport, build_report
 from retinapipe.rng import _MASK, Xoshiro256
 from retinapipe.textgen import START, DecoderParams, _beam_search, keyword_multihot
-from retinapipe.training import Inference, write_case_assets
+from retinapipe.training import write_case_assets
 
 
 class InlineLoopXoshiro(Xoshiro256):
@@ -278,28 +279,28 @@ def overlay_one(pixels: np.ndarray, raw: np.ndarray, alpha: float) -> np.ndarray
     return np.rint(blended * 255.0).astype(np.uint8)
 
 
-def infer_one_at_a_time(pipe, cases, beam_width: int, max_len: int, alpha: float = 0.5,
-                        assets_dir=None) -> list[Inference]:
+def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, assets_dir,
+                        alpha: float = 0.5) -> list[MedicalReport]:
     """Pipeline.infer with each case encoded, fused and explained as a batch of
     one, then one beam search over all of them."""
     looked, fused = [], []
-    for case_id, image, keywords in cases:
+    for record, image in cases:
         out = pipe.encoder.forward(pipe.encoder.preprocess(image)[None])
         ranked = predict_topk(out.logits.data[0], pipe.num_classes)
         feature = out.pooled
         if pipe.keyword_mode:
-            feature = pipe.kw_proj.fuse(feature, keyword_multihot(keywords, pipe.kw_vocab)[None])
+            feature = pipe.kw_proj.fuse(feature,
+                                        keyword_multihot(record.keywords, pipe.kw_vocab)[None])
         fused.append(feature.data[0])
-        paths = (None, None)
-        if assets_dir is not None:
-            cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
-                              ranked[0][0])
-            paths = write_case_assets(assets_dir, case_id, image,
-                                      overlay_one(image.pixels, cam, alpha))
-        looked.append((ranked, paths))
+        cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
+                          ranked[0][0])
+        paths = write_case_assets(assets_dir, record.id, image,
+                                  overlay_one(image.pixels, cam, alpha))
+        looked.append((record, ranked, paths))
     beams = _beam_search(np.stack(fused), pipe.decoder, beam_width, max_len)
-    return [Inference(ranked, beam[0].words(pipe.vocab), *paths)
-            for (ranked, paths), beam in zip(looked, beams)]
+    return [build_report(record, [(pipe.class_names[c], p) for c, p in ranked[:topk]],
+                         beam[0].words(pipe.vocab), *paths)
+            for (record, ranked, paths), beam in zip(looked, beams)]
 
 
 def png_bytes_row_join(pixels: np.ndarray) -> bytes:

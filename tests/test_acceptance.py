@@ -29,7 +29,7 @@ from retinapipe.textgen import (
     caption_loss, decode_beam, decode_greedy, keyword_multihot,
 )
 from retinapipe.training import (
-    TrainConfig, evaluate_pipeline, lr_schedule, train_captioner, train_classifier,
+    Pipeline, TrainConfig, evaluate_pipeline, lr_schedule, train_captioner, train_classifier,
 )
 
 SMALL_STAGES = ((4, 3, 1, 2), (8, 3, 1, 2))
@@ -240,9 +240,9 @@ def test_criterion_6_keyword_ablation(tmp_path):
                                             decay_period_epochs=60),
                               encoder_stages=SMALL_STAGES, decoder_hidden=24)
             dec_ckpt, _, vocab, kw_vocab = train_captioner(m, cfg, enc_ckpt)
-            report, _ = evaluate_pipeline(m, enc_ckpt, dec_ckpt, vocab, kw_vocab,
-                                          beam_width=3, k_list=(1, 4),
-                                          keyword_mode=mode)
+            pipe = Pipeline(enc_ckpt, dec_ckpt, vocab, kw_vocab, mode, m.class_list)
+            report, _ = evaluate_pipeline(m, pipe, 3, (1, 4), 30,
+                                          tmp_path / f"s{seed}_{mode}" / "assets")
             bleu[mode] = report.bleu_avg
         if bleu[True] >= bleu[False]:
             wins += 1

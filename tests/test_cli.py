@@ -12,7 +12,7 @@ from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import Vocabulary
-from retinapipe.training import evaluate_pipeline
+from retinapipe.training import Pipeline, evaluate_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -183,11 +183,14 @@ class TestSplit:
     @pytest.mark.parametrize("flag, value", [("--ratios", "a,b,c"), ("--ratios", "0.6,,0.2"),
                                              ("--counts", "20,5,x"), ("--counts", "20,5.5,4")])
     def test_non_number_is_usage_error(self, flag, value, dataset, tmp_path, capsys):
+        """Reported when parsed, so before the manifest is read: also when it is missing."""
         out = tmp_path / "o.json"
-        assert main(["split", "--manifest", str(dataset / "manifest.json"),
-                     flag, value, "--out", str(out)]) == 1
-        assert f"expected three comma-separated numbers, got {value!r}" in capsys.readouterr().err
-        assert not out.exists()
+        for manifest in (dataset / "manifest.json", tmp_path / "missing.json"):
+            assert main(["split", "--manifest", str(manifest), flag, value,
+                         "--out", str(out)]) == 1
+            assert f"argument {flag}: expected three comma-separated numbers, got {value!r}" \
+                in capsys.readouterr().err
+            assert not out.exists()
 
     def test_negative_count_is_data_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "o.json"
@@ -211,9 +214,10 @@ def test_synth_data_side_must_be_positive(side, tmp_path, capsys):
     ("--classes", "1", "expected at least 2 classes, got '1'"),
     ("--classes", "-3", "expected at least 2 classes, got '-3'"),
     ("--classes", "two", "expected at least 2 classes, got 'two'"),
+    ("--records", "3", "expected at least one record per class (4), got '3'"),
 ])
 def test_synth_data_counts_are_checked_when_parsed(flag, value, message, tmp_path, capsys):
-    argv = ["synth-data", "--out", str(tmp_path / "d"), "--records", "4", "--classes", "2"]
+    argv = ["synth-data", "--out", str(tmp_path / "d"), "--records", "4", "--classes", "4"]
     argv[argv.index(flag) + 1] = value
     assert main(argv) == 1
     assert f"argument {flag}: {message}" in capsys.readouterr().err
@@ -529,6 +533,22 @@ class TestReport:
                      "--out", str(out)]) == 0
         assert (out / "assets" / "tiny_cam.png").exists()
 
+    def test_topk_above_class_count_lists_every_class(self, dataset, trained, tmp_path,
+                                                     capsys):
+        out = tmp_path / "rep"
+        assert main(["report", "--image", str(dataset / "images" / "case0001.pgm"),
+                     *model_args(trained / "checkpoints"),
+                     "--manifest", str(dataset / "manifest.json"),
+                     "--topk", "99", "--out", str(out)]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("Prediction: ")]
+        names = [pred.rsplit(" (", 1)[0]
+                 for pred in line.removeprefix("Prediction: ").split(", ")]
+        classes = parse_manifest(dataset / "manifest.json").class_list
+        assert len(classes) == 3 and sorted(names) == classes
+        html = (out / "report.html").read_text()
+        assert all(html.count(f"{name} (") == 1 for name in classes)
+
     def test_rerun_is_byte_identical(self, dataset, trained, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run_report(dataset, trained, a) == 0
@@ -546,11 +566,12 @@ class TestReportMatchesEvaluate:
         ckpts = trained / "checkpoints"
         dec_dir = ckpts if mode == "keywords-on" else trained_off
         manifest = parse_manifest(dataset / "manifest.json")
-        _, results = evaluate_pipeline(
-            manifest, ModelCheckpoint.load(ckpts / "encoder.ckpt"),
+        pipe = Pipeline(
+            ModelCheckpoint.load(ckpts / "encoder.ckpt"),
             ModelCheckpoint.load(dec_dir / "decoder.ckpt"),
             Vocabulary.load(dec_dir / "vocab.txt"), Vocabulary.load(dec_dir / "kw_vocab.txt"),
-            k_list=(1,))
+            None, manifest.class_list)
+        _, results = evaluate_pipeline(manifest, pipe, 3, (1,), 30, tmp_path / "assets")
         assert len(results) == 6
         mismatches = []
         for r, res in zip(manifest.by_split("test"), results):

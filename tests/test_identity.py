@@ -19,21 +19,32 @@ To rewrite the golden file, for a change that means to alter an output:
 To print the matrix's hashes for another seed as JSON, leaving the golden
 file alone (run it on two trees and diff the outputs to compare them):
     PYTHONPATH=src python tests/test_identity.py --seed 3
+
+To compare a seed's hashes with those of the package at a git revision
+(`git archive REV src` unpacked into a temporary folder and run there in a
+subprocess), printing each entry that differs and exiting 1 if any does:
+    PYTHONPATH=src python tests/test_identity.py --against HEAD~1 --seed 3
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import tarfile
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
 
+import retinapipe
 from retinapipe.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "identity_seed1.json"
@@ -139,19 +150,62 @@ def test_matrix_covers_every_command_kind(tmp_path):
         assert any(part in name for name in files), part
 
 
-if __name__ == "__main__":
-    import argparse
-    import tempfile
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE_LINE = "hashed with the package at "  # the last stderr line of a --seed run
 
+
+def entries_at(rev: str, seed: int) -> dict[str, object]:
+    """Seed's matrix entries with the package's source as it is at git revision
+    rev: `git archive rev src` is unpacked into a temporary folder and the
+    matrix runs in a subprocess whose PYTHONPATH is that folder's src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=REPO, capture_output=True)
+        if archive.returncode:
+            sys.exit(f"git archive {rev} src failed: {archive.stderr.decode().strip()}")
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        src = pathlib.Path(tmp, "src").resolve()
+        run = subprocess.run([sys.executable, __file__, "--seed", str(seed)], text=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+        if run.returncode:
+            sys.exit(f"the matrix at {rev} exited {run.returncode}:\n{run.stderr}")
+        package = pathlib.Path(run.stderr.splitlines()[-1].removeprefix(PACKAGE_LINE))
+        if not package.is_relative_to(src):
+            sys.exit(f"the matrix at {rev} imported retinapipe from {package}, not {src}")
+        return json.loads(run.stdout)
+
+
+def main_cli() -> int:
     parser = argparse.ArgumentParser(description="Rewrite the seed-1 golden file, or with "
                                                  "--seed print one seed's hashes as JSON.")
     parser.add_argument("--seed", type=int, help="print this seed's hashes to stdout instead")
-    seed = parser.parse_args().seed
+    parser.add_argument("--against", metavar="REV",
+                        help="compare --seed's hashes with the package at git revision REV")
+    args = parser.parse_args()
+    if args.against is not None and args.seed is None:
+        parser.error("--against needs --seed")
+    seed = 1 if args.seed is None else args.seed
     with tempfile.TemporaryDirectory() as tmp:
-        matrix_entries = run_matrix(pathlib.Path(tmp), 1 if seed is None else seed)
-    if seed is None:
-        GOLDEN.write_text(json.dumps({"environment": environment(), "entries": matrix_entries},
+        entries = run_matrix(pathlib.Path(tmp), seed)
+    if args.against is not None:
+        theirs = entries_at(args.against, seed)
+        differ = sorted(name for name in entries.keys() | theirs.keys()
+                        if entries.get(name) != theirs.get(name))
+        for name in differ:
+            print(f"{name}: {theirs.get(name)} at {args.against}, {entries.get(name)} here")
+        print(f"seed {seed}: {len(differ)} of {len(entries)} entries differ from "
+              f"{args.against}", file=sys.stderr)
+        return 1 if differ else 0
+    if args.seed is None:
+        GOLDEN.write_text(json.dumps({"environment": environment(), "entries": entries},
                                      indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(matrix_entries)} entries to {GOLDEN}", file=sys.stderr)
+        print(f"wrote {len(entries)} entries to {GOLDEN}", file=sys.stderr)
     else:
-        print(json.dumps(matrix_entries, indent=1, sort_keys=True))
+        print(json.dumps(entries, indent=1, sort_keys=True))
+        print(PACKAGE_LINE + str(pathlib.Path(retinapipe.__file__).resolve().parent),
+              file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_cli())

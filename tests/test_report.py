@@ -30,6 +30,7 @@ def sample_report(**overrides):
         rec,
         predictions=[("glaucoma", 0.8231), ("optic neuritis", 0.1002), ("macular hole", 0.0767)],
         caption_tokens=["advanced", "glaucoma", "with", "disc", "cupping"],
+        image_path=rec.image_path,
         cam_path="heatmaps/case0002_cam.png",
     )
     for k, v in overrides.items():
@@ -41,23 +42,28 @@ class TestBuildReport:
     def test_fields(self):
         rep = sample_report()
         assert rep.case_id == "case0002"
+        assert rep.caption == ["advanced", "glaucoma", "with", "disc", "cupping"]
         assert rep.description == "Advanced glaucoma with disc cupping."
         assert rep.truth_disease == "glaucoma"
+        assert rep.truth_description == sample_record().description
         assert rep.predictions[0] == ("glaucoma", 0.8231)
 
     def test_truth_can_be_withheld(self):
-        rep = build_report(sample_record(), [("glaucoma", 1.0)], ["stable"],
-                           "c.png", include_truth=False)
+        """A record with no disease gives a report with no ground truth, whose
+        cell renders the placeholder."""
+        rep = build_report(sample_record(disease=""), [("glaucoma", 1.0)], ["stable"],
+                           "i.png", "c.png")
         assert rep.truth_disease is None
         assert rep.truth_description is None
+        assert render_html([rep]).count(f"<td>{EMPTY_CELL}</td>") == 1
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
-            build_report(sample_record(), [], ["a"], "c.png")
+            build_report(sample_record(), [], ["a"], "i.png", "c.png")
 
     def test_unsorted_predictions_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            build_report(sample_record(), [("a", 0.1), ("b", 0.9)], ["a"], "c.png")
+            build_report(sample_record(), [("a", 0.1), ("b", 0.9)], ["a"], "i.png", "c.png")
 
 
 def test_format_probability():
@@ -91,7 +97,7 @@ class TestRenderHtml:
             render_html([], group_by="severity")
 
     def test_escapes_markup_in_content(self):
-        rep = sample_report(description="<script>alert(1)</script>")
+        rep = sample_report(caption=["<script>alert(1)</script>"])
         out = render_html([rep])
         assert "<script>" not in out
         assert "&lt;script&gt;" in out

@@ -433,27 +433,25 @@ def trained(tiny_dataset):
 
 
 class TestEvaluatePipeline:
-    def test_reports_all_test_records(self, tiny_dataset, trained):
-        enc, dec, vocab, kw_vocab = trained
-        report, results = evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab,
-                                            k_list=(1, 3))
+    def test_reports_all_test_records(self, tiny_dataset, trained, tmp_path):
+        pipe = Pipeline(*trained, None, tiny_dataset.class_list)
+        report, results = evaluate_pipeline(tiny_dataset, pipe, 3, (1, 3), 30, tmp_path)
         assert len(results) == len(tiny_dataset.by_split("test"))
         assert set(report.prec_at) == {1, 3}
         assert report.prec_at[3] == 1.0  # only 3 classes
         assert all(0.0 <= s <= 1.0 for s in report.bleu)
 
     def test_writes_heatmaps(self, tiny_dataset, trained, tmp_path):
-        enc, dec, vocab, kw_vocab = trained
-        _, results = evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab,
-                                       k_list=(1,), heatmap_dir=tmp_path / "cams")
+        pipe = Pipeline(*trained, None, tiny_dataset.class_list)
+        _, results = evaluate_pipeline(tiny_dataset, pipe, 3, (1,), 30, tmp_path / "cams")
         for res in results:
-            assert res.cam_path is not None
+            assert res.cam_path == f"cams/{res.case_id}_cam.png"
             assert (tmp_path / "cams" / f"{res.case_id}_cam.png").exists()
 
-    def test_k_larger_than_classes_rejected(self, tiny_dataset, trained):
-        enc, dec, vocab, kw_vocab = trained
+    def test_k_larger_than_classes_rejected(self, tiny_dataset, trained, tmp_path):
+        pipe = Pipeline(*trained, None, tiny_dataset.class_list)
         with pytest.raises(ValueError):
-            evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(99,))
+            evaluate_pipeline(tiny_dataset, pipe, 3, (99,), 30, tmp_path)
 
     @pytest.mark.parametrize("keyword_mode", [None, False])
     @pytest.mark.parametrize("beam_width, max_len", [(1, 30), (3, 30), (3, 4)])
@@ -461,24 +459,22 @@ class TestEvaluatePipeline:
                                              keyword_mode, beam_width, max_len):
         """The joint search over the split gives every case what a batch of one
         gives it: the caption, the ranking and the CAM PNG's bytes."""
-        enc, dec, vocab, kw_vocab = trained
-        _, results = evaluate_pipeline(
-            tiny_dataset, enc, dec, vocab, kw_vocab, beam_width=beam_width, k_list=(1, 3),
-            max_caption_len=max_len, keyword_mode=keyword_mode, heatmap_dir=tmp_path / "all")
-        pipe = Pipeline(enc, dec, vocab, kw_vocab, keyword_mode, tiny_dataset.class_list)
+        pipe = Pipeline(*trained, keyword_mode, tiny_dataset.class_list)
+        _, results = evaluate_pipeline(tiny_dataset, pipe, beam_width, (1, 3), max_len,
+                                       tmp_path / "all")
         test = tiny_dataset.by_split("test")
         assert [res.case_id for res in results] == [r.id for r in test] and len(test) > 1
         for r, res in zip(test, results):
-            [one] = pipe.infer([(r.id, load_image(tiny_dataset.image_file(r)), r.keywords)],
-                               beam_width, max_len, assets_dir=tmp_path / r.id)
-            assert res.description == detokenize(one.caption_words)
-            assert res.predictions == [(pipe.class_names[c], p) for c, p in one.ranked]
+            [one] = pipe.infer([(r, load_image(tiny_dataset.image_file(r)))], 3, beam_width,
+                               max_len, tmp_path / r.id)
+            assert res.caption == one.caption
+            assert res.description == detokenize(one.caption)
+            assert res.predictions == one.predictions and len(one.predictions) == 3
             for got, want in ((res.cam_path, one.cam_path), (res.image_path, one.image_path)):
                 assert (tmp_path / "all" / pathlib.Path(got).name).read_bytes() == \
                     (tmp_path / r.id / pathlib.Path(want).name).read_bytes()
 
-    def test_one_search_for_the_split(self, tiny_dataset, trained, monkeypatch):
-        enc, dec, vocab, kw_vocab = trained
+    def test_one_search_for_the_split(self, tiny_dataset, trained, monkeypatch, tmp_path):
         searches, cells = [], []
 
         def counting_search(feats, *args):
@@ -491,8 +487,8 @@ class TestEvaluatePipeline:
 
         monkeypatch.setattr(training, "_beam_search", counting_search)
         monkeypatch.setattr(autodiff, "lstm_cell_np", counting_cell)
-        evaluate_pipeline(tiny_dataset, enc, dec, vocab, kw_vocab, k_list=(1,),
-                          max_caption_len=12)
+        evaluate_pipeline(tiny_dataset, Pipeline(*trained, None, tiny_dataset.class_list), 3,
+                          (1,), 12, tmp_path)
         assert searches == [len(tiny_dataset.by_split("test"))]
         assert 0 < len(cells) <= 12 + 2
 
@@ -566,11 +562,12 @@ class TestChunkedInference:
         test = manifest.by_split("test")
 
         def cases():
-            return ((r.id, load_image(manifest.image_file(r)), r.keywords) for r in test)
+            return ((r, load_image(manifest.image_file(r))) for r in test)
 
-        got = pipe.infer(cases(), 3, 30, assets_dir=tmp_path / "a" / "assets")
-        want = infer_one_at_a_time(pipe, cases(), 3, 30, assets_dir=tmp_path / "b" / "assets")
+        got = pipe.infer(cases(), 3, 3, 30, tmp_path / "a" / "assets")
+        want = infer_one_at_a_time(pipe, cases(), 3, 3, 30, tmp_path / "b" / "assets")
         assert len(got) == n_test and got == want
+        assert all(len(med.predictions) == pipe.num_classes == 3 for med in got)
         files = [sorted((tmp_path / side / "assets").iterdir()) for side in "ab"]
         assert [p.name for p in files[0]] == [p.name for p in files[1]]
         assert len(files[0]) == 2 * n_test
@@ -636,7 +633,8 @@ class TestChunkedInference:
         monkeypatch.setattr(training, "load_image", tracked_load)
         monkeypatch.setattr(training, "_beam_search", checked_search)
         monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
-        evaluate_pipeline(manifest, *trained, k_list=(1,), heatmap_dir=tmp_path / "assets")
+        evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
+                          tmp_path / "assets")
         assert len(loaded) == len(records) == 19
         assert len(at_loads) == len(loaded) + 1 and at_loads[-1] == []
         assert all(sum(alive) <= budget for alive in at_loads)
@@ -666,7 +664,8 @@ class TestChunkedInference:
         monkeypatch.setattr(training, "_CHUNK_PIXELS", 32 * 32 - 1)
         monkeypatch.setattr(training, "load_image", tracked_load)
         monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
-        evaluate_pipeline(manifest, *trained, k_list=(1,), heatmap_dir=tmp_path / "assets")
+        evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
+                          tmp_path / "assets")
         assert len(loaded) == 9 and max(at_loads) == 1
 
 
