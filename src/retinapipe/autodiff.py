@@ -50,54 +50,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag})"
 
 
-class Arena:
-    """Buffers for the arrays a training step's taped ops keep for backward.
-
-    The i-th buffer taken after a recycle reuses the memory of the i-th buffer
-    taken before it, and is allocated afresh (a miss) only when that is too
-    small. So a step that runs the same ops as the one before, on a batch no
-    larger, allocates nothing: the freed memory of a step is not handed back
-    to the OS only to be faulted in again by the next. Recycling ends the life
-    of every array taken before it, and backward refuses a tape that recorded
-    them.
-    """
-
-    def __init__(self):
-        self._slots: list[np.ndarray] = []  # raw bytes
-        self._taken = 0
-        self.generation = 0
-        self.misses = 0
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised C-contiguous float64 array; the caller writes every element."""
-        nbytes = math.prod(shape) * 8
-        i, self._taken = self._taken, self._taken + 1
-        if i == len(self._slots) or self._slots[i].nbytes < nbytes:
-            self._slots[i : i + 1] = [np.empty(nbytes, np.uint8)]  # replaces or appends slot i
-            self.misses += 1
-        return self._slots[i][:nbytes].view(np.float64).reshape(shape)
-
-    def recycle(self) -> None:
-        self._taken = 0
-        self.generation += 1
-
-
 class Tape:
     """Ordered record of executed ops; creation order is topological order.
 
-    With an arena, the ops recorded here take the arrays they keep for
-    backward from it; the tape is good for backward until the arena is next
-    recycled.
+    The tape also owns the arrays its ops keep for backward. The i-th buffer
+    taken after a reset reuses the memory of the i-th buffer taken before it,
+    and is allocated afresh (a miss) only when that is too small. So a step
+    that runs the same ops as the one before, on a batch no larger, allocates
+    nothing: the freed memory of a step is not handed back to the OS only to
+    be faulted in again by the next. A reset drops every record, so it ends
+    the life of every array taken before it, and backward refuses a loss
+    recorded before it as one not produced on this tape.
     """
 
-    def __init__(self, arena: Arena | None = None):
+    def __init__(self):
         self._records: list[tuple[tuple[Tensor, ...], object]] = []
-        self.arena = arena
-        self._generation = None
+        self._slots: list[np.ndarray] = []  # raw bytes
+        self._taken = 0
+        self.misses = 0
 
     def __enter__(self) -> "Tape":
-        if self.arena is not None:
-            self._generation = self.arena.generation
         _STACK.tapes.append(self)
         return self
 
@@ -110,6 +82,20 @@ class Tape:
 
     def produced(self, t: Tensor) -> bool:
         return any(out is t for outs, _ in self._records for out in outs)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised C-contiguous float64 array; the caller writes every element."""
+        nbytes = math.prod(shape) * 8
+        i, self._taken = self._taken, self._taken + 1
+        if i == len(self._slots) or self._slots[i].nbytes < nbytes:
+            self._slots[i : i + 1] = [np.empty(nbytes, np.uint8)]  # replaces or appends slot i
+            self.misses += 1
+        return self._slots[i][:nbytes].view(np.float64).reshape(shape)
+
+    def reset(self) -> None:
+        """Drop every record and hand the buffers out again from the first."""
+        self._records.clear()
+        self._taken = 0
 
 
 class _TapeStack(threading.local):
@@ -125,11 +111,10 @@ _STACK = _TapeStack()
 
 def _buffer(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array for an op to keep for backward: from the
-    innermost open tape's arena if it has one, else fresh, so an untaped result
-    never shares memory with another."""
+    innermost open tape, else fresh, so an untaped result never shares memory
+    with another."""
     tapes = _STACK.tapes
-    arena = tapes[-1].arena if tapes else None
-    return np.empty(shape) if arena is None else arena.take(shape)
+    return tapes[-1].take(shape) if tapes else np.empty(shape)
 
 
 def _emit(outputs: tuple[Tensor, ...], backward_fn) -> None:
@@ -144,8 +129,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     if not tape.produced(loss):
         raise ValueError("loss was not produced on this tape")
-    if tape.arena is not None and tape.arena.generation != tape._generation:
-        raise ValueError("the tape's arena was recycled after the tape recorded its ops")
     loss.grad = np.ones_like(loss.data)
     for outputs, fn in reversed(tape._records):
         if all(out.grad is None for out in outputs):
@@ -233,9 +216,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     One loop serves every call: each image is copied into one zero-bordered
     C x Hp x Wp buffer, unfolded into its (C*kh*kw) x (ho*wo) im2col columns and
     multiplied by the kernel matrix. A taped call keeps every image's columns
-    for its backward, in one B x (C*kh*kw) x (ho*wo) buffer from the tape's
-    arena if it has one; an untaped call reuses one image's columns and keeps
-    nothing.
+    for its backward, in one B x (C*kh*kw) x (ho*wo) buffer taken from the
+    tape; an untaped call reuses one image's columns and keeps nothing.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d: expected NCHW input and KCkhkw kernels, "

@@ -68,6 +68,15 @@ def _class_count(text: str) -> int:
     return int(text)
 
 
+def _class_id(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _positive_ints(text: str) -> tuple[int, ...]:
     return tuple(map(_positive_int, text.split(",")))
 
@@ -361,7 +370,7 @@ def _evaluate_flags(p: argparse.ArgumentParser) -> None:
 def _explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image", required=True)
     p.add_argument("--encoder", required=True)
-    p.add_argument("--class-id", type=int)
+    p.add_argument("--class-id", type=_class_id)
     p.add_argument("--alpha", type=_unit_float, default=0.5)
     p.add_argument("--raw-txt", help="also dump the raw heatmap as text")
     p.add_argument("--out", required=True)

@@ -309,7 +309,7 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
                     seqs.append(prefix + (tok,))
             if len(done) >= width and len(rows) > first and \
                     heapq.nlargest(width, (lp for lp, _ in done))[-1] > lps[first]:
-                done += zip(lps[first:], seqs[first:])  # decided: the live ones are ranked out
+                # decided: each live one scores below `width` finished ones
                 del rows[first:], recs[first:], lps[first:], seqs[first:]
         if not rows or step + 1 == max_len:
             break

@@ -136,14 +136,13 @@ def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
     and the batch (or the validation), and the loss or parameter gradient that
     went non-finite.
 
-    Each batch's tape takes the arrays its ops keep for backward from one
-    arena, recycled at the start of the next batch, once sgd_step has used
-    the gradients. The tape and the loss are dropped as soon as sgd_step
-    returns, so no step's tensors or their gradients outlive it into the
-    validation pass.
+    One tape records every training step and keeps the arrays its ops need
+    for backward, so each step reuses the buffers of the step before it. The
+    tape is reset and the loss dropped as soon as sgd_step returns, so no
+    step's tensors or their gradients outlive it into the validation pass.
     """
     curve = TrainingCurve()
-    arena = ad.Arena()
+    tape = Tape()
     best_metric, best_params = -1.0, None
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.sgd)
@@ -151,17 +150,17 @@ def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
         Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
         epoch_loss = 0.0
         for index, batch in enumerate(_batches(order, cfg.batch_size)):
-            arena.recycle()
             zero_grads(params)
             with _diverged_at(f"epoch {epoch}, batch {index}"):
-                with Tape(arena) as tape:
+                with tape:
                     loss = batch_loss(batch)[0]
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NonFiniteError(f"the batch loss is {value}")
                 backward(tape, loss)
                 sgd_step(params, lr)
-            del tape, loss  # the step's tensors and gradients, before validation allocates
+            tape.reset()  # the step's tensors and gradients, before validation allocates
+            del loss
             epoch_loss += value * len(batch)
         val_loss, outputs = 0.0, []
         with _diverged_at(f"epoch {epoch}, validation"):

@@ -356,34 +356,40 @@ class TestOwnership:
 
 
 class TestArena:
+    """The tape's buffers, reused after each reset (the step-scoped arena)."""
+
     def test_recycled_buffers_reuse_memory_and_grow_when_too_small(self):
-        arena = ad.Arena()
-        a, m = arena.take((2, 3)), arena.take((4,))
-        assert arena.misses == 2 and a.shape == (2, 3) and m.dtype == np.float64
-        arena.recycle()
-        a2, m2 = arena.take((1, 3)), arena.take((3,))  # no larger: no miss
-        assert arena.misses == 2 and np.shares_memory(a, a2) and np.shares_memory(m, m2)
-        big = arena.take((5,))  # a third buffer
-        arena.recycle()
-        arena.take((3, 3))  # larger than the first slot
-        assert arena.misses == 4 and not np.shares_memory(big, a)
+        tape = Tape()
+        a, m = tape.take((2, 3)), tape.take((4,))
+        assert tape.misses == 2 and a.shape == (2, 3) and m.dtype == np.float64
+        tape.reset()
+        a2, m2 = tape.take((1, 3)), tape.take((3,))  # no larger: no miss
+        assert tape.misses == 2 and np.shares_memory(a, a2) and np.shares_memory(m, m2)
+        big = tape.take((5,))  # a third buffer
+        tape.reset()
+        tape.take((3, 3))  # larger than the first slot
+        assert tape.misses == 4 and not np.shares_memory(big, a)
         assert all(b.flags.c_contiguous for b in (a, m, a2, m2, big))
 
     def test_ops_take_from_the_innermost_tape_only(self):
-        arena, x = ad.Arena(), Tensor(np.array([[[[-1.0, 2.0]]]]))
-        with Tape(arena):
-            with Tape():
+        x = Tensor(np.array([[[[-1.0, 2.0]]]]))
+        with Tape() as outer:
+            with Tape() as inner:
                 ad.maxpool2d(x, 1)
-            assert arena.misses == 0
+            assert outer.misses == 0 and inner.misses == 1
             ad.maxpool2d(x, 1)
-        assert arena.misses == 1  # the output
+        assert outer.misses == 1  # the output
 
     def test_backward_refuses_a_tape_whose_arena_was_recycled(self):
-        arena, x = ad.Arena(), Tensor(np.array([[[[-1.0, 2.0]]]]))
-        with Tape(arena) as tape:
+        """A loss recorded before a reset is no longer on the tape."""
+        x = Tensor(np.array([[[[-1.0, 2.0]]]]))
+        with Tape() as tape:
             loss = sum_all(ad.maxpool2d(x, 1))
-        arena.recycle()
-        with pytest.raises(ValueError, match="arena was recycled"):
+        tape.reset()
+        assert len(tape) == 0
+        with tape:  # the reset tape records again, from its first buffer
+            sum_all(ad.maxpool2d(x, 1))
+        with pytest.raises(ValueError, match="not produced on this tape"):
             backward(tape, loss)
         assert x.grad is None
 
@@ -534,8 +540,8 @@ IM2COL_CASES = [(3, 34, 3, 1), (8, 18, 3, 1), (16, 10, 3, 1), (3, 9, 3, 2), (2, 
 NON_SQUARE_CASES = [(3, 9, 14, 3, 2), (2, 13, 6, 3, 1), (3, 11, 8, 3, 2), (2, 5, 12, 2, 3)]
 
 
-class RecordingArena(ad.Arena):
-    """An arena that keeps every buffer it hands out, in order."""
+class RecordingTape(Tape):
+    """A tape that keeps every buffer it hands out, in order."""
 
     def __init__(self):
         super().__init__()
@@ -548,11 +554,11 @@ class RecordingArena(ad.Arena):
 
 def kept_columns(x, k, stride, pad):
     """The B x (C*k*k) x (ho*wo) columns a taped conv2d of x keeps for backward."""
-    arena, c = RecordingArena(), x.shape[1]
-    with Tape(arena):
+    c = x.shape[1]
+    with RecordingTape() as tape:
         ad.conv2d(Tensor(x, needs_grad=False), Tensor(np.ones((2, c, k, k))), Tensor(np.zeros(2)),
                   stride=stride, pad=pad)
-    [cols] = [b for b in arena.taken if b.shape[1] == c * k * k]  # not the 2-kernel output
+    [cols] = [b for b in tape.taken if b.shape[1] == c * k * k]  # not the 2-kernel output
     return cols
 
 
@@ -685,7 +691,7 @@ class TestUntapedConv:
             x = Tensor(rng.standard_normal((n, channels, 7, 9)), needs_grad=False)
             x.data[0, 0, 0, 0] = -0.0
             untaped = ad.conv2d(x, k, b, stride=stride, pad=pad)
-            with Tape(ad.Arena()) as tape:
+            with Tape() as tape:
                 taped = ad.conv2d(x, k, b, stride=stride, pad=pad)
             assert len(tape) == 1 and untaped.data.shape == taped.data.shape
             assert np.array_equal(untaped.data.view(np.uint64), taped.data.view(np.uint64))

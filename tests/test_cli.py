@@ -503,6 +503,15 @@ class TestExplain:
         rows = raw.read_text().splitlines()
         assert all(len(row.split()) == len(rows[0].split()) for row in rows)
 
+    def test_class_id_past_the_class_count_is_data_error(self, dataset, trained, tmp_path,
+                                                         capsys):
+        out = tmp_path / "cam.png"
+        assert main(["explain", "--image", str(dataset / "images" / "case0000.ppm"),
+                     "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                     "--class-id", "99", "--out", str(out)]) == 2
+        assert "class 99 out of range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def run_report(self, dataset, trained, out):
@@ -731,13 +740,14 @@ class TestTopk:
 
 
 class TestDecodingFlags:
-    """--beam, --max-len and --alpha are checked when parsed: a bad value is a usage
-    error, and nothing is written."""
+    """--beam, --max-len, --alpha and --class-id are checked when parsed: a bad value
+    is a usage error, and nothing is written."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("evaluate", "--max-len", "0"), ("evaluate", "--beam", "0"),
         ("report", "--beam", "-1"), ("report", "--max-len", "x"), ("report", "--alpha", "1.5"),
         ("explain", "--alpha", "2"), ("explain", "--alpha", "-0.1"), ("explain", "--alpha", "nan"),
+        ("explain", "--class-id", "-1"),
     ])
     def test_bad_value_is_usage_error_before_any_output(self, command, flag, value, dataset,
                                                          trained, tmp_path, capsys):

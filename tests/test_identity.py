@@ -24,11 +24,17 @@ To compare a seed's hashes with those of the package at a git revision
 (`git archive REV src` unpacked into a temporary folder and run there in a
 subprocess), printing each entry that differs and exiting 1 if any does:
     PYTHONPATH=src python tests/test_identity.py --against HEAD~1 --seed 3
+
+To rebuild the benchmark fixture with perfbench/make_fixture.py's recipe in a
+temporary folder, printing each file's sha256 next to the one recorded in
+perfbench/fixture/fixture.json and exiting 1 if any differs:
+    PYTHONPATH=src python tests/test_identity.py --fixture
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -175,15 +181,80 @@ def entries_at(rev: str, seed: int) -> dict[str, object]:
         return json.loads(run.stdout)
 
 
+def fixture_recipe() -> tuple[dict, tuple[str, ...]]:
+    """perfbench/make_fixture.py's CONFIG and FILES, read with ast so nothing
+    under perfbench/ is imported."""
+    tree = ast.parse((REPO / "perfbench" / "make_fixture.py").read_text(encoding="utf-8"))
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("CONFIG", "FILES")}
+    return found["CONFIG"], found["FILES"]
+
+
+def fixture_calls(root: str, config: dict) -> list[list[str]]:
+    """The argv of each of make_fixture.py's four CLI calls, writing under root;
+    the model files land in root/run/checkpoints."""
+    sd, sp, rdi, cdg = (config[k] for k in ("synth_data", "split", "train_rdi", "train_cdg"))
+    data, run = f"{root}/data", f"{root}/run"
+    manifest = f"{data}/manifest.json"
+
+    def train(c):
+        return ["--epochs", str(c["epochs"]), "--batch", str(c["batch"]), "--lr", str(c["lr"]),
+                "--seed", str(c["seed"])]
+
+    return [
+        ["synth-data", "--out", data, "--classes", str(sd["classes"]), "--records",
+         str(sd["records"]), "--side", str(sd["side"]), "--seed", str(sd["seed"])],
+        ["split", "--manifest", manifest, "--ratios", sp["ratios"], "--seed", str(sp["seed"])],
+        ["train-rdi", "--manifest", manifest, "--out", run, *train(rdi)],
+        ["train-cdg", "--manifest", manifest, "--out", run,
+         "--encoder", f"{run}/checkpoints/encoder.ckpt", *train(cdg)],
+    ]
+
+
+def check_fixture() -> int:
+    """Rebuild the fixture in a temporary folder and compare its hashes with
+    fixture.json's; 1 if any differs."""
+    config, files = fixture_recipe()
+    recorded = json.loads((FIXTURE / "fixture.json").read_text())["sha256"]
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in fixture_calls(tmp, config):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            if rc:
+                sys.exit(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+        for name in files:
+            got = _sha(pathlib.Path(tmp, "run", "checkpoints", name).read_bytes())
+            differ += got != recorded[name]
+            print(f"{name}: {got} rebuilt, {recorded[name]} in fixture.json"
+                  + ("" if got == recorded[name] else " (differs)"))
+    return 1 if differ else 0
+
+
+def test_fixture_recipe_is_the_recorded_one():
+    """The recipe --fixture reruns is the one fixture.json says made the files."""
+    config, files = fixture_recipe()
+    recorded = json.loads((FIXTURE / "fixture.json").read_text())
+    assert config == recorded["config"] and sorted(files) == sorted(recorded["sha256"])
+
+
 def main_cli() -> int:
     parser = argparse.ArgumentParser(description="Rewrite the seed-1 golden file, or with "
                                                  "--seed print one seed's hashes as JSON.")
     parser.add_argument("--seed", type=int, help="print this seed's hashes to stdout instead")
     parser.add_argument("--against", metavar="REV",
                         help="compare --seed's hashes with the package at git revision REV")
+    parser.add_argument("--fixture", action="store_true",
+                        help="rebuild the benchmark fixture and compare it with fixture.json")
     args = parser.parse_args()
     if args.against is not None and args.seed is None:
         parser.error("--against needs --seed")
+    if args.fixture:
+        if args.seed is not None:
+            parser.error("--fixture takes no --seed or --against")
+        return check_fixture()
     seed = 1 if args.seed is None else args.seed
     with tempfile.TemporaryDirectory() as tmp:
         entries = run_matrix(pathlib.Path(tmp), seed)

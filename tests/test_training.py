@@ -169,47 +169,50 @@ def captioner_steps():
 
 
 class TestArena:
-    """_fit's tapes take the arrays the ops keep for backward from one arena."""
+    """_fit's one tape hands the arrays the ops keep for backward out again
+    after each reset."""
 
     @pytest.mark.parametrize("steps", [encoder_steps, captioner_steps])
     def test_steps_are_bit_identical_with_and_without_an_arena(self, steps):
+        """Steps on one reset tape match steps on a fresh tape each."""
         seen = {}
-        for arena in (None, autodiff.Arena()):
+        for reuse in (False, True):
             params, loss_of = steps()
-            seen[arena is None] = out = []
+            seen[reuse] = out = []
+            tape = Tape()
             for step in range(3):
-                if arena is not None:
-                    arena.recycle()
+                if not reuse:
+                    tape = Tape()
                 zero_grads(params)
-                with Tape(arena) as tape:
+                with tape:
                     loss = loss_of(step)
                 backward(tape, loss)
                 out += [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
                 sgd_step(params, 0.5)
+                tape.reset()
         assert seen[True] == seen[False]
 
     def test_fit_takes_no_fresh_buffer_after_the_first_batch(self, tiny_dataset, monkeypatch):
-        arenas = []
+        tapes = []
 
-        class CountingArena(autodiff.Arena):
+        class CountingTape(Tape):
             def __init__(self):
                 super().__init__()
                 self.misses_per_batch = []
-                arenas.append(self)
+                tapes.append(self)
 
-            def recycle(self):
+            def reset(self):
                 self.misses_per_batch.append(self.misses)
-                super().recycle()
+                super().reset()
 
-        monkeypatch.setattr(autodiff, "Arena", CountingArena)
+        monkeypatch.setattr(training, "Tape", CountingTape)
         train_classifier(tiny_dataset, small_cfg(epochs=2, batch_size=4))
-        [arena] = arenas
+        [tape] = tapes
         n_batches = 2 * math.ceil(len(tiny_dataset.by_split("train")) / 4)
         assert len(tiny_dataset.by_split("train")) % 4  # a short last batch in each epoch
-        counts = arena.misses_per_batch[1:] + [arena.misses]  # after batches 1, 2, ...
         # the conv's columns and output, maxpool's output: one buffer each per
         # stage, all taken by the first batch
-        assert counts == [3 * len(SMALL_STAGES)] * n_batches
+        assert tape.misses_per_batch == [3 * len(SMALL_STAGES)] * n_batches
 
 
 def watch_validation(monkeypatch, on_validation, on_metric=lambda: None):
@@ -233,24 +236,28 @@ def watch_validation(monkeypatch, on_validation, on_metric=lambda: None):
 
 
 class TestStepLifetime:
-    """A training step's tape, loss and recorded tensors are freed before validation."""
+    """A training step's records, loss and recorded tensors are freed before validation."""
 
     def test_no_step_tensor_is_alive_when_validation_starts(self, tiny_dataset, monkeypatch):
-        step_refs, checks = [], []
+        step_refs, tapes, checks = [], [], []
 
         class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
             def __exit__(self, *exc):
-                # the tape, and the data of every tensor its ops recorded (the loss too)
-                step_refs[:] = [weakref.ref(self)] + [
-                    weakref.ref(out.data) for outs, _ in self._records for out in outs]
+                # the data of every tensor its ops recorded (the loss too)
+                step_refs[:] = [weakref.ref(out.data) for outs, _ in self._records for out in outs]
                 return super().__exit__(*exc)
 
         def on_validation():
-            checks.append([ref() is None for ref in step_refs])
+            checks.append([len(tapes[0]) == 0] + [ref() is None for ref in step_refs])
 
         monkeypatch.setattr(training, "Tape", RecordingTape)
         watch_validation(monkeypatch, on_validation)
         train_classifier(tiny_dataset, small_cfg(epochs=2, batch_size=4))
+        assert len(tapes) == 1
         assert len(checks) == 2 and all(len(dead) == 2 * len(SMALL_STAGES) + 4 for dead in checks)
         assert all(all(dead) for dead in checks)
 
