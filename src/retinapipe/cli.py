@@ -42,61 +42,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _triple(cast):
-    """The argparse type of three comma-separated numbers, each read by cast."""
-    def parse(text: str) -> tuple:
+def _checked(cast, ok, expected: str):
+    """The argparse type that reads a flag's text with cast and returns the value
+    when ok(value) holds; any other text is a usage error naming what was expected."""
+    def parse(text: str):
         try:
-            values = tuple(map(cast, text.split(",")))
+            if ok(value := cast(text)):
+                return value
         except ValueError:
-            values = ()
-        if len(values) != 3:
-            raise argparse.ArgumentTypeError(
-                f"expected three comma-separated numbers, got {text!r}")
-        return values
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _digits(text: str) -> int:
+    """int(text) for unsigned decimal digits only: no sign, point or underscore."""
+    if not text.strip().isdigit():
+        raise ValueError(text)
     return int(text)
 
 
-def _class_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"expected at least 2 classes, got {text!r}")
-    return int(text)
+def _comma_list(cast):
+    """The cast of comma-separated values, each read by cast."""
+    return lambda text: tuple(map(cast, text.split(",")))
 
 
-def _class_id(text: str) -> int:
-    try:
-        if (value := int(text)) >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-
-
-def _positive_ints(text: str) -> tuple[int, ...]:
-    return tuple(map(_positive_int, text.split(",")))
-
-
-def _unit_float(text: str) -> float:
-    try:
-        if 0.0 <= (value := float(text)) <= 1.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-
-
-def _positive_float(text: str) -> float:
-    try:
-        if 0.0 < (value := float(text)) < math.inf:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+_positive_int = _checked(_digits, lambda n: n >= 1, "a positive integer")
+_class_count = _checked(_digits, lambda n: n >= 2, "at least 2 classes")
+_class_id = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_unit_float = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_positive_ints = _comma_list(_positive_int)  # an error names the bad element, not the list
+_float_triple = _checked(_comma_list(float), lambda v: len(v) == 3,
+                         "three comma-separated numbers")
+_int_triple = _checked(_comma_list(int), lambda v: len(v) == 3, "three comma-separated numbers")
 
 
 def _warn_unknown_keywords(keywords, kw_vocab: Vocabulary) -> None:
@@ -328,9 +307,9 @@ def _synth_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
-    p.add_argument("--ratios", type=_triple(float), default="0.6,0.2,0.2")
+    p.add_argument("--ratios", type=_float_triple, default="0.6,0.2,0.2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--counts", type=_triple(int),
+    p.add_argument("--counts", type=_int_triple,
                    help="explicit train,val,test sizes (overrides ratios)")
     p.add_argument("--preserve", action="store_true",
                    help="keep existing split assignments")

@@ -133,7 +133,7 @@ def split_dataset(manifest: DatasetManifest, ratios: tuple[float, float, float],
     already carry a split keep it and only the rest are assigned.
     """
     if explicit_counts is None:
-        if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        if not (all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):  # a NaN fails it
             raise ValueError(f"ratios must be positive and sum to 1, got {ratios}")
     todo = [r for r in manifest.records if not (preserve and r.split)]
     n = len(todo)

@@ -245,11 +245,6 @@ class Hypothesis:
     tokens: tuple[int, ...]  # without START; END kept if emitted
     log_prob: float
 
-    @property
-    def finished(self) -> bool:
-        """Whether the caption ended with END rather than being cut off at max_len."""
-        return self.tokens[-1:] == (END,)
-
     def words(self, vocab: Vocabulary) -> list[str]:
         """The caption's tokens, reserved symbols dropped."""
         return [vocab.token(i) for i in self.tokens if i >= len(RESERVED)]

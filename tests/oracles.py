@@ -5,11 +5,13 @@ maxpool2d and average fold together, an independent
 recomputation of a caption's log-probability, the xoshiro256** block draw
 as one inline Python loop, the CAM overlay of one image, inference one case at
 a time, the PNG writer that joins its scanlines row by row, CIDEr with every
-n-gram counted afresh where it is read, and the longest common subsequence by
-the row-by-row dynamic programme. The tests
+n-gram counted afresh where it is read, the longest common subsequence by
+the row-by-row dynamic programme, and the CLI's checked flag types as one
+hand-written function each. The tests
 compare the package against these, so their numerics must not change.
 """
 
+import argparse
 import math
 import zlib
 from collections import Counter
@@ -353,3 +355,65 @@ def lcs_length_dp(a: list[str], b: list[str]) -> int:
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
+
+
+# The CLI's checked flag types, one hand-written function each. On every input they
+# give the value or the message of the package's types, except that the digit-only
+# types let int raise ValueError for a digit that str.isdigit accepts but int does not
+# read, such as '²'.
+
+def triple(cast):
+    """The argparse type of three comma-separated numbers, each read by cast."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(map(cast, text.split(",")))
+        except ValueError:
+            values = ()
+        if len(values) != 3:
+            raise argparse.ArgumentTypeError(
+                f"expected three comma-separated numbers, got {text!r}")
+        return values
+    return parse
+
+
+def positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def class_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 classes, got {text!r}")
+    return int(text)
+
+
+def class_id(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(map(positive_int, text.split(",")))
+
+
+def unit_float(text: str) -> float:
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
+def positive_float(text: str) -> float:
+    try:
+        if 0.0 < (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")

@@ -1,10 +1,12 @@
+import argparse
 import json
 import pathlib
 
 import numpy as np
+import oracles
 import pytest
 
-from retinapipe import training
+from retinapipe import cli, training
 from retinapipe.autodiff import SgdConfig
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
@@ -100,6 +102,71 @@ class TestParserGolden:
         assert all(flags[name] == ["help"] for name in COMMANDS if name != "evaluate")
 
 
+def checked_flags(command: str) -> list[str]:
+    """The flags of command whose argparse type checks the value (not int)."""
+    [sub] = [a for a in build_parser(command)._actions if a.dest == "command"]
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.type not in (None, int)]
+
+
+# the inputs on which each flag type must agree with its hand-written oracle; '٣' is an
+# Arabic-Indic three and '５' a fullwidth five, digits that str.isdigit and int both read
+ODD_INPUTS = ("+3", " 3", "3 ", "3.0", "0x10", "1e3", "1e400", "1_000", "nan", "inf", "-inf",
+              "-0", "٣", "５", "", "1,,2", "1,2", "1,2,3,4", " 1, 2 ,3")
+FLAG_TYPES = [  # (the type in cli, its oracle, whether it reads digits only)
+    ("_positive_int", oracles.positive_int, True),
+    ("_class_count", oracles.class_count, True),
+    ("_positive_ints", oracles.positive_ints, True),
+    ("_class_id", oracles.class_id, False),
+    ("_unit_float", oracles.unit_float, False),
+    ("_positive_float", oracles.positive_float, False),
+    ("_float_triple", oracles.triple(float), False),
+    ("_int_triple", oracles.triple(int), False),
+]
+
+
+def parsed(parse, text: str) -> str:
+    """What a flag type makes of text: the repr of its value, or its usage message."""
+    try:
+        return repr(parse(text))
+    except argparse.ArgumentTypeError as e:
+        return f"error: {e}"
+
+
+class TestFlagTypes:
+    @pytest.mark.parametrize("name, oracle, _", FLAG_TYPES)
+    def test_same_value_or_message_as_the_oracle(self, name, oracle, _):
+        assert {text: parsed(getattr(cli, name), text) for text in ODD_INPUTS} == \
+            {text: parsed(oracle, text) for text in ODD_INPUTS}
+
+    @pytest.mark.parametrize("name, oracle, digits_only", FLAG_TYPES)
+    def test_superscript_two_is_the_one_difference(self, name, oracle, digits_only):
+        """'²' passes str.isdigit, but int cannot read it. The oracles that read digits
+        only let int's ValueError reach argparse, which then named the function."""
+        got = parsed(getattr(cli, name), "²")
+        if digits_only:
+            with pytest.raises(ValueError):
+                oracle("²")
+            assert got.startswith("error: expected ") and got.endswith(", got '²'")
+        else:
+            assert got == parsed(oracle, "²")
+
+    @pytest.mark.parametrize("command, flag", [(command, flag) for command in COMMANDS
+                                               for flag in checked_flags(command)])
+    @pytest.mark.parametrize("bad", ["", "x", "²", "nan", "1,,2"])
+    def test_every_checked_flag_rejects_bad_values(self, command, flag, bad, capsys):
+        """A bad value is a usage error naming the flag, raised before the check for
+        required flags, so no file is given."""
+        assert main([command, flag, bad]) == 1
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    def test_the_sweep_finds_the_checked_flags(self):
+        assert {"--records", "--classes", "--side"} <= set(checked_flags("synth-data"))
+        assert {"--ratios", "--counts"} <= set(checked_flags("split"))
+        assert {"--class-id", "--alpha"} <= set(checked_flags("explain"))
+        assert {"--beam", "--max-len", "--topk", "--alpha"} <= set(checked_flags("report"))
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -191,6 +258,14 @@ class TestSplit:
             assert f"argument {flag}: expected three comma-separated numbers, got {value!r}" \
                 in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["0.6,0.2,nan", "nan,nan,nan"])
+    def test_nan_ratio_is_data_error(self, ratios, dataset, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["split", "--manifest", str(dataset / "manifest.json"),
+                     "--ratios", ratios, "--out", str(out)]) == 2
+        assert "ratios must be positive and sum to 1, got (" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_count_is_data_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "o.json"

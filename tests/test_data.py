@@ -237,6 +237,9 @@ class TestSplitDataset:
             split_dataset(fake_manifest(10), (0.5, 0.2, 0.2), seed=0)
         with pytest.raises(ValueError):
             split_dataset(fake_manifest(10), (1.0, -0.1, 0.1), seed=0)
+        for ratios in [(math.nan, 0.2, 0.2), (0.6, math.nan, 0.2), (0.6, 0.2, math.nan)]:
+            with pytest.raises(ValueError, match="ratios must be positive and sum to 1"):
+                split_dataset(fake_manifest(10), ratios, seed=0)
 
     def test_wrong_explicit_counts_rejected(self):
         with pytest.raises(ValueError):

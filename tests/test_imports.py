@@ -48,26 +48,30 @@ def test_no_unused_imports():
 
 def uncalled_definitions(modules: dict[str, str], exempt=frozenset()) -> list[str]:
     """The qualified names ("module.Class.method") of the definitions in the
-    module sources whose name no module mentions as a name or an attribute.
+    module sources whose name no module mentions as a name or an attribute. A
+    method or property defined directly in a class is reached only through an
+    object or the class, so only an attribute (x.name) counts for it.
 
     The match is by name only: a definition shadowed by any same-named name or
     attribute (a local variable, np.tanh) counts as referenced. Dunder methods
     are called by Python itself and are skipped.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, (ast.Name, ast.Attribute))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    referenced = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
     uncalled = []
 
-    def visit(body, prefix):
+    def visit(body, prefix, in_class=False):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 qualname = f"{prefix}.{node.name}"
                 dunder = node.name.startswith("__") and node.name.endswith("__")
-                if not dunder and node.name not in referenced and qualname not in exempt:
+                method = in_class and isinstance(node, ast.FunctionDef)
+                names = attributes if method else referenced
+                if not dunder and node.name not in names and qualname not in exempt:
                     uncalled.append(qualname)
-                visit(node.body, qualname)
+                visit(node.body, qualname, isinstance(node, ast.ClassDef))
 
     for name, tree in trees.items():
         visit(tree.body, name)
@@ -161,9 +165,11 @@ def trace_targets() -> list[str]:
 def test_uncalled_definitions():
     assert uncalled_definitions({
         "a": "def f(): g()\ndef g(): pass\ndef h(): pass\n"
-             "class C:\n    def __init__(self): pass\n    def m(self): pass\n",
-        "b": "from a import C, f\nf(C().x)\ndef main(): pass\n",
-    }, exempt={"b.main"}) == ["a.C.m", "a.h"]
+             "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
+             "    def k(self): pass\n    def j(self): pass\n",
+        "b": "from a import C, f\nf(C().x)\ndef main(): pass\n"
+             "k = C().j  # the bare name k is a local, not the method\n",
+    }, exempt={"b.main"}) == ["a.C.k", "a.C.m", "a.h"]
     # cli.main is the console entry point; the layer trace wraps its targets by name
     exempt = {"cli.main", *trace_targets()}
     package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}

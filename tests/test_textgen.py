@@ -443,7 +443,6 @@ class TestDecoding:
         dec.out_b.data[END] = 100.0  # END dominates every step
         hyp = decode_greedy(np.zeros((1, 3)), dec, max_len=10)[0]
         assert hyp.tokens == (END,)
-        assert hyp.finished
         vocab = build_vocabulary([])
         assert hyp.words(vocab) == []
 
@@ -481,8 +480,8 @@ class TestDecoding:
         dec = DecoderParams.init(rng, 6, 3, 4)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         hyps = decode_beam(fused, dec, width=4, max_len=6)
-        assert all(h.finished == (h.tokens[-1] == END) for h in hyps)
-        assert any(h.finished for h in hyps) and not all(h.finished for h in hyps)
+        ended = [h.tokens[-1:] == (END,) for h in hyps]
+        assert any(ended) and not all(ended)
         lps = [h.log_prob for h in hyps]
         assert lps == sorted(lps, reverse=True)
 
@@ -495,7 +494,6 @@ class TestDecoding:
         beam = decode_beam(fused, dec, width=3, max_len=5)
         for hyp in [greedy, *beam]:
             assert len(hyp.tokens) == 5 and END not in hyp.tokens
-            assert not hyp.finished
 
     def test_tokens_are_plain_ints(self):
         rng = Xoshiro256(13)
@@ -643,7 +641,8 @@ class TestBatchedGreedy:
         dec.out_b.data[5] = dec.out_b.data[4]
         feats = np.random.default_rng(seed).uniform(-2, 2, (10, 4))
         batch = decode_greedy(feats, dec, 6)
-        assert any(h.finished for h in batch) and not all(h.finished for h in batch)
+        ended = [h.tokens[-1:] == (END,) for h in batch]
+        assert any(ended) and not all(ended)
         assert any(4 in h.tokens for h in batch) and not any(5 in h.tokens for h in batch)
         for f, hyp in zip(feats, batch):
             assert beam_bits([hyp]) == beam_bits(decode_beam(f, dec, 1, 6))
