@@ -375,10 +375,6 @@ class LstmParams:
     def hidden_size(self) -> int:
         return self.b.data.shape[0] // 4
 
-    def open_forget_gates(self) -> "LstmParams":
-        self.b.data[self.hidden_size : 2 * self.hidden_size] = 1.0  # stabilizes early training
-        return self
-
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     """Stable logistic without masks: exp only ever sees -|x|, and the numerator
@@ -546,20 +542,6 @@ def init_arrays(rng: Xoshiro256, shapes: dict[str, tuple[int, ...]]) -> dict[str
     drawn from rng in declaration order."""
     return {name: glorot_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
             for name, shape in shapes.items()}
-
-
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.1
-    decay_factor: float = 5.0
-    decay_period_epochs: int = 50
-
-    def __post_init__(self):
-        for name in ("learning_rate", "decay_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.decay_period_epochs < 1:
-            raise ValueError("decay_period_epochs must be >= 1")
 
 
 def sgd_step(params: list[Tensor], lr: float) -> None:

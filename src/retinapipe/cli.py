@@ -14,7 +14,6 @@ import shutil
 import sys
 import tempfile
 
-from .autodiff import SgdConfig
 from .cam import compute_cam, heatmap_to_text, overlay
 from .checkpoint import ModelCheckpoint
 from .data import (
@@ -70,6 +69,7 @@ def _comma_list(cast):
 _positive_int = _checked(_digits, lambda n: n >= 1, "a positive integer")
 _class_count = _checked(_digits, lambda n: n >= 2, "at least 2 classes")
 _class_id = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_seed = _checked(_digits, lambda n: n < 2 ** 64, "an integer in [0, 2**64)")
 _unit_float = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 _positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 _positive_ints = _comma_list(_positive_int)  # an error names the bad element, not the list
@@ -91,11 +91,9 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch,
         seed=args.seed,
-        sgd=SgdConfig(
-            learning_rate=args.lr,
-            decay_factor=args.decay_factor,
-            decay_period_epochs=args.decay_period,
-        ),
+        learning_rate=args.lr,
+        decay_factor=args.decay_factor,
+        decay_period_epochs=args.decay_period,
         keyword_mode=not getattr(args, "no_keywords", False),
     )
 
@@ -104,10 +102,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="versioned JSON config; overrides the flags below")
     p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
     p.add_argument("--batch", type=_positive_int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=_positive_float, default=SgdConfig.learning_rate)
-    p.add_argument("--decay-factor", type=_positive_float, default=SgdConfig.decay_factor)
-    p.add_argument("--decay-period", type=_positive_int, default=SgdConfig.decay_period_epochs)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate)
+    p.add_argument("--decay-factor", type=_positive_float, default=TrainConfig.decay_factor)
+    p.add_argument("--decay-period", type=_positive_int, default=TrainConfig.decay_period_epochs)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
 
 
 def _made(out_dir: str, *names: str) -> list[str]:
@@ -301,14 +299,14 @@ def _synth_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=_class_count, default=4)
     p.add_argument("--records", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--side", type=_positive_int, default=32, help="image side length")
 
 
 def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--ratios", type=_float_triple, default="0.6,0.2,0.2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--counts", type=_int_triple,
                    help="explicit train,val,test sizes (overrides ratios)")
     p.add_argument("--preserve", action="store_true",
@@ -418,7 +416,8 @@ def main(argv=None) -> int:
     except (DataError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as e:  # a missing input, for every loader
+    # a missing input for every loader, or an output path at or under a regular file
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
         print(f"data error: cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except SystemExit:

@@ -127,11 +127,13 @@ def keyword_multihot(keywords, kw_vocab: Vocabulary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # decoder parameters
 
-# the entries a decoder file's sizes are read from
+# the entries a decoder file's sizes are read from, and its keyword mode (1 or 0; none means 1)
 _EMBEDDING, _LSTM_WH, _KW_WEIGHT = "decoder.embedding", "decoder.lstm.wh", "kw_proj.weight"
+_KEYWORD_MODE = "decoder.keyword_mode"
 
 
-def decoder_shapes(vocab_size: int, input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+def decoder_shapes(vocab_size: int, input_dim: int, hidden: int,
+                   kw_vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every decoder parameter, in initialization order."""
     return {
         _EMBEDDING: (vocab_size, input_dim),
@@ -140,20 +142,22 @@ def decoder_shapes(vocab_size: int, input_dim: int, hidden: int) -> dict[str, tu
         "decoder.lstm.b": (4 * hidden,),
         "decoder.out.weight": (vocab_size, hidden),
         "decoder.out.bias": (vocab_size,),
+        _KW_WEIGHT: (input_dim, kw_vocab_size),
+        "kw_proj.bias": (input_dim,),
     }
-
-
-def keyword_projection_shapes(kw_vocab_size: int, dim: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of the keyword projection's parameters, in initialization order."""
-    return {_KW_WEIGHT: (dim, kw_vocab_size), "kw_proj.bias": (dim,)}
 
 
 @dataclass
 class DecoderParams:
+    """The captioner's one file: the LSTM decoder, its keyword projection and keyword mode."""
+
     embedding: Tensor  # V x D
     cell: LstmParams
     out_w: Tensor  # V x H
     out_b: Tensor  # V
+    kw_weight: Tensor  # D x KV
+    kw_bias: Tensor  # D
+    keyword_mode: bool
 
     @property
     def vocab_size(self) -> int:
@@ -168,48 +172,48 @@ class DecoderParams:
         return self.cell.hidden_size
 
     @classmethod
-    def init(cls, rng: Xoshiro256, vocab_size: int, input_dim: int, hidden: int) -> "DecoderParams":
-        arrays = init_arrays(rng, decoder_shapes(vocab_size, input_dim, hidden))
-        dec = cls.from_checkpoint(ModelCheckpoint(arrays))
-        dec.cell.open_forget_gates()
-        return dec
+    def init(cls, rng: Xoshiro256, vocab_size: int, input_dim: int, hidden: int,
+             kw_vocab_size: int, keyword_mode: bool) -> "DecoderParams":
+        arrays = init_arrays(rng, decoder_shapes(vocab_size, input_dim, hidden, kw_vocab_size))
+        # the forget gates start open, which stabilizes early training
+        arrays["decoder.lstm.b"][hidden : 2 * hidden] = 1.0
+        return cls.from_checkpoint(ModelCheckpoint({**arrays, _KEYWORD_MODE: [keyword_mode]}))
+
+    def _tensors(self) -> list[Tensor]:  # in decoder_shapes order
+        return [self.embedding, self.cell.wx, self.cell.wh, self.cell.b, self.out_w, self.out_b,
+                self.kw_weight, self.kw_bias]
 
     def parameters(self) -> list[Tensor]:
-        return [self.embedding, self.cell.wx, self.cell.wh, self.cell.b, self.out_w, self.out_b]
+        """The trained tensors: the keyword projection's only in keyword mode."""
+        return self._tensors()[: 8 if self.keyword_mode else 6]
+
+    def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
+        """The B x D image features averaged, in keyword mode, with their projected
+        keyword bags, the B x KV rows of keyword_multihot, which take no gradient."""
+        if not self.keyword_mode:
+            return image_feat
+        return ad.average(image_feat,
+                          ad.linear(Tensor(bags, needs_grad=False), self.kw_weight, self.kw_bias))
+
+    def to_checkpoint(self) -> ModelCheckpoint:
+        return ModelCheckpoint({**{t.name: t.data for t in self._tensors()},
+                                _KEYWORD_MODE: [self.keyword_mode]})
 
     @classmethod
     def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "DecoderParams":
-        """V and D come from the embedding, H from the recurrent weights; the rest must fit."""
-        sizes = ckpt.take({_EMBEDDING: (None, None), _LSTM_WH: (None, None)})
-        shapes = decoder_shapes(*sizes[_EMBEDDING].shape, hidden=sizes[_LSTM_WH].shape[1])
-        emb, wx, wh, b, out_w, out_b = parameters_from(ckpt.take(shapes)).values()
-        return cls(embedding=emb, cell=LstmParams(wx=wx, wh=wh, b=b), out_w=out_w, out_b=out_b)
-
-
-@dataclass
-class KeywordProjection:
-    weight: Tensor  # D x KV
-    bias: Tensor  # D
-
-    @classmethod
-    def init(cls, rng: Xoshiro256, kw_vocab_size: int, dim: int) -> "KeywordProjection":
-        return cls.from_checkpoint(ModelCheckpoint(
-            init_arrays(rng, keyword_projection_shapes(kw_vocab_size, dim))))
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def fuse(self, image_feat: Tensor, bags: np.ndarray) -> Tensor:
-        """The B x D image features averaged with their projected keyword bags, the
-        B x KV rows of keyword_multihot, which take no gradient."""
-        return ad.average(image_feat,
-                          ad.linear(Tensor(bags, needs_grad=False), self.weight, self.bias))
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: ModelCheckpoint) -> "KeywordProjection":
-        dim, kw_vocab_size = ckpt.take({_KW_WEIGHT: (None, None)})[_KW_WEIGHT].shape
-        shapes = keyword_projection_shapes(kw_vocab_size, dim)
-        return cls(*parameters_from(ckpt.take(shapes)).values())
+        """V and D come from the embedding, H from the recurrent weights and KV
+        from the keyword projection; the rest must fit."""
+        emb, wh, kw = ckpt.take({_EMBEDDING: (None, None), _LSTM_WH: (None, None),
+                                 _KW_WEIGHT: (None, None)}).values()
+        if kw.shape[0] != emb.shape[1]:
+            raise DataError("keyword projection output dim != decoder input dim: "
+                            f"{kw.shape[0]} != {emb.shape[1]}")
+        shapes = decoder_shapes(*emb.shape, wh.shape[1], kw.shape[1])
+        emb, wx, wh, b, out_w, out_b, kw_w, kw_b = parameters_from(ckpt.take(shapes)).values()
+        mode = ckpt.take({_KEYWORD_MODE: (1,)})[_KEYWORD_MODE][0] if _KEYWORD_MODE in ckpt else 1.0
+        if mode not in (0.0, 1.0):
+            raise DataError(f"checkpoint entry {_KEYWORD_MODE} is {mode}, not 0 or 1")
+        return cls(emb, LstmParams(wx=wx, wh=wh, b=b), out_w, out_b, kw_w, kw_b, bool(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,8 @@ def _beam_search(feats: np.ndarray, params: DecoderParams, width: int,
         raise ValueError("max_len must be >= 1")
     if feats.ndim != 2 or feats.shape[1] != params.input_dim:
         raise ShapeError(f"decoding needs B x {params.input_dim} features, got shape {feats.shape}")
-    emb, wx, wh, bias, out_w, out_b = (p.data for p in params.parameters())
+    emb, out_w, out_b = params.embedding.data, params.out_w.data, params.out_b.data
+    wx, wh, bias = params.cell.wx.data, params.cell.wh.data, params.cell.b.data
 
     def advance(tokens, h, c):  # the B x H state after feeding tokens[b] to row b
         return ad.lstm_cell_np(wx, wh, bias, emb[tokens], h, c)[:2]

@@ -9,13 +9,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SgdConfig, Tape, Tensor, backward, sgd_step, zero_grads
+from .autodiff import Tape, Tensor, backward, sgd_step, zero_grads
 from .cam import compute_cam, overlay
 from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
@@ -26,12 +26,12 @@ from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .report import MedicalReport, build_report
 from .rng import Xoshiro256, derive_seed
 from .textgen import (
-    END, START, DecoderParams, KeywordProjection, Vocabulary, build_vocabulary,
+    END, START, DecoderParams, Vocabulary, build_vocabulary,
     _beam_search, caption_loss, decode_greedy, keyword_multihot, tokenize,
 )
 
 
-def lr_schedule(epoch: int, cfg: SgdConfig) -> float:
+def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     """Step decay: divide the base rate by decay_factor at each period boundary."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
@@ -43,7 +43,9 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     seed: int = 0
-    sgd: SgdConfig = field(default_factory=SgdConfig)
+    learning_rate: float = 0.1
+    decay_factor: float = 5.0
+    decay_period_epochs: int = 50
     keyword_mode: bool = True
     decoder_hidden: int = 48
     max_caption_len: int = 30
@@ -52,9 +54,15 @@ class TrainConfig:
     input_channels: int = 3
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "decoder_hidden", "max_caption_len"):
+        for name in ("learning_rate", "decay_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("decay_period_epochs", "epochs", "batch_size", "decoder_hidden",
+                     "max_caption_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # the generator keeps only a seed's low 64 bits
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 CONFIG_VERSION = 1
@@ -74,8 +82,7 @@ def load_train_config(path) -> TrainConfig:
         raise DataError(f"{path}: a train config must be a JSON object")
     if obj.get("version") != CONFIG_VERSION:
         raise DataError(f"{path}: unsupported config version {obj.get('version')}")
-    types = {**get_type_hints(TrainConfig), **get_type_hints(SgdConfig)}  # sgd is inlined
-    del types["sgd"]
+    types = get_type_hints(TrainConfig)
     for key in sorted(set(types) | set(obj) - {"version"}):
         if key not in obj or key not in types:
             raise DataError(f"{path}: {'missing' if key in types else 'unknown'} key {key!r}")
@@ -89,11 +96,9 @@ def load_train_config(path) -> TrainConfig:
             ok = type(value) is kind
         if not ok:
             raise DataError(f"{path}: key {key!r} must be {_JSON_FORMS[kind]}, got {value!r}")
-    values = {key: tuple(map(tuple, obj[key])) if kind is tuple else obj[key]
-              for key, kind in types.items()}
     try:
-        sgd = SgdConfig(**{f.name: values.pop(f.name) for f in fields(SgdConfig)})
-        return TrainConfig(sgd=sgd, **values)
+        return TrainConfig(**{key: tuple(map(tuple, obj[key])) if kind is tuple else obj[key]
+                              for key, kind in types.items()})
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -145,7 +150,7 @@ def _fit(params: list[Tensor], train: list[CaseRecord], val: list[CaseRecord],
     tape = Tape()
     best_metric, best_params = -1.0, None
     for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg.sgd)
+        lr = lr_schedule(epoch, cfg)
         order = list(train)
         Xoshiro256(derive_seed(cfg.seed, stream, epoch)).shuffle(order)
         epoch_loss = 0.0
@@ -243,9 +248,6 @@ def caption_target(vocab: Vocabulary, description: str) -> list[int]:
     return [START] + vocab.encode(tokenize(description)) + [END]
 
 
-_KEYWORD_MODE = "decoder.keyword_mode"  # 1 or 0; a decoder file without it means 1
-
-
 def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
                     encoder_ckpt: ModelCheckpoint, min_frequency: int = 1,
                     ) -> tuple[ModelCheckpoint, TrainingCurve, Vocabulary, Vocabulary]:
@@ -263,11 +265,9 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
     for batch in _batches(train + val, cfg.batch_size):
         feats = encoder.forward(_stacked(inputs, batch)).pooled.data
         pooled.update(zip((r.id for r in batch), feats))
-    dim = encoder.config.feature_channels
-    rng = Xoshiro256(derive_seed(cfg.seed, 3))
-    decoder = DecoderParams.init(rng, vocab.size, dim, cfg.decoder_hidden)
-    kw_proj = KeywordProjection.init(rng, kw_vocab.size, dim)
-    params = decoder.parameters() + (kw_proj.parameters() if cfg.keyword_mode else [])
+    decoder = DecoderParams.init(Xoshiro256(derive_seed(cfg.seed, 3)), vocab.size,
+                                 encoder.config.feature_channels, cfg.decoder_hidden,
+                                 kw_vocab.size, cfg.keyword_mode)
     targets = {r.id: caption_target(vocab, r.description) for r in train + val}
     bags = {r.id: keyword_multihot(r.keywords, kw_vocab) for r in train + val}
     refs = [tokenize(r.description) for r in val]
@@ -275,19 +275,15 @@ def train_captioner(manifest: DatasetManifest, cfg: TrainConfig,
     def batch_loss(batch: list[CaseRecord]) -> tuple[Tensor, np.ndarray]:
         """The batch's loss, with its fused features."""
         feats = Tensor(_stacked(pooled, batch), needs_grad=False)  # the encoder is frozen
-        if cfg.keyword_mode:
-            feats = kw_proj.fuse(feats, _stacked(bags, batch))
+        feats = decoder.fuse(feats, _stacked(bags, batch))
         return caption_loss(feats, [targets[r.id] for r in batch], decoder), feats.data
 
     def greedy_bleu(outputs) -> float:
         decoded = decode_greedy(np.concatenate(outputs), decoder, cfg.max_caption_len)
         return bleu_corpus([h.words(vocab) for h in decoded], refs)[1]
 
-    curve = _fit(params, train, val, cfg, 4, batch_loss, greedy_bleu)
-    return ModelCheckpoint({
-        **{p.name: p.data for p in decoder.parameters() + kw_proj.parameters()},
-        _KEYWORD_MODE: np.array([1.0 if cfg.keyword_mode else 0.0]),
-    }), curve, vocab, kw_vocab
+    curve = _fit(decoder.parameters(), train, val, cfg, 4, batch_loss, greedy_bleu)
+    return decoder.to_checkpoint(), curve, vocab, kw_vocab
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +294,8 @@ class Pipeline:
     with the models and vocabularies loaded and cross-checked once.
 
     keyword_mode None takes the mode the decoder was trained with; False
-    forces the keyword bypass. class_names, if not None, must name every
-    encoder class; None names them class_0, class_1, ...
+    forces the keyword bypass and True keyword fusion. class_names, if not
+    None, must name every encoder class; None names them class_0, class_1, ...
     """
 
     def __init__(self, encoder_ckpt: ModelCheckpoint, decoder_ckpt: ModelCheckpoint,
@@ -307,25 +303,19 @@ class Pipeline:
                  class_names: list[str] | None):
         self.encoder = VisionEncoder.from_checkpoint(encoder_ckpt)
         self.decoder = DecoderParams.from_checkpoint(decoder_ckpt)
-        self.kw_proj = KeywordProjection.from_checkpoint(decoder_ckpt)
+        if keyword_mode is not None:
+            self.decoder.keyword_mode = keyword_mode
         self.vocab, self.kw_vocab = vocab, kw_vocab
-        trained_mode = decoder_ckpt.take({_KEYWORD_MODE: (1,)})[_KEYWORD_MODE][0] \
-            if _KEYWORD_MODE in decoder_ckpt else 1.0
-        if trained_mode not in (0.0, 1.0):
-            raise DataError(f"checkpoint entry {_KEYWORD_MODE} is {trained_mode}, not 0 or 1")
-        self.keyword_mode = bool(trained_mode) if keyword_mode is None else keyword_mode
         self.num_classes = self.encoder.config.num_classes
         self.class_names = class_names if class_names is not None else \
             [f"class_{i}" for i in range(self.num_classes)]
         for what, a, b in (
             ("decoder input dim != encoder feature channels",
              self.decoder.input_dim, self.encoder.config.feature_channels),
-            ("keyword projection output dim != decoder input dim",
-             self.kw_proj.weight.data.shape[0], self.decoder.input_dim),
             ("caption vocabulary size != decoder vocabulary size",
              vocab.size, self.decoder.vocab_size),
             ("keyword vocabulary size != keyword projection input dim",
-             kw_vocab.size, self.kw_proj.weight.data.shape[1]),
+             kw_vocab.size, self.decoder.kw_weight.data.shape[1]),
             ("manifest classes != encoder classes", len(self.class_names), self.num_classes),
         ):
             if a != b:
@@ -349,11 +339,8 @@ class Pipeline:
             records, images = zip(*chunk)
             out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
             ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
-            feature = out.pooled
-            if self.keyword_mode:
-                feature = self.kw_proj.fuse(feature, np.stack(
-                    [keyword_multihot(r.keywords, self.kw_vocab) for r in records]))
-            fused.extend(feature.data)
+            fused.extend(self.decoder.fuse(out.pooled, np.stack(
+                [keyword_multihot(r.keywords, self.kw_vocab) for r in records])).data)
             paths = [write_case_assets(assets_dir, r.id, image, cam) for r, image, cam in zip(
                 records, images, self._overlays(images, out.feature_maps.data, ranked, alpha))]
             looked += zip(records, ranked, paths)

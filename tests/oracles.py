@@ -182,16 +182,17 @@ def encoder_forward_three_ops(encoder, nchw: np.ndarray) -> tuple[Tensor, Tensor
                              encoder._params["encoder.fc.bias"])
 
 
-def fuse_three_ops(proj, image_feat: Tensor, bags: np.ndarray) -> Tensor:
-    """KeywordProjection.fuse as the scaled sum of the image features and the
+def fuse_three_ops(dec, image_feat: Tensor, bags: np.ndarray) -> Tensor:
+    """DecoderParams.fuse as the scaled sum of the image features and the
     projected keyword bags."""
-    return scale(add(image_feat, linear(Tensor(bags), proj.weight, proj.bias)), 0.5)
+    return scale(add(image_feat, linear(Tensor(bags), dec.kw_weight, dec.kw_bias)), 0.5)
 
 
 def sequence_log_prob(fused, params: DecoderParams, tokens: tuple[int, ...]) -> float:
     """Independent recomputation of a hypothesis' cumulative log-probability: the
     fused feature, then START, then each token but the last, fed one at a time."""
-    emb, wx, wh, b, out_w, out_b = (p.data for p in params.parameters())
+    emb, out_w, out_b = params.embedding.data, params.out_w.data, params.out_b.data
+    wx, wh, b = params.cell.wx.data, params.cell.wh.data, params.cell.b.data
     h = c = np.zeros((1, params.hidden_size))
     total = 0.0
     inputs = [np.asarray(fused, dtype=np.float64), emb[START], *(emb[t] for t in tokens[:-1])]
@@ -289,11 +290,8 @@ def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, a
     for record, image in cases:
         out = pipe.encoder.forward(pipe.encoder.preprocess(image)[None])
         ranked = predict_topk(out.logits.data[0], pipe.num_classes)
-        feature = out.pooled
-        if pipe.keyword_mode:
-            feature = pipe.kw_proj.fuse(feature,
-                                        keyword_multihot(record.keywords, pipe.kw_vocab)[None])
-        fused.append(feature.data[0])
+        bag = keyword_multihot(record.keywords, pipe.kw_vocab)[None]
+        fused.append(pipe.decoder.fuse(out.pooled, bag).data[0])
         cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
                           ranked[0][0])
         paths = write_case_assets(assets_dir, record.id, image,

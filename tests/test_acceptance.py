@@ -13,7 +13,7 @@ from oracles import finite_difference_check, mean_scalars, sequence_log_prob, su
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import (
-    SgdConfig, Tape, Tensor, backward, glorot_uniform, sgd_step, zero_grads,
+    Tape, Tensor, backward, glorot_uniform, sgd_step, zero_grads,
 )
 from retinapipe.cam import compute_cam
 from retinapipe.checkpoint import ModelCheckpoint
@@ -25,7 +25,7 @@ from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.metrics import bleu_corpus, precision_at_k, rouge_l, score_captions
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, START, DecoderParams, KeywordProjection, build_vocabulary,
+    END, START, DecoderParams, build_vocabulary,
     caption_loss, decode_beam, decode_greedy, keyword_multihot,
 )
 from retinapipe.training import (
@@ -69,17 +69,16 @@ def test_criterion_1_gradient_correctness():
 
         # decoder micro-model: keyword projection and fusion (linear, average)
         # -> the one-op teacher-forced LSTM loss (lstm_sequence_xent)
-        dec = DecoderParams.init(rng, 6, 3, 4)
         kw_vocab = build_vocabulary([["a"], ["b"]])
-        proj = KeywordProjection.init(rng, kw_vocab.size, 3)
+        dec = DecoderParams.init(rng, 6, 3, 4, kw_vocab.size, True)
         feat = np.asarray(rng.uniform(-1, 1, (3,)))
 
         def decoder_model():
-            fused = proj.fuse(Tensor(feat[None]), keyword_multihot(["a", "b"], kw_vocab)[None])
+            fused = dec.fuse(Tensor(feat[None]), keyword_multihot(["a", "b"], kw_vocab)[None])
             return caption_loss(fused, [[START, 4, 5, END]], dec)
 
         rep = finite_difference_check(
-            decoder_model, {p.name: p for p in dec.parameters() + proj.parameters()})
+            decoder_model, {p.name: p for p in dec.parameters()})
         assert rep.passed, rep.blocks
         worst = max(worst, rep.max_rel_error)
 
@@ -125,7 +124,7 @@ def test_criterion_2_beam_search_optimality():
         rng = Xoshiro256(1000 + seed)
         vocab_size = 4 if seed % 2 else 5
         max_len = 3 if seed % 2 else 2
-        dec = DecoderParams.init(rng, vocab_size, 3, 4)
+        dec = DecoderParams.init(rng, vocab_size, 3, 4, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
 
         top = decode_beam(fused, dec, width=vocab_size ** max_len, max_len=max_len)[0]
@@ -231,13 +230,12 @@ def test_criterion_6_keyword_ablation(tmp_path):
         split_dataset(m, (0.6, 0.2, 0.2), seed=seed)
         enc_ckpt, _ = train_classifier(m, TrainConfig(
             epochs=8, batch_size=8, seed=seed,
-            sgd=SgdConfig(learning_rate=0.1, decay_factor=2.0, decay_period_epochs=30),
+            learning_rate=0.1, decay_factor=2.0, decay_period_epochs=30,
             encoder_stages=SMALL_STAGES))
         bleu = {}
         for mode in (True, False):
             cfg = TrainConfig(epochs=80, batch_size=8, seed=seed, keyword_mode=mode,
-                              sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
-                                            decay_period_epochs=60),
+                              learning_rate=1.0, decay_factor=2.0, decay_period_epochs=60,
                               encoder_stages=SMALL_STAGES, decoder_hidden=24)
             dec_ckpt, _, vocab, kw_vocab = train_captioner(m, cfg, enc_ckpt)
             pipe = Pipeline(enc_ckpt, dec_ckpt, vocab, kw_vocab, mode, m.class_list)
@@ -252,7 +250,7 @@ def test_criterion_6_keyword_ablation(tmp_path):
 
 
 def test_criterion_7_lr_schedule():
-    cfg = SgdConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
+    cfg = TrainConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
     ok = lr_schedule(0, cfg) == 0.1
     ok &= lr_schedule(49, cfg) == 0.1
     ok &= abs(lr_schedule(50, cfg) - 0.02) < 1e-15
@@ -267,8 +265,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
                                    seed=7)
     split_dataset(m, (0.6, 0.2, 0.2), seed=7)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=7,
-                      sgd=SgdConfig(learning_rate=0.1, decay_factor=2.0,
-                                    decay_period_epochs=30),
+                      learning_rate=0.1, decay_factor=2.0, decay_period_epochs=30,
                       encoder_stages=SMALL_STAGES, decoder_hidden=24)
 
     # fixed-seed training twice -> bit-identical checkpoints
@@ -326,7 +323,7 @@ def test_criterion_9_overfitting_sanity():
     vocab = build_vocabulary([tokenize(c) for c in captions])
     targets = [[START] + vocab.encode(tokenize(c)) + [END] for c in captions]
     feats = [np.asarray(rng.uniform(-1, 1, (dim,))) for _ in range(n_records)]
-    dec = DecoderParams.init(rng, vocab.size, dim, 24)
+    dec = DecoderParams.init(rng, vocab.size, dim, 24, 4, False)
     params = dec.parameters()
 
     best_loss = math.inf

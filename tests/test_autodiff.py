@@ -11,14 +11,15 @@ from oracles import (
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import (
-    LstmParams, SgdConfig, ShapeError, Tape, Tensor, backward, sgd_step, zero_grads,
+    LstmParams, ShapeError, Tape, Tensor, backward, sgd_step, zero_grads,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.errors import NonFiniteError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, START, DecoderParams, KeywordProjection, build_vocabulary, caption_loss, keyword_multihot,
+    END, START, DecoderParams, build_vocabulary, caption_loss, keyword_multihot,
 )
+from retinapipe.training import TrainConfig
 
 
 def brute_conv(x, k, b, stride, pad):
@@ -244,7 +245,7 @@ class TestLstmStep:
     def test_matches_gate_formula_oracle(self):
         rng = Xoshiro256(21)
         d, hid = 3, 4
-        cell = DecoderParams.init(rng, 5, d, hid).cell
+        cell = DecoderParams.init(rng, 5, d, hid, 4, False).cell
         x = np.asarray(rng.uniform(-1, 1, (d,)))
         h0 = np.asarray(rng.uniform(-1, 1, (hid,)))
         c0 = np.asarray(rng.uniform(-1, 1, (hid,)))
@@ -499,9 +500,9 @@ def test_determinism_identical_seed_identical_init():
 
 def test_sgd_config_validation():
     with pytest.raises(ValueError):
-        SgdConfig(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        SgdConfig(decay_period_epochs=0)
+        TrainConfig(decay_period_epochs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +849,7 @@ class TestBatchedOps:
             ad.softmax_cross_entropy(Tensor(np.zeros(3)), [0])
         with pytest.raises(ValueError):
             ad.softmax_cross_entropy(Tensor(np.zeros((1, 3))), 0)
-        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4, 4, False)
         steps = np.full((1, 2), 4)
         with pytest.raises(ShapeError):
             ad.lstm_sequence_xent(Tensor(np.zeros(3)), steps, steps, np.ones((1, 2)),
@@ -940,19 +941,17 @@ class TestFoldedOps:
         targets = [[START, 4, 5, END], [START, END], [START, 3, END]]
         runs = {}
         for name in ("folded", "add then scale"):
-            init = Xoshiro256(4)
-            dec = DecoderParams.init(init, 6, 5, 4)
-            proj = KeywordProjection.init(init, kw_vocab.size, 5)
-            params = dec.parameters() + proj.parameters()
+            dec = DecoderParams.init(Xoshiro256(4), 6, 5, 4, kw_vocab.size, True)
+            params = dec.parameters()
             runs[name] = seen = []
             for step in range(3):
                 zero_grads(params)
                 image = Tensor(feats[step].copy())
                 with Tape() as tape:
                     if name == "folded":
-                        fused = proj.fuse(image, bags)
+                        fused = dec.fuse(image, bags)
                     else:
-                        fused = fuse_three_ops(proj, image, bags)
+                        fused = fuse_three_ops(dec, image, bags)
                     loss = caption_loss(fused, targets, dec)
                 backward(tape, loss)
                 seen += [fused.data.tobytes(), loss.data.tobytes(), image.grad.tobytes(),

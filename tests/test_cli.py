@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -7,14 +9,13 @@ import oracles
 import pytest
 
 from retinapipe import cli, training
-from retinapipe.autodiff import SgdConfig
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import Vocabulary
-from retinapipe.training import Pipeline, evaluate_pipeline
+from retinapipe.training import Pipeline, TrainConfig, evaluate_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,16 @@ class TestFlagTypes:
         assert {"--ratios", "--counts"} <= set(checked_flags("split"))
         assert {"--class-id", "--alpha"} <= set(checked_flags("explain"))
         assert {"--beam", "--max-len", "--topk", "--alpha"} <= set(checked_flags("report"))
+        for command in ("synth-data", "split", "train-rdi", "train-cdg"):
+            assert "--seed" in checked_flags(command)
+
+    @pytest.mark.parametrize("command", ["synth-data", "split", "train-rdi", "train-cdg"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_is_usage_error(self, command, seed, capsys):
+        """The generator keeps a seed's low 64 bits, so a seed outside [0, 2**64)
+        would silently repeat another seed's run."""
+        assert main([command, "--seed", seed]) == 1
+        assert "argument --seed: expected an integer in [0, 2**64), got" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -352,6 +363,7 @@ class TestTrainingArtifacts:
         (lambda c: c.update(decoder_hidden=-3), "decoder_hidden must be >= 1"),
         (lambda c: c.update(max_caption_len=0), "max_caption_len must be >= 1"),
         (lambda c: c.update(decay_factor=0), "decay_factor must be positive"),
+        (lambda c: c.update(seed=-1), "seed must be in [0, 2**64)"),
     ])
     def test_bad_config_is_data_error(self, edit, message, dataset, tmp_path, capsys, monkeypatch):
         reads = []
@@ -365,6 +377,22 @@ class TestTrainingArtifacts:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
         assert reads == []  # refused before any image is read
+
+    def test_config_of_a_flag_run_trains_the_same_encoder(self, dataset, tmp_path):
+        """The config file {"version": 1, **asdict(cfg)} of the TrainConfig a flag
+        run's flags make trains an encoder.ckpt with the same sha256."""
+        run = ["train-rdi", "--manifest", str(dataset / "manifest.json")]
+        flags = ["--epochs", "2", "--batch", "4", "--lr", "0.05", "--decay-factor", "3",
+                 "--decay-period", "1", "--seed", "9"]
+        cfg = cli._train_config(build_parser("train-rdi").parse_args([*run, "--out", "x", *flags]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, **dataclasses.asdict(cfg)}))
+        digests = []
+        for name, extra in (("flags", flags), ("config", ["--config", str(path)])):
+            assert main([*run, "--out", str(tmp_path / name), *extra]) == 0
+            blob = (tmp_path / name / "checkpoints" / "encoder.ckpt").read_bytes()
+            digests.append(hashlib.sha256(blob).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_no_keywords_with_config_is_usage_error(self, dataset, trained, tmp_path, capsys):
         """--no-keywords is not one of the flags a config overrides, so it is refused
@@ -422,10 +450,12 @@ class TestTrainingFlags:
         assert not out.exists()
 
     def test_good_values_reach_the_manifest(self, tmp_path, capsys):
-        """Positive finite rates, however small or large, pass the parser."""
+        """Positive finite rates, however small or large, and the largest seed pass
+        the parser."""
         assert main(["train-rdi", "--manifest", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out"), "--lr", "1e-300", "--decay-factor", "1e300",
-                     "--epochs", "1", "--batch", "1", "--decay-period", "1"]) == 2
+                     "--epochs", "1", "--batch", "1", "--decay-period", "1",
+                     "--seed", "18446744073709551615"]) == 2
         assert "cannot read manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("learning_rate", float("nan")),
@@ -434,7 +464,40 @@ class TestTrainingFlags:
                                               ("decay_factor", float("inf"))])
     def test_sgd_config_rejects_non_finite_values(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            SgdConfig(**{field: value})
+            TrainConfig(**{field: value})
+
+
+class TestOutputUnderARegularFile:
+    """An output path at or under a regular file is a data error (exit 2) that
+    names the path; the file is left as it was, and nothing else is written."""
+
+    @pytest.mark.parametrize("command, out", [
+        ("synth-data", "afile.json"), ("split", "afile.json/x.json"),
+        ("train-rdi", "afile.json"), ("train-cdg", "afile.json"),
+        ("evaluate", "afile.json"), ("evaluate", "afile.json/eval"),
+        ("report", "afile.json"), ("explain", "afile.json/x.png"),
+    ])
+    def test_exits_2(self, command, out, dataset, trained, tmp_path, capsys):
+        afile = tmp_path / "afile.json"
+        afile.write_text("{}\n")
+        manifest, ckpts = str(dataset / "manifest.json"), trained / "checkpoints"
+        image = str(dataset / "images" / "case0001.pgm")
+        args = {
+            "synth-data": ["--classes", "2", "--records", "4", "--side", "8"],
+            "split": ["--manifest", manifest],
+            "train-rdi": ["--manifest", manifest, "--epochs", "1"],
+            "train-cdg": ["--manifest", manifest, "--encoder", str(ckpts / "encoder.ckpt"),
+                          "--epochs", "1"],
+            "evaluate": ["--manifest", manifest, *model_args(ckpts), "--topk", "1"],
+            "report": ["--image", image, *model_args(ckpts)],
+            "explain": ["--image", image, "--encoder", str(ckpts / "encoder.ckpt")],
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot open ") and str(afile) in err
+        assert afile.read_text() == "{}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile.json"]  # no .evaluate-* folder
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 class TestDivergingTraining:

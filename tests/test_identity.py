@@ -20,10 +20,11 @@ To print the matrix's hashes for another seed as JSON, leaving the golden
 file alone (run it on two trees and diff the outputs to compare them):
     PYTHONPATH=src python tests/test_identity.py --seed 3
 
-To compare a seed's hashes with those of the package at a git revision
-(`git archive REV src` unpacked into a temporary folder and run there in a
-subprocess), printing each entry that differs and exiting 1 if any does:
-    PYTHONPATH=src python tests/test_identity.py --against HEAD~1 --seed 3
+To compare the hashes of one or more seeds with those of the package at a
+git revision (`git archive REV src` unpacked into a temporary folder and run
+there in a subprocess, once per seed), printing each entry that differs and
+one summary line per seed, and exiting 1 if any entry of any seed differs:
+    PYTHONPATH=src python tests/test_identity.py --against HEAD~1 --seed 1 2 3 4 5
 
 To rebuild the benchmark fixture with perfbench/make_fixture.py's recipe in a
 temporary folder, printing each file's sha256 next to the one recorded in
@@ -181,6 +182,21 @@ def entries_at(rev: str, seed: int) -> dict[str, object]:
         return json.loads(run.stdout)
 
 
+def compare_with(rev: str, seed: int) -> int:
+    """Run seed's matrix here, in a temporary folder, and at git revision rev;
+    print each entry that differs and a summary line; the number that differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = run_matrix(pathlib.Path(tmp), seed)
+    theirs = entries_at(rev, seed)
+    differ = sorted(name for name in entries.keys() | theirs.keys()
+                    if entries.get(name) != theirs.get(name))
+    for name in differ:
+        print(f"{name}: {theirs.get(name)} at {rev}, {entries.get(name)} here")
+    print(f"seed {seed}: {len(differ)} of {len(entries)} entries differ from {rev}",
+          file=sys.stderr)
+    return len(differ)
+
+
 def fixture_recipe() -> tuple[dict, tuple[str, ...]]:
     """perfbench/make_fixture.py's CONFIG and FILES, read with ast so nothing
     under perfbench/ is imported."""
@@ -243,9 +259,11 @@ def test_fixture_recipe_is_the_recorded_one():
 def main_cli() -> int:
     parser = argparse.ArgumentParser(description="Rewrite the seed-1 golden file, or with "
                                                  "--seed print one seed's hashes as JSON.")
-    parser.add_argument("--seed", type=int, help="print this seed's hashes to stdout instead")
+    parser.add_argument("--seed", type=int, nargs="+",
+                        help="print this seed's hashes to stdout instead; several seeds "
+                             "need --against")
     parser.add_argument("--against", metavar="REV",
-                        help="compare --seed's hashes with the package at git revision REV")
+                        help="compare each --seed's hashes with the package at git revision REV")
     parser.add_argument("--fixture", action="store_true",
                         help="rebuild the benchmark fixture and compare it with fixture.json")
     args = parser.parse_args()
@@ -255,18 +273,14 @@ def main_cli() -> int:
         if args.seed is not None:
             parser.error("--fixture takes no --seed or --against")
         return check_fixture()
-    seed = 1 if args.seed is None else args.seed
+    if args.against is not None:
+        differ = [compare_with(args.against, seed) for seed in args.seed]
+        return 1 if any(differ) else 0
+    if args.seed is not None and len(args.seed) > 1:
+        parser.error("several seeds need --against")
+    seed = 1 if args.seed is None else args.seed[0]
     with tempfile.TemporaryDirectory() as tmp:
         entries = run_matrix(pathlib.Path(tmp), seed)
-    if args.against is not None:
-        theirs = entries_at(args.against, seed)
-        differ = sorted(name for name in entries.keys() | theirs.keys()
-                        if entries.get(name) != theirs.get(name))
-        for name in differ:
-            print(f"{name}: {theirs.get(name)} at {args.against}, {entries.get(name)} here")
-        print(f"seed {seed}: {len(differ)} of {len(entries)} entries differ from "
-              f"{args.against}", file=sys.stderr)
-        return 1 if differ else 0
     if args.seed is None:
         GOLDEN.write_text(json.dumps({"environment": environment(), "entries": entries},
                                      indent=1, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from oracles import as_row, embedding_row, finite_difference_check, mean_scalars
 
 from retinapipe import autodiff as ad
 from retinapipe.autodiff import Tape, Tensor, backward, sgd_step, zero_grads
+from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.errors import DataError, NonFiniteError
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
-    END, PAD, RESERVED, START, UNK, DecoderParams, KeywordProjection, Vocabulary, _beam_search,
+    END, PAD, RESERVED, START, UNK, DecoderParams, Vocabulary, _beam_search,
     build_vocabulary, caption_loss, decode_beam, decode_greedy, detokenize, keyword_multihot,
     tokenize,
 )
@@ -128,39 +130,81 @@ class TestVocabularyLoadProperty:
         assert [v.token(i) for i in range(v.size)] == [*RESERVED, *tokens]
 
 
-def embed(keywords, kw_vocab, proj):
+def keyword_decoder(seed: int, kw_vocab: Vocabulary, dim: int) -> DecoderParams:
+    """A small decoder in keyword mode, for its keyword projection."""
+    return DecoderParams.init(Xoshiro256(seed), 4, dim, 2, kw_vocab.size, True)
+
+
+def embed(keywords, kw_vocab, dec):
     """The projected keyword bag, doubled back out of its average with a zero image feature."""
-    zero = Tensor(np.zeros((1,) + proj.bias.data.shape))
-    return 2.0 * proj.fuse(zero, keyword_multihot(keywords, kw_vocab)[None]).data[0]
+    zero = Tensor(np.zeros((1,) + dec.kw_bias.data.shape))
+    return 2.0 * dec.fuse(zero, keyword_multihot(keywords, kw_vocab)[None]).data[0]
+
+
+class TestDecoderFile:
+    ENTRIES = ["decoder.embedding", "decoder.lstm.wx", "decoder.lstm.wh", "decoder.lstm.b",
+               "decoder.out.weight", "decoder.out.bias", "kw_proj.weight", "kw_proj.bias",
+               "decoder.keyword_mode"]
+
+    @pytest.mark.parametrize("keyword_mode", [True, False])
+    def test_round_trip_in_entry_order(self, keyword_mode):
+        dec = DecoderParams.init(Xoshiro256(5), 7, 3, 4, 6, keyword_mode)
+        ckpt = dec.to_checkpoint()
+        assert list(ckpt.params) == self.ENTRIES
+        assert ckpt.params["decoder.keyword_mode"].tolist() == [float(keyword_mode)]
+        back = DecoderParams.from_checkpoint(ckpt)
+        assert back.keyword_mode is keyword_mode and back.to_checkpoint() == ckpt
+
+    def test_init_draws_the_decoder_then_the_keyword_projection(self):
+        """Glorot matrices and zero vectors, drawn from one rng in file order, with
+        the forget-gate biases opened."""
+        v, d, h, kv = 7, 3, 4, 6
+        shapes = [(v, d), (4 * h, d), (4 * h, h), (4 * h,), (v, h), (v,), (d, kv), (d,)]
+        rng = Xoshiro256(8)
+        want = [ad.glorot_uniform(rng, s) if len(s) > 1 else np.zeros(s) for s in shapes]
+        want[3][h : 2 * h] = 1.0
+        got = DecoderParams.init(Xoshiro256(8), v, d, h, kv, True).to_checkpoint().params
+        for name, array in zip(self.ENTRIES, want):
+            assert np.array_equal(got[name], array), name
+
+    def test_file_without_keyword_mode_is_in_keyword_mode(self):
+        ckpt = DecoderParams.init(Xoshiro256(5), 7, 3, 4, 6, False).to_checkpoint()
+        del ckpt.params["decoder.keyword_mode"]
+        assert DecoderParams.from_checkpoint(ckpt).keyword_mode is True
+
+    def test_benchmark_fixture_loads_and_writes_back_equal(self):
+        fixture = pathlib.Path(__file__).parent.parent / "perfbench" / "fixture" / "decoder.ckpt"
+        ckpt = ModelCheckpoint.load(fixture)
+        assert DecoderParams.from_checkpoint(ckpt).to_checkpoint() == ckpt
 
 
 class TestKeywordEmbedding:
     def test_empty_keywords_zero_bias_gives_zero(self):
         kw_vocab = build_vocabulary([["drusen"], ["edema"]])
-        proj = KeywordProjection.init(Xoshiro256(1), kw_vocab.size, 5)
-        proj.bias.data[:] = 0.0
-        assert np.all(embed([], kw_vocab, proj) == 0.0)
+        dec = keyword_decoder(1, kw_vocab, 5)
+        dec.kw_bias.data[:] = 0.0
+        assert np.all(embed([], kw_vocab, dec) == 0.0)
 
     def test_order_invariant(self):
         kw_vocab = build_vocabulary([["a"], ["b"]])
-        proj = KeywordProjection.init(Xoshiro256(2), kw_vocab.size, 4)
-        assert np.array_equal(embed(["a", "b"], kw_vocab, proj), embed(["b", "a"], kw_vocab, proj))
+        dec = keyword_decoder(2, kw_vocab, 4)
+        assert np.array_equal(embed(["a", "b"], kw_vocab, dec), embed(["b", "a"], kw_vocab, dec))
 
     def test_matches_matvec_oracle(self):
         kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
-        proj = KeywordProjection.init(Xoshiro256(3), kw_vocab.size, 4)
+        dec = keyword_decoder(3, kw_vocab, 4)
         m = keyword_multihot(["a", "b", "c"], kw_vocab)
-        want = proj.weight.data @ m + proj.bias.data
-        assert np.allclose(embed(["a", "b", "c"], kw_vocab, proj), want, atol=1e-12)
+        want = dec.kw_weight.data @ m + dec.kw_bias.data
+        assert np.allclose(embed(["a", "b", "c"], kw_vocab, dec), want, atol=1e-12)
 
     def test_unknown_keyword_adds_nothing(self):
         # the <unk> column of a trained projection is never trained, so an
         # unknown keyword must not reach it
         kw_vocab = build_vocabulary([["soft drusen"], ["hard exudates"]])
         assert keyword_multihot(["mystery"], kw_vocab).sum() == 0.0
-        proj = KeywordProjection.init(Xoshiro256(4), kw_vocab.size, 4)
-        with_unknown = embed(["soft drusen", "zzz"], kw_vocab, proj)
-        assert np.array_equal(with_unknown, embed(["soft drusen"], kw_vocab, proj))
+        dec = keyword_decoder(4, kw_vocab, 4)
+        with_unknown = embed(["soft drusen", "zzz"], kw_vocab, dec)
+        assert np.array_equal(with_unknown, embed(["soft drusen"], kw_vocab, dec))
 
 
     def test_bags_get_no_gradient(self, monkeypatch):
@@ -173,24 +217,24 @@ class TestKeywordEmbedding:
         real_linear, inputs, grads = ad.linear, [], {}
         monkeypatch.setattr(ad, "linear", lambda x, w, b: inputs.append(x) or real_linear(x, w, b))
         for through_fuse in (True, False):
-            proj = KeywordProjection.init(Xoshiro256(6), kw_vocab.size, 4)
-            dec = DecoderParams.init(Xoshiro256(7), 6, 4, 5)
+            dec = DecoderParams.init(Xoshiro256(7), 6, 4, 5, kw_vocab.size, True)
             image_feat = Tensor(image, needs_grad=False)
             with Tape() as tape:
                 if through_fuse:
-                    fused = proj.fuse(image_feat, bags)
+                    fused = dec.fuse(image_feat, bags)
                 else:  # a bag tensor that takes a gradient
-                    fused = ad.average(image_feat, real_linear(Tensor(bags), proj.weight, proj.bias))
+                    fused = ad.average(image_feat,
+                                       real_linear(Tensor(bags), dec.kw_weight, dec.kw_bias))
                 loss = caption_loss(fused, targets, dec)
             backward(tape, loss)
-            grads[through_fuse] = [p.grad.tobytes() for p in proj.parameters() + dec.parameters()]
+            grads[through_fuse] = [p.grad.tobytes() for p in dec.parameters()]
         [bag_tensor] = inputs
         assert not bag_tensor.needs_grad and bag_tensor.grad is None
         assert grads[True] == grads[False]
 
 
 class TestFusion:
-    """The average that KeywordProjection.fuse takes of the image and keyword features."""
+    """The average that DecoderParams.fuse takes of the image and keyword features."""
 
     def test_idempotent_on_equal(self):
         v = Tensor([1.0, 2.0])
@@ -217,6 +261,9 @@ def zero_decoder(vocab_size=4, dim=3, hidden=2) -> DecoderParams:
         cell=ad.LstmParams(wx=z(4 * hidden, dim), wh=z(4 * hidden, hidden), b=z(4 * hidden)),
         out_w=z(vocab_size, hidden),
         out_b=z(vocab_size),
+        kw_weight=z(dim, 4),
+        kw_bias=z(dim),
+        keyword_mode=False,
     )
 
 
@@ -239,7 +286,7 @@ class TestCaptionLoss:
         wins = 0
         for seed in range(20):
             rng = Xoshiro256(seed)
-            dec = DecoderParams.init(rng, 6, 4, 5)
+            dec = DecoderParams.init(rng, 6, 4, 5, 4, False)
             fused = np.asarray(rng.uniform(-1, 1, (4,)))
             target = [START, 4, 5, 4, END]
             params = dec.parameters()
@@ -257,17 +304,16 @@ class TestCaptionLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = Xoshiro256(77)
-        dec = DecoderParams.init(rng, 6, 3, 4)
-        proj = KeywordProjection.init(rng, 5, 3)
         kw_vocab = build_vocabulary([["a"]])
+        dec = DecoderParams.init(rng, 6, 3, 4, kw_vocab.size, True)
         img = np.asarray(rng.uniform(-1, 1, (3,)))
         target = [START, 4, 5, END]
 
         def model():
-            fused = proj.fuse(Tensor(img[None]), keyword_multihot(["a"], kw_vocab)[None])
+            fused = dec.fuse(Tensor(img[None]), keyword_multihot(["a"], kw_vocab)[None])
             return caption_loss(fused, [target], dec)
 
-        params = {p.name: p for p in dec.parameters() + proj.parameters()}
+        params = {p.name: p for p in dec.parameters()}
         rep = finite_difference_check(model, params)
         assert rep.passed, rep.blocks
         assert rep.max_rel_error < 1e-4
@@ -335,7 +381,7 @@ def beam_bits(hyps):
 def random_decoder(seed, all_tie=False):
     rng = Xoshiro256(200 + seed)
     vocab, dim = 4 + seed % 3, 3
-    dec = DecoderParams.init(rng, vocab, dim, 2 + seed % 4)
+    dec = DecoderParams.init(rng, vocab, dim, 2 + seed % 4, 4, False)
     if all_tie:  # every token equally likely at every step
         dec.out_w.data[:] = 0.0
         dec.out_b.data[:] = 0.0
@@ -392,7 +438,7 @@ class TestBatchedBeam:
 
     def test_batched_cell_matches_lone_rows(self):
         rng = Xoshiro256(7)
-        cell = DecoderParams.init(rng, 4, 5, 6).cell
+        cell = DecoderParams.init(rng, 4, 5, 6, 4, False).cell
         x, h, c = (np.asarray(rng.uniform(-2, 2, (4, n))) for n in (5, 6, 6))
         params = (cell.wx.data, cell.wh.data, cell.b.data)
         batched = ad.lstm_cell_np(*params, x, h, c)
@@ -448,7 +494,7 @@ class TestDecoding:
 
     def test_greedy_deterministic(self):
         rng = Xoshiro256(5)
-        dec = DecoderParams.init(rng, 8, 4, 6)
+        dec = DecoderParams.init(rng, 8, 4, 6, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (1, 4)))
         a = decode_greedy(fused, dec, 12)
         b = decode_greedy(fused, dec, 12)
@@ -457,7 +503,7 @@ class TestDecoding:
     @pytest.mark.parametrize("seed", range(25))
     def test_beam_width_one_equals_greedy(self, seed):
         rng = Xoshiro256(seed)
-        dec = DecoderParams.init(rng, 7, 3, 5)
+        dec = DecoderParams.init(rng, 7, 3, 5, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         greedy = decode_greedy(fused[None], dec, 8)[0]
         beam = decode_beam(fused, dec, width=1, max_len=8)
@@ -468,7 +514,7 @@ class TestDecoding:
     def test_beam_matches_exhaustive_enumeration(self, seed):
         rng = Xoshiro256(100 + seed)
         vocab, max_len = 4, 3
-        dec = DecoderParams.init(rng, vocab, 3, 4)
+        dec = DecoderParams.init(rng, vocab, 3, 4, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         top = decode_beam(fused, dec, width=vocab ** max_len, max_len=max_len)[0]
         want_tokens, want_lp = enumerate_best(fused, dec, max_len)
@@ -477,7 +523,7 @@ class TestDecoding:
 
     def test_beam_output_sorted_and_finished(self):
         rng = Xoshiro256(9)
-        dec = DecoderParams.init(rng, 6, 3, 4)
+        dec = DecoderParams.init(rng, 6, 3, 4, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         hyps = decode_beam(fused, dec, width=4, max_len=6)
         ended = [h.tokens[-1:] == (END,) for h in hyps]
@@ -487,7 +533,7 @@ class TestDecoding:
 
     def test_suppressed_end_is_not_finished(self):
         rng = Xoshiro256(12)
-        dec = DecoderParams.init(rng, 6, 3, 4)
+        dec = DecoderParams.init(rng, 6, 3, 4, 4, False)
         dec.out_b.data[END] = -100.0  # END is never the best next token
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         greedy = decode_greedy(fused[None], dec, 5)[0]
@@ -497,14 +543,14 @@ class TestDecoding:
 
     def test_tokens_are_plain_ints(self):
         rng = Xoshiro256(13)
-        dec = DecoderParams.init(rng, 6, 3, 4)
+        dec = DecoderParams.init(rng, 6, 3, 4, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         hyps = [decode_greedy(fused[None], dec, 6)[0], *decode_beam(fused, dec, width=3, max_len=6)]
         assert all(type(t) is int for h in hyps for t in h.tokens)
 
     def test_log_prob_matches_independent_recompute(self):
         rng = Xoshiro256(10)
-        dec = DecoderParams.init(rng, 6, 3, 4)
+        dec = DecoderParams.init(rng, 6, 3, 4, 4, False)
         fused = np.asarray(rng.uniform(-1, 1, (3,)))
         for hyp in decode_beam(fused, dec, width=3, max_len=6):
             lp = sequence_log_prob(fused, dec, hyp.tokens)
@@ -513,12 +559,11 @@ class TestDecoding:
     def test_keyword_permutation_gives_identical_caption(self):
         rng = Xoshiro256(11)
         kw_vocab = build_vocabulary([["a"], ["b"], ["c"]])
-        proj = KeywordProjection.init(rng, kw_vocab.size, 4)
-        dec = DecoderParams.init(rng, 8, 4, 6)
+        dec = DecoderParams.init(rng, 8, 4, 6, kw_vocab.size, True)
         img = Tensor(np.asarray(rng.uniform(-1, 1, (1, 4))))
         captions = set()
         for perm in itertools.permutations(["a", "b", "c"]):
-            fused = proj.fuse(img, keyword_multihot(list(perm), kw_vocab)[None])
+            fused = dec.fuse(img, keyword_multihot(list(perm), kw_vocab)[None])
             captions.add(decode_greedy(fused.data, dec, 10)[0].tokens)
         assert len(captions) == 1
 
@@ -557,7 +602,7 @@ class TestBatchedCaptionLoss:
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_mean_of_per_record_losses(self, seed):
         rng = np.random.default_rng(seed)
-        dec = DecoderParams.init(Xoshiro256(seed), 9, 5, 6)
+        dec = DecoderParams.init(Xoshiro256(seed), 9, 5, 6, 4, False)
         feats = rng.uniform(-1, 1, (6, 5))
         targets = ragged_targets(rng, 6, 9)
         params = dec.parameters()
@@ -588,22 +633,21 @@ class TestBatchedCaptionLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        dec = DecoderParams.init(Xoshiro256(3), 7, 3, 4)
-        proj = KeywordProjection.init(Xoshiro256(4), 5, 3)
+        dec = DecoderParams.init(Xoshiro256(3), 7, 3, 4, 5, True)
         img = rng.uniform(-1, 1, (4, 3))
         bags = rng.integers(0, 2, size=(4, 5)).astype(float)
         targets = ragged_targets(rng, 4, 7, longest=4)
 
         def model():
-            return caption_loss(proj.fuse(Tensor(img), bags), targets, dec)
+            return caption_loss(dec.fuse(Tensor(img), bags), targets, dec)
 
-        params = {p.name: p for p in dec.parameters() + proj.parameters()}
+        params = {p.name: p for p in dec.parameters()}
         rep = finite_difference_check(model, params)
         assert rep.passed, rep.blocks
         assert rep.max_rel_error < 1e-4
 
     def test_one_taped_op_per_batch(self):
-        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+        dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4, 4, False)
         with Tape() as tape:
             caption_loss(Tensor(np.zeros((3, 3))), [[START, 4, END], [START, END], [START, 5, 4, END]],
                          dec)
@@ -619,7 +663,7 @@ class TestBatchedGreedy:
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_equal_per_record_decoding(self, seed):
         rng = np.random.default_rng(seed)
-        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6)
+        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6, 4, False)
         for p in dec.parameters():
             p.data *= 4.0  # sharper outputs: most seeds finish rows at different steps
         feats = rng.uniform(-2, 2, (7, 4))
@@ -634,7 +678,7 @@ class TestBatchedGreedy:
     def test_equals_width_one_beam_over_mixed_batch(self, seed):
         """Greedy is the width-1 beam, bit for bit, for every record of a batch that mixes
         finished, cut-off and tied records."""
-        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6)
+        dec = DecoderParams.init(Xoshiro256(seed), 8, 4, 6, 4, False)
         for p in dec.parameters():
             p.data *= 3.0
         dec.out_w.data[5] = dec.out_w.data[4]  # tokens 4 and 5 tie at every step
@@ -664,7 +708,7 @@ def test_batched_beams_equal_lone_beams(seed):
 def test_nan_decoder_raises_non_finite_error():
     """A NaN output weight makes every score NaN: the search names the record
     instead of returning an empty beam."""
-    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
+    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4, 4, False)
     dec.out_w.data[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="record 0"):
         decode_greedy(np.zeros((2, 3)), dec, 5)
@@ -672,12 +716,11 @@ def test_nan_decoder_raises_non_finite_error():
 
 def test_single_item_inputs_rejected():
     """Loss, fusion and greedy decoding take batches only."""
-    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4)
-    proj = KeywordProjection.init(Xoshiro256(2), 5, 3)
+    dec = DecoderParams.init(Xoshiro256(1), 6, 3, 4, 5, True)
     with pytest.raises(ad.ShapeError):
         caption_loss(Tensor(np.zeros(3)), [START, 4, END], dec)
     with pytest.raises(ad.ShapeError):
-        proj.fuse(Tensor(np.zeros((1, 3))), np.zeros(5))
+        dec.fuse(Tensor(np.zeros((1, 3))), np.zeros(5))
     with pytest.raises(ad.ShapeError):
         decode_greedy(np.zeros(3), dec, 5)
     with pytest.raises(ad.ShapeError):

@@ -9,10 +9,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from retinapipe import autodiff, training
 from retinapipe.autodiff import (
-    SgdConfig, Tape, Tensor, backward, lstm_cell_np, sgd_step, softmax_cross_entropy, zero_grads,
+    Tape, Tensor, backward, lstm_cell_np, sgd_step, softmax_cross_entropy, zero_grads,
 )
 from retinapipe.cli import main
 from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
@@ -34,21 +35,21 @@ from oracles import infer_one_at_a_time
 
 class TestLrSchedule:
     def test_step_decay_values(self):
-        cfg = SgdConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
+        cfg = TrainConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
         assert lr_schedule(0, cfg) == 0.1
         assert lr_schedule(49, cfg) == 0.1
         assert lr_schedule(50, cfg) == pytest.approx(0.02)
         assert lr_schedule(100, cfg) == pytest.approx(0.004)
 
     def test_non_increasing_over_long_horizon(self):
-        cfg = SgdConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
+        cfg = TrainConfig(learning_rate=0.1, decay_factor=5.0, decay_period_epochs=50)
         rates = [lr_schedule(e, cfg) for e in range(500)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
         assert all(r > 0 for r in rates)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1, SgdConfig())
+            lr_schedule(-1, TrainConfig())
 
 
 class TestTrainConfig:
@@ -57,20 +58,40 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                TrainConfig(seed=seed)
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = TrainConfig(epochs=7, batch_size=4, seed=3,
-                          sgd=SgdConfig(learning_rate=0.05, decay_factor=2.0,
-                                        decay_period_epochs=10),
+                          learning_rate=0.05, decay_factor=2.0, decay_period_epochs=10,
                           keyword_mode=False, decoder_hidden=12,
                           encoder_stages=((4, 3, 1, 2),), image_size=16)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({  # the sgd fields sit at the top level
+        path.write_text(json.dumps({
             "version": 1, "epochs": 7, "batch_size": 4, "seed": 3,
             "learning_rate": 0.05, "decay_factor": 2.0, "decay_period_epochs": 10,
             "keyword_mode": False, "decoder_hidden": 12, "max_caption_len": 30,
             "image_size": 16, "encoder_stages": [[4, 3, 1, 2]], "input_channels": 3,
         }))
+        assert load_train_config(path) == cfg
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=st.builds(
+        TrainConfig, epochs=st.integers(1, 10**9), batch_size=st.integers(1, 10**9),
+        seed=st.integers(0, 2**64 - 1),
+        learning_rate=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        decay_factor=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        decay_period_epochs=st.integers(1, 10**9), keyword_mode=st.booleans(),
+        decoder_hidden=st.integers(1, 10**9), max_caption_len=st.integers(1, 10**9),
+        image_size=st.integers(1, 1024),
+        encoder_stages=st.lists(st.tuples(*[st.integers(1, 64)] * 4), max_size=4).map(tuple),
+        input_channels=st.integers(1, 4)))
+    def test_written_config_reads_back(self, cfg, tmp_path):
+        """The config file of a TrainConfig is {"version": 1, **asdict(cfg)}."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, **dataclasses.asdict(cfg)}))
         assert load_train_config(path) == cfg
 
     def test_bad_version_rejected(self, tmp_path):
@@ -92,8 +113,7 @@ SMALL_STAGES = ((4, 3, 1, 2), (8, 3, 1, 2))
 
 def small_cfg(**overrides):
     base = dict(epochs=40, batch_size=4, seed=5,
-                sgd=SgdConfig(learning_rate=0.1, decay_factor=2.0,
-                              decay_period_epochs=30),
+                learning_rate=0.1, decay_factor=2.0, decay_period_epochs=30,
                 encoder_stages=SMALL_STAGES, decoder_hidden=24)
     base.update(overrides)
     return TrainConfig(**base)
@@ -161,7 +181,7 @@ def encoder_steps():
 
 def captioner_steps():
     """A decoder's parameters and the caption loss of each of 3 batches."""
-    dec = DecoderParams.init(Xoshiro256(3), 6, 4, 5)
+    dec = DecoderParams.init(Xoshiro256(3), 6, 4, 5, 4, False)
     rng = np.random.default_rng(3)
     feats = [rng.uniform(-1, 1, (3, 4)) for _ in range(3)]
     targets = [[START, 4, 5, END], [START, END], [START, 3, END]]
@@ -363,8 +383,7 @@ def encoder_ckpt(tiny_dataset):
 class TestTrainCaptioner:
     def test_memorizes_small_corpus(self, tiny_dataset, encoder_ckpt):
         cfg = small_cfg(epochs=150, batch_size=4,
-                        sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
-                                      decay_period_epochs=150))
+                        learning_rate=1.0, decay_factor=2.0, decay_period_epochs=150)
         _, curve, _, _ = train_captioner(tiny_dataset, cfg, encoder_ckpt)
         assert min(tl for tl, _, _ in curve.entries) < 0.05
 
@@ -433,8 +452,7 @@ def trained(tiny_dataset):
     enc_ckpt, _ = train_classifier(tiny_dataset, small_cfg(epochs=10))
     dec_ckpt, _, vocab, kw_vocab = train_captioner(
         tiny_dataset, small_cfg(epochs=60, batch_size=4,
-                                sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
-                                              decay_period_epochs=60)),
+                                learning_rate=1.0, decay_factor=2.0, decay_period_epochs=60),
         enc_ckpt)
     return enc_ckpt, dec_ckpt, vocab, kw_vocab
 
@@ -683,11 +701,9 @@ def test_keyword_ablation_separates_on_keyword_dependent_captions(tmp_path):
     split_dataset(m, (0.6, 0.2, 0.2), seed=2)
     enc_ckpt, _ = train_classifier(m, small_cfg(epochs=10, seed=22))
     cfg_on = small_cfg(epochs=150, batch_size=4, seed=22,
-                       sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
-                                     decay_period_epochs=150))
+                       learning_rate=1.0, decay_factor=2.0, decay_period_epochs=150)
     cfg_off = small_cfg(epochs=150, batch_size=4, seed=22, keyword_mode=False,
-                        sgd=SgdConfig(learning_rate=1.0, decay_factor=2.0,
-                                      decay_period_epochs=150))
+                        learning_rate=1.0, decay_factor=2.0, decay_period_epochs=150)
     _, curve_on, _, _ = train_captioner(m, cfg_on, enc_ckpt)
     _, curve_off, _, _ = train_captioner(m, cfg_off, enc_ckpt)
     best_on = max(vm for _, _, vm in curve_on.entries)
