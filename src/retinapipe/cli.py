@@ -7,6 +7,7 @@ All randomness flows from the --seed flag of each subcommand.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -108,6 +109,19 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
 
 
+def _check_folder(path: str) -> None:
+    """Raise, making nothing, the error os.makedirs(path, exist_ok=True) raises
+    when path is or lies under a regular file, so that a command whose output
+    cannot be written fails before any image is read."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    below, above = path, os.path.dirname(path)
+    while above and not os.path.exists(above):
+        below, above = above, os.path.dirname(above)
+    if above and not os.path.isdir(above):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), below)
+
+
 def _made(out_dir: str, *names: str) -> list[str]:
     """The named folders of out_dir, made if missing."""
     paths = [os.path.join(out_dir, name) for name in names]
@@ -164,6 +178,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train_rdi(args) -> int:
+    _check_folder(os.path.join(args.out, "checkpoints"))
     manifest = parse_manifest(args.manifest)
     cfg = _train_config(args)
     init = ModelCheckpoint.load(args.init) if args.init else None
@@ -180,6 +195,7 @@ def _cmd_train_cdg(args) -> int:
     if args.config and args.no_keywords:  # not one of the flags a config overrides
         raise _UsageError("--no-keywords cannot be combined with --config; "
                           "set keyword_mode to false in the config instead")
+    _check_folder(os.path.join(args.out, "checkpoints"))
     manifest = parse_manifest(args.manifest)
     cfg = _train_config(args)
     encoder_ckpt = ModelCheckpoint.load(args.encoder)
@@ -209,6 +225,7 @@ def _cmd_evaluate(args) -> int:
     pipe = _pipeline(args, lambda: manifest.class_list)
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
+    _check_folder(args.out)
     # the bundle is built next to --out and moved in whole, so a failed run leaves --out as it was
     with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=parent) as stage:
         report, reports = evaluate_pipeline(manifest, pipe, args.beam, args.topk, args.max_len,
@@ -246,6 +263,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_folder(os.path.join(args.out, "assets"))
     pipe = _pipeline(args, lambda: parse_manifest(args.manifest).class_list
                      if args.manifest else None)
     keywords = _split_keywords([args.keywords])

@@ -20,6 +20,11 @@ MODALITY_CFP = "CFP"
 # is checked against it before any IDAT byte is inflated.
 MAX_PNG_PIXELS = 4096 * 4096
 
+# A PNG whose Avg/Paeth chains give fewer filtered bytes per wavefront step than
+# this is undone row by row: a step costs tens of numpy calls whatever its width,
+# and the two paths took the same time at about 30 (RGB) to 35 (gray) bytes a step.
+WAVEFRONT_MIN_STEP_BYTES = 32
+
 
 @dataclass
 class RetinalImage:
@@ -136,12 +141,103 @@ def _unfilter_row(ftype: int, line: list, prev: list, bpp: int) -> list:
     return cur[bpp:]
 
 
+def _unfilter_vectorized(lines: np.ndarray, y: int, ftype: int, channels: int) -> None:
+    """Undo the None, Sub or Up filter of row y in place, once the row above is decoded."""
+    line = lines[y]
+    if ftype == 1:  # addition mod 256 is associative, so a wrapping cumsum is exact
+        np.cumsum(line.reshape(-1, channels), axis=0, dtype=np.uint8,
+                  out=line.reshape(-1, channels))
+    elif ftype == 2 and y:
+        line += lines[y - 1]
+
+
+def _unfilter_rows(lines: np.ndarray, filters: list, channels: int) -> None:
+    """Undo every row's filter in place, top to bottom: None, Sub and Up rows in
+    numpy, Avg and Paeth rows byte by byte in _unfilter_row."""
+    prev = np.zeros(lines.shape[1], dtype=np.uint8)
+    for y, ftype in enumerate(filters):
+        if ftype < 3:
+            _unfilter_vectorized(lines, y, ftype, channels)
+        else:
+            lines[y] = _unfilter_row(ftype, lines[y].tolist(), prev.tolist(), channels)
+        prev = lines[y]
+
+
+def _chain_levels(filters: list) -> list:
+    """Each row's wavefront level: -1 for a None or Sub row, and for an Up row
+    with no Avg or Paeth row between it and the last None or Sub row above;
+    else one more than the row above (0 below a level -1 row or the top edge)."""
+    levels, level = [], -1
+    for ftype in filters:
+        level = -1 if ftype < 2 or (ftype == 2 and level < 0) else level + 1
+        levels.append(level)
+    return levels
+
+
+def _paeth_vectorized(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """_paeth elementwise on int16 arrays, with its a, b, c tie order."""
+    bc, ac = b - c, a - c
+    pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(bc + ac)
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+
+
+def _unfilter_wavefront(lines: np.ndarray, filters: list, channels: int) -> None:
+    """Undo every row's filter in place, as _unfilter_rows does, but every
+    Avg/Paeth chain at once: the level -1 rows first, row by row, then one loop
+    over t = x + level(y). Pixel (y, x) reads (y, x-1), (y-1, x) and
+    (y-1, x-1), all decoded at an earlier t, so each step decodes one pixel of
+    every active row with numpy, on a zero-padded int16 copy of the image."""
+    levels = _chain_levels(filters)
+    for y, (ftype, level) in enumerate(zip(filters, levels)):
+        if level < 0:
+            _unfilter_vectorized(lines, y, ftype, channels)
+    height, stride = lines.shape
+    width = stride // channels
+    padded = np.zeros((height + 1, width + 1, channels), dtype=np.int16)
+    padded[1:, 1:] = lines.reshape(height, width, channels)
+    # with j = y * row + x * channels + channel, flat[j + k] is byte (y, x)'s
+    # up-left (c), up (b), left (a) neighbour and the byte itself, in k order
+    row = (width + 1) * channels
+    flat = padded.reshape(-1)
+    up_left, up, left, cur = (flat[k:] for k in (0, channels, row, row + channels))
+    steps = np.arange(width + max(levels))
+    # per filter type, the rows sorted by level: a row is active at step t while
+    # 0 <= t - level < width, so each step's rows are one slice, lo[t]:hi[t]
+    groups = []
+    for ftype in (2, 3, 4):
+        ys = sorted((y for y, f in enumerate(filters) if f == ftype and levels[y] >= 0),
+                    key=levels.__getitem__)
+        if ys:
+            ranks = np.array([levels[y] for y in ys])
+            base = (np.array(ys) * row - ranks * channels)[:, None] + np.arange(channels)
+            lo = np.searchsorted(ranks, steps - width, side="right") * channels
+            hi = np.searchsorted(ranks, steps, side="right") * channels
+            groups.append((ftype, base.reshape(-1), lo.tolist(), hi.tolist()))
+    for t in steps.tolist():
+        for ftype, base, lo, hi in groups:
+            if lo[t] == hi[t]:
+                continue
+            j = base[lo[t]:hi[t]] + t * channels
+            b = up[j]
+            if ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (left[j] + b) >> 1
+            else:
+                pred = _paeth_vectorized(left[j], b, up_left[j])
+            pred += cur[j]
+            pred &= 0xFF
+            cur[j] = pred
+    lines[:] = padded[1:, 1:].reshape(height, stride)
+
+
 def _decode_png(data: bytes, path) -> RetinalImage:
     if data[:8] != _PNG_SIG:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
     ihdr = None
-    idat = []
+    idat = []  # views into data: a chunk body is never copied
+    view = memoryview(data)
     while True:  # bytes after IEND are ignored, as libpng does
         if pos == len(data):
             raise DataError(f"{path}: missing IEND chunk (file ends at offset {pos})")
@@ -149,11 +245,11 @@ def _decode_png(data: bytes, path) -> RetinalImage:
             raise DataError(f"{path}: truncated chunk header at offset {pos}")
         length = int.from_bytes(data[pos : pos + 4], "big")
         ctype = data[pos + 4 : pos + 8]
-        body = data[pos + 8 : pos + 8 + length]
+        body = view[pos + 8 : pos + 8 + length]
         if len(body) != length:
             raise DataError(f"{path}: truncated {ctype!r} chunk at offset {pos}")
         crc = int.from_bytes(data[pos + 8 + length : pos + 12 + length], "big")
-        if crc != zlib.crc32(ctype + body):
+        if crc != zlib.crc32(body, zlib.crc32(ctype)):
             raise DataError(f"{path}: CRC mismatch in {ctype!r} chunk at offset {pos}")
         if ctype == b"IHDR":
             ihdr = body
@@ -200,21 +296,14 @@ def _decode_png(data: bytes, path) -> RetinalImage:
     for y, ftype in enumerate(filters):
         if ftype > 4:
             raise DataError(f"{path}: unknown filter type {ftype} on row {y}")
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y, ftype in enumerate(filters):
-        line = rows[y, 1:]
-        if ftype == 0:
-            out[y] = line
-        elif ftype == 1:  # addition mod 256 is associative, so a wrapping cumsum is exact
-            np.cumsum(line.reshape(width, channels), axis=0, dtype=np.uint8,
-                      out=out[y].reshape(width, channels))
-        elif ftype == 2:
-            np.add(line, prev, out=out[y])
-        else:  # Avg and Paeth read the byte just decoded to their left, so they stay sequential
-            out[y] = _unfilter_row(ftype, line.tolist(), prev.tolist(), channels)
-        prev = out[y]
-    px = out.reshape(height, width, channels)
+    lines = rows[:, 1:].copy()  # undone in place below
+    del raw, rows  # freed before a wavefront's padded copy is made
+    levels = [level for level in _chain_levels(filters) if level >= 0]
+    if levels and len(levels) * stride >= WAVEFRONT_MIN_STEP_BYTES * (width + max(levels)):
+        _unfilter_wavefront(lines, filters, channels)
+    else:
+        _unfilter_rows(lines, filters, channels)
+    px = lines.reshape(height, width, channels)
     return RetinalImage(pixels=px)
 
 

@@ -469,7 +469,8 @@ class TestTrainingFlags:
 
 class TestOutputUnderARegularFile:
     """An output path at or under a regular file is a data error (exit 2) that
-    names the path; the file is left as it was, and nothing else is written."""
+    names the path; the file is left as it was, and nothing else is written.
+    The commands that read images refuse it before they read the first one."""
 
     @pytest.mark.parametrize("command, out", [
         ("synth-data", "afile.json"), ("split", "afile.json/x.json"),
@@ -477,7 +478,11 @@ class TestOutputUnderARegularFile:
         ("evaluate", "afile.json"), ("evaluate", "afile.json/eval"),
         ("report", "afile.json"), ("explain", "afile.json/x.png"),
     ])
-    def test_exits_2(self, command, out, dataset, trained, tmp_path, capsys):
+    def test_exits_2(self, command, out, dataset, trained, tmp_path, capsys, monkeypatch):
+        loaded, load_image = [], cli.load_image
+        for module in (cli, training):
+            monkeypatch.setattr(module, "load_image",
+                                lambda path: loaded.append(path) or load_image(path))
         afile = tmp_path / "afile.json"
         afile.write_text("{}\n")
         manifest, ckpts = str(dataset / "manifest.json"), trained / "checkpoints"
@@ -497,6 +502,8 @@ class TestOutputUnderARegularFile:
         assert err.startswith("data error: cannot open ") and str(afile) in err
         assert afile.read_text() == "{}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile.json"]  # no .evaluate-* folder
+        if command in ("train-rdi", "train-cdg", "evaluate", "report"):
+            assert loaded == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings

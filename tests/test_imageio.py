@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from retinapipe import imageio
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
     MAX_PNG_PIXELS, RetinalImage, load_image, resize_bilinear, write_png, write_pnm,
@@ -312,6 +313,131 @@ class TestPng:
         write_png(tmp_path / "a.png", px)
         write_png(tmp_path / "b.png", px)
         assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+
+
+def sample_images(shape, seed: int) -> list:
+    """Random pixels, all 0, all 255, a checkerboard of 0 and 255 (every sum
+    wraps) and 4-level pixels (Paeth's ties), in that order."""
+    rng = np.random.default_rng(seed)
+    checker = np.indices(shape).sum(axis=0) % 2 * 255
+    return [rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8),
+            np.full(shape, 255, np.uint8), checker.astype(np.uint8),
+            rng.integers(0, 4, shape, dtype=np.uint8)]
+
+
+def unfilter_both(scanlines: bytes, height: int, channels: int) -> list:
+    """The row loop's and the wavefront's decode of scanlines, each called
+    directly, so each runs whatever the cut-over would choose."""
+    rows = np.frombuffer(scanlines, np.uint8).reshape(height, -1)
+    decoded = []
+    for unfilter in (imageio._unfilter_rows, imageio._unfilter_wavefront):
+        lines = rows[:, 1:].copy()
+        unfilter(lines, rows[:, 0].tolist(), channels)
+        decoded.append(lines)
+    return decoded
+
+
+def assert_both_decode(pixels: np.ndarray, row_filters) -> None:
+    height, width, channels = pixels.shape
+    for lines in unfilter_both(filtered_scanlines(pixels, row_filters), height, channels):
+        assert np.array_equal(lines.reshape(pixels.shape), pixels)
+
+
+class TestUnfilterOracles:
+    """Both row-filter decoders give back the pixels filtered_scanlines filtered,
+    bit for bit, at any size: the small shapes here fall below the cut-over,
+    so load_image alone would never run the wavefront on them."""
+
+    SHAPES = [(1, 1, 1), (1, 1, 3), (9, 1, 1), (9, 1, 3), (1, 2, 1), (1, 2, 3), (6, 2, 1),
+              (7, 2, 3), (1, 11, 3), (13, 9, 1), (11, 13, 3), (64, 64, 1), (64, 64, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ftype", range(5))
+    def test_each_filter(self, ftype, shape):
+        for px in sample_images(shape, ftype):
+            assert_both_decode(px, [ftype] * shape[0])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random_per_row_mixes(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        for px in sample_images(shape, shape[1]):
+            assert_both_decode(px, rng.integers(0, 5, shape[0]).tolist())
+
+    @pytest.mark.parametrize("row_filters", [
+        [4] * 20 + [3] * 20,  # one chain of 40 levels
+        [0] + [3] * 15 + [1] + [4] * 15 + [2] * 8,  # two long runs, Up rows under the second
+        [4, 2, 2, 3, 2, 0, 2, 4, 2, 1, 3, 2, 2, 2],  # chains that continue through Up rows
+        [2, 2, 4, 2, 3, 2, 2, 0, 2, 2],  # Up rows above a chain are row-parallel
+        [0, 4] * 12,  # isolated Paeth rows, every one at level 0
+    ])
+    @pytest.mark.parametrize("width, channels", [(1, 1), (2, 3), (17, 1), (33, 3)])
+    def test_long_runs_and_chains_through_up(self, row_filters, width, channels):
+        for px in sample_images((len(row_filters), width, channels), width):
+            assert_both_decode(px, row_filters)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_report_sized_shuffled_mix(self, channels):
+        # the benchmark's report images: 256 x 256 with the five filters shuffled over the rows
+        rng = np.random.default_rng(channels)
+        px = rng.integers(0, 256, (256, 256, channels), dtype=np.uint8)
+        assert_both_decode(px, rng.permutation(np.arange(256) % 5).tolist())
+
+    def test_chain_levels(self):
+        assert imageio._chain_levels([0, 2, 4, 2, 3, 1, 2, 3, 4, 2, 0, 2, 2, 3]) == [
+            -1, -1, 0, 1, 2, -1, -1, 0, 1, 2, -1, -1, -1, 0]
+        assert imageio._chain_levels([2, 3, 2]) == [-1, 0, 1]  # the zero row above row 0
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 12), width=st.integers(1, 12),
+           channels=st.sampled_from([1, 3]))
+    def test_random_scanlines(self, data, height, width, channels):
+        """Both decoders agree on any filtered bytes, and filtering what they
+        decode gives those bytes back."""
+        scanlines = b"".join(
+            bytes([data.draw(st.integers(0, 4))])
+            + data.draw(st.binary(min_size=width * channels, max_size=width * channels))
+            for _ in range(height))
+        by_rows, by_wavefront = unfilter_both(scanlines, height, channels)
+        assert np.array_equal(by_rows, by_wavefront)
+        filters = [scanlines[y * (width * channels + 1)] for y in range(height)]
+        pixels = by_rows.reshape(height, width, channels)
+        assert filtered_scanlines(pixels, filters) == scanlines
+
+
+class TestUnfilterPath:
+    """Which decoder load_image runs, and how much memory it takes."""
+
+    @pytest.mark.parametrize("shape, row_filters, path", [
+        ((256, 256, 3), np.random.default_rng(5).permutation(np.arange(256) % 5).tolist(),
+         "wavefront"),
+        ((1, 4096, 3), [4], "rows"),  # 3 bytes per step: one pixel of one row
+        ((4096, 1, 3), [4] * 4096, "rows"),
+    ])
+    def test_path_choice(self, shape, row_filters, path, tmp_path, monkeypatch):
+        calls = []
+        for name in ("rows", "wavefront"):
+            unfilter = getattr(imageio, f"_unfilter_{name}")
+            monkeypatch.setattr(imageio, f"_unfilter_{name}",
+                                lambda *args, name=name, f=unfilter: calls.append(name) or f(*args))
+        px = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
+        (tmp_path / "a.png").write_bytes(filtered_png(px, row_filters))
+        assert np.array_equal(load_image(tmp_path / "a.png").pixels, px)
+        assert calls == [path]
+
+    def test_peak_memory_grows_with_the_pixels(self, tmp_path):
+        # random Paeth scanlines: they barely compress, so the file is about the raster's size
+        side, stride = 512, 512 * 3
+        scanlines = np.random.default_rng(0).integers(0, 256, (side, stride + 1), dtype=np.uint8)
+        scanlines[:, 0] = 4
+        path = tmp_path / "paeth.png"
+        path.write_bytes(png_file(ihdr_body(side, side, 3), zlib.compress(scanlines.tobytes())))
+        tracemalloc.start()
+        try:
+            load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * side * side  # a layout of H x (W + H) pixels would take 24 B/px
 
 
 @st.composite
