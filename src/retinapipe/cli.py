@@ -212,12 +212,17 @@ def _cmd_train_cdg(args) -> int:
 
 
 def _move_tree(src: str, dst: str) -> None:
-    """Move every file under src to the same place under dst, replacing any there."""
-    for folder, _, files in os.walk(src):
-        target = os.path.normpath(os.path.join(dst, os.path.relpath(folder, src)))
-        os.makedirs(target, exist_ok=True)
-        for name in files:
-            os.replace(os.path.join(folder, name), os.path.join(target, name))
+    """Move every file under src to the same place under dst, replacing any there;
+    a folder in any file's place raises before a file moves."""
+    moves = [(os.path.join(folder, name),
+              os.path.normpath(os.path.join(dst, os.path.relpath(folder, src), name)))
+             for folder, _, files in os.walk(src) for name in files]
+    for _, path in moves:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for source, path in moves:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.replace(source, path)
 
 
 def _cmd_evaluate(args) -> int:
@@ -225,7 +230,8 @@ def _cmd_evaluate(args) -> int:
     pipe = _pipeline(args, lambda: manifest.class_list)
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
-    _check_folder(args.out)
+    for folder in ((), ("reports", "assets"), ("heatmaps",)):  # every folder the bundle fills
+        _check_folder(os.path.join(args.out, *folder))
     # the bundle is built next to --out and moved in whole, so a failed run leaves --out as it was
     with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=parent) as stage:
         report, reports = evaluate_pipeline(manifest, pipe, args.beam, args.topk, args.max_len,
@@ -247,6 +253,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    for path in filter(None, (args.raw_txt, args.out)):
+        _check_folder(os.path.dirname(path))
     image = load_image(args.image)
     encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
     out = encoder.forward(encoder.preprocess(image)[None])
@@ -257,7 +265,7 @@ def _cmd_explain(args) -> int:
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
-    write_png(args.out, overlay(image.pixels[None], heat[None], args.alpha)[0])
+    write_png(args.out, overlay(image[None], heat[None], args.alpha)[0])
     print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
     return 0
 
@@ -270,7 +278,7 @@ def _cmd_report(args) -> int:
     _warn_unknown_keywords(keywords, pipe.kw_vocab)
     image = load_image(args.image)
     record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
-                        image_path=args.image, modality=image.modality, disease="",
+                        image_path=args.image, modality="", disease="",
                         keywords=keywords, description="")  # no disease: no ground truth
     [med] = pipe.infer([(record, image)], args.topk, args.beam, args.max_len,
                        os.path.join(args.out, "assets"), args.alpha)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataError
-from .imageio import RetinalImage, write_pnm
+from .imageio import write_pnm
 from .rng import Xoshiro256, derive_seed
 from .textgen import tokenize
 
@@ -269,7 +269,7 @@ def generate_synthetic_dataset(out_dir, n_classes: int, n_records: int, seed: in
                 np.rint(np.clip(gray * 0.50, 0, 255)),
             ], axis=2).astype(np.uint8)
             name = f"{rec_id}.ppm"
-        write_pnm(os.path.join(img_dir, name), RetinalImage(pixels=px, modality=modality))
+        write_pnm(os.path.join(img_dir, name), px)
         records.append(CaseRecord(
             id=rec_id,
             image_path=os.path.join("images", name),

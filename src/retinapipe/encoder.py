@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, init_arrays, parameters_from
 from .checkpoint import ModelCheckpoint
 from .errors import DataError, NonFiniteError
-from .imageio import RetinalImage, resize_bilinear
+from .imageio import resize_bilinear
 from .rng import Xoshiro256
 
 DEFAULT_STAGES = ((8, 3, 1, 2), (16, 3, 1, 2), (32, 3, 1, 2))
@@ -121,10 +121,10 @@ class VisionEncoder:
     def classifier_weights(self) -> np.ndarray:
         return self._params["encoder.fc.weight"].data
 
-    def preprocess(self, image: RetinalImage) -> np.ndarray:
+    def preprocess(self, pixels: np.ndarray) -> np.ndarray:
         """Resize to the configured side, scale to [0,1], adapt channels, CHW."""
         cfg = self.config
-        px = image.pixels.astype(np.float64) / 255.0
+        px = pixels.astype(np.float64) / 255.0
         px = resize_bilinear(px, cfg.image_size, cfg.image_size)
         if px.shape[2] == 1 and cfg.input_channels == 3:
             px = np.repeat(px, 3, axis=2)  # FA grayscale replicated

@@ -1,4 +1,5 @@
-"""Retinal image container plus minimal PGM/PPM/PNG codecs and bilinear resize.
+"""Minimal PGM/PPM/PNG codecs and bilinear resize. An image is an H x W x C
+uint8 array with C = 1 (gray) or 3 (RGB).
 
 PNG support is deliberately narrow (8-bit, non-interlaced, gray or RGB) so
 the decode path stays auditable; anything else is rejected with a reason.
@@ -7,14 +8,10 @@ the decode path stays auditable; anything else is rejected with a reason.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-
-MODALITY_FA = "FA"
-MODALITY_CFP = "CFP"
 
 # Largest PNG accepted, in pixels (a 4096 x 4096 fundus photograph); the header
 # is checked against it before any IDAT byte is inflated.
@@ -24,36 +21,6 @@ MAX_PNG_PIXELS = 4096 * 4096
 # this is undone row by row: a step costs tens of numpy calls whatever its width,
 # and the two paths took the same time at about 30 (RGB) to 35 (gray) bytes a step.
 WAVEFRONT_MIN_STEP_BYTES = 32
-
-
-@dataclass
-class RetinalImage:
-    """8-bit image, pixels shaped (H, W, C) with C in {1, 3}."""
-
-    pixels: np.ndarray
-    modality: str = field(default="")
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
-        if px.ndim == 2:
-            px = px[:, :, None]
-        if px.ndim != 3 or px.shape[2] not in (1, 3):
-            raise DataError(f"image must be HxWx1 or HxWx3, got shape {px.shape}")
-        self.pixels = px
-        if not self.modality:
-            self.modality = MODALITY_FA if self.channels == 1 else MODALITY_CFP
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +44,7 @@ def _read_pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _decode_pnm(data: bytes, path) -> RetinalImage:
+def _decode_pnm(data: bytes, path) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
@@ -100,16 +67,17 @@ def _decode_pnm(data: bytes, path) -> RetinalImage:
     raster = data[pos : pos + nbytes]
     if len(raster) != nbytes:
         raise DataError(f"{path}: raster truncated at byte offset {pos + len(raster)}")
-    px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    return RetinalImage(pixels=px)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
 
 
-def write_pnm(path, image: RetinalImage) -> None:
-    magic = b"P5" if image.channels == 1 else b"P6"
-    header = magic + f"\n{image.width} {image.height}\n255\n".encode("ascii")
+def write_pnm(path, pixels: np.ndarray) -> None:
+    """Write an H x W x 1 uint8 array as PGM, an H x W x 3 one as PPM."""
+    height, width, channels = pixels.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    header = magic + f"\n{width} {height}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(image.pixels.tobytes())
+        f.write(pixels.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +149,13 @@ def _paeth_vectorized(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray
     return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
 
 
-def _unfilter_wavefront(lines: np.ndarray, filters: list, channels: int) -> None:
+def _unfilter_wavefront(lines: np.ndarray, filters: list, levels: list, channels: int) -> None:
     """Undo every row's filter in place, as _unfilter_rows does, but every
     Avg/Paeth chain at once: the level -1 rows first, row by row, then one loop
     over t = x + level(y). Pixel (y, x) reads (y, x-1), (y-1, x) and
     (y-1, x-1), all decoded at an earlier t, so each step decodes one pixel of
-    every active row with numpy, on a zero-padded int16 copy of the image."""
-    levels = _chain_levels(filters)
+    every active row with numpy, on a zero-padded int16 copy of the image.
+    levels is _chain_levels(filters)."""
     for y, (ftype, level) in enumerate(zip(filters, levels)):
         if level < 0:
             _unfilter_vectorized(lines, y, ftype, channels)
@@ -231,7 +199,7 @@ def _unfilter_wavefront(lines: np.ndarray, filters: list, channels: int) -> None
     lines[:] = padded[1:, 1:].reshape(height, stride)
 
 
-def _decode_png(data: bytes, path) -> RetinalImage:
+def _decode_png(data: bytes, path) -> np.ndarray:
     if data[:8] != _PNG_SIG:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
@@ -298,13 +266,13 @@ def _decode_png(data: bytes, path) -> RetinalImage:
             raise DataError(f"{path}: unknown filter type {ftype} on row {y}")
     lines = rows[:, 1:].copy()  # undone in place below
     del raw, rows  # freed before a wavefront's padded copy is made
-    levels = [level for level in _chain_levels(filters) if level >= 0]
-    if levels and len(levels) * stride >= WAVEFRONT_MIN_STEP_BYTES * (width + max(levels)):
-        _unfilter_wavefront(lines, filters, channels)
+    levels = _chain_levels(filters)
+    chained = sum(level >= 0 for level in levels)
+    if chained and chained * stride >= WAVEFRONT_MIN_STEP_BYTES * (width + max(levels)):
+        _unfilter_wavefront(lines, filters, levels, channels)
     else:
         _unfilter_rows(lines, filters, channels)
-    px = lines.reshape(height, width, channels)
-    return RetinalImage(pixels=px)
+    return lines.reshape(height, width, channels)
 
 
 def _png_chunk(ctype: bytes, body: bytes) -> bytes:
@@ -343,7 +311,7 @@ def write_png(path, pixels: np.ndarray) -> None:
         f.write(blob)
 
 
-def load_image(path) -> RetinalImage:
+def load_image(path) -> np.ndarray:
     """Read the file once and dispatch on its magic bytes: PGM/PPM or PNG."""
     with open(path, "rb") as f:
         data = f.read()

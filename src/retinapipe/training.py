@@ -21,7 +21,7 @@ from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
 from .errors import DataError, NonFiniteError
-from .imageio import RetinalImage, load_image, write_png
+from .imageio import load_image, write_png
 from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .report import MedicalReport, build_report
 from .rng import Xoshiro256, derive_seed
@@ -323,7 +323,7 @@ class Pipeline:
 
     def infer(self, cases, topk: int, beam_width: int, max_len: int, assets_dir,
               alpha: float = 0.5) -> list[MedicalReport]:
-        """One MedicalReport per (CaseRecord, RetinalImage) of cases, in order,
+        """One MedicalReport per (CaseRecord, pixels) of cases, in order,
         listing the first topk classes of its ranking (every class if topk is
         more); each case's image and CAM overlay go to assets_dir.
 
@@ -350,18 +350,18 @@ class Pipeline:
                              beam[0].words(self.vocab), *paths)
                 for (record, ranked, paths), beam in zip(looked, beams)]
 
-    def _overlays(self, images: tuple[RetinalImage, ...], feature_maps: np.ndarray,
+    def _overlays(self, images: tuple[np.ndarray, ...], feature_maps: np.ndarray,
                   ranked: list[list[tuple[int, float]]], alpha: float) -> list[np.ndarray]:
         """The CAM overlay of each image for its top class, by one overlay call
         per stack of same-shape images (so gray and RGB apart)."""
         groups: dict[tuple, list[int]] = {}
         for i, image in enumerate(images):
-            groups.setdefault(image.pixels.shape, []).append(i)
+            groups.setdefault(image.shape, []).append(i)
         overlays = {}
         for members in groups.values():
             cams = [compute_cam(feature_maps[i], self.encoder.classifier_weights,
                                 ranked[i][0][0]) for i in members]
-            pixels = overlay(np.stack([images[i].pixels for i in members]), np.stack(cams), alpha)
+            pixels = overlay(np.stack([images[i] for i in members]), np.stack(cams), alpha)
             overlays.update(zip(members, pixels))
         return [overlays[i] for i in range(len(images))]
 
@@ -381,7 +381,7 @@ def _chunks(cases, min_weight: int):
     chunk, weight = [], 0
     for case in cases:
         image = case[1]
-        case_weight = max(image.height * image.width, min_weight)
+        case_weight = max(image.shape[0] * image.shape[1], min_weight)
         if chunk and weight + case_weight > _CHUNK_PIXELS:
             yield chunk
             chunk, weight = [], 0
@@ -395,14 +395,14 @@ def _chunks(cases, min_weight: int):
         yield chunk
 
 
-def write_case_assets(assets_dir, case_id: str, image: RetinalImage,
+def write_case_assets(assets_dir, case_id: str, image: np.ndarray,
                       cam_pixels: np.ndarray) -> tuple[str, str]:
     """Write a case's image as `<id>.png` and its CAM overlay as `<id>_cam.png` into
     assets_dir, a folder of a report bundle; return their bundle-relative paths."""
     os.makedirs(assets_dir, exist_ok=True)
     folder = os.path.basename(os.path.normpath(assets_dir))
     paths = (f"{folder}/{case_id}.png", f"{folder}/{case_id}_cam.png")
-    for path, pixels in zip(paths, (image.pixels, cam_pixels)):
+    for path, pixels in zip(paths, (image, cam_pixels)):
         write_png(os.path.join(assets_dir, os.path.basename(path)), pixels)
     return paths
 

@@ -295,7 +295,7 @@ def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, a
         cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
                           ranked[0][0])
         paths = write_case_assets(assets_dir, record.id, image,
-                                  overlay_one(image.pixels, cam, alpha))
+                                  overlay_one(image, cam, alpha))
         looked.append((record, ranked, paths))
     beams = _beam_search(np.stack(fused), pipe.decoder, beam_width, max_len)
     return [build_report(record, [(pipe.class_names[c], p) for c, p in ranked[:topk]],

@@ -5,7 +5,7 @@ from retinapipe.cam import (
     colormap, compute_cam, heatmap_to_text, normalize_cams, overlay, upsample_bilinear,
 )
 from retinapipe.encoder import EncoderConfig, VisionEncoder
-from retinapipe.imageio import RetinalImage, resize_bilinear
+from retinapipe.imageio import resize_bilinear
 from retinapipe.rng import Xoshiro256
 
 from oracles import overlay_one
@@ -55,7 +55,7 @@ class TestComputeCam:
         cfg = EncoderConfig(num_classes=5, image_size=16)
         enc = VisionEncoder.init(cfg, Xoshiro256(11))
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-        out = enc.forward(enc.preprocess(RetinalImage(pixels=px))[None])
+        out = enc.forward(enc.preprocess(px)[None])
         w = enc.classifier_weights
         b = enc.to_checkpoint().params["encoder.fc.bias"]
         for c in range(5):

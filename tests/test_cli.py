@@ -477,6 +477,7 @@ class TestOutputUnderARegularFile:
         ("train-rdi", "afile.json"), ("train-cdg", "afile.json"),
         ("evaluate", "afile.json"), ("evaluate", "afile.json/eval"),
         ("report", "afile.json"), ("explain", "afile.json/x.png"),
+        ("explain --raw-txt", "afile.json/x.png"),  # no raw text is written either
     ])
     def test_exits_2(self, command, out, dataset, trained, tmp_path, capsys, monkeypatch):
         loaded, load_image = [], cli.load_image
@@ -496,13 +497,16 @@ class TestOutputUnderARegularFile:
             "evaluate": ["--manifest", manifest, *model_args(ckpts), "--topk", "1"],
             "report": ["--image", image, *model_args(ckpts)],
             "explain": ["--image", image, "--encoder", str(ckpts / "encoder.ckpt")],
+            "explain --raw-txt": ["--image", image, "--encoder", str(ckpts / "encoder.ckpt"),
+                                  "--raw-txt", str(tmp_path / "raw.txt")],
         }[command]
+        command = command.split()[0]
         assert main([command, *args, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot open ") and str(afile) in err
         assert afile.read_text() == "{}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile.json"]  # no .evaluate-* folder
-        if command in ("train-rdi", "train-cdg", "evaluate", "report"):
+        if command in ("train-rdi", "train-cdg", "evaluate", "report", "explain"):
             assert loaded == []
 
 
@@ -605,6 +609,35 @@ class TestEvaluate:
         assert main([*argv, "--manifest", str(evaluate_manifest(dataset, tmp_path, 10))]) == 2
         assert "cannot open" in capsys.readouterr().err
         assert files_under(out) == before
+
+    def test_heatmaps_a_file_is_refused_before_any_image_is_read(
+            self, dataset, trained, tmp_path, capsys, monkeypatch):
+        loaded, load_image = [], training.load_image
+        monkeypatch.setattr(training, "load_image",
+                            lambda path: loaded.append(path) or load_image(path))
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "metrics.json").write_text("OLD")
+        (out / "heatmaps").write_text("a file")
+        assert main(["evaluate", "--manifest", str(dataset / "manifest.json"),
+                     *model_args(trained / "checkpoints"), "--topk", "1",
+                     "--out", str(out)]) == 2
+        assert f"cannot open {out / 'heatmaps'}: File exists" in capsys.readouterr().err
+        assert loaded == []
+        assert (out / "metrics.json").read_bytes() == b"OLD"
+
+    def test_a_folder_in_a_files_place_moves_nothing(self, dataset, trained, tmp_path, capsys):
+        out = tmp_path / "eval"
+        (out / "reports" / "report.html").mkdir(parents=True)
+        (out / "metrics.json").write_text("OLD")
+        assert main(["evaluate", "--manifest", str(evaluate_manifest(dataset, tmp_path)),
+                     *model_args(trained / "checkpoints"), "--topk", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot open {out / 'reports' / 'report.html'}: Is a directory" in err
+        assert (out / "metrics.json").read_bytes() == b"OLD"
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "metrics.json", "reports", "reports/report.html"]  # nothing moved in
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "manifest_None.json"]
 
     def test_rerun_replaces_the_bundle_and_keeps_other_files(self, dataset, trained, tmp_path):
         argv = ["evaluate", "--manifest", str(evaluate_manifest(dataset, tmp_path)),

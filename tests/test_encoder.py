@@ -6,7 +6,6 @@ from retinapipe.autodiff import ShapeError, Tape, backward, softmax_cross_entrop
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.encoder import EncoderConfig, VisionEncoder, predict_topk
 from retinapipe.errors import DataError, NonFiniteError
-from retinapipe.imageio import RetinalImage
 from retinapipe.rng import Xoshiro256
 
 
@@ -146,9 +145,7 @@ class TestPreprocess:
     def test_grayscale_replicated_to_three_channels(self):
         enc = small_encoder()
         gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        img = RetinalImage(pixels=gray[:, :, None])
-        assert img.modality == "FA"
-        chw = enc.preprocess(img)
+        chw = enc.preprocess(gray[:, :, None])
         assert chw.shape == (3, 16, 16)
         assert np.array_equal(chw[0], chw[1])
         assert np.array_equal(chw[1], chw[2])
@@ -156,12 +153,12 @@ class TestPreprocess:
     def test_values_scaled_to_unit_interval(self):
         enc = small_encoder()
         px = np.full((16, 16, 3), 255, dtype=np.uint8)
-        assert np.all(enc.preprocess(RetinalImage(pixels=px)) == 1.0)
+        assert np.all(enc.preprocess(px) == 1.0)
 
     def test_resizes_larger_input(self):
         enc = small_encoder()
         px = np.zeros((64, 48, 3), dtype=np.uint8)
-        assert enc.preprocess(RetinalImage(pixels=px)).shape == (3, 16, 16)
+        assert enc.preprocess(px).shape == (3, 16, 16)
 
 
 class TestCheckpointing:

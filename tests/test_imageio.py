@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from retinapipe import imageio
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    MAX_PNG_PIXELS, RetinalImage, load_image, resize_bilinear, write_png, write_pnm,
+    MAX_PNG_PIXELS, load_image, resize_bilinear, write_png, write_pnm,
 )
 
 from oracles import png_bytes_row_join
@@ -73,14 +73,13 @@ class TestPnm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255]))
         img = load_image(path)
-        assert img.channels == 1
-        assert img.modality == "FA"
-        assert img.pixels[:, :, 0].tolist() == [[0, 64], [128, 255]]
+        assert img.shape == (2, 2, 1)
+        assert img[:, :, 0].tolist() == [[0, 64], [128, 255]]
 
     def test_pgm_with_comment(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([10, 20]))
-        assert load_image(path).pixels[:, :, 0].tolist() == [[10, 20]]
+        assert load_image(path)[:, :, 0].tolist() == [[10, 20]]
 
     def test_truncated_header_names_offset(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -115,12 +114,10 @@ class TestPnm:
 
     def test_ppm_round_trip(self, tmp_path):
         px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
-        img = RetinalImage(pixels=px)
         path = tmp_path / "t.ppm"
-        write_pnm(path, img)
-        back = load_image(path)
-        assert back.modality == "CFP"
-        assert np.array_equal(back.pixels, px)
+        write_pnm(path, px)
+        assert path.read_bytes() == b"P6\n4 2\n255\n" + px.tobytes()
+        assert np.array_equal(load_image(path), px)
 
 
 class TestPng:
@@ -135,32 +132,29 @@ class TestPng:
         blob = png_bytes(2, 1, zlib.compress(b"\x00\x07\x09"))
         path = tmp_path / "t.png"
         path.write_bytes(blob + b"trailing garbage, not a chunk")
-        assert load_image(path).pixels[:, :, 0].tolist() == [[7, 9]]
+        assert load_image(path)[:, :, 0].tolist() == [[7, 9]]
 
     def test_gray_round_trip(self, tmp_path):
         px = np.arange(64, dtype=np.uint8).reshape(8, 8)
         path = tmp_path / "t.png"
         write_png(path, px)
         img = load_image(path)
-        assert img.channels == 1
-        assert np.array_equal(img.pixels[:, :, 0], px)
+        assert img.shape == (8, 8, 1)
+        assert np.array_equal(img[:, :, 0], px)
 
     def test_rgb_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         px = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
         path = tmp_path / "t.png"
         write_png(path, px)
-        assert np.array_equal(load_image(path).pixels, px)
+        assert np.array_equal(load_image(path), px)
 
     def test_matches_ppm_of_same_pixels(self, tmp_path):
         rng = np.random.default_rng(4)
         px = rng.integers(0, 256, (6, 6, 3), dtype=np.uint8)
         write_png(tmp_path / "a.png", px)
-        write_pnm(tmp_path / "a.ppm", RetinalImage(pixels=px))
-        a = load_image(tmp_path / "a.png")
-        b = load_image(tmp_path / "a.ppm")
-        assert np.array_equal(a.pixels, b.pixels)
-        assert a.modality == b.modality == "CFP"
+        write_pnm(tmp_path / "a.ppm", px)
+        assert np.array_equal(load_image(tmp_path / "a.png"), load_image(tmp_path / "a.ppm"))
 
     def test_cross_decoder_against_opencv(self, tmp_path):
         # opencv writes PNGs with real filter choices; our decoder must agree
@@ -169,11 +163,11 @@ class TestPng:
         px = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         path = str(tmp_path / "cv.png")
         cv2.imwrite(path, px[:, :, ::-1])  # cv2 is BGR
-        assert np.array_equal(load_image(path).pixels, px)
+        assert np.array_equal(load_image(path), px)
         gray = rng.integers(0, 256, (12, 9), dtype=np.uint8)
         path2 = str(tmp_path / "cvg.png")
         cv2.imwrite(path2, gray)
-        assert np.array_equal(load_image(path2).pixels[:, :, 0], gray)
+        assert np.array_equal(load_image(path2)[:, :, 0], gray)
 
     # width 1 makes the row stride equal to the bytes per pixel; height 1 has no row above
     FILTER_SHAPES = [(5, 7, 1), (4, 6, 3), (6, 1, 1), (5, 1, 3), (1, 8, 1), (1, 8, 3)]
@@ -189,7 +183,7 @@ class TestPng:
         path = tmp_path / "f.png"
         for px in images:
             path.write_bytes(filtered_png(px, [ftype] * shape[0]))
-            assert np.array_equal(load_image(path).pixels, px)
+            assert np.array_equal(load_image(path), px)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_row_filters_decode_exactly(self, seed, tmp_path):
@@ -198,7 +192,7 @@ class TestPng:
         px = rng.integers(0, 256, shape, dtype=np.uint8)
         path = tmp_path / "mix.png"
         path.write_bytes(filtered_png(px, rng.integers(0, 5, shape[0]).tolist()))
-        assert np.array_equal(load_image(path).pixels, px)
+        assert np.array_equal(load_image(path), px)
 
     @pytest.mark.parametrize("bad", [5, 255])
     def test_unknown_filter_type_names_its_row(self, bad, tmp_path):
@@ -288,11 +282,11 @@ class TestPng:
         if name.endswith(".png"):
             write_png(path, pixels)
         else:
-            write_pnm(path, RetinalImage(pixels=pixels))
+            write_pnm(path, pixels[:, :, None])
         opened = []
         real_open = builtins.open
         monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
-        assert np.array_equal(load_image(path).pixels[:, :, 0], pixels)
+        assert np.array_equal(load_image(path)[:, :, 0], pixels)
         assert opened == [path]
 
     @pytest.mark.parametrize("shape", [
@@ -329,12 +323,11 @@ def unfilter_both(scanlines: bytes, height: int, channels: int) -> list:
     """The row loop's and the wavefront's decode of scanlines, each called
     directly, so each runs whatever the cut-over would choose."""
     rows = np.frombuffer(scanlines, np.uint8).reshape(height, -1)
-    decoded = []
-    for unfilter in (imageio._unfilter_rows, imageio._unfilter_wavefront):
-        lines = rows[:, 1:].copy()
-        unfilter(lines, rows[:, 0].tolist(), channels)
-        decoded.append(lines)
-    return decoded
+    filters = rows[:, 0].tolist()
+    by_rows, by_wavefront = rows[:, 1:].copy(), rows[:, 1:].copy()
+    imageio._unfilter_rows(by_rows, filters, channels)
+    imageio._unfilter_wavefront(by_wavefront, filters, imageio._chain_levels(filters), channels)
+    return [by_rows, by_wavefront]
 
 
 def assert_both_decode(pixels: np.ndarray, row_filters) -> None:
@@ -421,7 +414,7 @@ class TestUnfilterPath:
                                 lambda *args, name=name, f=unfilter: calls.append(name) or f(*args))
         px = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
         (tmp_path / "a.png").write_bytes(filtered_png(px, row_filters))
-        assert np.array_equal(load_image(tmp_path / "a.png").pixels, px)
+        assert np.array_equal(load_image(tmp_path / "a.png"), px)
         assert calls == [path]
 
     def test_peak_memory_grows_with_the_pixels(self, tmp_path):
@@ -483,7 +476,8 @@ def png_files(draw) -> bytes:
 
 
 class TestLoadImageProperty:
-    """Any bytes either load as a non-empty 8-bit image or raise DataError."""
+    """Any bytes either load as a non-empty H x W x C uint8 image, C 1 or 3,
+    or raise DataError."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -500,7 +494,9 @@ class TestLoadImageProperty:
             img = load_image(path)
         except DataError:
             return
-        assert img.height >= 1 and img.width >= 1 and img.pixels.dtype == np.uint8
+        assert isinstance(img, np.ndarray) and img.dtype == np.uint8
+        assert img.ndim == 3 and img.shape[2] in (1, 3)
+        assert img.shape[0] >= 1 and img.shape[1] >= 1
 
 
 class TestResizeBilinear:
@@ -549,8 +545,3 @@ class TestResizeBilinear:
                 want = (x[y0, x0] * (1 - fy) * (1 - fx) + x[y0, x1] * (1 - fy) * fx
                         + x[y1, x0] * fy * (1 - fx) + x[y1, x1] * fy * fx)
                 assert abs(out[i, j] - want) < 1e-10
-
-
-def test_bad_channel_count_rejected():
-    with pytest.raises(DataError):
-        RetinalImage(pixels=np.zeros((2, 2, 4), dtype=np.uint8))

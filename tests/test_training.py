@@ -19,7 +19,7 @@ from retinapipe.cli import main
 from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
 from retinapipe.encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
-from retinapipe.imageio import RetinalImage, load_image
+from retinapipe.imageio import load_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss, detokenize,
@@ -559,13 +559,13 @@ class TestChunkedInference:
         def cases():
             for i, side in enumerate(sides):
                 pulled.append(i)
-                yield str(i), RetinalImage(np.zeros((side, side), dtype=np.uint8)), []
+                yield str(i), np.zeros((side, side, 1), dtype=np.uint8), []
 
         order = []
         for chunk in training._chunks(cases(), min_weight):
             sizes.append(len(chunk))
             order += [case_id for case_id, _, _ in chunk]
-            weights = [max(image.height * image.width, min_weight) for _, image, _ in chunk]
+            weights = [max(image.shape[0] * image.shape[1], min_weight) for _, image, _ in chunk]
             assert sum(weights) <= training._CHUNK_PIXELS or len(chunk) == 1
             # a case is read ahead only when it might have fit
             ahead = len(pulled) - len(order)
@@ -643,7 +643,7 @@ class TestChunkedInference:
         def tracked_load(path):
             at_loads.append(self.alive_weights(loaded))
             image = load_image(path)
-            loaded.append((weakref.ref(image), max(image.height * image.width, 32 * 32)))
+            loaded.append((weakref.ref(image), max(image.shape[0] * image.shape[1], 32 * 32)))
             return image
 
         def checked_search(*args):
