@@ -9,9 +9,7 @@ float64 in memory; the float32 payload is a documented, lossy narrowing.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -53,12 +51,9 @@ class ModelCheckpoint:
         return {name: self.params[name] for name in shapes}
 
     def save(self, path) -> None:
-        """Atomic write: serialize to a temp file, then rename into place.
-
-        A finite value beyond float32's range would be written as an infinity
-        that load refuses, so it raises NonFiniteError naming the entry, and
-        nothing is written.
-        """
+        """Write the file once every entry passes its checks. A finite value beyond
+        float32's range would be written as an infinity that load refuses, so it
+        raises NonFiniteError naming the entry, and nothing is written."""
         header_lines = []
         offset = 0
         payloads = []
@@ -80,16 +75,8 @@ class ModelCheckpoint:
             offset += len(payload)
         header = ("\n".join(header_lines) + "\n" if header_lines else "").encode("utf-8")
         blob = MAGIC + struct.pack("<HI", VERSION, len(header)) + header + b"".join(payloads)
-        path = os.fspath(path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with open(path, "wb") as f:
+            f.write(blob)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":

@@ -7,6 +7,7 @@ All randomness flows from the --seed flag of each subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -109,25 +110,48 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
 
 
-def _check_folder(path: str) -> None:
+def _check_folder(path: str) -> str:
     """Raise, making nothing, the error os.makedirs(path, exist_ok=True) raises
     when path is or lies under a regular file, so that a command whose output
-    cannot be written fails before any image is read."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
-    below, above = path, os.path.dirname(path)
+    cannot be written fails before any image is read; return the nearest
+    existing folder at or above path."""
+    below, above = None, path
     while above and not os.path.exists(above):
         below, above = above, os.path.dirname(above)
     if above and not os.path.isdir(above):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), below)
+        code = errno.ENOTDIR if below else errno.EEXIST  # OSError picks the matching subclass
+        raise OSError(code, os.strerror(code), below or path)
+    return above or "."
 
 
-def _made(out_dir: str, *names: str) -> list[str]:
-    """The named folders of out_dir, made if missing."""
-    paths = [os.path.join(out_dir, name) for name in names]
-    for path in paths:
-        os.makedirs(path, exist_ok=True)
-    return paths
+def _move_tree(src: str, dst: str) -> None:
+    """Move every file under src to the same place under dst, replacing any there;
+    a folder in any file's place raises before a file moves."""
+    moves = [(os.path.join(folder, name),
+              os.path.normpath(os.path.join(dst, os.path.relpath(folder, src), name)))
+             for folder, _, files in os.walk(src) for name in files]
+    for _, path in moves:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for source, path in moves:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.replace(source, path)
+
+
+@contextlib.contextmanager
+def _bundle(out: str, *folders: str):
+    """A staging folder holding the named folders, checked under out before the
+    block reads any input; it lies in the nearest existing folder at or above
+    out. If the block raises, the stage goes and out is as it was; otherwise each
+    staged file replaces its namesake under out and every other file stays."""
+    nearest = _check_folder(out)
+    for folder in folders:
+        _check_folder(os.path.join(out, folder))
+    with tempfile.TemporaryDirectory(prefix=".retinapipe-", dir=nearest) as stage:
+        for folder in folders:
+            os.makedirs(os.path.join(stage, folder))
+        yield stage
+        _move_tree(stage, out)
 
 
 def _add_inference_flags(p: argparse.ArgumentParser) -> None:
@@ -178,15 +202,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train_rdi(args) -> int:
-    _check_folder(os.path.join(args.out, "checkpoints"))
-    manifest = parse_manifest(args.manifest)
-    cfg = _train_config(args)
-    init = ModelCheckpoint.load(args.init) if args.init else None
-    ckpt, curve = train_classifier(manifest, cfg, init_checkpoint=init)
-    checkpoints, curves = _made(args.out, "checkpoints", "curves")
-    ckpt.save(os.path.join(checkpoints, "encoder.ckpt"))
-    with open(os.path.join(curves, "rdi.csv"), "w") as f:
-        f.write(curve.to_csv())
+    with _bundle(args.out, "checkpoints", "curves") as stage:
+        manifest = parse_manifest(args.manifest)
+        cfg = _train_config(args)
+        init = ModelCheckpoint.load(args.init) if args.init else None
+        ckpt, curve = train_classifier(manifest, cfg, init_checkpoint=init)
+        ckpt.save(os.path.join(stage, "checkpoints", "encoder.ckpt"))
+        with open(os.path.join(stage, "curves", "rdi.csv"), "w") as f:
+            f.write(curve.to_csv())
     print(f"best val Prec@1 {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
     return 0
 
@@ -195,65 +218,48 @@ def _cmd_train_cdg(args) -> int:
     if args.config and args.no_keywords:  # not one of the flags a config overrides
         raise _UsageError("--no-keywords cannot be combined with --config; "
                           "set keyword_mode to false in the config instead")
-    _check_folder(os.path.join(args.out, "checkpoints"))
-    manifest = parse_manifest(args.manifest)
-    cfg = _train_config(args)
-    encoder_ckpt = ModelCheckpoint.load(args.encoder)
-    ckpt, curve, vocab, kw_vocab = train_captioner(manifest, cfg, encoder_ckpt,
-                                                   args.min_frequency)
-    checkpoints, curves = _made(args.out, "checkpoints", "curves")
-    ckpt.save(os.path.join(checkpoints, "decoder.ckpt"))
-    vocab.save(os.path.join(checkpoints, "vocab.txt"))
-    kw_vocab.save(os.path.join(checkpoints, "kw_vocab.txt"))
-    with open(os.path.join(curves, "cdg.csv"), "w") as f:
-        f.write(curve.to_csv())
+    with _bundle(args.out, "checkpoints", "curves") as stage:
+        manifest = parse_manifest(args.manifest)
+        cfg = _train_config(args)
+        encoder_ckpt = ModelCheckpoint.load(args.encoder)
+        ckpt, curve, vocab, kw_vocab = train_captioner(manifest, cfg, encoder_ckpt,
+                                                       args.min_frequency)
+        checkpoints = os.path.join(stage, "checkpoints")
+        ckpt.save(os.path.join(checkpoints, "decoder.ckpt"))
+        vocab.save(os.path.join(checkpoints, "vocab.txt"))
+        kw_vocab.save(os.path.join(checkpoints, "kw_vocab.txt"))
+        with open(os.path.join(stage, "curves", "cdg.csv"), "w") as f:
+            f.write(curve.to_csv())
     print(f"best val BLEU-avg {max(e[2] for e in curve.entries):.4f}", file=sys.stderr)
     return 0
 
 
-def _move_tree(src: str, dst: str) -> None:
-    """Move every file under src to the same place under dst, replacing any there;
-    a folder in any file's place raises before a file moves."""
-    moves = [(os.path.join(folder, name),
-              os.path.normpath(os.path.join(dst, os.path.relpath(folder, src), name)))
-             for folder, _, files in os.walk(src) for name in files]
-    for _, path in moves:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    for source, path in moves:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        os.replace(source, path)
-
-
 def _cmd_evaluate(args) -> int:
-    manifest = parse_manifest(args.manifest)
-    pipe = _pipeline(args, lambda: manifest.class_list)
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
-    for folder in ((), ("reports", "assets"), ("heatmaps",)):  # every folder the bundle fills
-        _check_folder(os.path.join(args.out, *folder))
-    # the bundle is built next to --out and moved in whole, so a failed run leaves --out as it was
-    with tempfile.TemporaryDirectory(prefix=".evaluate-", dir=parent) as stage:
+    with _bundle(args.out, os.path.join("reports", "assets"), "heatmaps") as stage:
+        manifest = parse_manifest(args.manifest)
+        pipe = _pipeline(args, lambda: manifest.class_list)
+        report_dir = os.path.join(stage, "reports")
         report, reports = evaluate_pipeline(manifest, pipe, args.beam, args.topk, args.max_len,
-                                            os.path.join(stage, "reports", "assets"))
-        report_dir, heatmap_dir = _made(stage, "reports", "heatmaps")
+                                            os.path.join(report_dir, "assets"))
         _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
                                pipe.kw_vocab)
         # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
         for med in reports:
             shutil.copyfile(os.path.join(report_dir, med.cam_path),
-                            os.path.join(heatmap_dir, os.path.basename(med.cam_path)))
+                            os.path.join(stage, "heatmaps", os.path.basename(med.cam_path)))
         with open(os.path.join(report_dir, "report.html"), "w", encoding="utf-8") as f:
             f.write(render_html(reports, group_by=args.group_by))
         with open(os.path.join(stage, "metrics.json"), "w") as f:
             f.write(report.to_json() + "\n")
-        _move_tree(stage, args.out)
     print(report.to_json())
     return 0
 
 
 def _cmd_explain(args) -> int:
-    for path in filter(None, (args.raw_txt, args.out)):
+    outputs = [path for path in (args.raw_txt, args.out) if path]
+    for path in outputs:  # each output is one file, written once the overlay is computed
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         _check_folder(os.path.dirname(path))
     image = load_image(args.image)
     encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
@@ -262,28 +268,31 @@ def _cmd_explain(args) -> int:
     if class_id is None:
         class_id = predict_topk(out.logits.data[0], 1)[0][0]
     heat = compute_cam(out.feature_maps.data[0], encoder.classifier_weights, class_id)
+    pixels = overlay(image[None], heat[None], args.alpha)[0]
+    for path in outputs:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if args.raw_txt:
         with open(args.raw_txt, "w") as f:
             f.write(heatmap_to_text(heat) + "\n")
-    write_png(args.out, overlay(image[None], heat[None], args.alpha)[0])
+    write_png(args.out, pixels)
     print(f"CAM for class {class_id} -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_report(args) -> int:
-    _check_folder(os.path.join(args.out, "assets"))
-    pipe = _pipeline(args, lambda: parse_manifest(args.manifest).class_list
-                     if args.manifest else None)
-    keywords = _split_keywords([args.keywords])
-    _warn_unknown_keywords(keywords, pipe.kw_vocab)
-    image = load_image(args.image)
-    record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
-                        image_path=args.image, modality="", disease="",
-                        keywords=keywords, description="")  # no disease: no ground truth
-    [med] = pipe.infer([(record, image)], args.topk, args.beam, args.max_len,
-                       os.path.join(args.out, "assets"), args.alpha)
-    with open(os.path.join(args.out, "report.html"), "w", encoding="utf-8") as f:
-        f.write(render_html([med]))
+    with _bundle(args.out, "assets") as stage:
+        pipe = _pipeline(args, lambda: parse_manifest(args.manifest).class_list
+                         if args.manifest else None)
+        keywords = _split_keywords([args.keywords])
+        _warn_unknown_keywords(keywords, pipe.kw_vocab)
+        image = load_image(args.image)
+        record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
+                            image_path=args.image, modality="", disease="",
+                            keywords=keywords, description="")  # no disease: no ground truth
+        [med] = pipe.infer([(record, image)], args.topk, args.beam, args.max_len,
+                           os.path.join(stage, "assets"), args.alpha)
+        with open(os.path.join(stage, "report.html"), "w", encoding="utf-8") as f:
+            f.write(render_html([med]))
     print(render_text(med))
     return 0
 
@@ -442,8 +451,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    # a missing input for every loader, or an output path at or under a regular file
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
+    # a missing or unreadable input for every loader, or an output path that cannot be written
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError) as e:
         print(f"data error: cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except SystemExit:

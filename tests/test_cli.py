@@ -1,14 +1,16 @@
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
 import oracles
 import pytest
 
-from retinapipe import cli, training
+from retinapipe import cli, imageio, training
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
@@ -226,6 +228,22 @@ class TestExitCodes:
         argv[argv.index(flag) + 1] = missing
         assert main(argv) == 2
         assert f"cannot open {missing}" in capsys.readouterr().err
+
+    def test_unreadable_input_is_data_error(self, dataset, trained, tmp_path, capsys, monkeypatch):
+        """open is patched to deny the image, since chmod 000 does not stop root."""
+        image = str(dataset / "images" / "case0001.pgm")
+
+        def deny(path, *args, **kwargs):
+            if str(path) == image:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(imageio, "open", deny, raising=False)
+        out = tmp_path / "rep"
+        assert main(["report", "--image", image, *model_args(trained / "checkpoints"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot open {image}: Permission denied\n"
+        assert not out.exists()
 
 
 class TestSplit:
@@ -505,7 +523,7 @@ class TestOutputUnderARegularFile:
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot open ") and str(afile) in err
         assert afile.read_text() == "{}\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["afile.json"]  # no .evaluate-* folder
+        assert [p.name for p in tmp_path.iterdir()] == ["afile.json"]  # no .retinapipe-* folder
         if command in ("train-rdi", "train-cdg", "evaluate", "report", "explain"):
             assert loaded == []
 
@@ -670,6 +688,98 @@ class TestEvaluate:
         assert not out.exists()
 
 
+# command: (a file of its bundle, a folder of its bundle), relative to --out
+BUNDLES = {"train-rdi": ("curves/rdi.csv", "curves"),
+           "train-cdg": ("checkpoints/decoder.ckpt", "curves"),
+           "evaluate": ("reports/report.html", "heatmaps"),
+           "report": ("report.html", "assets")}
+
+
+def bundle_argv(command, dataset, trained, tmp_path, fail=False):
+    """A call of a bundle command, without --out; with fail, one image it reads
+    is missing (for evaluate, one in its second chunk)."""
+    ckpts, gone = trained / "checkpoints", tmp_path / "gone.ppm"
+    if command == "report":
+        image = gone if fail else dataset / "images" / "case0001.pgm"
+        return ["report", "--image", str(image), *model_args(ckpts)]
+    if command == "evaluate":
+        manifest = evaluate_manifest(dataset, tmp_path, 10 if fail else None)
+        return ["evaluate", "--manifest", str(manifest), *model_args(ckpts), "--topk", "1"]
+    records = json.loads((dataset / "manifest.json").read_text())
+    [*_, last] = (r for r in records if r["split"] == "train")
+    for r in records:
+        r["image_path"] = str(gone if fail and r is last else dataset / r["image_path"])
+    manifest = tmp_path / f"manifest_{fail}.json"
+    manifest.write_text(json.dumps(records))
+    argv = [command, "--manifest", str(manifest), "--epochs", "1", "--batch", "4"]
+    return argv + (["--encoder", str(ckpts / "encoder.ckpt")] if command == "train-cdg" else [])
+
+
+def tree(root):
+    """files_under(root) and the relative paths of the folders under root."""
+    return files_under(root), sorted(p.relative_to(root).as_posix()
+                                     for p in root.rglob("*") if p.is_dir())
+
+
+class TestBundleIsAllOrNothing:
+    """train-rdi, train-cdg, evaluate and report build their bundle in a staging
+    folder and move it into --out only once the run has worked: a failed run
+    leaves --out, and every folder above it, as it was."""
+
+    @pytest.mark.parametrize("command", BUNDLES)
+    @pytest.mark.parametrize("blocked", ["file", "folder"])
+    def test_a_blocked_output_changes_nothing(self, command, blocked, dataset, trained, tmp_path,
+                                              capsys, monkeypatch):
+        """blocked names the output that has the other kind in its place: a folder
+        in a file's place, or a regular file in a folder's place."""
+        loaded, load_image = [], cli.load_image
+        for module in (cli, training):
+            monkeypatch.setattr(module, "load_image",
+                                lambda path: loaded.append(path) or load_image(path))
+        argv = bundle_argv(command, dataset, trained, tmp_path)
+        out = tmp_path / "out"
+        (out / "old").mkdir(parents=True)
+        (out / "old" / "keep.txt").write_text("keep")
+        path = out / BUNDLES[command][blocked == "folder"]
+        if blocked == "file":
+            path.mkdir(parents=True)
+        else:
+            path.write_text("a file")
+        before = tree(out)
+        assert main([*argv, "--out", str(out)]) == 2
+        reason = "Is a directory" if blocked == "file" else "File exists"
+        assert f"data error: cannot open {path}: {reason}" in capsys.readouterr().err
+        assert tree(out) == before
+        assert list(tmp_path.rglob(".retinapipe-*")) == []
+        if blocked == "folder":
+            assert loaded == []  # refused before any image is read
+
+    @pytest.mark.parametrize("command", BUNDLES)
+    def test_a_failed_run_makes_no_folder(self, command, dataset, trained, tmp_path, capsys):
+        argv = bundle_argv(command, dataset, trained, tmp_path, fail=True)
+        assert main([*argv, "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+        assert f"cannot open {tmp_path / 'gone.ppm'}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert list(tmp_path.rglob(".retinapipe-*")) == []
+
+    @pytest.mark.parametrize("command", BUNDLES)
+    def test_a_rerun_replaces_its_files_and_keeps_the_rest(self, command, dataset, trained,
+                                                           tmp_path, capsys):
+        file, folder = BUNDLES[command]
+        argv = bundle_argv(command, dataset, trained, tmp_path)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert main([*argv, "--out", str(fresh)]) == 0
+        (rerun / folder).mkdir(parents=True)
+        (rerun / folder / "old.txt").write_text("old")
+        (rerun / file).parent.mkdir(parents=True, exist_ok=True)
+        (rerun / file).write_text("stale")
+        assert main([*argv, "--out", str(rerun)]) == 0
+        want = {name: data for name, (data, _, _) in files_under(fresh).items()}
+        want[f"{folder}/old.txt"] = b"old"
+        assert {name: data for name, (data, _, _) in files_under(rerun).items()} == want
+        assert list(tmp_path.rglob(".retinapipe-*")) == []
+
+
 class TestExplain:
     def test_writes_overlay_and_raw_text(self, dataset, trained, tmp_path):
         out = tmp_path / "cam.png"
@@ -680,6 +790,31 @@ class TestExplain:
         assert out.exists()
         rows = raw.read_text().splitlines()
         assert all(len(row.split()) == len(rows[0].split()) for row in rows)
+
+    def test_missing_output_folders_are_made_once_the_overlay_is_computed(
+            self, dataset, trained, tmp_path, capsys):
+        out, raw = tmp_path / "missing" / "x.png", tmp_path / "raw" / "deeper" / "cam.txt"
+        argv = ["explain", "--image", str(dataset / "images" / "case0000.ppm"),
+                "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                "--raw-txt", str(raw), "--out", str(out)]
+        assert main([*argv, "--class-id", "99"]) == 2  # fails once the image is read
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv) == 0
+        assert out.read_bytes().startswith(b"\x89PNG") and raw.read_text().strip()
+
+    @pytest.mark.parametrize("flag", ["--out", "--raw-txt"])
+    def test_an_output_that_is_a_folder_is_refused_before_the_image_is_read(
+            self, flag, dataset, trained, tmp_path, capsys, monkeypatch):
+        loaded, load_image = [], cli.load_image
+        monkeypatch.setattr(cli, "load_image", lambda path: loaded.append(path) or load_image(path))
+        paths = {"--out": tmp_path / "x.png", "--raw-txt": tmp_path / "raw.txt"}
+        paths[flag].mkdir()
+        assert main(["explain", "--image", str(dataset / "images" / "case0000.ppm"),
+                     "--encoder", str(trained / "checkpoints" / "encoder.ckpt"),
+                     *(arg for f, path in paths.items() for arg in (f, str(path)))]) == 2
+        assert f"cannot open {paths[flag]}: Is a directory" in capsys.readouterr().err
+        assert loaded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [paths[flag].name]
 
     def test_class_id_past_the_class_count_is_data_error(self, dataset, trained, tmp_path,
                                                          capsys):
