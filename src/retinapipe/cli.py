@@ -12,7 +12,6 @@ import errno
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 
@@ -24,7 +23,7 @@ from .data import (
 )
 from .encoder import VisionEncoder, predict_topk
 from .errors import DataError
-from .imageio import load_image, write_png
+from .imageio import load_image, read_image, write_png
 from .metrics import precision_at_k, score_captions
 from .report import render_html, render_text
 from .textgen import Vocabulary, tokenize
@@ -133,8 +132,9 @@ def _move_tree(src: str, dst: str) -> None:
     for _, path in moves:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for folder in dict.fromkeys(os.path.dirname(path) for _, path in moves):
+        os.makedirs(folder, exist_ok=True)
     for source, path in moves:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         os.replace(source, path)
 
 
@@ -240,13 +240,10 @@ def _cmd_evaluate(args) -> int:
         pipe = _pipeline(args, lambda: manifest.class_list)
         report_dir = os.path.join(stage, "reports")
         report, reports = evaluate_pipeline(manifest, pipe, args.beam, args.topk, args.max_len,
-                                            os.path.join(report_dir, "assets"))
+                                            os.path.join(report_dir, "assets"),
+                                            os.path.join(stage, "heatmaps"))
         _warn_unknown_keywords((kw for r in manifest.by_split("test") for kw in r.keywords),
                                pipe.kw_vocab)
-        # HTML over the assets evaluate_pipeline wrote; CAMs also go to heatmaps/
-        for med in reports:
-            shutil.copyfile(os.path.join(report_dir, med.cam_path),
-                            os.path.join(stage, "heatmaps", os.path.basename(med.cam_path)))
         with open(os.path.join(report_dir, "report.html"), "w", encoding="utf-8") as f:
             f.write(render_html(reports, group_by=args.group_by))
         with open(os.path.join(stage, "metrics.json"), "w") as f:
@@ -285,11 +282,11 @@ def _cmd_report(args) -> int:
                          if args.manifest else None)
         keywords = _split_keywords([args.keywords])
         _warn_unknown_keywords(keywords, pipe.kw_vocab)
-        image = load_image(args.image)
+        image, source = read_image(args.image)
         record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
                             image_path=args.image, modality="", disease="",
                             keywords=keywords, description="")  # no disease: no ground truth
-        [med] = pipe.infer([(record, image)], args.topk, args.beam, args.max_len,
+        [med] = pipe.infer([(record, image, source)], args.topk, args.beam, args.max_len,
                            os.path.join(stage, "assets"), args.alpha)
         with open(os.path.join(stage, "report.html"), "w", encoding="utf-8") as f:
             f.write(render_html([med]))

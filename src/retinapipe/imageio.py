@@ -199,12 +199,14 @@ def _unfilter_wavefront(lines: np.ndarray, filters: list, levels: list, channels
     lines[:] = padded[1:, 1:].reshape(height, stride)
 
 
-def _decode_png(data: bytes, path) -> np.ndarray:
+def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
+    """The pixels of a PNG file's bytes, and views into data of its IHDR chunk
+    and its IDAT chunks in order, each whole: length, type, body and CRC."""
     if data[:8] != _PNG_SIG:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
     ihdr = None
-    idat = []  # views into data: a chunk body is never copied
+    idat = []  # views into data: a chunk is never copied
     view = memoryview(data)
     while True:  # bytes after IEND are ignored, as libpng does
         if pos == len(data):
@@ -213,26 +215,25 @@ def _decode_png(data: bytes, path) -> np.ndarray:
             raise DataError(f"{path}: truncated chunk header at offset {pos}")
         length = int.from_bytes(data[pos : pos + 4], "big")
         ctype = data[pos + 4 : pos + 8]
-        body = view[pos + 8 : pos + 8 + length]
-        if len(body) != length:
+        chunk = view[pos : pos + 12 + length]
+        if len(chunk) != 12 + length:
             raise DataError(f"{path}: truncated {ctype!r} chunk at offset {pos}")
-        crc = int.from_bytes(data[pos + 8 + length : pos + 12 + length], "big")
-        if crc != zlib.crc32(body, zlib.crc32(ctype)):
+        if int.from_bytes(chunk[-4:], "big") != zlib.crc32(chunk[4:-4]):
             raise DataError(f"{path}: CRC mismatch in {ctype!r} chunk at offset {pos}")
         if ctype == b"IHDR":
-            ihdr = body
+            ihdr = chunk
         elif ctype == b"IDAT":
-            idat.append(body)
+            idat.append(chunk)
         elif ctype == b"IEND":
             break
         pos += 12 + length
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR chunk")
-    if len(ihdr) != 13:
-        raise DataError(f"{path}: IHDR chunk is {len(ihdr)} bytes, expected 13")
-    width = int.from_bytes(ihdr[0:4], "big")
-    height = int.from_bytes(ihdr[4:8], "big")
-    depth, color, comp, filt, interlace = ihdr[8:13]
+    if len(ihdr) != 12 + 13:
+        raise DataError(f"{path}: IHDR chunk is {len(ihdr) - 12} bytes, expected 13")
+    width = int.from_bytes(ihdr[8:12], "big")
+    height = int.from_bytes(ihdr[12:16], "big")
+    depth, color, comp, filt, interlace = ihdr[16:21]
     if depth != 8:
         raise DataError(f"{path}: unsupported bit depth {depth} (only 8 supported)")
     if color not in (0, 2):
@@ -249,16 +250,26 @@ def _decode_png(data: bytes, path) -> np.ndarray:
     stride = width * channels
     expected = (stride + 1) * height
     inflater = zlib.decompressobj()
+    pieces, size = [], 0
     try:
-        raw = inflater.decompress(b"".join(idat), expected + 1)  # never more than one byte over
+        for chunk in idat:  # one stream over every IDAT body, inflated chunk by chunk
+            # never more than one byte over: a piece that fills its limit (and so may
+            # leave input in unconsumed_tail) takes the stream past the expected size
+            pieces.append(inflater.decompress(chunk[8:-4], expected + 1 - size))
+            size += len(pieces[-1])
+            if size > expected:
+                raise DataError(f"{path}: IDAT stream inflates past the expected {expected} bytes")
     except zlib.error as e:
         raise DataError(f"{path}: corrupt IDAT stream: {e}") from e
-    if len(raw) > expected:
-        raise DataError(f"{path}: IDAT stream inflates past the expected {expected} bytes")
-    if len(raw) != expected:
-        raise DataError(f"{path}: decompressed size {len(raw)} != expected {expected}")
+    if size != expected:
+        raise DataError(f"{path}: decompressed size {size} != expected {expected}")
     if not inflater.eof:
         raise DataError(f"{path}: corrupt IDAT stream: incomplete or truncated stream")
+    if inflater.unused_data:  # input fed after the end of the stream lands here
+        raise DataError(f"{path}: {len(inflater.unused_data)} bytes after the end of the "
+                        f"IDAT stream")
+    raw = b"".join(pieces)  # a lone piece is returned as it is, not copied
+    del pieces
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     filters = rows[:, 0].tolist()
     for y, ftype in enumerate(filters):
@@ -272,7 +283,7 @@ def _decode_png(data: bytes, path) -> np.ndarray:
         _unfilter_wavefront(lines, filters, levels, channels)
     else:
         _unfilter_rows(lines, filters, channels)
-    return lines.reshape(height, width, channels)
+    return lines.reshape(height, width, channels), [ihdr, *idat]
 
 
 def _png_chunk(ctype: bytes, body: bytes) -> bytes:
@@ -284,8 +295,11 @@ def _png_chunk(ctype: bytes, body: bytes) -> bytes:
     )
 
 
-def write_png(path, pixels: np.ndarray) -> None:
-    """Write an 8-bit gray (HxW or HxWx1) or RGB (HxWx3) PNG, filter type 0."""
+_IEND = _png_chunk(b"IEND", b"")
+
+
+def encode_png(pixels: np.ndarray) -> bytes:
+    """An 8-bit gray (HxW or HxWx1) or RGB (HxWx3) PNG file's bytes, filter type 0."""
     px = np.asarray(pixels, dtype=np.uint8)
     if px.ndim == 3 and px.shape[2] == 1:
         px = px[:, :, 0]
@@ -294,32 +308,51 @@ def write_png(path, pixels: np.ndarray) -> None:
     elif px.ndim == 3 and px.shape[2] == 3:
         color, channels = 2, 3
     else:
-        raise ValueError(f"write_png: unsupported pixel shape {px.shape}")
+        raise ValueError(f"encode_png: unsupported pixel shape {px.shape}")
     h, w = px.shape[:2]
     ihdr = (
         w.to_bytes(4, "big") + h.to_bytes(4, "big") + bytes([8, color, 0, 0, 0])
     )
     scanlines = np.zeros((h, 1 + w * channels), dtype=np.uint8)  # column 0: filter type 0
     scanlines[:, 1:] = px.reshape(h, w * channels)
-    blob = (
+    return (
         _PNG_SIG
         + _png_chunk(b"IHDR", ihdr)
         + _png_chunk(b"IDAT", zlib.compress(scanlines, 6))
-        + _png_chunk(b"IEND", b"")
+        + _IEND
     )
+
+
+def write_png(path, pixels: np.ndarray) -> None:
+    """Write encode_png(pixels) to path."""
     with open(path, "wb") as f:
-        f.write(blob)
+        f.write(encode_png(pixels))
 
 
-def load_image(path) -> np.ndarray:
-    """Read the file once and dispatch on its magic bytes: PGM/PPM or PNG."""
+def _read(path) -> tuple[np.ndarray, list | None]:
+    """Read the file once and dispatch on its magic bytes: the pixels of a PGM/PPM
+    file and None, or those of a PNG file and _decode_png's views of its chunks."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] in (b"P5", b"P6"):
-        return _decode_pnm(data, path)
+        return _decode_pnm(data, path), None
     if data[:8] == _PNG_SIG:
         return _decode_png(data, path)
     raise DataError(f"{path}: unsupported image format (magic {data[:4]!r})")
+
+
+def load_image(path) -> np.ndarray:
+    """The image file's pixels: read_image(path)[0], without building the PNG bytes."""
+    return _read(path)[0]
+
+
+def read_image(path) -> tuple[np.ndarray, bytes | None]:
+    """The image file's pixels and, for a PNG file, a PNG of exactly those pixels:
+    the signature, the file's IHDR chunk, its IDAT chunks as they are, in order, and
+    an IEND chunk. No ancillary chunk is kept and nothing is compressed. For a
+    PGM/PPM file the second item is None."""
+    pixels, chunks = _read(path)
+    return pixels, None if chunks is None else b"".join((_PNG_SIG, *chunks, _IEND))
 
 
 # ---------------------------------------------------------------------------

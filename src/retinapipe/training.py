@@ -21,7 +21,7 @@ from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
 from .errors import DataError, NonFiniteError
-from .imageio import load_image, write_png
+from .imageio import encode_png, load_image, read_image
 from .metrics import MetricReport, bleu_corpus, precision_at_k, score_captions
 from .report import MedicalReport, build_report
 from .rng import Xoshiro256, derive_seed
@@ -322,10 +322,11 @@ class Pipeline:
                 raise DataError(f"{what}: {a} != {b}")
 
     def infer(self, cases, topk: int, beam_width: int, max_len: int, assets_dir,
-              alpha: float = 0.5) -> list[MedicalReport]:
-        """One MedicalReport per (CaseRecord, pixels) of cases, in order,
-        listing the first topk classes of its ranking (every class if topk is
-        more); each case's image and CAM overlay go to assets_dir.
+              alpha: float = 0.5, heatmaps_dir=None) -> list[MedicalReport]:
+        """One MedicalReport per (CaseRecord, pixels, source PNG or None) of
+        cases, in order, listing the first topk classes of its ranking (every
+        class if topk is more); each case's assets go to assets_dir, and its CAM
+        overlay also to heatmaps_dir if given (see write_case_assets).
 
         The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). Each
         chunk is encoded as one batch and ranked, and its images and CAM overlays
@@ -336,15 +337,16 @@ class Pipeline:
         """
         looked, fused = [], []
         for chunk in _chunks(cases, self.encoder.config.image_size ** 2):
-            records, images = zip(*chunk)
+            records, images, sources = zip(*chunk)
             out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
             ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
             fused.extend(self.decoder.fuse(out.pooled, np.stack(
                 [keyword_multihot(r.keywords, self.kw_vocab) for r in records])).data)
-            paths = [write_case_assets(assets_dir, r.id, image, cam) for r, image, cam in zip(
-                records, images, self._overlays(images, out.feature_maps.data, ranked, alpha))]
+            cams = self._overlays(images, out.feature_maps.data, ranked, alpha)
+            paths = [write_case_assets(assets_dir, r.id, image, source, cam, heatmaps_dir)
+                     for r, image, source, cam in zip(records, images, sources, cams)]
             looked += zip(records, ranked, paths)
-            del chunk, images, out  # before cases loads the next image
+            del chunk, images, sources, cams, out  # before cases loads the next image
         beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
         return [build_report(record, [(self.class_names[c], p) for c, p in ranked[:topk]],
                              beam[0].words(self.vocab), *paths)
@@ -372,7 +374,7 @@ _CHUNK_PIXELS = 8 * 32 * 32
 
 
 def _chunks(cases, min_weight: int):
-    """The (record, image) cases in order, in lists that each weigh at
+    """The (record, image, source) cases in order, in lists that each weigh at
     most _CHUNK_PIXELS, or a single case that alone weighs more.
 
     A chunk closes as soon as no case could join it, else when the next case
@@ -395,33 +397,42 @@ def _chunks(cases, min_weight: int):
         yield chunk
 
 
-def write_case_assets(assets_dir, case_id: str, image: np.ndarray,
-                      cam_pixels: np.ndarray) -> tuple[str, str]:
+def write_case_assets(assets_dir, case_id: str, image: np.ndarray, source: bytes | None,
+                      cam_pixels: np.ndarray, heatmaps_dir=None) -> tuple[str, str]:
     """Write a case's image as `<id>.png` and its CAM overlay as `<id>_cam.png` into
-    assets_dir, a folder of a report bundle; return their bundle-relative paths."""
+    assets_dir, a folder of a report bundle, and the overlay's bytes again into
+    heatmaps_dir if given; return the two bundle-relative paths. The image is
+    source, a PNG source's own chunks from read_image, or else its pixels encoded."""
     os.makedirs(assets_dir, exist_ok=True)
+    names = (f"{case_id}.png", f"{case_id}_cam.png")
+    cam_png = encode_png(cam_pixels)
+    files = [(assets_dir, names[0], encode_png(image) if source is None else source),
+             (assets_dir, names[1], cam_png)]
+    if heatmaps_dir is not None:
+        files.append((heatmaps_dir, names[1], cam_png))
+    for folder, name, data in files:
+        with open(os.path.join(folder, name), "wb") as f:
+            f.write(data)
     folder = os.path.basename(os.path.normpath(assets_dir))
-    paths = (f"{folder}/{case_id}.png", f"{folder}/{case_id}_cam.png")
-    for path, pixels in zip(paths, (image, cam_pixels)):
-        write_png(os.path.join(assets_dir, os.path.basename(path)), pixels)
-    return paths
+    return f"{folder}/{names[0]}", f"{folder}/{names[1]}"
 
 
 def evaluate_pipeline(manifest: DatasetManifest, pipe: Pipeline, beam_width: int,
                       k_list: tuple[int, ...], max_caption_len: int, assets_dir,
-                      ) -> tuple[MetricReport, list[MedicalReport]]:
+                      heatmaps_dir=None) -> tuple[MetricReport, list[MedicalReport]]:
     """The test split's reports from pipe.infer, each listing max(k_list)
     classes, and their scores: BLEU, ROUGE-L and CIDEr of the generated tokens
     against the tokenized descriptions, and Prec@k of the listed disease names
     for each k of k_list. The images are loaded as infer takes them, a chunk
     at a time; each case's image and CAM overlay go to assets_dir, the assets
-    folder of a report bundle.
+    folder of a report bundle, and its overlay also to heatmaps_dir if given.
     """
     test = _split(manifest, "test")
     if max(k_list) > pipe.num_classes:
         raise ValueError(f"k={max(k_list)} exceeds number of classes {pipe.num_classes}")
-    cases = ((r, load_image(manifest.image_file(r))) for r in test)
-    reports = pipe.infer(cases, max(k_list), beam_width, max_caption_len, assets_dir)
+    cases = ((r, *read_image(manifest.image_file(r))) for r in test)
+    reports = pipe.infer(cases, max(k_list), beam_width, max_caption_len, assets_dir,
+                         heatmaps_dir=heatmaps_dir)
     metrics = score_captions([med.caption for med in reports],
                              [tokenize(r.description) for r in test])
     rankings = [[name for name, _ in med.predictions] for med in reports]

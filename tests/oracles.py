@@ -283,19 +283,19 @@ def overlay_one(pixels: np.ndarray, raw: np.ndarray, alpha: float) -> np.ndarray
 
 
 def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, assets_dir,
-                        alpha: float = 0.5) -> list[MedicalReport]:
+                        alpha: float = 0.5, heatmaps_dir=None) -> list[MedicalReport]:
     """Pipeline.infer with each case encoded, fused and explained as a batch of
     one, then one beam search over all of them."""
     looked, fused = [], []
-    for record, image in cases:
+    for record, image, source in cases:
         out = pipe.encoder.forward(pipe.encoder.preprocess(image)[None])
         ranked = predict_topk(out.logits.data[0], pipe.num_classes)
         bag = keyword_multihot(record.keywords, pipe.kw_vocab)[None]
         fused.append(pipe.decoder.fuse(out.pooled, bag).data[0])
         cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
                           ranked[0][0])
-        paths = write_case_assets(assets_dir, record.id, image,
-                                  overlay_one(image, cam, alpha))
+        paths = write_case_assets(assets_dir, record.id, image, source,
+                                  overlay_one(image, cam, alpha), heatmaps_dir)
         looked.append((record, ranked, paths))
     beams = _beam_search(np.stack(fused), pipe.decoder, beam_width, max_len)
     return [build_report(record, [(pipe.class_names[c], p) for c, p in ranked[:topk]],

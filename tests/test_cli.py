@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import zlib
 
 import numpy as np
 import oracles
@@ -15,6 +16,7 @@ from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
+from retinapipe.imageio import _PNG_SIG, _png_chunk, load_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import Vocabulary
 from retinapipe.training import Pipeline, TrainConfig, evaluate_pipeline
@@ -623,52 +625,10 @@ class TestEvaluate:
                 "--out", str(out)]
         assert main([*argv, "--manifest", str(evaluate_manifest(dataset, tmp_path))]) == 0
         before = files_under(out)
-        assert len(before) == 3 * 12 + 2  # image, overlay and heatmap copy per case; HTML, metrics
+        assert len(before) == 3 * 12 + 2  # image, overlay and heatmap per case; HTML, metrics
         assert main([*argv, "--manifest", str(evaluate_manifest(dataset, tmp_path, 10))]) == 2
         assert "cannot open" in capsys.readouterr().err
         assert files_under(out) == before
-
-    def test_heatmaps_a_file_is_refused_before_any_image_is_read(
-            self, dataset, trained, tmp_path, capsys, monkeypatch):
-        loaded, load_image = [], training.load_image
-        monkeypatch.setattr(training, "load_image",
-                            lambda path: loaded.append(path) or load_image(path))
-        out = tmp_path / "eval"
-        out.mkdir()
-        (out / "metrics.json").write_text("OLD")
-        (out / "heatmaps").write_text("a file")
-        assert main(["evaluate", "--manifest", str(dataset / "manifest.json"),
-                     *model_args(trained / "checkpoints"), "--topk", "1",
-                     "--out", str(out)]) == 2
-        assert f"cannot open {out / 'heatmaps'}: File exists" in capsys.readouterr().err
-        assert loaded == []
-        assert (out / "metrics.json").read_bytes() == b"OLD"
-
-    def test_a_folder_in_a_files_place_moves_nothing(self, dataset, trained, tmp_path, capsys):
-        out = tmp_path / "eval"
-        (out / "reports" / "report.html").mkdir(parents=True)
-        (out / "metrics.json").write_text("OLD")
-        assert main(["evaluate", "--manifest", str(evaluate_manifest(dataset, tmp_path)),
-                     *model_args(trained / "checkpoints"), "--topk", "1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"cannot open {out / 'reports' / 'report.html'}: Is a directory" in err
-        assert (out / "metrics.json").read_bytes() == b"OLD"
-        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
-            "metrics.json", "reports", "reports/report.html"]  # nothing moved in
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval", "manifest_None.json"]
-
-    def test_rerun_replaces_the_bundle_and_keeps_other_files(self, dataset, trained, tmp_path):
-        argv = ["evaluate", "--manifest", str(evaluate_manifest(dataset, tmp_path)),
-                *model_args(trained / "checkpoints"), "--topk", "1,3", "--out"]
-        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-        assert main([*argv, str(fresh)]) == 0
-        (rerun / "reports" / "assets").mkdir(parents=True)
-        (rerun / "reports" / "assets" / "old.png").write_bytes(b"old")
-        (rerun / "metrics.json").write_text("stale")
-        assert main([*argv, str(rerun)]) == 0
-        want = {name: data for name, (data, _, _) in files_under(fresh).items()}
-        want["reports/assets/old.png"] = b"old"
-        assert {name: data for name, (data, _, _) in files_under(rerun).items()} == want
 
     def test_id_with_a_path_separator_is_data_error(self, dataset, trained, tmp_path, capsys):
         """Two ids x/b and y/b would both write assets/b.png; the manifest is refused
@@ -732,12 +692,14 @@ class TestBundleIsAllOrNothing:
                                               capsys, monkeypatch):
         """blocked names the output that has the other kind in its place: a folder
         in a file's place, or a regular file in a folder's place."""
-        loaded, load_image = [], cli.load_image
+        loaded = []
         for module in (cli, training):
-            monkeypatch.setattr(module, "load_image",
-                                lambda path: loaded.append(path) or load_image(path))
+            for name in ("load_image", "read_image"):
+                monkeypatch.setattr(module, name, lambda path, read=getattr(module, name):
+                                    loaded.append(path) or read(path))
         argv = bundle_argv(command, dataset, trained, tmp_path)
         out = tmp_path / "out"
+        beside = sorted(tmp_path.iterdir())
         (out / "old").mkdir(parents=True)
         (out / "old" / "keep.txt").write_text("keep")
         path = out / BUNDLES[command][blocked == "folder"]
@@ -751,6 +713,7 @@ class TestBundleIsAllOrNothing:
         assert f"data error: cannot open {path}: {reason}" in capsys.readouterr().err
         assert tree(out) == before
         assert list(tmp_path.rglob(".retinapipe-*")) == []
+        assert sorted(p for p in tmp_path.iterdir() if p != out) == beside  # no stage left beside
         if blocked == "folder":
             assert loaded == []  # refused before any image is read
 
@@ -773,11 +736,30 @@ class TestBundleIsAllOrNothing:
         (rerun / folder / "old.txt").write_text("old")
         (rerun / file).parent.mkdir(parents=True, exist_ok=True)
         (rerun / file).write_text("stale")
+        (rerun / file).with_name("kept.txt").write_text("kept")  # beside a file the run replaces
         assert main([*argv, "--out", str(rerun)]) == 0
         want = {name: data for name, (data, _, _) in files_under(fresh).items()}
         want[f"{folder}/old.txt"] = b"old"
+        want[(pathlib.PurePosixPath(file).parent / "kept.txt").as_posix()] = b"kept"
         assert {name: data for name, (data, _, _) in files_under(rerun).items()} == want
         assert list(tmp_path.rglob(".retinapipe-*")) == []
+
+
+def test_move_tree_makes_each_destination_folder_once(tmp_path, monkeypatch):
+    stage = tmp_path / "stage"
+    for name in ("top.txt", "a/1.png", "a/2.png", "a/3.png", "a/b/4.png", "c/5.png"):
+        (stage / name).parent.mkdir(parents=True, exist_ok=True)
+        (stage / name).write_text(name)
+    out = tmp_path / "out"
+    (out / "a").mkdir(parents=True)
+    (out / "a" / "1.png").write_text("old")
+    made, makedirs = [], os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda path, **kw: made.append(path) or makedirs(path, **kw))
+    cli._move_tree(str(stage), str(out))
+    assert sorted(made) == sorted(str(out / folder) for folder in ("", "a", "a/b", "c"))
+    assert {p.relative_to(out).as_posix(): p.read_text() for p in out.rglob("*") if p.is_file()} \
+        == {name: name for name in ("top.txt", "a/1.png", "a/2.png", "a/3.png", "a/b/4.png",
+                                    "c/5.png")}
 
 
 class TestExplain:
@@ -879,6 +861,102 @@ class TestReport:
         assert (a / "report.html").read_bytes() == (b / "report.html").read_bytes()
         assert (a / "assets" / "case0001_cam.png").read_bytes() == \
             (b / "assets" / "case0001_cam.png").read_bytes()
+
+
+def source_png(pixels, stream_tail=b""):
+    """A PNG of the H x W x C pixels as a scanner might write it: tEXt and gAMA
+    chunks, the zlib stream (level 9, then stream_tail) over two IDAT chunks, and
+    bytes after IEND. Returns its IHDR chunk, its IDAT chunks and the file's bytes."""
+    h, w, c = pixels.shape
+    ihdr = _png_chunk(b"IHDR", w.to_bytes(4, "big") + h.to_bytes(4, "big")
+                      + bytes([8, 0 if c == 1 else 2, 0, 0, 0]))
+    scanlines = np.concatenate([np.zeros((h, 1), np.uint8), pixels.reshape(h, w * c)], axis=1)
+    stream = zlib.compress(scanlines.tobytes(), 9) + stream_tail
+    idat = [_png_chunk(b"IDAT", stream[:7]), _png_chunk(b"IDAT", stream[7:])]
+    blob = (_PNG_SIG + ihdr + _png_chunk(b"tEXt", b"Patient\0Jane Doe")
+            + _png_chunk(b"gAMA", (45455).to_bytes(4, "big")) + b"".join(idat)
+            + _png_chunk(b"IEND", b"") + b"bytes after IEND")
+    return ihdr, idat, blob
+
+
+class TestPngSource:
+    """report and evaluate write a PNG source's own IHDR and IDAT chunks as its
+    image asset, with no ancillary chunk and nothing compressed again."""
+
+    @pytest.mark.parametrize("name", ["case0000.ppm", "case0001.pgm"])
+    def test_report_asset_is_the_sources_ihdr_and_idat(self, name, dataset, trained, tmp_path,
+                                                       capsys):
+        pixels = load_image(dataset / "images" / name)
+        ihdr, idat, blob = source_png(pixels)
+        image = tmp_path / "scan.png"
+        image.write_bytes(blob)
+        out = tmp_path / "rep"
+        assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
+                     "--out", str(out)]) == 0
+        asset = out / "assets" / "scan.png"  # no tEXt, no gAMA, nothing after IEND
+        assert asset.read_bytes() == _PNG_SIG + ihdr + b"".join(idat) + _png_chunk(b"IEND", b"")
+        assert np.array_equal(load_image(asset), pixels)
+
+    @pytest.mark.parametrize("source, compressions", [("png", 1), ("ppm", 2)])
+    def test_report_compresses_the_overlay_only(self, source, compressions, dataset, trained,
+                                                tmp_path, capsys, monkeypatch):
+        image = dataset / "images" / "case0000.ppm"
+        if source == "png":
+            image = tmp_path / "case0000.png"
+            image.write_bytes(source_png(load_image(dataset / "images" / "case0000.ppm"))[2])
+        calls, compress = [], zlib.compress
+        monkeypatch.setattr(zlib, "compress", lambda *args: calls.append(args) or compress(*args))
+        assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
+                     "--out", str(tmp_path / "rep")]) == 0
+        assert len(calls) == compressions
+
+    def test_evaluate_assets_and_heatmaps(self, dataset, trained, tmp_path, capsys):
+        records = json.loads(evaluate_manifest(dataset, tmp_path).read_text())
+        sources = {}
+        for r in records[:3]:  # test records
+            pixels = load_image(r["image_path"])
+            ihdr, idat, blob = source_png(pixels)
+            r["image_path"] = str(tmp_path / f"{r['id']}.png")
+            pathlib.Path(r["image_path"]).write_bytes(blob)
+            sources[r["id"]] = (_PNG_SIG + ihdr + b"".join(idat) + _png_chunk(b"IEND", b""),
+                                pixels)
+        manifest = tmp_path / "png_manifest.json"
+        manifest.write_text(json.dumps(records))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--manifest", str(manifest), *model_args(trained / "checkpoints"),
+                     "--topk", "1", "--out", str(out)]) == 0
+        assets = out / "reports" / "assets"
+        for case_id, (want, pixels) in sources.items():
+            assert (assets / f"{case_id}.png").read_bytes() == want
+            assert np.array_equal(load_image(assets / f"{case_id}.png"), pixels)
+        heatmaps = sorted((out / "heatmaps").iterdir())
+        assert len(heatmaps) == 12
+        for path in heatmaps:  # the overlay's bytes, written to both folders
+            assert path.read_bytes() == (assets / path.name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["report", "evaluate", "explain"])
+    def test_bytes_after_the_zlib_stream_are_a_data_error(self, command, dataset, trained,
+                                                          tmp_path, capsys):
+        image = tmp_path / "scan.png"
+        image.write_bytes(source_png(load_image(dataset / "images" / "case0000.ppm"),
+                                     stream_tail=b"patient: Jane Doe")[2])
+        out = tmp_path / "out"
+        if command == "evaluate":
+            records = json.loads(evaluate_manifest(dataset, tmp_path).read_text())
+            records[5]["image_path"] = str(image)
+            manifest = tmp_path / "png_manifest.json"
+            manifest.write_text(json.dumps(records))
+            argv = ["evaluate", "--manifest", str(manifest), *model_args(trained / "checkpoints"),
+                    "--topk", "1"]
+        elif command == "report":
+            argv = ["report", "--image", str(image), *model_args(trained / "checkpoints")]
+        else:
+            argv = ["explain", "--image", str(image), "--encoder",
+                    str(trained / "checkpoints" / "encoder.ckpt")]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert (f"data error: {image}: 17 bytes after the end of the IDAT stream"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestReportMatchesEvaluate:

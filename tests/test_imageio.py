@@ -1,4 +1,5 @@
 import builtins
+import re
 import tracemalloc
 import zlib
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from retinapipe import imageio
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    MAX_PNG_PIXELS, load_image, resize_bilinear, write_png, write_pnm,
+    MAX_PNG_PIXELS, encode_png, load_image, read_image, resize_bilinear, write_png, write_pnm,
 )
 
 from oracles import png_bytes_row_join
@@ -273,6 +274,48 @@ class TestPng:
         with pytest.raises(DataError, match="truncated stream"):
             load_image(path)
 
+    @pytest.mark.parametrize("tail_chunk", [False, True])
+    def test_bytes_after_the_zlib_stream_rejected(self, tail_chunk, tmp_path):
+        stream, tail = zlib.compress(b"\x00\x07\x09"), b"patient: Jane Doe"
+        bodies = [stream, tail] if tail_chunk else [stream + tail]
+        path = tmp_path / "t.png"
+        path.write_bytes(PNG_SIG + png_chunk(b"IHDR", ihdr_body(2, 1))
+                         + b"".join(png_chunk(b"IDAT", body) for body in bodies)
+                         + png_chunk(b"IEND", b""))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: 17 bytes after the end of the IDAT stream")):
+            load_image(path)
+
+    def test_stream_split_over_many_idat_chunks(self, tmp_path):
+        px = np.random.default_rng(9).integers(0, 256, (6, 5, 3), dtype=np.uint8)
+        stream = zlib.compress(filtered_scanlines(px, [0, 1, 2, 3, 4, 4]))
+        bodies = [part for i in range(len(stream)) for part in (stream[i:i + 1], b"")]
+        idat = b"".join(png_chunk(b"IDAT", body) for body in bodies)  # one byte or none each
+        path = tmp_path / "split.png"
+        path.write_bytes(PNG_SIG + png_chunk(b"IHDR", ihdr_body(5, 6, 3)) + idat
+                         + png_chunk(b"IEND", b""))
+        pixels, png = read_image(path)
+        assert np.array_equal(pixels, px)
+        assert png == path.read_bytes()
+
+    def test_bomb_over_many_idat_chunks_rejected_in_bounded_memory(self, tmp_path):
+        deflate = zlib.compressobj(9)
+        block = bytes(1 << 20)
+        stream = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+        idat = b"".join(png_chunk(b"IDAT", stream[i:i + 1024])
+                        for i in range(0, len(stream), 1024))
+        path = tmp_path / "bomb.png"
+        path.write_bytes(PNG_SIG + png_chunk(b"IHDR", ihdr_body(16, 16)) + idat
+                         + png_chunk(b"IEND", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="inflates past the expected 272 bytes"):
+                load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(idat)
+
     @pytest.mark.parametrize("name, pixels", [
         ("a.png", np.arange(12, dtype=np.uint8).reshape(3, 4)),
         ("a.pgm", np.arange(12, dtype=np.uint8).reshape(3, 4)),
@@ -307,6 +350,41 @@ class TestPng:
         write_png(tmp_path / "a.png", px)
         write_png(tmp_path / "b.png", px)
         assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+
+
+class TestReadImage:
+    def test_pnm_source_has_no_png(self, tmp_path):
+        px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        write_pnm(tmp_path / "a.ppm", px)
+        pixels, png = read_image(tmp_path / "a.ppm")
+        assert np.array_equal(pixels, px) and png is None
+
+    def test_png_is_the_sources_ihdr_and_idat_chunks(self, tmp_path):
+        px = np.random.default_rng(8).integers(0, 256, (7, 6, 1), dtype=np.uint8)
+        stream = zlib.compress(filtered_scanlines(px, [4, 3, 2, 1, 0, 4, 3]), 9)
+        ihdr = png_chunk(b"IHDR", ihdr_body(6, 7))
+        idat = [png_chunk(b"IDAT", stream[:10]), png_chunk(b"IDAT", stream[10:])]
+        path = tmp_path / "scan.png"
+        path.write_bytes(PNG_SIG + ihdr + png_chunk(b"gAMA", (45455).to_bytes(4, "big"))
+                         + png_chunk(b"tEXt", b"Patient\0Jane Doe") + idat[0]
+                         + png_chunk(b"zTXt", b"Comment\0\0" + zlib.compress(b"x")) + idat[1]
+                         + png_chunk(b"IEND", b"") + b"bytes after IEND")
+        pixels, png = read_image(path)
+        assert np.array_equal(pixels, px)
+        assert png == PNG_SIG + ihdr + idat[0] + idat[1] + png_chunk(b"IEND", b"")
+        (tmp_path / "asset.png").write_bytes(png)
+        assert np.array_equal(load_image(tmp_path / "asset.png"), px)
+
+    def test_load_image_builds_no_png(self, tmp_path, monkeypatch):
+        write_png(tmp_path / "a.png", np.arange(12, dtype=np.uint8).reshape(3, 4))
+        monkeypatch.setattr(imageio, "read_image", None)
+        assert load_image(tmp_path / "a.png")[:, :, 0].tolist() == [[0, 1, 2, 3], [4, 5, 6, 7],
+                                                                   [8, 9, 10, 11]]
+
+    def test_write_png_writes_encode_png(self, tmp_path):
+        px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+        write_png(tmp_path / "a.png", px)
+        assert (tmp_path / "a.png").read_bytes() == encode_png(px)
 
 
 def sample_images(shape, seed: int) -> list:

@@ -19,7 +19,7 @@ from retinapipe.cli import main
 from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
 from retinapipe.encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
-from retinapipe.imageio import load_image
+from retinapipe.imageio import read_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss, detokenize,
@@ -490,7 +490,7 @@ class TestEvaluatePipeline:
         test = tiny_dataset.by_split("test")
         assert [res.case_id for res in results] == [r.id for r in test] and len(test) > 1
         for r, res in zip(test, results):
-            [one] = pipe.infer([(r, load_image(tiny_dataset.image_file(r)))], 3, beam_width,
+            [one] = pipe.infer([(r, *read_image(tiny_dataset.image_file(r)))], 3, beam_width,
                                max_len, tmp_path / r.id)
             assert res.caption == one.caption
             assert res.description == detokenize(one.caption)
@@ -587,7 +587,7 @@ class TestChunkedInference:
         test = manifest.by_split("test")
 
         def cases():
-            return ((r, load_image(manifest.image_file(r))) for r in test)
+            return ((r, *read_image(manifest.image_file(r))) for r in test)
 
         got = pipe.infer(cases(), 3, 3, 30, tmp_path / "a" / "assets")
         want = infer_one_at_a_time(pipe, cases(), 3, 3, 30, tmp_path / "b" / "assets")
@@ -640,11 +640,11 @@ class TestChunkedInference:
         loaded, at_loads, at_encodes = [], [], []
         budget = training._CHUNK_PIXELS
 
-        def tracked_load(path):
+        def tracked_read(path):
             at_loads.append(self.alive_weights(loaded))
-            image = load_image(path)
+            image, source = read_image(path)
             loaded.append((weakref.ref(image), max(image.shape[0] * image.shape[1], 32 * 32)))
-            return image
+            return image, source
 
         def checked_search(*args):
             at_loads.append(self.alive_weights(loaded))
@@ -655,7 +655,7 @@ class TestChunkedInference:
             return forward(encoder, batch)
 
         forward = VisionEncoder.forward
-        monkeypatch.setattr(training, "load_image", tracked_load)
+        monkeypatch.setattr(training, "read_image", tracked_read)
         monkeypatch.setattr(training, "_beam_search", checked_search)
         monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
         evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
@@ -674,11 +674,11 @@ class TestChunkedInference:
         manifest = with_test_split(root, pool["mixed"], 9)
         loaded, at_loads = [], []
 
-        def tracked_load(path):
+        def tracked_read(path):
             at_loads.append(len(self.alive_weights(loaded)))
-            image = load_image(path)
+            image, source = read_image(path)
             loaded.append((weakref.ref(image), 0))
-            return image
+            return image, source
 
         def checked_forward(encoder, batch):
             at_loads.append(len(self.alive_weights(loaded)))
@@ -687,7 +687,7 @@ class TestChunkedInference:
 
         forward = VisionEncoder.forward
         monkeypatch.setattr(training, "_CHUNK_PIXELS", 32 * 32 - 1)
-        monkeypatch.setattr(training, "load_image", tracked_load)
+        monkeypatch.setattr(training, "read_image", tracked_read)
         monkeypatch.setattr(VisionEncoder, "forward", checked_forward)
         evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
                           tmp_path / "assets")
