@@ -282,11 +282,11 @@ def _cmd_report(args) -> int:
                          if args.manifest else None)
         keywords = _split_keywords([args.keywords])
         _warn_unknown_keywords(keywords, pipe.kw_vocab)
-        image, source = read_image(args.image)
         record = CaseRecord(id=os.path.splitext(os.path.basename(args.image))[0],
                             image_path=args.image, modality="", disease="",
                             keywords=keywords, description="")  # no disease: no ground truth
-        [med] = pipe.infer([(record, image, source)], args.topk, args.beam, args.max_len,
+        cases = ((r, *read_image(r.image_path)) for r in [record])  # no local keeps the source
+        [med] = pipe.infer(cases, args.topk, args.beam, args.max_len,
                            os.path.join(stage, "assets"), args.alpha)
         with open(os.path.join(stage, "report.html"), "w", encoding="utf-8") as f:
             f.write(render_html([med]))

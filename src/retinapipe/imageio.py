@@ -7,15 +7,16 @@ the decode path stays auditable; anything else is rejected with a reason.
 
 from __future__ import annotations
 
+import re
 import zlib
 
 import numpy as np
 
 from .errors import DataError
 
-# Largest PNG accepted, in pixels (a 4096 x 4096 fundus photograph); the header
-# is checked against it before any IDAT byte is inflated.
-MAX_PNG_PIXELS = 4096 * 4096
+# Largest image accepted, in pixels (a 4096 x 4096 fundus photograph); every
+# header is checked against it before a PNM raster is sliced or a PNG's IDAT inflated.
+MAX_IMAGE_PIXELS = 4096 * 4096
 
 # A PNG whose Avg/Paeth chains give fewer filtered bytes per wavefront step than
 # this is undone row by row: a step costs tens of numpy calls whatever its width,
@@ -23,43 +24,43 @@ MAX_PNG_PIXELS = 4096 * 4096
 WAVEFRONT_MIN_STEP_BYTES = 32
 
 
+def _check_size(path, width: int, height: int) -> None:
+    """Refuse an empty image and one of more than MAX_IMAGE_PIXELS pixels."""
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: empty image {width}x{height}")
+    if width * height > MAX_IMAGE_PIXELS:
+        raise DataError(f"{path}: {width}x{height} image exceeds {MAX_IMAGE_PIXELS} pixels")
+
+
 # ---------------------------------------------------------------------------
 # PNM (PGM P5 / PPM P6)
 
-def _read_pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":  # comment to end of line
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise DataError(f"{path}: truncated header at byte offset {pos}")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+# One header field: the ASCII whitespace and comments before it, a comment running
+# from '#' to the next CR or LF, then the field itself up to the next whitespace.
+_PNM_FIELD = re.compile(rb"(?:\s+|#[^\r\n]*)*+(\S*)")
 
 
-def _decode_pnm(data: bytes, path) -> np.ndarray:
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
-    channels = 1 if magic == b"P5" else 3
-    pos = 2
-    fields = []
+def _pnm_header(data: bytes, path) -> tuple[list[int], int]:
+    """A PNM file's width, height and maxval fields, and the offset just past the last."""
+    pos, fields = 2, []
     for _ in range(3):
-        tok, pos = _read_pnm_token(data, pos, str(path))
+        match = _PNM_FIELD.match(data, pos)
+        tok, pos = match[1], match.end()
+        if not tok:
+            raise DataError(f"{path}: truncated header at byte offset {pos}")
         try:
-            fields.append(int(tok))
+            if not tok.isdigit():  # ASCII digits only: int() would take b"+2" or b"1_0"
+                raise ValueError
+            fields.append(int(tok))  # refuses more digits than sys.get_int_max_str_digits()
         except ValueError as e:
             raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}") from e
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise DataError(f"{path}: empty image {width}x{height}")
+    return fields, pos
+
+
+def _decode_pnm(data: bytes, channels: int, path) -> np.ndarray:
+    """The pixels of a PGM (channels 1) or PPM (channels 3) file's bytes."""
+    (width, height, maxval), pos = _pnm_header(data, path)
+    _check_size(path, width, height)
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval} (only 8-bit, maxval 255, supported)")
     pos += 1  # single whitespace byte after maxval
@@ -202,8 +203,6 @@ def _unfilter_wavefront(lines: np.ndarray, filters: list, levels: list, channels
 def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
     """The pixels of a PNG file's bytes, and views into data of its IHDR chunk
     and its IDAT chunks in order, each whole: length, type, body and CRC."""
-    if data[:8] != _PNG_SIG:
-        raise DataError(f"{path}: not a PNG file")
     pos = 8
     ihdr = None
     idat = []  # views into data: a chunk is never copied
@@ -233,6 +232,7 @@ def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
         raise DataError(f"{path}: IHDR chunk is {len(ihdr) - 12} bytes, expected 13")
     width = int.from_bytes(ihdr[8:12], "big")
     height = int.from_bytes(ihdr[12:16], "big")
+    _check_size(path, width, height)
     depth, color, comp, filt, interlace = ihdr[16:21]
     if depth != 8:
         raise DataError(f"{path}: unsupported bit depth {depth} (only 8 supported)")
@@ -242,10 +242,6 @@ def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
         raise DataError(f"{path}: interlaced PNG not supported")
     if comp != 0 or filt != 0:
         raise DataError(f"{path}: unsupported compression/filter method")
-    if width == 0 or height == 0:
-        raise DataError(f"{path}: empty image {width}x{height}")
-    if width * height > MAX_PNG_PIXELS:
-        raise DataError(f"{path}: {width}x{height} image exceeds {MAX_PNG_PIXELS} pixels")
     channels = 1 if color == 0 else 3
     stride = width * channels
     expected = (stride + 1) * height
@@ -334,8 +330,9 @@ def _read(path) -> tuple[np.ndarray, list | None]:
     file and None, or those of a PNG file and _decode_png's views of its chunks."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] in (b"P5", b"P6"):
-        return _decode_pnm(data, path), None
+    magic = data[:2]
+    if magic in (b"P5", b"P6"):
+        return _decode_pnm(data, 1 if magic == b"P5" else 3, path), None
     if data[:8] == _PNG_SIG:
         return _decode_png(data, path)
     raise DataError(f"{path}: unsupported image format (magic {data[:4]!r})")

@@ -333,6 +333,6 @@ def decode_greedy(feats: np.ndarray, params: DecoderParams, max_len: int) -> lis
 
 def decode_beam(feature: np.ndarray, params: DecoderParams, width: int,
                 max_len: int) -> list[Hypothesis]:
-    """The beam of one D feature, best first (see _beam_search). perfbench/layertrace.py
-    wraps it and decode_greedy by name and counts this beam's tokens."""
+    """The beam of one D feature, best first (see _beam_search). No package code calls
+    it; it stays because perfbench/layertrace.py wraps it by name."""
     return _beam_search(feature[None], params, width, max_len)[0]

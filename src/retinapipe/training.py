@@ -325,28 +325,36 @@ class Pipeline:
               alpha: float = 0.5, heatmaps_dir=None) -> list[MedicalReport]:
         """One MedicalReport per (CaseRecord, pixels, source PNG or None) of
         cases, in order, listing the first topk classes of its ranking (every
-        class if topk is more); each case's assets go to assets_dir, and its CAM
-        overlay also to heatmaps_dir if given (see write_case_assets).
+        class if topk is more). Each case's image goes to assets_dir as `<id>.png`:
+        its source PNG as it is, or else its pixels encoded. Its CAM overlay goes
+        there as `<id>_cam.png`, and also to heatmaps_dir if given.
 
-        The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). Each
-        chunk is encoded as one batch and ranked, and its images and CAM overlays
-        are written. Only the records, rankings and fused features are kept, so
-        a lazy cases holds one chunk of images at a time (encoding the split as
-        one batch would hold it all). Then one beam search captions every case.
-        Every case comes out as it would alone.
+        The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). A
+        chunk's images are written first, and its sources dropped. Then it is
+        encoded as one batch and ranked, and its CAM overlays are written. Only
+        the records, rankings and fused features are kept, so a lazy cases holds
+        one chunk of images at a time (encoding the split as one batch would hold
+        it all). Then one beam search captions every case. Every case comes out
+        as it would alone.
         """
+        os.makedirs(assets_dir, exist_ok=True)
         looked, fused = [], []
         for chunk in _chunks(cases, self.encoder.config.image_size ** 2):
             records, images, sources = zip(*chunk)
+            chunk.clear()  # _chunks' frame holds this list until it resumes
+            image_paths = [write_asset([assets_dir], f"{r.id}.png",
+                                       encode_png(image) if source is None else source)
+                           for r, image, source in zip(records, images, sources)]
+            del sources  # no source PNG is held through the overlays
             out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
             ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
             fused.extend(self.decoder.fuse(out.pooled, np.stack(
                 [keyword_multihot(r.keywords, self.kw_vocab) for r in records])).data)
             cams = self._overlays(images, out.feature_maps.data, ranked, alpha)
-            paths = [write_case_assets(assets_dir, r.id, image, source, cam, heatmaps_dir)
-                     for r, image, source, cam in zip(records, images, sources, cams)]
-            looked += zip(records, ranked, paths)
-            del chunk, images, sources, cams, out  # before cases loads the next image
+            cam_paths = [write_asset([assets_dir, heatmaps_dir], f"{r.id}_cam.png",
+                                     encode_png(cam)) for r, cam in zip(records, cams)]
+            looked += zip(records, ranked, zip(image_paths, cam_paths))
+            del images, cams, out  # before cases loads the next image
         beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
         return [build_report(record, [(self.class_names[c], p) for c, p in ranked[:topk]],
                              beam[0].words(self.vocab), *paths)
@@ -397,24 +405,14 @@ def _chunks(cases, min_weight: int):
         yield chunk
 
 
-def write_case_assets(assets_dir, case_id: str, image: np.ndarray, source: bytes | None,
-                      cam_pixels: np.ndarray, heatmaps_dir=None) -> tuple[str, str]:
-    """Write a case's image as `<id>.png` and its CAM overlay as `<id>_cam.png` into
-    assets_dir, a folder of a report bundle, and the overlay's bytes again into
-    heatmaps_dir if given; return the two bundle-relative paths. The image is
-    source, a PNG source's own chunks from read_image, or else its pixels encoded."""
-    os.makedirs(assets_dir, exist_ok=True)
-    names = (f"{case_id}.png", f"{case_id}_cam.png")
-    cam_png = encode_png(cam_pixels)
-    files = [(assets_dir, names[0], encode_png(image) if source is None else source),
-             (assets_dir, names[1], cam_png)]
-    if heatmaps_dir is not None:
-        files.append((heatmaps_dir, names[1], cam_png))
-    for folder, name, data in files:
-        with open(os.path.join(folder, name), "wb") as f:
-            f.write(data)
-    folder = os.path.basename(os.path.normpath(assets_dir))
-    return f"{folder}/{names[0]}", f"{folder}/{names[1]}"
+def write_asset(folders, name: str, data: bytes) -> str:
+    """Write data as name into each existing folder of folders that is not None,
+    the first a folder of a report bundle; return its bundle-relative path there."""
+    for folder in folders:
+        if folder is not None:
+            with open(os.path.join(folder, name), "wb") as f:
+                f.write(data)
+    return f"{os.path.basename(os.path.normpath(folders[0]))}/{name}"
 
 
 def evaluate_pipeline(manifest: DatasetManifest, pipe: Pipeline, beam_width: int,

@@ -1,18 +1,19 @@
 """Reference code that only the tests use: the central finite-difference gradient
 check, the taped ops the per-record oracles are built from, the encoder stage
 and keyword fusion as the separate relu, max-pool, add and scale ops that
-maxpool2d and average fold together, an independent
-recomputation of a caption's log-probability, the xoshiro256** block draw
-as one inline Python loop, the CAM overlay of one image, inference one case at
-a time, the PNG writer that joins its scanlines row by row, CIDEr with every
-n-gram counted afresh where it is read, the longest common subsequence by
-the row-by-row dynamic programme, and the CLI's checked flag types as one
-hand-written function each. The tests
-compare the package against these, so their numerics must not change.
+maxpool2d and average fold together, the PNM header read one byte at a time,
+an independent recomputation of a caption's log-probability, the xoshiro256**
+block draw as one inline Python loop, the CAM overlay of one image, inference
+one case at a time, the PNG writer that joins its scanlines row by row, CIDEr
+with every n-gram counted afresh where it is read, the longest common
+subsequence by the row-by-row dynamic programme, and the CLI's checked flag
+types as one hand-written function each. The tests compare the package
+against these, so their numerics must not change.
 """
 
 import argparse
 import math
+import os
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,12 +26,13 @@ from retinapipe.autodiff import (
 )
 from retinapipe.cam import colormap, compute_cam
 from retinapipe.encoder import predict_topk
-from retinapipe.imageio import _PNG_SIG, _png_chunk, resize_bilinear
+from retinapipe.errors import DataError
+from retinapipe.imageio import _PNG_SIG, _png_chunk, encode_png, resize_bilinear
 from retinapipe.metrics import ngram_counts
 from retinapipe.report import MedicalReport, build_report
 from retinapipe.rng import _MASK, Xoshiro256
 from retinapipe.textgen import START, DecoderParams, _beam_search, keyword_multihot
-from retinapipe.training import write_case_assets
+from retinapipe.training import write_asset
 
 
 class InlineLoopXoshiro(Xoshiro256):
@@ -286,6 +288,7 @@ def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, a
                         alpha: float = 0.5, heatmaps_dir=None) -> list[MedicalReport]:
     """Pipeline.infer with each case encoded, fused and explained as a batch of
     one, then one beam search over all of them."""
+    os.makedirs(assets_dir, exist_ok=True)
     looked, fused = [], []
     for record, image, source in cases:
         out = pipe.encoder.forward(pipe.encoder.preprocess(image)[None])
@@ -294,13 +297,47 @@ def infer_one_at_a_time(pipe, cases, topk: int, beam_width: int, max_len: int, a
         fused.append(pipe.decoder.fuse(out.pooled, bag).data[0])
         cam = compute_cam(out.feature_maps.data[0], pipe.encoder.classifier_weights,
                           ranked[0][0])
-        paths = write_case_assets(assets_dir, record.id, image, source,
-                                  overlay_one(image, cam, alpha), heatmaps_dir)
+        paths = (write_asset([assets_dir], f"{record.id}.png",
+                             encode_png(image) if source is None else source),
+                 write_asset([assets_dir, heatmaps_dir], f"{record.id}_cam.png",
+                             encode_png(overlay_one(image, cam, alpha))))
         looked.append((record, ranked, paths))
     beams = _beam_search(np.stack(fused), pipe.decoder, beam_width, max_len)
     return [build_report(record, [(pipe.class_names[c], p) for c, p in ranked[:topk]],
                          beam[0].words(pipe.vocab), *paths)
             for (record, ranked, paths), beam in zip(looked, beams)]
+
+
+def read_pnm_token_bytewise(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
+    """The next PNM header field at or after pos and the offset just past it, with
+    whitespace and '#' comments skipped one byte at a time in Python."""
+    n = len(data)
+    while pos < n:
+        if data[pos : pos + 1].isspace():
+            pos += 1
+        elif data[pos : pos + 1] == b"#":  # comment to end of line
+            while pos < n and data[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise DataError(f"{path}: truncated header at byte offset {pos}")
+    start = pos
+    while pos < n and not data[pos : pos + 1].isspace():
+        pos += 1
+    return data[start:pos], pos
+
+
+def pnm_header_bytewise(data: bytes, path) -> tuple[list[int], int]:
+    """imageio._pnm_header with each field read by read_pnm_token_bytewise: the
+    width, height and maxval, and the offset just past the last."""
+    pos, fields = 2, []
+    for _ in range(3):
+        tok, pos = read_pnm_token_bytewise(data, pos, str(path))
+        if not tok.isdigit():  # int() alone would also take b"+2", b" 2" or b"1_0"
+            raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}")
+        fields.append(int(tok))
+    return fields, pos
 
 
 def png_bytes_row_join(pixels: np.ndarray) -> bytes:

@@ -16,7 +16,7 @@ from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
 from retinapipe.encoder import EncoderConfig, VisionEncoder
-from retinapipe.imageio import _PNG_SIG, _png_chunk, load_image
+from retinapipe.imageio import _PNG_SIG, _png_chunk, load_image, read_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import Vocabulary
 from retinapipe.training import Pipeline, TrainConfig, evaluate_pipeline
@@ -837,6 +837,20 @@ class TestReport:
                      "--out", str(out)]) == 0
         assert (out / "assets" / "tiny_cam.png").exists()
 
+    @pytest.mark.parametrize("raster", [True, False], ids=["full-raster", "no-raster"])
+    def test_ppm_over_the_pixel_bound_is_a_data_error(self, raster, trained, tmp_path, capsys):
+        image, header = tmp_path / "big.ppm", b"P6\n4200 4200\n255\n"
+        with open(image, "wb") as f:
+            f.write(header)
+            if raster:
+                f.truncate(len(header) + 4200 * 4200 * 3)  # a sparse file of 0 pixels, 53 MB
+        out = tmp_path / "rep"
+        assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
+                     "--out", str(out)]) == 2
+        assert (f"data error: {image}: 4200x4200 image exceeds {imageio.MAX_IMAGE_PIXELS} "
+                "pixels" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_topk_above_class_count_lists_every_class(self, dataset, trained, tmp_path,
                                                      capsys):
         out = tmp_path / "rep"
@@ -896,6 +910,35 @@ class TestPngSource:
         asset = out / "assets" / "scan.png"  # no tEXt, no gAMA, nothing after IEND
         assert asset.read_bytes() == _PNG_SIG + ihdr + b"".join(idat) + _png_chunk(b"IEND", b"")
         assert np.array_equal(load_image(asset), pixels)
+
+    def test_report_drops_the_source_before_the_overlay(self, dataset, trained, tmp_path,
+                                                        capsys, monkeypatch):
+        """`<id>.png` is written, and nothing holds the source PNG's bytes, before
+        the CAM overlay is computed."""
+        image = tmp_path / "in" / "scan.png"
+        image.parent.mkdir()
+        image.write_bytes(source_png(load_image(dataset / "images" / "case0000.ppm"))[2])
+        freed, seen = [], []
+
+        class Source(bytes):
+            def __del__(self):
+                freed.append(len(self))
+
+        def read_source(path):
+            pixels, png = read_image(path)
+            return pixels, Source(png)
+
+        def checked_overlay(*args):
+            written = [p for p in tmp_path.rglob("scan.png") if p.parent.name == "assets"]
+            seen.append((len(written), len(freed)))
+            return overlay(*args)
+
+        overlay = training.overlay
+        monkeypatch.setattr(cli, "read_image", read_source)
+        monkeypatch.setattr(training, "overlay", checked_overlay)
+        assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
+                     "--out", str(tmp_path / "rep")]) == 0
+        assert seen == [(1, 1)]
 
     @pytest.mark.parametrize("source, compressions", [("png", 1), ("ppm", 2)])
     def test_report_compresses_the_overlay_only(self, source, compressions, dataset, trained,

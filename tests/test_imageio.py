@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from retinapipe import imageio
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    MAX_PNG_PIXELS, encode_png, load_image, read_image, resize_bilinear, write_png, write_pnm,
+    MAX_IMAGE_PIXELS, encode_png, load_image, read_image, resize_bilinear, write_png, write_pnm,
 )
 
-from oracles import png_bytes_row_join
+from oracles import png_bytes_row_join, pnm_header_bytewise
 
 
 PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -103,7 +103,7 @@ class TestPnm:
     @pytest.mark.parametrize("header, raster, match", [
         (b"P5 0 4 255\n", b"", "empty image 0x4"),
         (b"P6 4 0 255\n", b"", "empty image 4x0"),
-        (b"P6 -2 3 255\n", bytes(18), "empty image -2x3"),
+        (b"P6 -2 3 255\n", bytes(18), "bad header token b'-2' at byte offset 5"),
         (b"P5 2 1 15\n", b"\x0f\xff", "unsupported maxval 15"),
         (b"P5 1 1 0\n", b"\x00", "unsupported maxval 0"),
     ], ids=["width-0", "height-0", "width-negative", "maxval-15", "maxval-0"])
@@ -111,6 +111,22 @@ class TestPnm:
         path = tmp_path / "t.pnm"
         path.write_bytes(header + raster)
         with pytest.raises(DataError, match=match):
+            load_image(path)
+
+    @pytest.mark.parametrize("header, token, offset", [
+        (b"P5\n+2 1_0\n255\n", b"+2", 5),  # int() reads these as 2 and 10
+        (b"P5\n2 1_0\n255\n", b"1_0", 8),
+        (b"P5 2 2 +255\n", b"+255", 11),
+        (b"P6 0x2 2 255\n", b"0x2", 6),
+        (b"P5 2 \xd9\xa2 255\n", b"\xd9\xa2", 7),  # an Arabic-Indic 2 in UTF-8
+        (b"P5 " + b"9" * 5000 + b" 1 255\n", b"9" * 5000, 5003),  # past int()'s digit limit
+    ], ids=["plus-and-underscore", "underscore", "plus-maxval", "hex", "non-ascii-digit",
+            "over-long"])
+    def test_fields_are_ascii_decimal_digits(self, header, token, offset, tmp_path):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: bad header token {token!r} at byte offset {offset}")):
             load_image(path)
 
     def test_ppm_round_trip(self, tmp_path):
@@ -262,9 +278,9 @@ class TestPng:
 
     def test_pixel_cap_checked_before_inflating(self, tmp_path, monkeypatch):
         path = tmp_path / "huge.png"
-        path.write_bytes(png_bytes(MAX_PNG_PIXELS + 1, 1, zlib.compress(b"\x00")))
+        path.write_bytes(png_bytes(MAX_IMAGE_PIXELS + 1, 1, zlib.compress(b"\x00")))
         monkeypatch.setattr(zlib, "decompressobj", None)  # any inflate attempt fails the test
-        with pytest.raises(DataError, match=f"exceeds {MAX_PNG_PIXELS} pixels"):
+        with pytest.raises(DataError, match=f"exceeds {MAX_IMAGE_PIXELS} pixels"):
             load_image(path)
 
     def test_truncated_stream_rejected(self, tmp_path):
@@ -551,6 +567,65 @@ def png_files(draw) -> bytes:
     chunks = [(b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")]
     chunks = draw(st.one_of(st.just(chunks), st.permutations(chunks), st.just(chunks[1:])))
     return draw(mutated(PNG_SIG + b"".join(png_chunk(t, body) for t, body in chunks)))
+
+
+PNM_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f"]
+
+
+def pnm_separator():
+    """Whitespace, then maybe comments and more whitespace: what may end one PNM
+    header field and come before the next."""
+    more = st.lists(st.sampled_from([*PNM_WHITESPACE, b"#\n", b"# comment\r\n", b"#\r"]),
+                    max_size=3)
+    return st.tuples(st.sampled_from(PNM_WHITESPACE), more).map(
+        lambda parts: parts[0] + b"".join(parts[1]))
+
+
+def mostly(usual, other):
+    """usual nine times in ten, else other."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k else other)
+
+
+class TestPnmHeaderProperty:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), magic=st.sampled_from([b"P5", b"P6"]),
+           width=st.integers(1, 2 * MAX_IMAGE_PIXELS))
+    def test_over_the_bound_is_refused_whatever_follows(self, data, magic, width, tmp_path):
+        """A header of more than MAX_IMAGE_PIXELS pixels is refused with the bound's
+        message before any raster is read, whether none, part or junk follows."""
+        height = data.draw(st.integers(MAX_IMAGE_PIXELS // width + 1, 2 * MAX_IMAGE_PIXELS))
+        maxval = data.draw(st.sampled_from([b"255", b"1", b"65535"]))
+        header = magic + b"".join(sep + field for sep, field in zip(
+            [data.draw(pnm_separator()) for _ in range(3)], [b"%d" % width, b"%d" % height,
+                                                             maxval]))
+        tail = data.draw(st.one_of(st.just(b""), st.sampled_from(PNM_WHITESPACE),
+                                   st.binary(max_size=64).map(b"\n".__add__)))
+        path = tmp_path / "big.pnm"
+        path.write_bytes(header + tail)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: {width}x{height} image exceeds {MAX_IMAGE_PIXELS} pixels")):
+            load_image(path)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(body=st.lists(st.tuples(
+        mostly(pnm_separator(), st.one_of(st.binary(max_size=3), st.sampled_from(
+            [b"", b"#", b"# c", b"\r\n#", b"#\x00\n"]))),
+        mostly(st.integers(0, 999).map(b"%d".__mod__), st.one_of(
+            st.binary(max_size=2), st.sampled_from([b"0255", b"+2", b"-1", b"1_0", b"2#", b"x",
+                                                    b"\x00", b"\x1c", b"\x85", b"\xa0"])))),
+        min_size=2, max_size=4).map(lambda parts: b"".join(map(b"".join, parts))))
+    def test_same_fields_as_the_bytewise_reader(self, body):
+        """The one-pattern reader gives the bytewise reader's fields and end offset,
+        or its error, on headers of whitespace, comments, digits and other bytes."""
+        data = b"P5" + body
+        try:
+            want = pnm_header_bytewise(data, "h.pgm")
+        except DataError as e:
+            with pytest.raises(DataError, match=re.escape(str(e))):
+                imageio._pnm_header(data, "h.pgm")
+        else:
+            assert imageio._pnm_header(data, "h.pgm") == want
 
 
 class TestLoadImageProperty:

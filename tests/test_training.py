@@ -19,7 +19,7 @@ from retinapipe.cli import main
 from retinapipe.data import DatasetManifest, generate_synthetic_dataset, save_manifest, split_dataset
 from retinapipe.encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder
 from retinapipe.errors import DataError, NonFiniteError
-from retinapipe.imageio import read_image
+from retinapipe.imageio import encode_png, load_image, read_image
 from retinapipe.rng import Xoshiro256
 from retinapipe.textgen import (
     END, START, DecoderParams, _beam_search, build_vocabulary, caption_loss, detokenize,
@@ -667,6 +667,36 @@ class TestChunkedInference:
         assert all(sum(alive) - max(alive) <= budget for alive in at_encodes)
         assert [100 * 100] in at_encodes  # a heavy image is encoded alone
         assert len(at_encodes) < len(loaded) / 2
+
+    def test_sources_are_written_and_dropped_before_the_overlays(self, image_pool, trained,
+                                                                 tmp_path, monkeypatch):
+        """By the time a chunk's CAM overlays are computed, each case read so far has
+        its `<id>.png` on disk and nothing holds its source PNG's bytes."""
+        root, pool = image_pool
+        manifest = with_test_split(root, pool["uniform"], 17)  # chunks of 8, 8 and 1
+        assets, read, freed, overlays = tmp_path / "assets", [], [], []
+
+        class Source(bytes):
+            def __del__(self):
+                freed.append(len(self))
+
+        def read_png_source(path):
+            image = load_image(path)
+            read.append(path)
+            return image, Source(encode_png(image))
+
+        def checked_overlay(*args):
+            images = [p for p in assets.iterdir() if not p.name.endswith("_cam.png")]
+            overlays.append((len(read), len(images), len(freed)))
+            return overlay(*args)
+
+        overlay = training.overlay
+        monkeypatch.setattr(training, "read_image", read_png_source)
+        monkeypatch.setattr(training, "overlay", checked_overlay)
+        evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
+                          assets)
+        assert {n for n, _, _ in overlays} == {8, 16, 17}
+        assert all(n == images == dropped for n, images, dropped in overlays)
 
     def test_budget_below_one_image_holds_one_at_a_time(self, image_pool, trained, tmp_path,
                                                         monkeypatch):
