@@ -35,9 +35,9 @@ def _check_size(path, width: int, height: int) -> None:
 # ---------------------------------------------------------------------------
 # PNM (PGM P5 / PPM P6)
 
-# One header field: the ASCII whitespace and comments before it, a comment running
-# from '#' to the next CR or LF, then the field itself up to the next whitespace.
-_PNM_FIELD = re.compile(rb"(?:\s+|#[^\r\n]*)*+(\S*)")
+# One header field after any ASCII whitespace and comments (each from '#' to the next
+# CR or LF), up to the next whitespace; (\S*) always matches, so nothing backtracks.
+_PNM_FIELD = re.compile(rb"\s*(?:#[^\r\n]*\s*)*(\S*)")
 
 
 def _pnm_header(data: bytes, path) -> tuple[list[int], int]:
@@ -48,12 +48,11 @@ def _pnm_header(data: bytes, path) -> tuple[list[int], int]:
         tok, pos = match[1], match.end()
         if not tok:
             raise DataError(f"{path}: truncated header at byte offset {pos}")
-        try:
-            if not tok.isdigit():  # ASCII digits only: int() would take b"+2" or b"1_0"
-                raise ValueError
-            fields.append(int(tok))  # refuses more digits than sys.get_int_max_str_digits()
-        except ValueError as e:
-            raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}") from e
+        # 1 to 10 ASCII digits, as many as a PNG's 4-byte size field: int() would also
+        # take b"+2" or b"1_0", and its time on a longer field is not bounded
+        if len(tok) > 10 or not tok.isdigit():
+            raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}")
+        fields.append(int(tok))
     return fields, pos
 
 
@@ -219,8 +218,12 @@ def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
             raise DataError(f"{path}: truncated {ctype!r} chunk at offset {pos}")
         if int.from_bytes(chunk[-4:], "big") != zlib.crc32(chunk[4:-4]):
             raise DataError(f"{path}: CRC mismatch in {ctype!r} chunk at offset {pos}")
-        if ctype == b"IHDR":
+        if ctype == b"IHDR":  # first in a valid PNG: its size is checked before the rest is walked
+            if length != 13:
+                raise DataError(f"{path}: IHDR chunk is {length} bytes, expected 13")
             ihdr = chunk
+            width, height = int.from_bytes(ihdr[8:12], "big"), int.from_bytes(ihdr[12:16], "big")
+            _check_size(path, width, height)
         elif ctype == b"IDAT":
             idat.append(chunk)
         elif ctype == b"IEND":
@@ -228,11 +231,6 @@ def _decode_png(data: bytes, path) -> tuple[np.ndarray, list]:
         pos += 12 + length
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR chunk")
-    if len(ihdr) != 12 + 13:
-        raise DataError(f"{path}: IHDR chunk is {len(ihdr) - 12} bytes, expected 13")
-    width = int.from_bytes(ihdr[8:12], "big")
-    height = int.from_bytes(ihdr[12:16], "big")
-    _check_size(path, width, height)
     depth, color, comp, filt, interlace = ihdr[16:21]
     if depth != 8:
         raise DataError(f"{path}: unsupported bit depth {depth} (only 8 supported)")

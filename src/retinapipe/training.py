@@ -341,11 +341,10 @@ class Pipeline:
         looked, fused = [], []
         for chunk in _chunks(cases, self.encoder.config.image_size ** 2):
             records, images, sources = zip(*chunk)
-            chunk.clear()  # _chunks' frame holds this list until it resumes
             image_paths = [write_asset([assets_dir], f"{r.id}.png",
                                        encode_png(image) if source is None else source)
                            for r, image, source in zip(records, images, sources)]
-            del sources  # no source PNG is held through the overlays
+            del chunk, sources  # no source PNG is held through the overlays
             out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
             ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
             fused.extend(self.decoder.fuse(out.pooled, np.stack(
@@ -387,22 +386,29 @@ def _chunks(cases, min_weight: int):
 
     A chunk closes as soon as no case could join it, else when the next case
     would take it over the budget; only then is that case loaded beside it.
+    A yielded list is the caller's alone: this frame keeps none of its cases.
     """
     chunk, weight = [], 0
     for case in cases:
         image = case[1]
         case_weight = max(image.shape[0] * image.shape[1], min_weight)
         if chunk and weight + case_weight > _CHUNK_PIXELS:
-            yield chunk
-            chunk, weight = [], 0
+            yield _handed_over(chunk)
+            weight = 0
         chunk.append(case)
         weight += case_weight
         del case, image  # the chunk holds them; none is held past its chunk
         if weight + min_weight > _CHUNK_PIXELS:
-            yield chunk
-            chunk, weight = [], 0
+            yield _handed_over(chunk)
+            weight = 0
     if chunk:
-        yield chunk
+        yield _handed_over(chunk)
+
+
+def _handed_over(items: list) -> list:
+    """A new list of items' elements, leaving items empty."""
+    taken, items[:] = items[:], []
+    return taken
 
 
 def write_asset(folders, name: str, data: bytes) -> str:

@@ -334,7 +334,7 @@ def pnm_header_bytewise(data: bytes, path) -> tuple[list[int], int]:
     pos, fields = 2, []
     for _ in range(3):
         tok, pos = read_pnm_token_bytewise(data, pos, str(path))
-        if not tok.isdigit():  # int() alone would also take b"+2", b" 2" or b"1_0"
+        if len(tok) > 10 or not tok.isdigit():  # int() alone would also take b"+2" or b"1_0"
             raise DataError(f"{path}: bad header token {tok!r} at byte offset {pos}")
         fields.append(int(tok))
     return fields, pos

@@ -1,7 +1,9 @@
 import builtins
 import re
+import sys
 import tracemalloc
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -120,13 +122,32 @@ class TestPnm:
         (b"P6 0x2 2 255\n", b"0x2", 6),
         (b"P5 2 \xd9\xa2 255\n", b"\xd9\xa2", 7),  # an Arabic-Indic 2 in UTF-8
         (b"P5 " + b"9" * 5000 + b" 1 255\n", b"9" * 5000, 5003),  # past int()'s digit limit
+        (b"P5 00000000001 1 255\n", b"00000000001", 14),  # 11 digits
     ], ids=["plus-and-underscore", "underscore", "plus-maxval", "hex", "non-ascii-digit",
-            "over-long"])
+            "over-long", "eleven-digits"])
     def test_fields_are_ascii_decimal_digits(self, header, token, offset, tmp_path):
         path = tmp_path / "t.pnm"
         path.write_bytes(header + bytes(12))
         with pytest.raises(DataError, match=re.escape(
                 f"{path}: bad header token {token!r} at byte offset {offset}")):
+            load_image(path)
+
+    def test_long_field_refused_with_int_digit_limit_off(self, tmp_path, request):
+        """A field is refused by its length, not by int(), whose digit limit can be off."""
+        if hasattr(sys, "set_int_max_str_digits"):
+            request.addfinalizer(partial(sys.set_int_max_str_digits, sys.get_int_max_str_digits()))
+            sys.set_int_max_str_digits(0)
+        path = tmp_path / "t.pnm"
+        path.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n")
+        with pytest.raises(DataError, match="bad header token b'99999"):
+            load_image(path)
+
+    def test_ten_digit_fields_are_read(self, tmp_path):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(b"P5 0000000002 0000000001 0000000255\n\x07\x09")
+        assert load_image(path).tolist() == [[[7], [9]]]
+        path.write_bytes(b"P5 4294967295 1 255\n")
+        with pytest.raises(DataError, match=f"4294967295x1 image exceeds {MAX_IMAGE_PIXELS}"):
             load_image(path)
 
     def test_ppm_round_trip(self, tmp_path):
@@ -282,6 +303,18 @@ class TestPng:
         monkeypatch.setattr(zlib, "decompressobj", None)  # any inflate attempt fails the test
         with pytest.raises(DataError, match=f"exceeds {MAX_IMAGE_PIXELS} pixels"):
             load_image(path)
+
+    def test_pixel_cap_checked_before_the_chunk_walk(self, tmp_path, monkeypatch):
+        """An IHDR over the bound is refused when met, before a later chunk is read."""
+        path = tmp_path / "huge.png"
+        path.write_bytes(PNG_SIG + png_chunk(b"IHDR", ihdr_body(4097, 4096, 3))
+                         + b"\x00\x00\x10\x00IDAT" + bytes(5))  # a truncated chunk, no IEND
+        calls, crc32 = [], zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", lambda data: calls.append(len(data)) or crc32(data))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: 4097x4096 image exceeds {MAX_IMAGE_PIXELS} pixels")):
+            load_image(path)
+        assert calls == [17]  # the CRC of IHDR's type and body, and of no other chunk
 
     def test_truncated_stream_rejected(self, tmp_path):
         stream = zlib.compress(bytes(4 * 5))
