@@ -15,13 +15,13 @@ import os
 import sys
 import tempfile
 
-from .cam import compute_cam, heatmap_to_text, overlay
+from .cam import heatmap_to_text
 from .checkpoint import ModelCheckpoint
 from .data import (
     CaseRecord, _split_keywords, generate_synthetic_dataset, parse_manifest,
     save_manifest, split_dataset, word_length_histogram,
 )
-from .encoder import VisionEncoder, predict_topk
+from .encoder import VisionEncoder
 from .errors import DataError
 from .imageio import load_image, read_image, write_png
 from .metrics import precision_at_k, score_captions
@@ -260,12 +260,8 @@ def _cmd_explain(args) -> int:
         _check_folder(os.path.dirname(path))
     image = load_image(args.image)
     encoder = VisionEncoder.from_checkpoint(ModelCheckpoint.load(args.encoder))
-    out = encoder.forward(encoder.preprocess(image)[None])
-    class_id = args.class_id
-    if class_id is None:
-        class_id = predict_topk(out.logits.data[0], 1)[0][0]
-    heat = compute_cam(out.feature_maps.data[0], encoder.classifier_weights, class_id)
-    pixels = overlay(image[None], heat[None], args.alpha)[0]
+    _, [ranked], [heat], [pixels] = encoder.explain([image], args.alpha, [args.class_id])
+    class_id = ranked[0][0] if args.class_id is None else args.class_id
     for path in outputs:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if args.raw_txt:

@@ -1,7 +1,7 @@
 """Retinal disease identifier: small conv stack -> GAP -> linear classifier.
 
-Exposes the final feature maps (for CAM), the pooled feature vector (for the
-description generator), and class logits.
+Exposes the pooled feature vector (for the description generator), the class
+logits, and the one classify-and-explain step: each image's CAM and its overlay.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, init_arrays, parameters_from
+from .cam import compute_cam, overlay
 from .checkpoint import ModelCheckpoint
 from .errors import DataError, NonFiniteError
 from .imageio import resize_bilinear
@@ -155,6 +156,23 @@ class VisionEncoder:
         if not np.isfinite(logits.data).all():
             raise NonFiniteError("non-finite activation in classifier head")
         return EncoderOutput(feature_maps=feature_maps, pooled=pooled, logits=logits)
+
+    def explain(self, images, alpha: float, class_ids=None) -> tuple:
+        """Classify and explain H x W x C uint8 images as one batch. Returns the EncoderOutput,
+        each image's ranking of every class, the N x h x w raw CAMs (class_ids[i], or the top
+        class where it or class_ids is None) and the overlays, one overlay call per image shape."""
+        out = self.forward(np.stack([self.preprocess(image) for image in images]))
+        ranked = [predict_topk(row, self.config.num_classes) for row in out.logits.data]
+        cams = np.stack([compute_cam(maps, self.classifier_weights, top[0][0] if c is None else c)
+                         for maps, top, c in zip(out.feature_maps.data, ranked,
+                                                 class_ids or [None] * len(images))])
+        groups: dict[tuple, list[int]] = {}  # gray and RGB apart
+        for i, image in enumerate(images):
+            groups.setdefault(image.shape, []).append(i)
+        overlays = {}
+        for idx in groups.values():
+            overlays.update(zip(idx, overlay(np.stack([images[i] for i in idx]), cams[idx], alpha)))
+        return out, ranked, cams, [overlays[i] for i in range(len(images))]
 
 
 def predict_topk(logits: np.ndarray, k: int) -> list[tuple[int, float]]:

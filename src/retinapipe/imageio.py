@@ -7,6 +7,7 @@ the decode path stays auditable; anything else is rejected with a reason.
 
 from __future__ import annotations
 
+import os
 import re
 import zlib
 
@@ -17,6 +18,13 @@ from .errors import DataError
 # Largest image accepted, in pixels (a 4096 x 4096 fundus photograph); every
 # header is checked against it before a PNM raster is sliced or a PNG's IDAT inflated.
 MAX_IMAGE_PIXELS = 4096 * 4096
+
+# Largest image file accepted, in bytes; no more than this plus one is ever read. The
+# largest accepted files are about 50.3 MB: a 4096^2 PPM (3 x 4096^2 = 50,331,648 raster
+# bytes and its header), and a 4096^2 RGB PNG in stored deflate blocks (4096 x (3 x 4096
+# + 1) = 50,335,744 filtered bytes, 5 per 65,535-byte block, 12 per IDAT chunk: 50.41 MB
+# in libpng's 8 KiB chunks). Bytes after a PGM/PPM raster or a PNG's IEND count too.
+MAX_IMAGE_BYTES = 64 * 2 ** 20
 
 # A PNG whose Avg/Paeth chains give fewer filtered bytes per wavefront step than
 # this is undone row by row: a step costs tens of numpy calls whatever its width,
@@ -324,10 +332,19 @@ def write_png(path, pixels: np.ndarray) -> None:
 
 
 def _read(path) -> tuple[np.ndarray, list | None]:
-    """Read the file once and dispatch on its magic bytes: the pixels of a PGM/PPM
-    file and None, or those of a PNG file and _decode_png's views of its chunks."""
+    """Read the file once, refusing one of more than MAX_IMAGE_BYTES, and dispatch on
+    its magic bytes: the pixels of a PGM/PPM file and None, or those of a PNG file
+    and _decode_png's views of its chunks."""
     with open(path, "rb") as f:
-        data = f.read()
+        size = os.fstat(f.fileno()).st_size
+        if size > MAX_IMAGE_BYTES:
+            raise DataError(f"{path}: file of {size} bytes exceeds the limit of "
+                            f"{MAX_IMAGE_BYTES} bytes")
+        # read(n) allocates n bytes up front, so a file is read at its own size; a pipe
+        # or a /proc file reports size 0 and is read to one byte past the limit
+        data = f.read(size + 1 if size else MAX_IMAGE_BYTES + 1)
+    if len(data) > MAX_IMAGE_BYTES:
+        raise DataError(f"{path}: file exceeds the limit of {MAX_IMAGE_BYTES} bytes")
     magic = data[:2]
     if magic in (b"P5", b"P6"):
         return _decode_pnm(data, 1 if magic == b"P5" else 3, path), None

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward, sgd_step, zero_grads
-from .cam import compute_cam, overlay
 from .checkpoint import ModelCheckpoint
 from .data import CaseRecord, DatasetManifest
 from .encoder import DEFAULT_STAGES, EncoderConfig, VisionEncoder, predict_topk
@@ -330,12 +329,12 @@ class Pipeline:
         there as `<id>_cam.png`, and also to heatmaps_dir if given.
 
         The cases are taken in chunks of at most _CHUNK_PIXELS (see _chunks). A
-        chunk's images are written first, and its sources dropped. Then it is
-        encoded as one batch and ranked, and its CAM overlays are written. Only
-        the records, rankings and fused features are kept, so a lazy cases holds
-        one chunk of images at a time (encoding the split as one batch would hold
-        it all). Then one beam search captions every case. Every case comes out
-        as it would alone.
+        chunk's images are written first, and its sources dropped. Then
+        VisionEncoder.explain ranks and explains it as one batch, and its CAM
+        overlays are written. Only the records, rankings and fused features are
+        kept, so a lazy cases holds one chunk of images at a time (encoding the
+        split as one batch would hold it all). Then one beam search captions
+        every case. Every case comes out as it would alone.
         """
         os.makedirs(assets_dir, exist_ok=True)
         looked, fused = [], []
@@ -345,34 +344,17 @@ class Pipeline:
                                        encode_png(image) if source is None else source)
                            for r, image, source in zip(records, images, sources)]
             del chunk, sources  # no source PNG is held through the overlays
-            out = self.encoder.forward(np.stack([self.encoder.preprocess(im) for im in images]))
-            ranked = [predict_topk(row, self.num_classes) for row in out.logits.data]
+            out, ranked, _, overlays = self.encoder.explain(images, alpha)
             fused.extend(self.decoder.fuse(out.pooled, np.stack(
                 [keyword_multihot(r.keywords, self.kw_vocab) for r in records])).data)
-            cams = self._overlays(images, out.feature_maps.data, ranked, alpha)
             cam_paths = [write_asset([assets_dir, heatmaps_dir], f"{r.id}_cam.png",
-                                     encode_png(cam)) for r, cam in zip(records, cams)]
+                                     encode_png(drawn)) for r, drawn in zip(records, overlays)]
             looked += zip(records, ranked, zip(image_paths, cam_paths))
-            del images, cams, out  # before cases loads the next image
+            del images, overlays, out  # before cases loads the next image
         beams = _beam_search(np.stack(fused), self.decoder, beam_width, max_len)
         return [build_report(record, [(self.class_names[c], p) for c, p in ranked[:topk]],
                              beam[0].words(self.vocab), *paths)
                 for (record, ranked, paths), beam in zip(looked, beams)]
-
-    def _overlays(self, images: tuple[np.ndarray, ...], feature_maps: np.ndarray,
-                  ranked: list[list[tuple[int, float]]], alpha: float) -> list[np.ndarray]:
-        """The CAM overlay of each image for its top class, by one overlay call
-        per stack of same-shape images (so gray and RGB apart)."""
-        groups: dict[tuple, list[int]] = {}
-        for i, image in enumerate(images):
-            groups.setdefault(image.shape, []).append(i)
-        overlays = {}
-        for members in groups.values():
-            cams = [compute_cam(feature_maps[i], self.encoder.classifier_weights,
-                                ranked[i][0][0]) for i in members]
-            pixels = overlay(np.stack([images[i] for i in members]), np.stack(cams), alpha)
-            overlays.update(zip(members, pixels))
-        return [overlays[i] for i in range(len(images))]
 
 
 # A chunk of cases weighs at most this many pixels, a case weighing

@@ -11,7 +11,7 @@ import numpy as np
 import oracles
 import pytest
 
-from retinapipe import cli, imageio, training
+from retinapipe import cli, encoder, imageio, training
 from retinapipe.checkpoint import ModelCheckpoint
 from retinapipe.cli import build_parser, main
 from retinapipe.data import parse_manifest
@@ -933,9 +933,9 @@ class TestPngSource:
             seen.append((len(written), len(freed)))
             return overlay(*args)
 
-        overlay = training.overlay
+        overlay = encoder.overlay
         monkeypatch.setattr(cli, "read_image", read_source)
-        monkeypatch.setattr(training, "overlay", checked_overlay)
+        monkeypatch.setattr(encoder, "overlay", checked_overlay)
         assert main(["report", "--image", str(image), *model_args(trained / "checkpoints"),
                      "--out", str(tmp_path / "rep")]) == 0
         assert seen == [(1, 1)]
@@ -1032,6 +1032,30 @@ class TestReportMatchesEvaluate:
             if got != want:
                 mismatches.append((r.id, got, want))
         assert mismatches == []
+
+
+class TestExplainMatchesReport:
+    """explain and report draw a CAM overlay by one path, VisionEncoder.explain: at
+    one --alpha, explain --out holds the bytes of report's assets/<id>_cam.png."""
+
+    @pytest.mark.parametrize("name", ["case0001.pgm", "case0000.ppm"], ids=["gray", "rgb"])
+    def test_same_overlay_bytes(self, name, dataset, trained, tmp_path, capsys):
+        image, ckpts = dataset / "images" / name, trained / "checkpoints"
+        assert main(["report", "--image", str(image), *model_args(ckpts), "--alpha", "0.3",
+                     "--out", str(tmp_path / "rep")]) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        top = int(fields["Prediction"].split(" (")[0].removeprefix("class_"))
+        drawn = (tmp_path / "rep" / "assets" / f"{image.stem}_cam.png").read_bytes()
+
+        def explain(out, *flags):
+            assert main(["explain", "--image", str(image), "--alpha", "0.3",
+                         "--encoder", str(ckpts / "encoder.ckpt"), *flags,
+                         "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out).read_bytes(), capsys.readouterr().err
+
+        assert explain("top.png") == (drawn, f"CAM for class {top} -> {tmp_path / 'top.png'}\n")
+        assert explain("chosen.png", "--class-id", str(top))[0] == drawn
+        assert explain("other.png", "--class-id", str((top + 1) % 3))[0] != drawn
 
 
 class TestCrossFileChecks:

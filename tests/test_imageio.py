@@ -1,4 +1,5 @@
 import builtins
+import os
 import re
 import sys
 import tracemalloc
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from retinapipe import imageio
 from retinapipe.errors import DataError
 from retinapipe.imageio import (
-    MAX_IMAGE_PIXELS, encode_png, load_image, read_image, resize_bilinear, write_png, write_pnm,
+    MAX_IMAGE_BYTES, MAX_IMAGE_PIXELS, encode_png, load_image, read_image, resize_bilinear,
+    write_png, write_pnm,
 )
 
 from oracles import png_bytes_row_join, pnm_header_bytewise
@@ -434,6 +436,69 @@ class TestReadImage:
         px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
         write_png(tmp_path / "a.png", px)
         assert (tmp_path / "a.png").read_bytes() == encode_png(px)
+
+
+def sparse_file(path, head: bytes, size: int):
+    """head, then zero bytes up to size, stored as a hole: a size past the limit
+    costs no disk."""
+    with open(path, "wb") as f:
+        f.write(head)
+        f.truncate(size)
+    return path
+
+
+class TestBoundedRead:
+    """No file of more than MAX_IMAGE_BYTES loads, whatever follows its pixels, and
+    none is read past one byte over the limit."""
+
+    def test_one_byte_over_is_refused_without_being_read(self, tmp_path):
+        path = sparse_file(tmp_path / "big.ppm", b"", MAX_IMAGE_BYTES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: file of {MAX_IMAGE_BYTES + 1} bytes exceeds the limit of "
+                    f"{MAX_IMAGE_BYTES} bytes")):
+                load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_ppm_with_a_long_tail_is_refused(self, tmp_path):
+        """A PGM/PPM's bytes after its raster are ignored up to the limit, not past it."""
+        ppm = b"P6\n32 32\n255\n" + bytes(range(256)) * 12
+        path = sparse_file(tmp_path / "tail.ppm", ppm, MAX_IMAGE_BYTES)
+        assert load_image(path).tobytes() == ppm[-32 * 32 * 3:]
+        sparse_file(path, ppm, len(ppm) + 400 * 10 ** 6)
+        with pytest.raises(DataError, match=f"exceeds the limit of {MAX_IMAGE_BYTES} bytes"):
+            load_image(path)
+
+    def test_png_with_bytes_after_iend_past_the_limit_is_refused(self, tmp_path):
+        png = encode_png(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        path = sparse_file(tmp_path / "tail.png", png, MAX_IMAGE_BYTES + 1)
+        with pytest.raises(DataError, match=f"exceeds the limit of {MAX_IMAGE_BYTES} bytes"):
+            read_image(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("limit", [None, 100])
+    def test_a_pipe_is_read_to_one_byte_past_the_limit(self, limit, monkeypatch):
+        """A pipe reports no size, so its bytes alone are measured against the limit."""
+        ppm = b"P5\n16 16\n255\n" + bytes(range(256))
+        if limit is not None:
+            monkeypatch.setattr(imageio, "MAX_IMAGE_BYTES", limit)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, ppm)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            if limit is None:
+                assert load_image(path).tobytes() == bytes(range(256))
+            else:
+                with pytest.raises(DataError, match=re.escape(
+                        f"{path}: file exceeds the limit of 100 bytes")):
+                    load_image(path)
+        finally:
+            os.close(read_end)
 
 
 def sample_images(shape, seed: int) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from retinapipe import autodiff, training
+from retinapipe import autodiff, encoder, training
 from retinapipe.autodiff import (
     Tape, Tensor, backward, lstm_cell_np, sgd_step, softmax_cross_entropy, zero_grads,
 )
@@ -690,9 +690,9 @@ class TestChunkedInference:
             overlays.append((len(read), len(images), len(freed)))
             return overlay(*args)
 
-        overlay = training.overlay
+        overlay = encoder.overlay
         monkeypatch.setattr(training, "read_image", read_png_source)
-        monkeypatch.setattr(training, "overlay", checked_overlay)
+        monkeypatch.setattr(encoder, "overlay", checked_overlay)
         evaluate_pipeline(manifest, Pipeline(*trained, None, manifest.class_list), 3, (1,), 30,
                           assets)
         assert {n for n, _, _ in overlays} == {8, 16, 17}
